@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import catalog
-from .errors import ConfigError, SingularHessianError
+from .errors import ConfigError, NodeBudgetError, SingularHessianError
 from .fields import BoxDomain
 from .kernels import RadialKernel
 from .operators import (
@@ -155,6 +155,19 @@ def _kernel_from(config: dict, dim: int) -> RadialKernel:
     return RadialKernel(k["family"], dim, int(k["n"]), float(k["base_scale"]))
 
 
+def _resolution(config: dict, dim: int) -> int:
+    """``quadrature.resolution``, checked before any grid is allocated."""
+    from .quadrature import NODE_BUDGET
+
+    r = config["quadrature"]["resolution"]
+    if isinstance(r, bool) or not isinstance(r, int) or r < 2 or r**dim > NODE_BUDGET:
+        raise ConfigError(
+            f"config key 'quadrature.resolution' must be an integer >= 2 with "
+            f"resolution**{dim} <= {NODE_BUDGET}, got {r!r}"
+        )
+    return r
+
+
 def _op_config(config: dict, kernel: RadialKernel) -> OperatorConfig:
     from .quadrature import GAUSS, MIDPOINT, PvPolicy
 
@@ -163,7 +176,7 @@ def _op_config(config: dict, kernel: RadialKernel) -> OperatorConfig:
     if scheme is None:
         raise ConfigError(f"unknown config key 'quadrature.scheme' value {q['scheme']!r}")
     pv = PvPolicy() if q["pv_epsilon"] is None else PvPolicy(float(q["pv_epsilon"]))
-    return OperatorConfig(kernel, resolution=int(q["resolution"]), scheme=scheme, pv=pv)
+    return OperatorConfig(kernel, resolution=_resolution(config, kernel.dim), scheme=scheme, pv=pv)
 
 
 def _field_from(config: dict, domain: BoxDomain):
@@ -303,7 +316,7 @@ def _cmd_sweep(run: _Run) -> int:
     settings = {
         "domain": domain,
         "kernel": kernel,
-        "resolution": int(config["quadrature"]["resolution"]),
+        "resolution": _resolution(config, domain.dim),
         "probes": int(config["check"]["probes"]),
         "seeds": int(config["check"]["seeds"]),
         "seed": run.args.seed,
@@ -571,7 +584,7 @@ def run_cli(argv=None) -> int:
         run = _Run(args.command, args, config, raw_argv)
         code = _HANDLERS[args.command](run)
         return run.finish(code)
-    except ConfigError as exc:
+    except (ConfigError, NodeBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, RejectionOverflowError
 from .fields import BoxDomain, as_point
-from .quadrature import GAUSS, build_panel_grid, rule_1d
+from .quadrature import GAUSS, reach_stencil, rule_1d
 
 GAUSSIAN = "gaussian"
 BUMP = "bump"
@@ -280,14 +280,8 @@ def directional_second_moment(
         raise ValueError("moment diagnostics require an interior point")
     if not 0 <= axis < kernel.dim:
         raise ValueError(f"axis {axis} out of range for dimension {kernel.dim}")
-    clipped = domain.clip_box(x - kernel.full_radius, x + kernel.full_radius)
-    lo, hi = clipped
-    grid = build_panel_grid(lo, hi, x, resolution, GAUSS)
-    d = x - grid.nodes
-    r2 = np.sum(d * d, axis=1)
-    keep = r2 > 0
-    vals = (d[keep, axis] ** 2 / r2[keep]) * kernel.density(d[keep])
-    return float(np.sum(grid.weights[keep] * vals))
+    stencil = reach_stencil(kernel, x, kernel.full_radius, domain, resolution, GAUSS)
+    return float(sum(np.sum(b.wrho * b.h[:, axis] ** 2 / b.r2) for b in stencil.blocks()))
 
 
 def moment_c(kernel: RadialKernel, domain: BoxDomain, x, axis: int, resolution: int = 256) -> float:

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fields import ScalarField, SubsetIndicator, as_point, zero_extension
 from .kernels import RadialKernel
-from .quadrature import GAUSS, NODE_BUDGET, PvPolicy, build_panel_grid
+from .quadrature import GAUSS, NODE_BUDGET, PvPolicy, Stencil, reach_stencil
 
 # Hessian construction tags.
 NESTED = "nested"               # kernel partial of kernel partials (two scales)
@@ -73,48 +73,37 @@ def _interior_point(field: ScalarField, x) -> np.ndarray:
     return x
 
 
-def _quotient_sum(
-    x: np.ndarray,
-    value_x: float,
-    nodes: np.ndarray,
-    values: np.ndarray,
-    weights: np.ndarray,
-    kernel: RadialKernel,
-    pv: PvPolicy,
-) -> np.ndarray:
-    """Kernel-weighted sum of difference quotients against ``(x, value_x)``."""
-    d = x - nodes
-    r2 = np.sum(d * d, axis=1)
-    keep = r2 > pv.epsilon * pv.epsilon if pv.epsilon > 0 else r2 > 0
-    d = d[keep]
-    r2 = r2[keep]
-    diff = value_x - values[keep]
-    dens = kernel.density(d)
-    contrib = (weights[keep] * diff / r2 * dens)[:, None] * d
-    return kernel.dim * np.sum(contrib, axis=0)
+def _field_values(fn, points: np.ndarray) -> np.ndarray:
+    """``fn`` at the given points: the one finiteness check every operator shares."""
+    values = np.asarray(fn(points), dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = np.argmin(finite.reshape(len(points), -1).all(axis=1))
+        raise ValueError(f"field value is not finite at quadrature node {points[row]}")
+    return values
 
 
-def _gradient_over_boxes(
-    field: ScalarField, x: np.ndarray, boxes, config: OperatorConfig
-) -> np.ndarray:
-    kernel = config.kernel
+def _contract(stencil: Stencil, x: np.ndarray, value_x, fn) -> np.ndarray:
+    """Kernel-weighted difference quotients of ``fn`` over the stencil around ``x``.
+
+    Sums ``D * w * rho(|h|) * (value_x - fn(x + h)) / |h|^2 * (-h)`` over the
+    offsets ``h``.  A vector-valued ``fn`` gives a matrix whose rows index its
+    components.
+    """
+    total = 0.0
+    for block in stencil.blocks():
+        total = total + (value_x - _field_values(fn, x + block.h)).T @ block.grad
+    return total
+
+
+def _gradient_over(field: ScalarField, x: np.ndarray, stencils) -> np.ndarray:
     value_x = field.value(x)
     if not np.isfinite(value_x):
         raise ValueError(f"field value is not finite at {x}")
     total = np.zeros(field.dim)
-    for lo, hi in boxes:
-        grid = build_panel_grid(lo, hi, x, config.resolution, config.scheme)
-        values = np.asarray(field(grid.nodes), dtype=float)
-        if not np.all(np.isfinite(values)):
-            bad = grid.nodes[np.argmax(~np.isfinite(values))]
-            raise ValueError(f"field value is not finite at quadrature node {bad}")
-        total += _quotient_sum(x, value_x, grid.nodes, values, grid.weights, kernel, config.pv)
+    for stencil in stencils:
+        total += _contract(stencil, x, value_x, field)
     return total
-
-
-def _reach_boxes(field: ScalarField, x: np.ndarray, kernel: RadialKernel):
-    clipped = field.domain.clip_box(x - kernel.reach, x + kernel.reach)
-    return [] if clipped is None else [clipped]
 
 
 def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarray:
@@ -125,9 +114,12 @@ def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarr
     linear fields whenever the reach ball lies inside the domain.
     """
     x = _interior_point(field, x)
-    if config.kernel.dim != field.dim:
+    kernel = config.kernel
+    if kernel.dim != field.dim:
         raise ValueError("kernel dimension does not match field dimension")
-    return _gradient_over_boxes(field, x, _reach_boxes(field, x, config.kernel), config)
+    stencil = reach_stencil(kernel, x, kernel.reach, field.domain, config.resolution,
+                            config.scheme, config.pv.epsilon)
+    return _gradient_over(field, x, [stencil])
 
 
 def restricted_nonlocal_gradient(
@@ -137,16 +129,17 @@ def restricted_nonlocal_gradient(
     x = _interior_point(field, x)
     if subset.dim != field.dim:
         raise ValueError("subset dimension does not match field dimension")
-    reach_lo = x - config.kernel.reach
-    reach_hi = x + config.kernel.reach
-    boxes = []
+    kernel = config.kernel
+    stencils = []
     for lo, hi in subset.pieces():
-        clipped = field.domain.clip_box(np.maximum(lo, reach_lo), np.minimum(hi, reach_hi))
+        clipped = field.domain.clip_box(np.maximum(lo, x - kernel.reach),
+                                        np.minimum(hi, x + kernel.reach))
         if clipped is not None:
-            boxes.append(clipped)
-    if not boxes:
+            stencils.append(Stencil(kernel, clipped[0] - x, clipped[1] - x, config.resolution,
+                                    config.scheme, config.pv.epsilon))
+    if not stencils:
         return np.zeros(field.dim)
-    return _gradient_over_boxes(field, x, boxes, config)
+    return _gradient_over(field, x, stencils)
 
 
 def find_vanishing_subset_1d(
@@ -252,26 +245,6 @@ def _classical_gradient(field: ScalarField, pts: np.ndarray, step: float) -> np.
     return grads
 
 
-def _vector_quotient_matrix(
-    x: np.ndarray,
-    gx: np.ndarray,
-    nodes: np.ndarray,
-    gvals: np.ndarray,
-    weights: np.ndarray,
-    kernel: RadialKernel,
-) -> np.ndarray:
-    """Kernel partials of a vector field; rows index the field component."""
-    d = x - nodes
-    r2 = np.sum(d * d, axis=1)
-    keep = r2 > 0
-    d = d[keep]
-    r2 = r2[keep]
-    diff = gx[None, :] - gvals[keep]
-    dens = kernel.density(d)
-    coeff = weights[keep] * dens / r2
-    return kernel.dim * np.einsum("k,ki,kj->ij", coeff, diff, d)
-
-
 def nonlocal_hessian(
     field: ScalarField, x, variant: HessianVariant, config: OperatorConfig
 ) -> np.ndarray:
@@ -313,18 +286,17 @@ def nonlocal_hessian(
         def grad_at(pts: np.ndarray) -> np.ndarray:
             return np.stack([nonlocal_gradient(field, p, inner_cfg) for p in pts])
 
-    clipped = field.domain.clip_box(x - outer_kernel.reach, x + outer_kernel.reach)
-    grid = build_panel_grid(clipped[0], clipped[1], x, config.resolution, config.scheme)
+    stencil = reach_stencil(outer_kernel, x, outer_kernel.reach, field.domain,
+                            config.resolution, config.scheme)
     if variant.kind == NESTED:
         inner_nodes = config.resolution ** field.dim
-        if len(grid) * inner_nodes > NODE_BUDGET:
+        if len(stencil) * inner_nodes > NODE_BUDGET:
             raise NodeBudgetError(
-                f"nested hessian needs ~{len(grid) * inner_nodes} field nodes, "
+                f"nested hessian needs ~{len(stencil) * inner_nodes} field nodes, "
                 f"budget is {NODE_BUDGET}"
             )
-    gx = grad_at(x[None, :])[0]
-    gvals = grad_at(grid.nodes)
-    return _vector_quotient_matrix(x, gx, grid.nodes, gvals, grid.weights, outer_kernel)
+    gx = _field_values(grad_at, x[None, :])[0]
+    return _contract(stencil, x, gx, grad_at)
 
 
 def _central_hessian(
@@ -334,31 +306,31 @@ def _central_hessian(
     config: OperatorConfig,
     constant_mode: str,
 ) -> np.ndarray:
-    """Symmetric second-difference construction over the kernel's reach ball.
+    """Symmetric second-difference construction over the kernel's reach box.
 
     The field is extended by zero beyond its support (or beyond the domain)
-    so the translated stencil is always defined.
+    so the translated stencil is always defined.  The stencil is point
+    symmetric (its second half is the negated first half), so only the first
+    half is summed, each node standing for itself and its mirror.
     """
     D = field.dim
     ext = zero_extension(field)
-    R = kernel.reach
-    grid = build_panel_grid(x - R, x + R, x, config.resolution, config.scheme)
-    h = grid.nodes - x
-    r2 = np.sum(h * h, axis=1)
-    keep = r2 > 0
-    h = h[keep]
-    r2 = r2[keep]
-    w = grid.weights[keep]
-    second = ext(x + h) - 2.0 * float(ext(x)) + ext(x - h)
-    dens = kernel.radial_density(np.sqrt(r2))
+    value_x = float(ext(x))
+    if not np.isfinite(value_x):
+        raise ValueError(f"field value is not finite at {x}")
     if constant_mode == MOMENT_CONSTANT:
         prefactor = D * (D + 2) / 2.0
     else:
         prefactor = D * (D + 1) / 2.0
-    coeff = prefactor * w * second * dens / (r2 * r2)
-    H = np.einsum("k,ki,kj->ij", coeff, h, h)
-    trace_term = np.sum(coeff * r2) / (D + 2)
-    return H - trace_term * np.eye(D)
+    stencil = reach_stencil(kernel, x, kernel.reach, None, config.resolution, config.scheme)
+    H = np.zeros((D, D))
+    trace = 0.0
+    for b in stencil.blocks(len(stencil) // 2):
+        second = _field_values(ext, x + b.h) - 2.0 * value_x + _field_values(ext, x - b.h)
+        c = 2.0 * prefactor * b.wrho / (b.r2 * b.r2) * second
+        H += (b.h * c[:, None]).T @ b.h
+        trace += float(np.sum(c * b.r2))
+    return H - trace / (D + 2) * np.eye(D)
 
 
 # -- affine approximant ---------------------------------------------------------

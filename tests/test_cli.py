@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +178,45 @@ class TestRunsAndArtifacts:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["1", "-3", "2.5", "true", '"abc"', "[64]"])
+    def test_malformed_resolution_rejected(self, tmp_path, value):
+        code = run_cli(
+            ["grad-check", "--out", str(tmp_path), "--set", f"quadrature.resolution={value}"]
+        )
+        assert code == 2
+
+    def test_resolution_over_node_budget_rejected(self, tmp_path):
+        code = run_cli(
+            [
+                "sweep", "--check", "gradient-localization", "--out", str(tmp_path),
+                "--set", "domain.dim=2", "--set", "domain.lower=[0,0]",
+                "--set", "domain.upper=[1,1]", "--set", "quadrature.resolution=5000",
+            ]
+        )
+        assert code == 2
+
+    def test_huge_resolution_exits_2_before_allocating(self, tmp_path):
+        # Runs under a 1 GiB address-space cap, so that code building the
+        # 50000-node Gauss rule (an 18.6 GiB matrix) fails fast here instead
+        # of exhausting the machine's memory.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from nonlocalopt.cli import run_cli\n"
+            "sys.exit(run_cli(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "grad-check", "--out", str(tmp_path),
+             "--set", "quadrature.resolution=100000"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
 
     def test_inconsistent_domain_dim_rejected(self, tmp_path):
         code = run_cli(
