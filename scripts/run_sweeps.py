@@ -17,13 +17,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/sweeps", type=Path)
     parser.add_argument("--n-values", default=[4, 8, 16, 32], type=int, nargs="+")
-    parser.add_argument("--workers", default=1, type=int)
     args = parser.parse_args()
 
     failed = []
     for name in sorted(REGISTRY):
         n_values = args.n_values if name != "newton-floor" else [8, 16, 32]
-        report = convergence_sweep(name, n_values, workers=args.workers)
+        report = convergence_sweep(name, n_values)
         emit_csv(report, args.out / f"sweep_{name}.csv")
         verdict = report.within_bound if report.within_bound is not None else report.monotone
         status = "ok" if verdict else "MISS"

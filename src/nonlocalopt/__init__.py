@@ -8,18 +8,14 @@ Newton iterations on top of them.
 
 __version__ = "0.1.0"
 
-from .fields import BoxDomain, ScalarField, SubsetIndicator, contains, extend_by_zero
+from .fields import BoxDomain, ScalarField, SubsetIndicator, extend_by_zero
 from .kernels import (
     MomentDiagnostics,
     RadialKernel,
     bump_kernel,
     directional_second_moment,
-    eval_density,
     gaussian_kernel,
-    moment_c,
     moments,
-    sample_offset,
-    tail_mass,
 )
 from .operators import (
     ALTERNATE_CONSTANT,
@@ -61,18 +57,15 @@ from .pulse import (
     PulseRunSummary,
     default_holder_offsets,
     holder_exponent_fit,
-    pulse_objective,
     run_pulse_experiment,
     run_pulse_suite,
 )
 from .quadrature import (
     PvPolicy,
     QuadratureGrid,
-    build_ball_grid,
     build_box_grid,
     build_panel_grid,
     integrate,
-    pv_integrate,
 )
 from .reporting import emit_csv, emit_plot_svg, read_trace_csv
 from .sweeps import SweepReport, convergence_sweep, monotone_decreasing

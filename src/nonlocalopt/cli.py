@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import platform
 import sys
 import time
@@ -23,7 +22,7 @@ import numpy as np
 from . import __version__
 from .catalog import catalog
 from .errors import ConfigError, NodeBudgetError, SingularHessianError
-from .fields import BoxDomain
+from .fields import BoxDomain, as_point
 from .kernels import RadialKernel
 from .operators import (
     HessianVariant,
@@ -40,7 +39,13 @@ from .optimizers import (
     nlgd_linesearch,
     nonlocal_newton,
 )
-from .pulse import run_pulse_suite
+from .pulse import (
+    PulseRunConfig,
+    default_holder_offsets,
+    holder_exponent_fit,
+    run_pulse_experiment,
+)
+from .quadrature import GAUSS, MIDPOINT, NODE_BUDGET, PvPolicy
 from .reporting import emit_csv, emit_plot_svg
 from .sweeps import REGISTRY, SweepReport, convergence_sweep
 
@@ -141,50 +146,128 @@ def load_config(path, overrides=()) -> dict:
     return config
 
 
+# -- typed config objects ------------------------------------------------------
+# Every value a command reads goes through ``_get``, so a value of the wrong type
+# or range is reported as a ConfigError naming its key, before anything runs.
+
+
+def _get(config: dict, key: str, build=lambda value: value):
+    """``build`` applied to the value at the dotted ``key``."""
+    try:
+        value = config
+        for part in key.split("."):
+            value = value[part]
+        return build(value)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
+def _count(value, minimum: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _counts(values) -> list[int]:
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"expected a nonempty list of integers, got {values!r}")
+    return [_count(v) for v in values]
+
+
+def _registered(name: str) -> str:
+    if name not in REGISTRY:
+        raise ValueError(f"unknown check {name!r}; registered: {sorted(REGISTRY)}")
+    return name
+
+
 def _domain_from(config: dict) -> BoxDomain:
-    d = config["domain"]
-    if int(d["dim"]) != len(d["lower"]) or len(d["lower"]) != len(d["upper"]):
-        raise ConfigError(
-            "unknown config key 'domain.dim': value disagrees with lower/upper lengths"
-        )
-    return BoxDomain(tuple(d["lower"]), tuple(d["upper"]))
+    def build(d):
+        if int(d["dim"]) != len(d["lower"]) or len(d["lower"]) != len(d["upper"]):
+            raise ValueError("dim disagrees with the lengths of lower/upper")
+        return BoxDomain(tuple(d["lower"]), tuple(d["upper"]))
+
+    return _get(config, "domain", build)
 
 
 def _kernel_from(config: dict, dim: int) -> RadialKernel:
-    k = config["kernel"]
-    return RadialKernel(k["family"], dim, int(k["n"]), float(k["base_scale"]))
+    return _get(config, "kernel", lambda k: RadialKernel(
+        k["family"], dim, _count(k["n"]), float(k["base_scale"])))
 
 
 def _resolution(config: dict, dim: int) -> int:
     """``quadrature.resolution``, checked before any grid is allocated."""
-    from .quadrature import NODE_BUDGET
 
-    r = config["quadrature"]["resolution"]
-    if isinstance(r, bool) or not isinstance(r, int) or r < 2 or r**dim > NODE_BUDGET:
-        raise ConfigError(
-            f"config key 'quadrature.resolution' must be an integer >= 2 with "
-            f"resolution**{dim} <= {NODE_BUDGET}, got {r!r}"
-        )
-    return r
+    def build(r):
+        if _count(r, 2) ** dim > NODE_BUDGET:
+            raise ValueError(f"resolution**{dim} exceeds the node budget {NODE_BUDGET}")
+        return r
+
+    return _get(config, "quadrature.resolution", build)
 
 
 def _op_config(config: dict, kernel: RadialKernel) -> OperatorConfig:
-    from .quadrature import GAUSS, MIDPOINT, PvPolicy
-
-    q = config["quadrature"]
-    scheme = {"gauss": GAUSS, "midpoint": MIDPOINT}.get(q["scheme"])
-    if scheme is None:
-        raise ConfigError(f"unknown config key 'quadrature.scheme' value {q['scheme']!r}")
-    pv = PvPolicy() if q["pv_epsilon"] is None else PvPolicy(float(q["pv_epsilon"]))
+    scheme = _get(config, "quadrature.scheme", {"gauss": GAUSS, "midpoint": MIDPOINT}.__getitem__)
+    pv = _get(config, "quadrature.pv_epsilon",
+              lambda e: PvPolicy() if e is None else PvPolicy(float(e)))
     return OperatorConfig(kernel, resolution=_resolution(config, kernel.dim), scheme=scheme, pv=pv)
 
 
-def _field_from(config: dict, domain: BoxDomain):
-    name = config["field"]
+def _field_from(config: dict, domain: BoxDomain, derivative: str = ""):
+    """The catalog field named by ``field``, which must declare ``derivative``."""
     fields = catalog(domain)
-    if name not in fields:
-        raise ConfigError(f"unknown config key 'field' value {name!r}; known: {sorted(fields)}")
-    return fields[name]
+
+    def build(name):
+        if name not in fields:
+            raise ValueError(f"unknown field {name!r}; known: {sorted(fields)}")
+        if derivative and getattr(fields[name], derivative) is None:
+            raise ValueError(f"field {name!r} has no analytic {derivative} to check against")
+        return fields[name]
+
+    return _get(config, "field", build)
+
+
+def _start(config: dict, key: str, domain: BoxDomain) -> np.ndarray:
+    def build(value):
+        x = as_point(value, domain.dim)
+        if not domain.contains(x):
+            raise ValueError(f"{x.tolist()} is not inside the domain")
+        return x
+
+    return _get(config, key, build)
+
+
+def _probes(config: dict, domain: BoxDomain, lo: float, hi: float, cap=None) -> np.ndarray:
+    count = _get(config, "check.probes", _count)
+    t = np.linspace(lo, hi, count if cap is None else min(count, cap))
+    return domain.lower_array + (domain.upper_array - domain.lower_array) * t[:, None]
+
+
+def _pulse_runs(config: dict) -> list[PulseRunConfig]:
+    def build(p):
+        if not isinstance(p["families"], list) or not p["families"]:
+            raise ValueError(f"expected a nonempty list of kernel families, got {p['families']!r}")
+        return [
+            PulseRunConfig(
+                family=family,
+                n=n,
+                base_scale=p.get(f"{family}_base_scale"),
+                alpha=float(p["alpha"]),
+                halving_threshold=float(p["halving_threshold"]),
+                theta0=float(p["theta0"]),
+                theta_star=float(p["theta_star"]),
+                max_iters=_count(p["max_iters"], 0),
+                pulse_width=float(p["pulse_width"]),
+                signal_grid=_count(p["signal_grid"], 2),
+                resolution=_count(p["resolution"], 2),
+                tolerance=float(p["tolerance"]),
+            )
+            for family in p["families"]
+            for n in _counts(p["n_values"])
+        ]
+
+    return _get(config, "pulse", build)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -219,7 +302,6 @@ class _Run:
             "argv": self.argv,
             "config": self.config,
             "seed": self.args.seed,
-            "workers": self.args.workers,
             "outputs": sorted(set(self.outputs + ["manifest.json"])),
             "versions": {
                 "nonlocalopt": __version__,
@@ -250,15 +332,12 @@ def _report_from_errors(check: str, params, errors, locations=None) -> SweepRepo
 def _cmd_grad_check(run: _Run) -> int:
     config = run.config
     domain = _domain_from(config)
-    field = _field_from(config, domain)
+    field = _field_from(config, domain, "gradient")
     kernel = _kernel_from(config, domain.dim)
     op = _op_config(config, kernel)
-    tol = float(config["check"]["tolerance"])
-    count = int(config["check"]["probes"])
-    lo, hi = domain.lower_array, domain.upper_array
-    probes = lo + (hi - lo) * np.linspace(0.25, 0.75, count)[:, None]
+    tol = _get(config, "check.tolerance", float)
     errors, locations = [], []
-    for p in probes:
+    for p in _probes(config, domain, 0.25, 0.75):
         err = float(np.linalg.norm(nonlocal_gradient(field, p, op) - field.gradient_at(p)))
         errors.append(err)
         locations.append(tuple(p))
@@ -274,23 +353,19 @@ def _cmd_grad_check(run: _Run) -> int:
 def _cmd_hess_check(run: _Run) -> int:
     config = run.config
     domain = _domain_from(config)
-    field = _field_from(config, domain)
+    field = _field_from(config, domain, "hessian")
     kernel = _kernel_from(config, domain.dim)
     op = _op_config(config, kernel)
-    h = config["hessian"]
-    variant = HessianVariant(
+    variant = _get(config, "hessian", lambda h: HessianVariant(
         h["variant"],
         n=kernel.scale_index,
-        m=int(h["m"]),
+        m=_count(h["m"]),
         fd_step=float(h["fd_step"]),
         constant_mode=h["constant_mode"],
-    )
-    tol = float(config["check"]["tolerance"])
-    count = min(int(config["check"]["probes"]), 10)
-    lo, hi = domain.lower_array, domain.upper_array
-    probes = lo + (hi - lo) * np.linspace(0.35, 0.65, count)[:, None]
+    ))
+    tol = _get(config, "check.tolerance", float)
     errors, locations = [], []
-    for p in probes:
+    for p in _probes(config, domain, 0.35, 0.65, cap=10):
         H = nonlocal_hessian(field, p, variant, op)
         err = float(np.max(np.abs(H - field.hessian_at(p))))
         errors.append(err)
@@ -299,31 +374,29 @@ def _cmd_hess_check(run: _Run) -> int:
     run.add(emit_csv(report, run.out / "hess_check.csv"))
     worst = max(errors)
     run.summary = {
-        "variant": h["variant"],
+        "variant": variant.kind,
         "worst_error": worst,
         "tolerance": tol,
         "passed": worst <= tol,
     }
-    print(f"hess-check: variant={h['variant']} worst error {worst:.3e} (tolerance {tol:.1e})")
+    print(f"hess-check: variant={variant.kind} worst error {worst:.3e} (tolerance {tol:.1e})")
     return 0 if worst <= tol else 1
 
 
 def _cmd_sweep(run: _Run) -> int:
     config = run.config
     domain = _domain_from(config)
-    name = config["check"]["name"]
+    name = _get(config, "check.name", _registered)
     kernel = _kernel_from(config, domain.dim)
     settings = {
         "domain": domain,
         "kernel": kernel,
         "resolution": _resolution(config, domain.dim),
-        "probes": int(config["check"]["probes"]),
-        "seeds": int(config["check"]["seeds"]),
+        "probes": _get(config, "check.probes", _count),
+        "seeds": _get(config, "check.seeds", _count),
         "seed": run.args.seed,
     }
-    report = convergence_sweep(
-        name, config["check"]["n_values"], settings, workers=run.args.workers
-    )
+    report = convergence_sweep(name, _get(config, "check.n_values", _counts), settings)
     run.add(emit_csv(report, run.out / f"sweep_{name}.csv"))
     passed = report.within_bound if report.within_bound is not None else report.monotone
     run.summary = {
@@ -343,33 +416,26 @@ def _run_method(run: _Run, method: str):
     config = run.config
     domain = _domain_from(config)
     field = _field_from(config, domain)
-    d = config["descend"]
-    sched_cfg = d["schedule"]
-    schedule = StepSchedule(
-        sched_cfg["kind"],
-        alpha=float(sched_cfg["alpha"]),
-        q=float(sched_cfg["q"]),
-        cap=float(sched_cfg["cap"]),
-    )
-    x0 = np.asarray(d["x0"], dtype=float)
-    max_iters = int(d["max_iters"])
-    grad_tol = float(d["grad_tol"])
+    max_iters = _get(config, "descend.max_iters", lambda v: _count(v, 0))
+    grad_tol = _get(config, "descend.grad_tol", float)
+    schedule = _get(config, "descend.schedule", lambda s: StepSchedule(
+        s["kind"], alpha=float(s["alpha"]), q=float(s["q"]), cap=float(s["cap"])))
     extra: dict = {}
-    if method == "nlgd":
+    if method in ("nlgd", "nlgd-ls", "esgd", "nl-newton"):
         kernel = _kernel_from(config, domain.dim)
+    if method in ("nlgd", "nlgd-ls", "gd", "gd-ls", "newton"):
+        x0 = _start(config, "descend.x0", domain)
+    if method == "nlgd":
         trace = nlgd_fixed(field, x0, _op_config(config, kernel), schedule, max_iters, grad_tol)
     elif method == "nlgd-ls":
-        kernel = _kernel_from(config, domain.dim)
         trace = nlgd_linesearch(
             field, x0, _op_config(config, kernel), schedule.cap, max_iters, grad_tol
         )
     elif method == "esgd":
-        kernel = _kernel_from(config, domain.dim)
-        s = config["sgd"]
-        sgd_cfg = SgdConfig(
-            B=float(s["B"]), M=float(s["M"]), K=int(s["K"]),
+        sgd_cfg = _get(config, "sgd", lambda s: SgdConfig(
+            B=float(s["B"]), M=float(s["M"]), K=_count(s["K"]),
             epsilon=float(s["epsilon"]), seed=run.args.seed,
-        )
+        ))
         x_bar, trace = epsilon_sgd(field, sgd_cfg, kernel)
         extra = {
             "x_bar": [float(v) for v in x_bar],
@@ -377,26 +443,23 @@ def _run_method(run: _Run, method: str):
             "gap_bound": sgd_cfg.gap_bound,
         }
     elif method == "nl-newton":
-        kernel = _kernel_from(config, domain.dim)
-        nw = config["newton"]
         trace = nonlocal_newton(
             field,
-            np.asarray(nw["x0"], dtype=float),
+            _start(config, "newton.x0", domain),
             _op_config(config, kernel),
-            max_iters=int(nw["max_iters"]),
-            grad_tol=float(nw["grad_tol"]),
-            beta=float(nw["beta"]),
+            max_iters=_get(config, "newton.max_iters", lambda v: _count(v, 0)),
+            grad_tol=_get(config, "newton.grad_tol", float),
+            beta=_get(config, "newton.beta", float),
         )
     elif method in ("gd", "gd-ls", "newton"):
-        local = "newton" if method == "newton" else method
-        trace = local_counterpart(field, x0, local, schedule, max_iters, grad_tol)
+        trace = local_counterpart(field, x0, method, schedule, max_iters, grad_tol)
     else:
         raise ConfigError(f"unknown config key 'descend.method' value {method!r}")
     return field, trace, extra
 
 
 def _cmd_descend(run: _Run) -> int:
-    method = run.config["descend"]["method"]
+    method = _get(run.config, "descend.method")
     try:
         field, trace, extra = _run_method(run, method)
     except SingularHessianError as exc:
@@ -417,11 +480,7 @@ def _cmd_descend(run: _Run) -> int:
 
 
 def _cmd_sgd(run: _Run) -> int:
-    try:
-        field, trace, extra = _run_method(run, "esgd")
-    except SingularHessianError as exc:  # pragma: no cover - esgd never raises this
-        print(f"sgd: {exc}", file=sys.stderr)
-        return 1
+    field, trace, extra = _run_method(run, "esgd")
     run.add(emit_csv(trace, run.out / "trace.csv", coord_label="x"))
     run.summary = {"termination": trace.termination, **extra}
     print(f"sgd: averaged point {extra['x_bar']}, value {extra['value_at_x_bar']:.6g}, "
@@ -447,33 +506,12 @@ def _cmd_newton(run: _Run) -> int:
 
 
 def _cmd_pulse(run: _Run) -> int:
-    config = run.config
-    p = config["pulse"]
-    results = []
-    for family in p["families"]:
-        base_key = f"{family}_base_scale"
-        base = p.get(base_key)
-        results.extend(
-            run_pulse_suite(
-                families=[family],
-                n_values=p["n_values"],
-                workers=run.args.workers,
-                base_scale=base,
-                alpha=float(p["alpha"]),
-                halving_threshold=float(p["halving_threshold"]),
-                theta0=float(p["theta0"]),
-                theta_star=float(p["theta_star"]),
-                max_iters=int(p["max_iters"]),
-                pulse_width=float(p["pulse_width"]),
-                signal_grid=int(p["signal_grid"]),
-                resolution=int(p["resolution"]),
-                tolerance=float(p["tolerance"]),
-            )
-        )
+    configs = _pulse_runs(run.config)
     curves, labels = [], []
     summaries = []
     failed = []
-    for cfg, trace, summary in results:
+    for cfg in configs:
+        trace, summary = run_pulse_experiment(cfg)
         label = f"{cfg.family}-n{cfg.n}"
         run.add(emit_csv(trace, run.out / f"pulse_{cfg.family}_n{cfg.n}.csv"))
         curves.append(np.abs(trace.iterates[:, 0] - cfg.theta_star))
@@ -490,11 +528,7 @@ def _cmd_pulse(run: _Run) -> int:
             ylabel="|theta - theta*|",
         )
     )
-    from .pulse import PulseManifold, default_holder_offsets, holder_exponent_fit
-
-    manifold = PulseManifold(
-        float(p["pulse_width"]), int(p["signal_grid"]), float(p["theta_star"])
-    )
+    manifold = configs[0].manifold()
     try:
         slope = holder_exponent_fit(manifold, 0.4, default_holder_offsets(manifold))
         if abs(slope + 0.5) > 0.02:
@@ -534,9 +568,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", default=None, help="JSON config file")
         cmd.add_argument("--out", default=f"out/{name}", help="output directory")
         cmd.add_argument("--seed", type=int, default=0)
-        # worker count parallelizes independent runs only; numbers are
-        # identical at any setting
-        cmd.add_argument("--workers", type=int, default=os.cpu_count() or 1)
         cmd.add_argument(
             "-v", "--verbose", action="count", default=0,
             help="echo the resolved configuration and extra run detail",
@@ -574,11 +605,6 @@ def run_cli(argv=None) -> int:
         overrides.append(f'check.name="{args.check}"')
     try:
         config = load_config(args.config, overrides)
-        if args.command == "sweep" and config["check"]["name"] not in REGISTRY:
-            raise ConfigError(
-                f"unknown config key 'check.name' value {config['check']['name']!r}; "
-                f"registered: {sorted(REGISTRY)}"
-            )
         if args.verbose:
             print(json.dumps(config, indent=2, sort_keys=True))
         run = _Run(args.command, args, config, raw_argv)
@@ -591,3 +617,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

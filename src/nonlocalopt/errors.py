@@ -17,10 +17,6 @@ class NonFiniteIntegrandError(RuntimeError):
         self.node = node
 
 
-class PvDivergenceError(RuntimeError):
-    """Principal-value refinement levels grew instead of settling."""
-
-
 class CoincidentPointsError(ValueError):
     """A difference quotient was requested at coincident points."""
 

@@ -100,11 +100,6 @@ class BoxDomain:
         return lo, hi
 
 
-def contains(domain: BoxDomain, x) -> bool:
-    """Strict membership of a single point in an open box."""
-    return bool(domain.contains(as_point(x, domain.dim)))
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """An objective ``u: domain -> R`` with optional derivative callbacks.

@@ -239,21 +239,6 @@ def kernel_from_config(dim: int, spec: dict) -> RadialKernel:
     )
 
 
-def eval_density(kernel: RadialKernel, h) -> np.ndarray:
-    """Density of the kernel at offset(s) ``h``."""
-    return kernel.density(h)
-
-
-def tail_mass(kernel: RadialKernel, delta: float) -> float:
-    """Kernel mass outside the ball of radius ``delta``."""
-    return kernel.tail_mass(delta)
-
-
-def sample_offset(kernel: RadialKernel, rng: np.random.Generator) -> np.ndarray:
-    """One kernel-distributed offset; deterministic given the generator state."""
-    return kernel.sample(rng)
-
-
 @dataclass(frozen=True)
 class MomentDiagnostics:
     """Directional second moments of a kernel over the domain at a point."""
@@ -282,11 +267,6 @@ def directional_second_moment(
         raise ValueError(f"axis {axis} out of range for dimension {kernel.dim}")
     stencil = reach_stencil(kernel, x, kernel.full_radius, domain, resolution, GAUSS)
     return float(sum(np.sum(b.wrho * b.h[:, axis] ** 2 / b.r2) for b in stencil.blocks()))
-
-
-def moment_c(kernel: RadialKernel, domain: BoxDomain, x, axis: int, resolution: int = 256) -> float:
-    """Spec-facing alias for :func:`directional_second_moment`."""
-    return directional_second_moment(kernel, domain, x, axis, resolution)
 
 
 def moments(kernel: RadialKernel, domain: BoxDomain, x, resolution: int = 256) -> MomentDiagnostics:

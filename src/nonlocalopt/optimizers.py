@@ -118,28 +118,73 @@ class OptimizerTrace:
         return self.iterates.shape[0]
 
 
-class _TraceBuilder:
-    def __init__(self, dim: int):
-        self.points: list[np.ndarray] = []
-        self.values: list[float] = []
-        self.norms: list[float] = []
-        self.steps: list[float] = []
-        self.dim = dim
+def _descend(field: ScalarField, x0, direction, step, escaped, max_iters: int,
+             grad_tol: float, floor: float = -math.inf) -> OptimizerTrace:
+    """The iteration ``x_{k+1} = x_k - alpha_k d_k`` that every run here shares.
 
-    def record(self, x, value, gnorm):
-        self.points.append(np.array(x, dtype=float))
-        self.values.append(float(value))
-        self.norms.append(float(gnorm))
+    Each iterate records ``(x, u(x), |g|)`` with ``g = direction(k, x)``.  The
+    run stops with ``grad-tol`` once ``|g| < grad_tol`` or ``u(x) <= floor``,
+    and with ``max-iters`` at iterate ``max_iters``.  Otherwise
+    ``step(k, x, g, u(x))`` returns ``(alpha_k, x_{k+1})``, and a label from
+    ``escaped(x_{k+1})`` ends the run there with ``x_{k+1}`` as the offender.
+    """
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
+    x = as_point(x0, field.dim)
+    points, values, norms, steps = [], [], [], []
 
-    def done(self, termination: str, offending=None) -> OptimizerTrace:
+    def done(termination: str, offending=None) -> OptimizerTrace:
         return OptimizerTrace(
-            iterates=np.array(self.points).reshape(len(self.points), self.dim),
-            objective_values=np.array(self.values),
-            gradient_norms=np.array(self.norms),
-            steps_taken=np.array(self.steps),
+            iterates=np.array(points),
+            objective_values=np.array(values),
+            gradient_norms=np.array(norms),
+            steps_taken=np.array(steps),
             termination=termination,
             offending_point=None if offending is None else np.array(offending, dtype=float),
         )
+
+    for k in range(max_iters + 1):
+        g = direction(k, x)
+        value = field.value(x)
+        gnorm = float(np.linalg.norm(g))
+        points.append(x)
+        values.append(value)
+        norms.append(gnorm)
+        if gnorm < grad_tol or value <= floor:
+            return done(GRAD_TOL)
+        if k == max_iters:
+            return done(MAX_ITERS)
+        alpha, x_next = step(k, x, g, value)
+        label = escaped(x_next)
+        if label is not None:
+            return done(label, offending=x_next)
+        steps.append(alpha)
+        x = x_next
+
+
+def _kernel_gradient(field: ScalarField, config: OperatorConfig):
+    return lambda k, x: nonlocal_gradient(field, x, config)
+
+
+def _confined(field: ScalarField):
+    """Exit rule of box-confined runs: a step that leaves the domain ends the run."""
+    return lambda x: None if field.domain.contains(x) else LEFT_DOMAIN
+
+
+def _scheduled(schedule: StepSchedule):
+    def step(k, x, g, value):
+        alpha = schedule.step(k)
+        return alpha, x - alpha * g
+
+    return step
+
+
+def _line_searched(field: ScalarField, cap: float):
+    def step(k, x, g, value):
+        alpha = _line_search(field, x, g, cap)
+        return alpha, x - alpha * g
+
+    return step
 
 
 def nlgd_fixed(
@@ -154,22 +199,8 @@ def nlgd_fixed(
 
     The kernel scale stays fixed for the whole run.
     """
-    x = as_point(x0, field.dim)
-    tb = _TraceBuilder(field.dim)
-    for k in range(max_iters + 1):
-        g = nonlocal_gradient(field, x, config)
-        gnorm = float(np.linalg.norm(g))
-        tb.record(x, field.value(x), gnorm)
-        if gnorm < grad_tol:
-            return tb.done(GRAD_TOL)
-        if k == max_iters:
-            return tb.done(MAX_ITERS)
-        x_next = x - schedule.step(k) * g
-        if not field.domain.contains(x_next):
-            return tb.done(LEFT_DOMAIN, offending=x_next)
-        tb.steps.append(schedule.step(k))
-        x = x_next
-    return tb.done(MAX_ITERS)
+    return _descend(field, x0, _kernel_gradient(field, config), _scheduled(schedule),
+                    _confined(field), max_iters, grad_tol)
 
 
 def _golden_section(phi, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
@@ -234,23 +265,8 @@ def nlgd_linesearch(
     grad_tol: float = 1e-8,
 ) -> OptimizerTrace:
     """Kernel-gradient descent with per-step exact line search on ``[0, cap]``."""
-    x = as_point(x0, field.dim)
-    tb = _TraceBuilder(field.dim)
-    for k in range(max_iters + 1):
-        g = nonlocal_gradient(field, x, config)
-        gnorm = float(np.linalg.norm(g))
-        tb.record(x, field.value(x), gnorm)
-        if gnorm < grad_tol:
-            return tb.done(GRAD_TOL)
-        if k == max_iters:
-            return tb.done(MAX_ITERS)
-        alpha = _line_search(field, x, g, cap)
-        x_next = x - alpha * g
-        if not field.domain.contains(x_next):
-            return tb.done(LEFT_DOMAIN, offending=x_next)
-        tb.steps.append(alpha)
-        x = x_next
-    return tb.done(MAX_ITERS)
+    return _descend(field, x0, _kernel_gradient(field, config), _line_searched(field, cap),
+                    _confined(field), max_iters, grad_tol)
 
 
 @dataclass(frozen=True)
@@ -301,43 +317,27 @@ def epsilon_sgd(
     """
     rng = np.random.default_rng(config.seed)
     center = field.domain.center
-    x = center.copy()
-    tb = _TraceBuilder(field.dim)
-    alpha = config.alpha
-    averaged: list[np.ndarray] = []
-    termination = MAX_ITERS
-    offending = None
-    for _ in range(config.K):
-        averaged.append(x.copy())
-        y = None
+
+    def direction(k, x):
+        if k == config.K:
+            return np.full(field.dim, np.nan)  # final iterate: no direction drawn
         for _ in range(_RESAMPLE_CAP):
             h = kernel.sample(rng)
-            cand = x - h
-            if field.domain.contains(cand) and float(np.dot(h, h)) > 0.0:
-                y = cand
-                break
-        if y is None:
-            raise RejectionOverflowError(
-                "could not draw a partner point inside the domain; kernel too wide"
-            )
-        g = field.dim * difference_quotient(field, x, y)
-        gnorm = float(np.linalg.norm(g))
-        tb.record(x, field.value(x), gnorm)
-        x_next = x - alpha * g
-        if float(np.linalg.norm(x_next - center)) > 10.0 * config.B:
-            termination = DIVERGED
-            offending = x_next
-            break
-        if not field.domain.contains(x_next):
-            termination = LEFT_DOMAIN
-            offending = x_next
-            break
-        tb.steps.append(alpha)
-        x = x_next
-    else:
-        tb.record(x, field.value(x), np.nan)  # final iterate: no direction drawn
-    x_bar = np.mean(np.stack(averaged), axis=0)
-    return x_bar, tb.done(termination, offending=offending)
+            y = x - h
+            if field.domain.contains(y) and float(np.dot(h, h)) > 0.0:
+                return field.dim * difference_quotient(field, x, y)
+        raise RejectionOverflowError(
+            "could not draw a partner point inside the domain; kernel too wide"
+        )
+
+    def escaped(x):
+        if float(np.linalg.norm(x - center)) > 10.0 * config.B:
+            return DIVERGED
+        return None if field.domain.contains(x) else LEFT_DOMAIN
+
+    trace = _descend(field, center, direction, _scheduled(StepSchedule.fixed(config.alpha)),
+                     escaped, config.K, grad_tol=0.0)
+    return np.mean(trace.iterates[: config.K], axis=0), trace
 
 
 @dataclass(frozen=True)
@@ -403,17 +403,9 @@ def nonlocal_newton(
     increase, which guards descent but stalls short of that point.  Steps
     that would exit the domain are halved in either mode.
     """
-    x = as_point(x0, field.dim)
     variant = HessianVariant(CENTRAL, n=config.kernel.scale_index, constant_mode=constant_mode)
-    tb = _TraceBuilder(field.dim)
-    for k in range(max_iters + 1):
-        g = nonlocal_gradient(field, x, config)
-        gnorm = float(np.linalg.norm(g))
-        tb.record(x, field.value(x), gnorm)
-        if gnorm < grad_tol:
-            return tb.done(GRAD_TOL)
-        if k == max_iters:
-            return tb.done(MAX_ITERS)
+
+    def step(k, x, g, value):
         H = nonlocal_hessian(field, x, variant, config)
         if not np.all(np.isfinite(H)) or np.linalg.cond(H) > condition_limit:
             raise SingularHessianError(
@@ -421,7 +413,6 @@ def nonlocal_newton(
             )
         p = np.linalg.solve(H, g)
         b = beta
-        value = field.value(x)
         x_next = x - b * p
         while b > 1e-8 and (
             not field.domain.contains(x_next)
@@ -429,11 +420,10 @@ def nonlocal_newton(
         ):
             b *= 0.5
             x_next = x - b * p
-        if not field.domain.contains(x_next):
-            return tb.done(LEFT_DOMAIN, offending=x_next)
-        tb.steps.append(b)
-        x = x_next
-    return tb.done(MAX_ITERS)
+        return b, x_next
+
+    return _descend(field, x0, _kernel_gradient(field, config), step, _confined(field),
+                    max_iters, grad_tol)
 
 
 def _fd_gradient_local(field: ScalarField, x: np.ndarray) -> np.ndarray:
@@ -482,40 +472,29 @@ def local_counterpart(
     """
     if method not in ("gd", "gd-ls", "newton"):
         raise ValueError(f"unknown local method {method!r}")
-    x = as_point(x0, field.dim)
-    x_start = x.copy()
+    x_start = as_point(x0, field.dim)
     grad = field.gradient_at if field.gradient is not None else lambda p: _fd_gradient_local(field, p)
-    if method == "newton":
-        hess = field.hessian_at if field.hessian is not None else lambda p: _fd_hessian_local(field, p)
-    if method == "gd" and schedule is None:
-        raise ValueError("gd needs a step schedule")
-    cap = schedule.cap if schedule is not None else 1.0
+    hess = field.hessian_at if field.hessian is not None else lambda p: _fd_hessian_local(field, p)
+
+    def newton_step(k, x, g, value):
+        H = np.asarray(hess(x), dtype=float)
+        if np.linalg.cond(H) > 1e12:
+            raise SingularHessianError(
+                f"classical curvature matrix is singular at iteration {k}", iteration=k
+            )
+        return 1.0, x - np.linalg.solve(H, g)
+
+    if method == "gd":
+        if schedule is None:
+            raise ValueError("gd needs a step schedule")
+        step = _scheduled(schedule)
+    elif method == "gd-ls":
+        step = _line_searched(field, schedule.cap if schedule is not None else 1.0)
+    else:
+        step = newton_step
     limit = 10.0 * field.domain.diameter
-    tb = _TraceBuilder(field.dim)
-    for k in range(max_iters + 1):
-        g = np.asarray(grad(x), dtype=float)
-        gnorm = float(np.linalg.norm(g))
-        tb.record(x, field.value(x), gnorm)
-        if gnorm < grad_tol:
-            return tb.done(GRAD_TOL)
-        if k == max_iters:
-            return tb.done(MAX_ITERS)
-        if method == "gd":
-            alpha = schedule.step(k)
-            x_next = x - alpha * g
-        elif method == "gd-ls":
-            alpha = _line_search(field, x, g, cap)
-            x_next = x - alpha * g
-        else:
-            H = np.asarray(hess(x), dtype=float)
-            if np.linalg.cond(H) > 1e12:
-                raise SingularHessianError(
-                    f"classical curvature matrix is singular at iteration {k}", iteration=k
-                )
-            alpha = 1.0
-            x_next = x - np.linalg.solve(H, g)
-        if float(np.linalg.norm(x_next - x_start)) > limit:
-            return tb.done(DIVERGED, offending=x_next)
-        tb.steps.append(alpha)
-        x = x_next
-    return tb.done(MAX_ITERS)
+    return _descend(
+        field, x_start, lambda k, x: np.asarray(grad(x), dtype=float), step,
+        lambda x: DIVERGED if float(np.linalg.norm(x - x_start)) > limit else None,
+        max_iters, grad_tol,
+    )

@@ -9,7 +9,6 @@ gradient exists everywhere, so the smoothed descent recovers the shift.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 from .fields import BoxDomain, ScalarField
 from .kernels import BUMP, GAUSSIAN, RadialKernel
 from .operators import OperatorConfig, nonlocal_gradient
-from .optimizers import GRAD_TOL, MAX_ITERS, OptimizerTrace, _TraceBuilder
+from .optimizers import OptimizerTrace, _confined, _descend
 
 # Base kernel scales for the shift experiment, calibrated so that (a) even
 # the narrowest kernel in the default scale list feels the objective's basin
@@ -92,11 +91,6 @@ class PulseManifold:
         return ScalarField(fn, domain, regularity="C0-holder", name="pulse-objective")
 
 
-def pulse_objective(manifold: PulseManifold, theta: float) -> float:
-    """Objective value at one shift; raises outside [0, 1]."""
-    return float(manifold.objective(theta))
-
-
 def default_holder_offsets(manifold: PulseManifold) -> np.ndarray:
     """Log-spaced probe offsets snapped to whole grid cells.
 
@@ -157,6 +151,8 @@ class PulseRunConfig:
             raise ValueError("learning rate must lie in (0, 1]")
         if self.halving_threshold <= 1.0:
             raise ValueError("halving threshold must exceed 1")
+        self.kernel()  # a bad family, scale index or base scale raises here
+        self.manifold()  # and so does a bad pulse geometry
 
     @property
     def effective_base_scale(self) -> float:
@@ -195,41 +191,34 @@ def run_pulse_experiment(config: PulseRunConfig) -> tuple[OptimizerTrace, PulseR
     learning rate is halved.  Iterates that would leave [0, 1] clamp to the
     boundary.
     """
-    manifold = config.manifold()
-    field = manifold.objective_field()
-    kernel = config.kernel()
-    op_config = OperatorConfig(kernel, resolution=config.resolution)
+    field = config.manifold().objective_field()
+    op_config = OperatorConfig(config.kernel(), resolution=config.resolution)
     margin = 1e-9
-
-    theta = float(min(max(config.theta0, margin), 1.0 - margin))
     alpha = config.alpha
-    tb = _TraceBuilder(1)
     prev_gnorm = None
     halvings = 0
     clamped = 0
-    termination = MAX_ITERS
-    for k in range(config.max_iters + 1):
-        value = pulse_objective(manifold, theta)
-        g = float(nonlocal_gradient(field, np.array([theta]), op_config)[0])
-        gnorm = abs(g)
+
+    def direction(k, theta):
+        nonlocal alpha, prev_gnorm, halvings
+        g = nonlocal_gradient(field, theta, op_config)
+        gnorm = abs(float(g[0]))
         if prev_gnorm is not None and gnorm > config.halving_threshold * prev_gnorm:
             alpha *= 0.5
             halvings += 1
         prev_gnorm = gnorm
-        tb.record([theta], value, gnorm)
-        if value == 0.0 or gnorm < config.grad_tol:
-            termination = GRAD_TOL
-            break
-        if k == config.max_iters:
-            break
-        step = alpha * g
-        theta_next = theta - step
-        if theta_next < margin or theta_next > 1.0 - margin:
-            theta_next = float(min(max(theta_next, margin), 1.0 - margin))
-            clamped += 1
-        tb.steps.append(alpha)
-        theta = theta_next
-    trace = tb.done(termination)
+        return g
+
+    def step(k, theta, g, value):
+        nonlocal clamped
+        theta_next = theta - alpha * g
+        inside = np.clip(theta_next, margin, 1.0 - margin)
+        clamped += int(inside[0] != theta_next[0])
+        return alpha, inside
+
+    theta0 = min(max(config.theta0, margin), 1.0 - margin)
+    trace = _descend(field, [theta0], direction, step, _confined(field), config.max_iters,
+                     config.grad_tol, floor=0.0)
 
     thetas = trace.iterates[:, 0]
     errors = np.abs(thetas - config.theta_star)
@@ -253,19 +242,10 @@ def run_pulse_experiment(config: PulseRunConfig) -> tuple[OptimizerTrace, PulseR
 def run_pulse_suite(
     families: Sequence[str] = (BUMP, GAUSSIAN),
     n_values: Sequence[int] = (1, 2, 3),
-    workers: int = 1,
     **overrides,
 ) -> list[tuple[PulseRunConfig, OptimizerTrace, PulseRunSummary]]:
     """Run the (family, scale-index) grid of pulse experiments."""
     configs = [
         PulseRunConfig(family=f, n=int(n), **overrides) for f in families for n in n_values
     ]
-
-    def one(cfg: PulseRunConfig):
-        trace, summary = run_pulse_experiment(cfg)
-        return cfg, trace, summary
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, configs))
-    return [one(cfg) for cfg in configs]
+    return [(cfg, *run_pulse_experiment(cfg)) for cfg in configs]

@@ -1,11 +1,8 @@
-"""Deterministic tensor-product quadrature over boxes and clipped balls, and
+"""Deterministic tensor-product quadrature over boxes, and
 the offset stencils every kernel operator contracts against.
 
 Grids are tensor products of 1-D Gauss-Legendre or midpoint rules, kept as
 their per-axis rules; the flat node list is built only when asked for.
-``pv_integrate`` adds principal-value exclusion around a marked point, either
-by dropping nodes inside a fixed radius or by Richardson-extrapolating a
-shrinking sequence of exclusion radii.
 
 A ``Stencil`` is such a grid of offsets ``h`` around an evaluation point,
 expanded in blocks of ``BLOCK_NODES`` nodes together with its kernel
@@ -19,13 +16,13 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import NodeBudgetError, NonFiniteIntegrandError, PvDivergenceError
+from .errors import NodeBudgetError, NonFiniteIntegrandError
 from .fields import BoxDomain
 
 NODE_BUDGET = 10_000_000
@@ -82,13 +79,12 @@ class QuadratureGrid:
     """Tensor product of 1-D rules, one ``(nodes, weights)`` pair per axis.
 
     ``nodes`` (N, D) and ``weights`` (N,) list the product in C order and are
-    built on first use; ``keep`` selects a subset of that list.
+    built on first use.
     """
 
     axes: tuple[tuple[np.ndarray, np.ndarray], ...]
     scheme: str
     resolution: int
-    keep: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -99,54 +95,36 @@ class QuadratureGrid:
         return tuple(x.size for x, _ in self.axes)
 
     def __len__(self) -> int:
-        if self.keep is not None:
-            return int(np.count_nonzero(self.keep))
         return math.prod(self.shape)
 
     @cached_property
     def nodes(self) -> np.ndarray:
         mesh = np.meshgrid(*[x for x, _ in self.axes], indexing="ij")
-        nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        return nodes if self.keep is None else nodes[self.keep]
+        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
     @cached_property
     def weights(self) -> np.ndarray:
         weights = np.ones(1)
         for _, w in self.axes:
             weights = np.multiply.outer(weights, w).reshape(-1)
-        return weights if self.keep is None else weights[self.keep]
+        return weights
 
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
 
-    def min_spacing(self) -> float:
-        """Smallest gap between distinct per-axis coordinates."""
-        gaps = []
-        for j in range(self.dim):
-            c = np.unique(self.nodes[:, j])
-            if c.size > 1:
-                gaps.append(np.min(np.diff(c)))
-        return float(min(gaps)) if gaps else 0.0
-
 
 @dataclass(frozen=True)
 class PvPolicy:
-    """Principal-value exclusion around the evaluation point.
-
-    ``drop`` removes nodes within ``epsilon`` of the point (``epsilon = 0``
-    removes exact coincidences only).  ``limit`` evaluates the drop rule at
-    ``epsilon``, ``epsilon/2`` and ``epsilon/4`` and extrapolates.
-    """
+    """Principal-value exclusion: stencil nodes within ``epsilon`` of the
+    evaluation point carry no weight (``epsilon = 0`` drops exact
+    coincidences only)."""
 
     epsilon: float = 0.0
-    mode: str = "drop"
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("exclusion radius must be nonnegative")
-        if self.mode not in ("drop", "limit"):
-            raise ValueError(f"unknown pv mode {self.mode!r}")
 
 
 def build_box_grid(domain: BoxDomain, resolution: int, scheme: str = GAUSS) -> QuadratureGrid:
@@ -190,26 +168,6 @@ def build_panel_grid(
             xr, wr = rule_1d(s, b, m, scheme)
         axes.append((np.concatenate([xl, xr]), np.concatenate([wl, wr])))
     return QuadratureGrid(tuple(axes), scheme, resolution)
-
-
-def build_ball_grid(
-    center, radius: float, domain: BoxDomain, resolution: int, scheme: str = GAUSS
-) -> QuadratureGrid:
-    """Grid covering the radius-ball around ``center``, clipped to the domain.
-
-    Nodes of a bounding-box tensor grid are masked by the ball indicator;
-    the total weight tracks the clipped ball volume at low order only.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    clipped = domain.clip_box(center - radius, center + radius)
-    if clipped is None:
-        raise ValueError("ball does not intersect the domain")
-    lo, hi = clipped
-    grid = build_panel_grid(lo, hi, center, resolution, scheme)
-    keep = np.linalg.norm(grid.nodes - center, axis=1) < radius
-    return replace(grid, keep=keep)
 
 
 # -- offset stencils ------------------------------------------------------------
@@ -359,7 +317,13 @@ def reach_stencil(kernel, x: np.ndarray, radius: float, domain: Optional[BoxDoma
     return STENCILS.get(kernel, radius, resolution, scheme, pv_epsilon)
 
 
-def _evaluate(integrand: Callable, nodes: np.ndarray) -> np.ndarray:
+def integrate(grid: QuadratureGrid, integrand: Callable) -> float:
+    """Weighted sum of the integrand over the grid nodes.
+
+    Reduction uses numpy's pairwise summation, which is deterministic
+    run-to-run for a fixed grid.
+    """
+    nodes = grid.nodes
     values = np.asarray(integrand(nodes), dtype=float)
     if values.shape != (nodes.shape[0],):
         raise ValueError(
@@ -371,47 +335,4 @@ def _evaluate(integrand: Callable, nodes: np.ndarray) -> np.ndarray:
         raise NonFiniteIntegrandError(
             f"integrand is not finite at node {where}", node=where
         )
-    return values
-
-
-def integrate(grid: QuadratureGrid, integrand: Callable) -> float:
-    """Weighted sum of the integrand over the grid nodes.
-
-    Reduction uses numpy's pairwise summation, which is deterministic
-    run-to-run for a fixed grid.
-    """
-    values = _evaluate(integrand, grid.nodes)
     return float(np.sum(grid.weights * values))
-
-
-def pv_integrate(grid: QuadratureGrid, x, policy: PvPolicy, integrand: Callable) -> float:
-    """Principal-value integral with exclusion around ``x``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dist = np.linalg.norm(grid.nodes - x, axis=1)
-
-    def at_radius(eps: float) -> float:
-        keep = dist > eps
-        if not np.any(keep):
-            return 0.0
-        values = _evaluate(integrand, grid.nodes[keep])
-        return float(np.sum(grid.weights[keep] * values))
-
-    if policy.mode == "drop":
-        return at_radius(policy.epsilon)
-
-    eps0 = policy.epsilon if policy.epsilon > 0 else 0.5 * grid.min_spacing()
-    levels = [at_radius(eps0), at_radius(eps0 / 2), at_radius(eps0 / 4)]
-    d1 = levels[1] - levels[0]
-    d2 = levels[2] - levels[1]
-    scale = 1.0 + max(abs(v) for v in levels)
-    tiny = 1e-14 * scale
-    if abs(d2) > abs(d1) and abs(d2) > 1e3 * tiny:
-        raise PvDivergenceError(
-            f"pv levels diverge: changes {d1:.3e} -> {d2:.3e} at radius {eps0:.3e}"
-        )
-    if abs(d1) <= tiny or abs(d2) <= tiny:
-        return levels[2]
-    r = d2 / d1
-    if abs(r) < 1.0:
-        return levels[2] + d2 * r / (1.0 - r)
-    return levels[2]

@@ -8,7 +8,6 @@ the quadrature noise floor (1e-9) is tolerated.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -227,7 +226,6 @@ def convergence_sweep(
     check: str,
     n_values: Sequence[int],
     settings: Optional[dict] = None,
-    workers: int = 1,
 ) -> SweepReport:
     """Run a registered check across scale indices and report the errors."""
     if check not in REGISTRY:
@@ -238,11 +236,7 @@ def convergence_sweep(
     settings = {**default_settings(check, settings.get("domain")), **settings}
     fn = REGISTRY[check]
     n_values = [int(n) for n in n_values]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda n: fn(n, settings), n_values))
-    else:
-        results = [fn(n, settings) for n in n_values]
+    results = [fn(n, settings) for n in n_values]
     errors = tuple(float(r[0]) for r in results)
     locations = tuple(r[1] for r in results)
     bound = None

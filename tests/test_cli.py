@@ -95,6 +95,48 @@ class TestExitCodes:
         assert (tmp_path / "sweep_gradient-localization.csv").exists()
 
 
+# Each argv is malformed in one value; the text names what the error must say.
+MALFORMED = [
+    (["grad-check", "--set", "domain=oops"], "'domain'"),
+    (["grad-check", "--set", "kernel.n=abc"], "'kernel'"),
+    (["grad-check", "--set", "kernel.n=0"], "'kernel'"),
+    (["grad-check", "--set", 'kernel.family="cauchy"'], "'kernel'"),
+    (["grad-check", "--set", "check.probes=0"], "'check.probes'"),
+    (["descend", "--set", "descend.x0=[5.0]"], "'descend.x0'"),
+    (["descend", "--set", "descend.x0=[0.2,0.3]"], "'descend.x0'"),
+    (["newton", "--set", "newton.x0=[2.0]"], "'newton.x0'"),
+    (["sgd", "--set", "sgd.K=0"], "'sgd'"),
+    (["pulse", "--set", 'pulse.families=["cauchy"]'], "'pulse'"),
+    (["pulse", "--set", "pulse.n_values=[]"], "'pulse'"),
+    (["descend", "--set", 'descend.schedule.kind="foo"'], "'descend.schedule'"),
+    (["hess-check", "--set", 'hessian.variant="foo"'], "'hessian'"),
+    (["grad-check", "--set", "quadrature.pv_epsilon=-1"], "'quadrature.pv_epsilon'"),
+    (["grad-check", "--field", "ridge"], "'field'"),
+    (["sweep", "--set", "check.n_values=[]"], "'check.n_values'"),
+    (["sweep", "--set", "check=5"], "'check.name'"),
+    (["descend", "--workers", "2"], "unrecognized arguments: --workers 2"),
+]
+
+
+@pytest.mark.parametrize("argv,names", MALFORMED, ids=[" ".join(a) for a, _ in MALFORMED])
+def test_malformed_config_exits_2(tmp_path, capsys, argv, names):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert names in err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonlocalopt.cli"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "usage: nonlocalopt" in proc.stderr
+
+
 class TestRunsAndArtifacts:
     def test_descend_writes_trace(self, tmp_path):
         code = run_cli(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nonlocalopt import BoxDomain, contains, extend_by_zero
+from nonlocalopt import BoxDomain, extend_by_zero
 from nonlocalopt.catalog import bump_field, quadratic_field
 from nonlocalopt.errors import DimensionMismatchError, MissingDerivativeError
 from nonlocalopt.fields import SubsetIndicator
@@ -10,17 +10,17 @@ from nonlocalopt.fields import SubsetIndicator
 
 class TestBoxDomain:
     def test_contains_interior(self):
-        assert contains(BoxDomain.unit(1), [0.5]) is True
+        assert BoxDomain.unit(1).contains([0.5]) is True
 
     def test_boundary_excluded(self):
-        assert contains(BoxDomain.unit(1), [1.0]) is False
+        assert BoxDomain.unit(1).contains([1.0]) is False
 
     def test_outside_2d(self):
-        assert contains(BoxDomain.unit(2), [0.3, 1.2]) is False
+        assert BoxDomain.unit(2).contains([0.3, 1.2]) is False
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            contains(BoxDomain.unit(2), [0.3])
+            BoxDomain.unit(2).contains([0.3])
 
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
@@ -37,7 +37,7 @@ class TestBoxDomain:
     def test_contains_matches_inequalities(self, lo, width, frac):
         box = BoxDomain.interval(lo, lo + width)
         x = lo + frac * width
-        assert contains(box, [x]) == (lo < x < lo + width)
+        assert box.contains([x]) == (lo < x < lo + width)
 
 
 class TestScalarField:

@@ -1,0 +1,177 @@
+"""Exact outcomes of one fixed run per optimizer and pulse configuration.
+
+Every run goes through the one iteration driver in ``optimizers``; these
+literals pin its record / stop / step / exit order, so any drift in the
+driver shows up as a changed termination, length, end point or step.  Steps
+are stored as ``[value, repeat count]`` runs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from nonlocalopt import (
+    BoxDomain,
+    OperatorConfig,
+    PulseRunConfig,
+    SgdConfig,
+    StepSchedule,
+    epsilon_sgd,
+    gaussian_kernel,
+    local_counterpart,
+    nlgd_fixed,
+    nlgd_linesearch,
+    nonlocal_newton,
+    run_pulse_experiment,
+)
+from nonlocalopt.catalog import quadratic_field, quartic_field
+
+UNIT = BoxDomain.unit(1)
+SQUARE = BoxDomain.unit(2)
+
+
+def cfg(n, dim=1, resolution=512):
+    return OperatorConfig(gaussian_kernel(dim, n), resolution=resolution)
+
+
+def runs(steps):
+    out = []
+    for v in steps.tolist():
+        if out and out[-1][0] == v:
+            out[-1][1] += 1
+        else:
+            out.append([v, 1])
+    return out
+
+
+RUNS = {
+    "nlgd-fixed": lambda: nlgd_fixed(
+        quadratic_field(UNIT), [0.2], cfg(16), StepSchedule.fixed(0.4),
+        max_iters=200, grad_tol=1e-10),
+    "nlgd-fixed-left-domain": lambda: nlgd_fixed(
+        quadratic_field(UNIT), [0.1], cfg(16), StepSchedule.fixed(5.0),
+        max_iters=20, grad_tol=0.0),
+    "nlgd-linesearch-2d": lambda: nlgd_linesearch(
+        quadratic_field(SQUARE, matrix=[[2.0, 0.0], [0.0, 0.5]]), [0.3, 0.8],
+        cfg(16, 2, 128), cap=1.0, max_iters=8, grad_tol=1e-12),
+    "nonlocal-newton": lambda: nonlocal_newton(
+        quartic_field(UNIT, center=[0.55]), [0.4], cfg(16), max_iters=10, grad_tol=0.0),
+    # The minimizer 1.3 lies outside (0, 1): full Newton steps would leave
+    # the box, so they are halved until they stay inside.
+    "nonlocal-newton-halved": lambda: nonlocal_newton(
+        quadratic_field(UNIT, center=[1.3]), [0.5], cfg(16, 1, 256), max_iters=4, grad_tol=0.0),
+    "local-gd": lambda: local_counterpart(
+        quadratic_field(UNIT), [0.3], "gd", StepSchedule.fixed(0.1), max_iters=50,
+        grad_tol=1e-10),
+    "local-gd-diverged": lambda: local_counterpart(
+        quadratic_field(UNIT), [0.3], "gd", StepSchedule.fixed(1.25), max_iters=60,
+        grad_tol=0.0),
+    "local-gd-ls": lambda: local_counterpart(
+        quadratic_field(UNIT, matrix=[[1.5]]), [0.15], "gd-ls",
+        StepSchedule("fixed", alpha=0.1, cap=1.0), max_iters=10, grad_tol=1e-13),
+    "local-newton": lambda: local_counterpart(
+        quartic_field(UNIT), [0.2], "newton", max_iters=25, grad_tol=1e-10),
+}
+
+EXPECTED = {
+    "nlgd-fixed": {
+        "termination": "grad-tol", "length": 15, "final_point": [0.499999999950848],
+        "steps": [[0.4, 14]]},
+    "nlgd-fixed-left-domain": {
+        "termination": "left-domain", "length": 1, "final_point": [0.1], "steps": [],
+        "offending_point": [4.099999992107267]},
+    "nlgd-linesearch-2d": {
+        "termination": "max-iters", "length": 9,
+        "final_point": [0.49970710846245975, 0.50043933786691],
+        "steps": [[0.27547169925819376, 1], [0.7300000084706466, 1],
+                  [0.2754717028355586, 1], [0.7299999442459576, 1],
+                  [0.2754717093531174, 1], [0.729999899573945, 1],
+                  [0.27547173696193955, 1], [0.729999576324225, 1]]},
+    "nonlocal-newton": {
+        "termination": "max-iters", "length": 11, "final_point": [0.5499804712307645],
+        "steps": [[1.0, 10]]},
+    "nonlocal-newton-halved": {
+        "termination": "max-iters", "length": 5, "final_point": [0.9924092924123049],
+        "steps": [[0.5, 1], [0.125, 2], [1.0, 1]]},
+    "local-gd": {
+        "termination": "max-iters", "length": 51, "final_point": [0.4999971455046146],
+        "steps": [[0.1, 50]]},
+    "local-gd-diverged": {
+        "termination": "diverged", "length": 10, "final_point": [8.188671875000004],
+        "steps": [[1.25, 9]], "offending_point": [-11.033007812500006]},
+    "local-gd-ls": {
+        "termination": "grad-tol", "length": 3, "final_point": [0.5],
+        "steps": [[0.3333333317252301, 1], [0.3333333288294777, 1]]},
+    "local-newton": {
+        "termination": "grad-tol", "length": 6, "final_point": [0.5], "steps": [[1.0, 5]]},
+}
+
+PULSE_RUNS = {
+    "pulse-gaussian-n2": PulseRunConfig(family="gaussian", n=2),
+    "pulse-bump-n3": PulseRunConfig(family="bump", n=3),
+    # Started near the upper wall with a full step: iterates clamp at 1 - 1e-9.
+    "pulse-clamped": PulseRunConfig(family="gaussian", n=1, theta0=0.9, alpha=1.0, max_iters=10),
+    "pulse-halved": PulseRunConfig(family="gaussian", n=3, theta0=0.1, alpha=1.0, max_iters=20),
+    # The second halving of the run above falls on its last iterate here:
+    # it is counted although no step follows.
+    "pulse-halved-at-last-iterate": PulseRunConfig(
+        family="gaussian", n=3, theta0=0.1, alpha=1.0, max_iters=10),
+    "pulse-at-template": PulseRunConfig(theta0=0.5),
+}
+
+PULSE_EXPECTED = {
+    "pulse-gaussian-n2": {
+        "termination": "max-iters", "length": 201, "final_point": [0.5074560310361839],
+        "steps": [[0.1, 200]], "halvings": 0, "clamped": 0},
+    "pulse-bump-n3": {
+        "termination": "max-iters", "length": 201, "final_point": [0.4875166176727128],
+        "steps": [[0.1, 200]], "halvings": 0, "clamped": 0},
+    "pulse-clamped": {
+        "termination": "max-iters", "length": 11, "final_point": [0.999999999],
+        "steps": [[1.0, 10]], "halvings": 0, "clamped": 8},
+    "pulse-halved": {
+        "termination": "max-iters", "length": 21, "final_point": [0.5517396150464076],
+        "steps": [[1.0, 10], [0.5, 5], [0.25, 5]], "halvings": 2, "clamped": 0},
+    "pulse-halved-at-last-iterate": {
+        "termination": "max-iters", "length": 11, "final_point": [0.4132744068556281],
+        "steps": [[1.0, 10]], "halvings": 1, "clamped": 0},
+    "pulse-at-template": {
+        "termination": "grad-tol", "length": 1, "final_point": [0.5], "steps": [],
+        "halvings": 0, "clamped": 0},
+}
+
+
+def outcome(trace):
+    got = {
+        "termination": trace.termination,
+        "length": len(trace),
+        "final_point": trace.final_point.tolist(),
+        "steps": runs(trace.steps_taken),
+    }
+    if trace.offending_point is not None:
+        got["offending_point"] = trace.offending_point.tolist()
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_optimizer_run(name):
+    assert outcome(RUNS[name]()) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PULSE_RUNS))
+def test_pulse_run(name):
+    trace, summary = run_pulse_experiment(PULSE_RUNS[name])
+    got = {**outcome(trace), "halvings": summary.halvings, "clamped": summary.clamped}
+    assert got == PULSE_EXPECTED[name]
+
+
+def test_sgd_run():
+    field = quadratic_field(UNIT, center=UNIT.center)
+    x_bar, trace = epsilon_sgd(field, SgdConfig(1.0, 2.0, 100, 0.02, seed=3), gaussian_kernel(1, 8))
+    assert outcome(trace) == {
+        "termination": "max-iters", "length": 101, "final_point": [0.49987469295282905],
+        "steps": [[0.05, 100]]}
+    assert x_bar.tolist() == [0.49962646399108807]
+    assert math.isnan(trace.gradient_norms[-1])  # no direction is drawn at the last iterate
+    assert np.all(np.isfinite(trace.gradient_norms[:-1]))

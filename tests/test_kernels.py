@@ -8,11 +8,8 @@ from nonlocalopt import (
     RadialKernel,
     bump_kernel,
     directional_second_moment,
-    eval_density,
     gaussian_kernel,
     moments,
-    sample_offset,
-    tail_mass,
 )
 from nonlocalopt.errors import DimensionMismatchError
 
@@ -25,23 +22,23 @@ class TestDensity:
     def test_standard_normal_peak(self):
         # sigma_n = 1 at n=1, base 1
         k = gaussian_kernel(1, 1, base_scale=1.0)
-        assert eval_density(k, [0.0]) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
+        assert k.density([0.0]) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
 
     def test_bump_zero_at_support_edge(self):
         k = bump_kernel(2, 1, base_scale=0.2)
         h = np.array([0.2, 0.0])
-        assert eval_density(k, h) == 0.0
+        assert k.density(h) == 0.0
 
     def test_gaussian_scaled_value(self):
         # base 0.2, n=2 -> sigma 0.1; compare against the closed-form density
         k = gaussian_kernel(1, 2, base_scale=0.2)
         sigma = 0.1
         expected = math.exp(-0.5 * (0.1 / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-        assert eval_density(k, [0.1]) == pytest.approx(expected, rel=1e-12)
+        assert k.density([0.1]) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            eval_density(gaussian_kernel(2, 1), [0.1])
+            gaussian_kernel(2, 1).density([0.1])
 
     @given(angle=st.floats(0, 2 * math.pi), r=st.floats(0.001, 0.3))
     @settings(max_examples=50)
@@ -49,7 +46,7 @@ class TestDensity:
         k = gaussian_kernel(2, 3, base_scale=0.3)
         h1 = np.array([r, 0.0])
         h2 = r * np.array([math.cos(angle), math.sin(angle)])
-        assert eval_density(k, h1) == pytest.approx(eval_density(k, h2), rel=1e-12)
+        assert k.density(h1) == pytest.approx(k.density(h2), rel=1e-12)
 
 
 class TestMass:
@@ -65,16 +62,16 @@ class TestMass:
         # sigma_n = 1, delta = 1: complementary normal mass 2(1 - Phi(1))
         k = gaussian_kernel(1, 1, base_scale=1.0)
         expected = 2.0 * (1.0 - normal_cdf(1.0))
-        assert tail_mass(k, 1.0) == pytest.approx(expected, abs=1e-10)
+        assert k.tail_mass(1.0) == pytest.approx(expected, abs=1e-10)
 
     def test_tail_bump_compact(self):
         k = bump_kernel(1, 2, base_scale=0.2)  # support radius 0.1
-        assert tail_mass(k, 0.1) == 0.0
-        assert tail_mass(k, 0.5) == 0.0
+        assert k.tail_mass(0.1) == 0.0
+        assert k.tail_mass(0.5) == 0.0
 
     def test_tail_small_delta_full_mass(self):
         for k in (gaussian_kernel(1, 4), bump_kernel(2, 4)):
-            assert tail_mass(k, 1e-9) == pytest.approx(1.0, abs=1e-7)
+            assert k.tail_mass(1e-9) == pytest.approx(1.0, abs=1e-7)
 
     @pytest.mark.parametrize("family,base", [("gaussian", 0.1), ("bump", 0.2)])
     def test_monotone_concentration(self, family, base):
@@ -83,7 +80,7 @@ class TestMass:
         for delta in (0.05, 0.1, 0.5):
             prev = None
             for n in range(1, 33):
-                t = tail_mass(RadialKernel(family, 1, n, base), delta)
+                t = RadialKernel(family, 1, n, base).tail_mass(delta)
                 if prev is not None:
                     if prev > 0.0:
                         assert t < prev
@@ -108,15 +105,15 @@ class TestSampling:
     @pytest.mark.parametrize("family", ["gaussian", "bump"])
     def test_deterministic_given_seed(self, family):
         k = RadialKernel(family, 2, 3, 0.2)
-        a = sample_offset(k, np.random.default_rng(42))
-        b = sample_offset(k, np.random.default_rng(42))
+        a = k.sample(np.random.default_rng(42))
+        b = k.sample(np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("family,base", [("gaussian", 0.1), ("bump", 0.2)])
     def test_empirical_tail_matches_quadrature(self, family, base):
         k = RadialKernel(family, 1, 2, base)
         delta = k.scale * (1.0 if family == "gaussian" else 0.5)
-        p = tail_mass(k, delta)
+        p = k.tail_mass(delta)
         rng = np.random.default_rng(3)
         samples = k.sample_batch(rng, 100_000)
         emp = float(np.mean(np.linalg.norm(samples, axis=1) > delta))
@@ -206,4 +203,4 @@ class TestKernelProperties:
     def test_tail_mass_monotone_in_delta(self, delta1, delta2):
         k = gaussian_kernel(1, 2, 0.1)
         lo, hi = sorted((delta1, delta2))
-        assert tail_mass(k, hi) <= tail_mass(k, lo) + 1e-12
+        assert k.tail_mass(hi) <= k.tail_mass(lo) + 1e-12

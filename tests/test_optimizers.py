@@ -103,6 +103,13 @@ class TestNlgdFixed:
         assert trace.steps_taken.shape == (n - 1,)
         assert all(unit_interval.contains(p) for p in trace.iterates)
 
+    def test_negative_max_iters_rejected(self, unit_interval):
+        with pytest.raises(ValueError):
+            nlgd_fixed(
+                quadratic_field(unit_interval), [0.2], cfg(gaussian_kernel(1, 8)),
+                StepSchedule.fixed(0.1), max_iters=-1,
+            )
+
     def test_left_domain_records_offender(self, unit_interval):
         f = quadratic_field(unit_interval)
         trace = nlgd_fixed(

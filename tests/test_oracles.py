@@ -153,13 +153,11 @@ class TestConvergenceSweep:
         )
         assert report.monotone
 
-    def test_worker_count_does_not_change_numbers(self, unit_interval):
+    def test_repeated_sweep_gives_same_numbers(self, unit_interval):
         settings = {"field": sin_field(unit_interval), "kernel": gaussian_kernel(1, 1, 0.1)}
-        serial = convergence_sweep("gradient-localization", [4, 8], dict(settings))
-        threaded = convergence_sweep(
-            "gradient-localization", [4, 8], dict(settings), workers=4
-        )
-        assert serial.errors == threaded.errors
+        first = convergence_sweep("gradient-localization", [4, 8], dict(settings))
+        second = convergence_sweep("gradient-localization", [4, 8], dict(settings))
+        assert first.errors == second.errors
 
     def test_report_serialization_roundtrip(self, tmp_path):
         from nonlocalopt import emit_csv

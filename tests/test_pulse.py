@@ -16,7 +16,6 @@ from nonlocalopt import (
     emit_plot_svg,
     holder_exponent_fit,
     nonlocal_gradient,
-    pulse_objective,
     read_trace_csv,
     run_pulse_experiment,
 )
@@ -29,26 +28,26 @@ def manifold():
 
 class TestObjective:
     def test_zero_at_template(self, manifold):
-        assert pulse_objective(manifold, 0.5) == 0.0
+        assert manifold.objective(0.5) == 0.0
 
     def test_disjoint_supports_closed_form(self, manifold):
         # |theta - theta*| >= width and no clipping: sqrt(2 * 0.125) = 0.5
         for theta in (0.1, 0.2, 0.825):
-            assert pulse_objective(manifold, theta) == pytest.approx(0.5, abs=1e-12)
+            assert manifold.objective(theta) == pytest.approx(0.5, abs=1e-12)
 
     def test_small_offset_sliver_value(self, manifold):
         # two slivers of width 0.01: sqrt(0.02), up to one-cell grid error
-        val = pulse_objective(manifold, 0.51)
+        val = manifold.objective(0.51)
         assert val == pytest.approx(math.sqrt(0.02), abs=2e-3)
 
     def test_out_of_range_rejected(self, manifold):
         with pytest.raises(ValueError):
-            pulse_objective(manifold, 1.2)
+            manifold.objective(1.2)
 
     def test_symmetry_about_template(self, manifold):
         for delta in (0.01, 0.05, 0.1):
-            left = pulse_objective(manifold, 0.5 - delta)
-            right = pulse_objective(manifold, 0.5 + delta)
+            left = manifold.objective(0.5 - delta)
+            right = manifold.objective(0.5 + delta)
             assert left == pytest.approx(right, abs=2e-3)
 
     def test_positive_away_from_template(self, manifold):
@@ -229,5 +228,5 @@ class TestManifoldProperties:
     @settings(max_examples=50)
     def test_objective_nonnegative_and_bounded(self, theta):
         man = PulseManifold()
-        val = pulse_objective(man, theta)
+        val = man.objective(theta)
         assert 0.0 <= val <= 1.0

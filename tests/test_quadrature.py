@@ -4,20 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonlocalopt import (
-    BoxDomain,
-    PvPolicy,
-    build_ball_grid,
-    build_box_grid,
-    build_panel_grid,
-    integrate,
-    pv_integrate,
-)
-from nonlocalopt.errors import (
-    NodeBudgetError,
-    NonFiniteIntegrandError,
-    PvDivergenceError,
-)
+from nonlocalopt import BoxDomain, build_box_grid, integrate
+from nonlocalopt.errors import NodeBudgetError, NonFiniteIntegrandError
 
 
 class TestBoxGrid:
@@ -115,90 +103,3 @@ class TestIntegrate:
         with pytest.raises(NonFiniteIntegrandError) as err:
             integrate(grid, bad)
         assert err.value.node is not None
-
-
-class TestPvIntegrate:
-    def test_zero_integrand(self):
-        grid = build_box_grid(BoxDomain.unit(1), 64)
-        val = pv_integrate(grid, [0.5], PvPolicy(0.0, "drop"), lambda p: np.zeros(len(p)))
-        assert val == 0.0
-
-    def test_odd_integrand_cancels(self):
-        # symmetric panels around x: odd part cancels to machine precision
-        grid = build_panel_grid([0.0], [1.0], np.array([0.5]), 256)
-        val = pv_integrate(
-            grid, [0.5], PvPolicy(0.0, "drop"), lambda p: (p[:, 0] - 0.5) ** 3
-        )
-        assert abs(val) <= 1e-10
-
-    def test_drop_vs_limit_agree_for_lipschitz(self):
-        # Difference-quotient-style bounded integrand of a Lipschitz field.
-        grid = build_box_grid(BoxDomain.unit(1), 256)
-        x = 0.5
-
-        def quotient(p):
-            d = x - p[:, 0]
-            return np.abs(np.abs(x - 0.3) - np.abs(p[:, 0] - 0.3)) / np.abs(d)
-
-        eps = 0.5 * grid.min_spacing()
-        drop = pv_integrate(grid, [x], PvPolicy(eps, "drop"), quotient)
-        limit = pv_integrate(grid, [x], PvPolicy(eps, "limit"), quotient)
-        assert abs(drop - limit) <= 1e-6
-
-    def test_drop_vs_limit_agree_across_catalog(self, fields_1d):
-        # the two exclusion modes must agree on the actual operator
-        # integrand for every weakly differentiable catalog field
-        from nonlocalopt import gaussian_kernel
-
-        kernel = gaussian_kernel(1, 4, 0.1)
-        x = 0.47
-        grid = build_box_grid(BoxDomain.unit(1), 256)
-        eps = 0.5 * grid.min_spacing()
-        for name, f in fields_1d.items():
-            ux = f.value([x])
-
-            def integrand(p):
-                d = x - p[:, 0]
-                quot = (ux - f(p)) / d
-                return quot * kernel.radial_density(np.abs(d))
-
-            drop = pv_integrate(grid, [x], PvPolicy(eps, "drop"), integrand)
-            limit = pv_integrate(grid, [x], PvPolicy(eps, "limit"), integrand)
-            assert abs(drop - limit) <= 1e-6, name
-
-    def test_limit_divergence_detected(self):
-        grid = build_panel_grid([0.0], [1.0], np.array([0.5]), 512)
-
-        def singular(p):
-            return 1.0 / (p[:, 0] - 0.5) ** 2
-
-        with pytest.raises(PvDivergenceError):
-            pv_integrate(grid, [0.5], PvPolicy(0.01, "limit"), singular)
-
-    def test_drop_radius_excludes_nodes(self):
-        grid = build_box_grid(BoxDomain.unit(1), 64)
-        full = pv_integrate(grid, [0.5], PvPolicy(0.0, "drop"), lambda p: np.ones(len(p)))
-        gapped = pv_integrate(grid, [0.5], PvPolicy(0.2, "drop"), lambda p: np.ones(len(p)))
-        assert gapped < full
-
-
-class TestBallGrid:
-    def test_interior_ball_volume(self):
-        dom = BoxDomain((-1.0, -1.0), (1.0, 1.0))
-        grid = build_ball_grid([0.0, 0.0], 0.5, dom, 128)
-        assert grid.total_weight == pytest.approx(math.pi * 0.25, abs=1e-3)
-
-    def test_corner_quarter_ball(self):
-        dom = BoxDomain.unit(2)
-        grid = build_ball_grid([0.0, 0.0], 0.4, dom, 128)
-        assert grid.total_weight == pytest.approx(math.pi * 0.16 / 4.0, abs=1e-3)
-
-    def test_radius_exceeds_domain(self):
-        dom = BoxDomain.unit(2)
-        grid = build_ball_grid([0.5, 0.5], 10.0, dom, 64)
-        assert grid.total_weight == pytest.approx(1.0, abs=1e-12)
-
-    def test_interval_ball_1d(self):
-        dom = BoxDomain.unit(1)
-        grid = build_ball_grid([0.5], 0.25, dom, 64)
-        assert grid.total_weight == pytest.approx(0.5, abs=1e-10)
