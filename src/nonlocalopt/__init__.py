@@ -44,6 +44,7 @@ from .optimizers import (
     StepSchedule,
     SubgradientReport,
     epsilon_sgd,
+    epsilon_sgd_batch,
     epsilon_subgradient_check,
     local_counterpart,
     nlgd_fixed,
@@ -60,13 +61,7 @@ from .pulse import (
     run_pulse_experiment,
     run_pulse_suite,
 )
-from .quadrature import (
-    PvPolicy,
-    QuadratureGrid,
-    build_box_grid,
-    build_panel_grid,
-    integrate,
-)
+from .quadrature import PvPolicy, QuadratureGrid, build_panel_grid
 from .reporting import emit_csv, emit_plot_svg, read_trace_csv
 from .sweeps import SweepReport, convergence_sweep, monotone_decreasing
 

@@ -1,10 +1,10 @@
 """Command-line entry point: checks, sweeps, optimizer runs, pulse experiment.
 
 Every run resolves its configuration (file values overridden by ``--set``
-key=value pairs and convenience flags), echoes it to
-``<out>/config.resolved.json``, writes CSV/SVG artifacts, and finishes with a
-``manifest.json`` recording what ran.  Exit codes: 0 success, 1 check failed,
-2 usage/config error.
+key=value pairs and convenience flags), writes CSV/SVG artifacts, and
+finishes by echoing the configuration to ``<out>/config.resolved.json`` and
+writing a ``manifest.json`` recording what ran; a run rejected with exit 2
+writes neither.  Exit codes: 0 success, 1 check failed, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -290,13 +290,14 @@ class _Run:
         self.outputs: list[str] = []
         self.summary: dict = {}
         self.start = time.monotonic()
-        _write_json(self.out / "config.resolved.json", config)
-        self.outputs.append("config.resolved.json")
 
     def add(self, path: Path) -> None:
         self.outputs.append(str(Path(path).relative_to(self.out)))
 
     def finish(self, exit_code: int) -> int:
+        """Write the resolved config and the manifest; a rejected run writes neither."""
+        _write_json(self.out / "config.resolved.json", self.config)
+        self.outputs.append("config.resolved.json")
         manifest = {
             "command": self.command,
             "argv": self.argv,

@@ -9,14 +9,6 @@ class NodeBudgetError(RuntimeError):
     """A requested quadrature grid would exceed the global node budget."""
 
 
-class NonFiniteIntegrandError(RuntimeError):
-    """An integrand produced a non-finite value at a quadrature node."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
-
 class CoincidentPointsError(ValueError):
     """A difference quotient was requested at coincident points."""
 

@@ -180,10 +180,24 @@ class RadialKernel:
 
     # -- sampling --------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one offset distributed per this density."""
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
+        """Draw one offset distributed per this density, or ``size`` of them.
+
+        With ``size`` the result has shape ``(size, dim)`` and its rows equal
+        ``size`` successive single draws from ``rng``, so offsets may be drawn
+        in blocks without changing them.
+        """
         if self.family == GAUSSIAN:
-            return self.scale * rng.standard_normal(self.dim)
+            shape = self.dim if size is None else (size, self.dim)
+            return self.scale * rng.standard_normal(shape)
+        if size is None:
+            return self._rejection_draw(rng)
+        out = np.empty((size, self.dim))
+        for i in range(size):
+            out[i] = self._rejection_draw(rng)
+        return out
+
+    def _rejection_draw(self, rng: np.random.Generator) -> np.ndarray:
         prof = self._profile_fn()
         s = self.scale
         for _ in range(_MAX_SAMPLE_ATTEMPTS):
@@ -198,7 +212,11 @@ class RadialKernel:
         )
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vectorized sampling of ``size`` offsets."""
+        """Vectorized sampling of ``size`` offsets.
+
+        Compact kernels reject in chunks, so unlike ``sample(rng, size)`` the
+        rows are not the draws that successive single samples would give.
+        """
         if self.family == GAUSSIAN:
             return self.scale * rng.standard_normal((size, self.dim))
         prof = self._profile_fn()

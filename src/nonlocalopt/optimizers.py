@@ -22,7 +22,6 @@ from .operators import (
     CENTRAL,
     HessianVariant,
     OperatorConfig,
-    difference_quotient,
     nonlocal_gradient,
     nonlocal_hessian,
 )
@@ -33,6 +32,9 @@ DIVERGED = "diverged"
 LEFT_DOMAIN = "left-domain"
 
 _RESAMPLE_CAP = 1_000_000
+
+# Offsets an SGD chain draws from its generator at a time.
+_DRAW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ class OptimizerTrace:
 
 def _descend(field: ScalarField, x0, direction, step, escaped, max_iters: int,
              grad_tol: float, floor: float = -math.inf) -> OptimizerTrace:
-    """The iteration ``x_{k+1} = x_k - alpha_k d_k`` that every run here shares.
+    """The iteration ``x_{k+1} = x_k - alpha_k d_k`` of every deterministic run here.
 
     Each iterate records ``(x, u(x), |g|)`` with ``g = direction(k, x)``.  The
     run stops with ``grad-tol`` once ``|g| < grad_tol`` or ``u(x) <= floor``,
@@ -304,6 +306,136 @@ class SgdConfig:
         return math.ceil(B**2 * M**2 / (target_gap - epsilon) ** 2)
 
 
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """``a[i] @ a[i]`` for every row, through the routine ``np.dot`` uses on a vector.
+
+    That BLAS routine may fuse multiplies and adds, so an elementwise sum of
+    squares can round differently once a row has two or more entries.
+    """
+    if a.shape[1] == 1:
+        return np.square(a[:, 0])  # a one-entry dot is one rounded product
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+
+
+def epsilon_sgd_batch(
+    field: ScalarField, config: SgdConfig, kernel: RadialKernel, seeds
+) -> tuple[np.ndarray, list[OptimizerTrace]]:
+    """Independent runs of :func:`epsilon_sgd`, one per seed, stepped in lockstep.
+
+    ``config.seed`` is not used: chain ``s`` draws only from
+    ``np.random.default_rng(seeds[s])``, in blocks of up to ``_DRAW_BLOCK``
+    offsets that equal its successive single draws.  Each step takes one
+    offset per chain, redraws for the chains whose partner point falls
+    outside the domain or onto the iterate (at most ``_RESAMPLE_CAP`` draws
+    per chain and step, else ``RejectionOverflowError``), and evaluates the
+    field once at all iterates and once at all partner points.  A chain that
+    diverges or leaves the domain stops there while the others go on.  So
+    chain ``s`` does not depend on the other chains, as long as the field
+    callback gives a point the same value in any batch (elementwise
+    callbacks do; a matrix product such as ``x @ a`` may round differently).
+    Returns the ``(S, D)`` averages and one trace per seed.
+    """
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    S, D, K, alpha = len(seeds), field.dim, config.K, config.alpha
+    center = field.domain.center
+    lo, hi = field.domain.lower_array, field.domain.upper_array
+    radius = 10.0 * config.B  # divergence guard around the start
+    rngs = [np.random.default_rng(s) for s in seeds]
+    # Chain i's undrawn offsets are rows pos[i]:end[i] of its block; the
+    # arrays below run over the live chains and shrink when chains stop.
+    width = min(_DRAW_BLOCK, K)
+    offsets = np.empty((S * width, D))
+    start = np.arange(S) * width
+    pos, end = start.copy(), start.copy()
+
+    def inside(p):
+        return ((p > lo) & (p < hi)).all(axis=1)
+
+    def refill(empty, k):
+        for i in empty.tolist():
+            n = min(_DRAW_BLOCK, K - k)  # every step left needs at least one draw
+            offsets[start[i]:start[i] + n] = kernel.sample(rngs[live[i]], n)
+            pos[i], end[i] = start[i], start[i] + n
+
+    iterates = np.empty((S, K + 1, D))
+    values = np.empty((S, K + 1))
+    norms = np.empty((S, K + 1))
+    length = np.full(S, K + 1)
+    termination = [MAX_ITERS] * S
+    offending: list[Optional[np.ndarray]] = [None] * S
+    live = np.arange(S)
+    x = np.tile(center, (S, 1))
+    room = 0  # every live chain has at least this many undrawn offsets
+    for k in range(K):
+        u = np.asarray(field(x), dtype=float)
+        if room == 0:
+            refill(np.flatnonzero(pos == end), k)
+            room = int((end - pos).min())
+        h = offsets[pos]
+        pos += 1
+        room -= 1
+        y = x - h
+        d = x - y
+        r2 = _row_dots(d)
+        bad = ~(inside(y) & (r2 > 0.0))
+        if np.count_nonzero(bad):
+            redo = np.flatnonzero(bad)
+            for _ in range(_RESAMPLE_CAP - 1):
+                refill(redo[pos[redo] == end[redo]], k)
+                y[redo] = x[redo] - offsets[pos[redo]]
+                pos[redo] += 1
+                d[redo] = x[redo] - y[redo]
+                r2[redo] = _row_dots(d[redo])
+                redo = redo[~(inside(y[redo]) & (r2[redo] > 0.0))]
+                if redo.size == 0:
+                    break
+            else:
+                raise RejectionOverflowError(
+                    "could not draw a partner point inside the domain; kernel too wide"
+                )
+            room = int((end - pos).min())
+        g = D * (((u - np.asarray(field(y), dtype=float)) / r2)[:, None] * d)
+        iterates[live, k] = x
+        values[live, k] = u
+        norms[live, k] = np.sqrt(_row_dots(g))
+        x = x - alpha * g
+        diverged = np.sqrt(_row_dots(x - center)) > radius
+        stopped = diverged | ~inside(x)
+        if np.count_nonzero(stopped):
+            for i in np.flatnonzero(stopped).tolist():
+                s = live[i]
+                length[s] = k + 1
+                termination[s] = DIVERGED if diverged[i] else LEFT_DOMAIN
+                offending[s] = x[i].copy()
+            kept = ~stopped
+            live, x, start, pos, end = live[kept], x[kept], start[kept], pos[kept], end[kept]
+            if live.size == 0:
+                break
+    if live.size:
+        iterates[live, K] = x
+        values[live, K] = np.asarray(field(x), dtype=float)
+        norms[live, K] = np.nan  # final iterate: no direction drawn
+
+    x_bars = np.empty((S, D))
+    traces = []
+    for s in range(S):
+        n = length[s]
+        trace = OptimizerTrace(
+            iterates=iterates[s, :n],
+            objective_values=values[s, :n],
+            gradient_norms=norms[s, :n],
+            steps_taken=np.full(n - 1, alpha),
+            termination=termination[s],
+            offending_point=offending[s],
+        )
+        # the mean over the chain's own contiguous rows, as a single run takes it
+        x_bars[s] = np.mean(trace.iterates[:K], axis=0)
+        traces.append(trace)
+    return x_bars, traces
+
+
 def epsilon_sgd(
     field: ScalarField, config: SgdConfig, kernel: RadialKernel
 ) -> tuple[np.ndarray, OptimizerTrace]:
@@ -311,33 +443,13 @@ def epsilon_sgd(
 
     Starts at the domain center (the scheme's nominal origin mapped into the
     domain).  Each step draws an offset from the kernel, resamples until the
-    partner point lands inside the domain, and moves along ``D`` times the
-    difference quotient.  Returns the average of the first ``K`` iterates and
-    the full trace.
+    partner point lands inside the domain and off the iterate, and moves
+    along ``D`` times the difference quotient.  Returns the average of the
+    first ``K`` iterates and the full trace.  This is
+    :func:`epsilon_sgd_batch` over the one seed ``config.seed``.
     """
-    rng = np.random.default_rng(config.seed)
-    center = field.domain.center
-
-    def direction(k, x):
-        if k == config.K:
-            return np.full(field.dim, np.nan)  # final iterate: no direction drawn
-        for _ in range(_RESAMPLE_CAP):
-            h = kernel.sample(rng)
-            y = x - h
-            if field.domain.contains(y) and float(np.dot(h, h)) > 0.0:
-                return field.dim * difference_quotient(field, x, y)
-        raise RejectionOverflowError(
-            "could not draw a partner point inside the domain; kernel too wide"
-        )
-
-    def escaped(x):
-        if float(np.linalg.norm(x - center)) > 10.0 * config.B:
-            return DIVERGED
-        return None if field.domain.contains(x) else LEFT_DOMAIN
-
-    trace = _descend(field, center, direction, _scheduled(StepSchedule.fixed(config.alpha)),
-                     escaped, config.K, grad_tol=0.0)
-    return np.mean(trace.iterates[: config.K], axis=0), trace
+    x_bars, traces = epsilon_sgd_batch(field, config, kernel, [config.seed])
+    return x_bars[0], traces[0]
 
 
 @dataclass(frozen=True)

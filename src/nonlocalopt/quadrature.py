@@ -18,11 +18,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import NodeBudgetError, NonFiniteIntegrandError
+from .errors import NodeBudgetError
 from .fields import BoxDomain
 
 NODE_BUDGET = 10_000_000
@@ -109,10 +109,6 @@ class QuadratureGrid:
             weights = np.multiply.outer(weights, w).reshape(-1)
         return weights
 
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
 
 @dataclass(frozen=True)
 class PvPolicy:
@@ -125,15 +121,6 @@ class PvPolicy:
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("exclusion radius must be nonnegative")
-
-
-def build_box_grid(domain: BoxDomain, resolution: int, scheme: str = GAUSS) -> QuadratureGrid:
-    """Tensor-product grid with ``resolution`` nodes per axis."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    _check_budget(resolution**domain.dim)
-    axes = [rule_1d(a, b, resolution, scheme) for a, b in zip(domain.lower, domain.upper)]
-    return QuadratureGrid(tuple(axes), scheme, resolution)
 
 
 def build_panel_grid(
@@ -315,24 +302,3 @@ def reach_stencil(kernel, x: np.ndarray, radius: float, domain: Optional[BoxDoma
             return Stencil(kernel, clipped[0] - x, clipped[1] - x, resolution, scheme,
                            pv_epsilon)
     return STENCILS.get(kernel, radius, resolution, scheme, pv_epsilon)
-
-
-def integrate(grid: QuadratureGrid, integrand: Callable) -> float:
-    """Weighted sum of the integrand over the grid nodes.
-
-    Reduction uses numpy's pairwise summation, which is deterministic
-    run-to-run for a fixed grid.
-    """
-    nodes = grid.nodes
-    values = np.asarray(integrand(nodes), dtype=float)
-    if values.shape != (nodes.shape[0],):
-        raise ValueError(
-            f"integrand returned shape {values.shape}, expected ({nodes.shape[0]},)"
-        )
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        where = nodes[np.argmax(bad)]
-        raise NonFiniteIntegrandError(
-            f"integrand is not finite at node {where}", node=where
-        )
-    return float(np.sum(grid.weights * values))

@@ -27,7 +27,7 @@ from .operators import (
 from .optimizers import (
     SgdConfig,
     StepSchedule,
-    epsilon_sgd,
+    epsilon_sgd_batch,
     local_counterpart,
     nlgd_fixed,
     nonlocal_newton,
@@ -152,11 +152,8 @@ def _check_sgd_bound(n: int, settings: dict):
     cfg: SgdConfig = settings["sgd"]
     seeds = int(settings.get("seeds", 50))
     minimum = float(settings.get("minimum_value", 0.0))
-    gaps = []
-    for s in range(seeds):
-        x_bar, _ = epsilon_sgd(field, SgdConfig(cfg.B, cfg.M, cfg.K, cfg.epsilon, seed=s), kernel)
-        gaps.append(field.value(x_bar) - minimum)
-    return float(np.mean(gaps)), None
+    x_bars, _ = epsilon_sgd_batch(field, cfg, kernel, range(seeds))
+    return float(np.mean(np.asarray(field(x_bars), dtype=float) - minimum)), None
 
 
 def _check_newton_floor(n: int, settings: dict):

@@ -24,7 +24,7 @@ from nonlocalopt import (
     default_holder_offsets,
     emit_csv,
     emit_plot_svg,
-    epsilon_sgd,
+    epsilon_sgd_batch,
     find_vanishing_subset_1d,
     gaussian_kernel,
     bump_kernel,
@@ -171,11 +171,9 @@ def test_criterion_6_sgd_gap_bound():
     domain = BoxDomain.interval(-1.0, 1.0)
     field = quadratic_field(domain, center=[0.0])  # |x|^2, min 0
     kernel = gaussian_kernel(1, 32, 0.1)
-    gaps = []
-    for seed in range(400):
-        cfg = SgdConfig(B=1.0, M=2.0, K=100, epsilon=0.02, seed=seed)
-        x_bar, _ = epsilon_sgd(field, cfg, kernel)
-        gaps.append(field.value(x_bar) - 0.0)
+    cfg = SgdConfig(B=1.0, M=2.0, K=100, epsilon=0.02)
+    x_bars, _ = epsilon_sgd_batch(field, cfg, kernel, range(400))
+    gaps = field(x_bars) - 0.0
     mean = float(np.mean(gaps))
     stderr = float(np.std(gaps, ddof=1) / np.sqrt(len(gaps)))
     elapsed = time.perf_counter() - start

@@ -126,6 +126,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, argv, names):
     assert names in err
 
 
+def test_rejected_run_writes_no_resolved_config(tmp_path):
+    rejected, accepted = tmp_path / "rejected", tmp_path / "accepted"
+    assert run_cli(["grad-check", "--out", str(rejected), "--set", "kernel.n=0"]) == 2
+    assert not (rejected / "config.resolved.json").exists()
+    assert not (rejected / "manifest.json").exists()
+    assert run_cli(["grad-check", "--field", "quadratic", "--out", str(accepted)]) == 0
+    manifest = json.loads((accepted / "manifest.json").read_text())
+    assert manifest["outputs"] == ["config.resolved.json", "grad_check.csv", "manifest.json"]
+    assert json.loads((accepted / "config.resolved.json").read_text()) == manifest["config"]
+
+
 def test_module_entry_point_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,11 +1,14 @@
-"""Exact outcomes of one fixed run per optimizer and pulse configuration.
+"""Exact outcomes of one fixed run per optimizer and pulse configuration,
+and of the SGD bound sweep the benchmark runs.
 
-Every run goes through the one iteration driver in ``optimizers``; these
-literals pin its record / stop / step / exit order, so any drift in the
-driver shows up as a changed termination, length, end point or step.  Steps
+Every deterministic run goes through the one iteration driver in
+``optimizers`` and SGD through its lockstep loop; these literals pin their
+record / stop / step / exit order, so any drift shows up as a changed
+termination, length, end point or step.  Steps
 are stored as ``[value, repeat count]`` runs.
 """
 
+import json
 import math
 
 import numpy as np
@@ -26,6 +29,7 @@ from nonlocalopt import (
     run_pulse_experiment,
 )
 from nonlocalopt.catalog import quadratic_field, quartic_field
+from nonlocalopt.cli import run_cli
 
 UNIT = BoxDomain.unit(1)
 SQUARE = BoxDomain.unit(2)
@@ -175,3 +179,16 @@ def test_sgd_run():
     assert x_bar.tolist() == [0.49962646399108807]
     assert math.isnan(trace.gradient_norms[-1])  # no direction is drawn at the last iterate
     assert np.all(np.isfinite(trace.gradient_norms[:-1]))
+
+
+def test_sgd_bound_sweep(tmp_path):
+    """The benchmark's ``sweep --check sgd-bound``: mean gaps of 50 chains per index."""
+    argv = ["sweep", "--check", "sgd-bound", "--out", str(tmp_path),
+            "--set", "domain.dim=1", "--set", "domain.lower=[0.0]", "--set", "domain.upper=[1.0]",
+            "--set", 'kernel.family="gaussian"', "--set", "kernel.base_scale=0.1",
+            "--set", "kernel.n=8", "--set", "check.n_values=[4, 8, 16, 32]",
+            "--set", "check.seeds=50"]
+    assert run_cli(argv) == 0
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    assert summary["errors"] == [1.3766202037162422e-06, 3.4415505092904773e-07,
+                                 8.60387627322652e-08, 2.1509690683064808e-08]

@@ -8,10 +8,8 @@ from nonlocalopt import (
     GRAD_SMOOTHED,
     MOMENT_CONSTANT,
     NESTED,
-    BoxDomain,
     HessianVariant,
     OperatorConfig,
-    bump_kernel,
     gaussian_kernel,
     nonlocal_hessian,
 )

@@ -1,16 +1,24 @@
+import math
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nonlocalopt import (
     BoxDomain,
     OperatorConfig,
+    OptimizerTrace,
+    ScalarField,
     SgdConfig,
+    bump_kernel,
     epsilon_sgd,
+    epsilon_sgd_batch,
     epsilon_subgradient_check,
     gaussian_kernel,
 )
-from nonlocalopt.catalog import constant_field, linear_field, quadratic_field
-from nonlocalopt.optimizers import MAX_ITERS
+from nonlocalopt.catalog import constant_field, linear_field, quadratic_field, quartic_field
+from nonlocalopt.optimizers import DIVERGED, LEFT_DOMAIN, MAX_ITERS
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +77,9 @@ class TestEpsilonSgd:
 
     def test_mean_gap_within_bound_small_run(self, ball_domain):
         f = quadratic_field(ball_domain, center=[0.0])  # min value 0 at 0
-        gaps = []
-        for seed in range(50):
-            cfg = SgdConfig(B=1.0, M=2.0, K=100, epsilon=0.02, seed=seed)
-            x_bar, _ = epsilon_sgd(f, cfg, gaussian_kernel(1, 32))
-            gaps.append(f.value(x_bar))
+        cfg = SgdConfig(B=1.0, M=2.0, K=100, epsilon=0.02)
+        x_bars, _ = epsilon_sgd_batch(f, cfg, gaussian_kernel(1, 32), range(50))
+        gaps = f(x_bars)
         mean = float(np.mean(gaps))
         stderr = float(np.std(gaps, ddof=1) / np.sqrt(len(gaps)))
         assert mean <= 0.2 + 0.02 + 3 * stderr
@@ -105,6 +111,144 @@ class TestTermination:
         wide = gaussian_kernel(1, 1, base_scale=50.0)  # nearly always lands outside
         with pytest.raises(RejectionOverflowError):
             epsilon_sgd(f, SgdConfig(B=1.0, M=2.0, K=5, epsilon=0.01, seed=0), wide)
+
+
+# A drift along +y on a tall box: within 16 steps some chains pass the 10 B
+# divergence radius, some cross a side wall and the rest run to the end.  The
+# callback is elementwise, so a point gets the same value in any batch.
+TALL = BoxDomain((-1.0, -6.0), (1.0, 6.0))
+DRIFT = ScalarField(lambda x: 0.2 * x[..., 0] + x[..., 1], TALL)
+WIDE = gaussian_kernel(1, 1, base_scale=0.6)  # partner points often fall outside (0, 1)
+
+BATCHES = {
+    "mixed-terminations-2d": (DRIFT, SgdConfig(0.3, 0.4, 16, 0.02), gaussian_kernel(2, 4, 0.2),
+                              range(24)),
+    "resampling-gaussian-1d": (quadratic_field(BoxDomain.unit(1)), SgdConfig(1.0, 2.0, 40, 0.02),
+                               WIDE, range(12)),
+    "resampling-bump-2d": (quartic_field(BoxDomain.unit(2)), SgdConfig(1.0, 2.0, 30, 0.02),
+                           bump_kernel(2, 1, base_scale=0.7), [8, 3, 5, 0]),
+}
+
+
+def assert_same_run(got, want):
+    """Bit-for-bit equality of two ``(x_bar, trace)`` pairs, NaNs included."""
+    (x_got, t_got), (x_want, t_want) = got, want
+    pairs = [(x_got, x_want), (t_got.iterates, t_want.iterates),
+             (t_got.objective_values, t_want.objective_values),
+             (t_got.gradient_norms, t_want.gradient_norms),
+             (t_got.steps_taken, t_want.steps_taken)]
+    for a, b in pairs:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert t_got.termination == t_want.termination
+    assert (t_got.offending_point is None) == (t_want.offending_point is None)
+    if t_want.offending_point is not None:
+        assert t_got.offending_point.tobytes() == t_want.offending_point.tobytes()
+
+
+def reference_run(field, cfg, kernel):
+    """A single run point by point: one draw at a time and scalar field values."""
+    rng, center = np.random.default_rng(cfg.seed), field.domain.center
+    x, points, values, norms = center, [], [], []
+    termination, offending = MAX_ITERS, None
+    for k in range(cfg.K + 1):
+        points.append(x)
+        values.append(field.value(x))
+        if k == cfg.K:
+            norms.append(math.nan)
+            break
+        while True:
+            y = x - kernel.sample(rng)
+            if field.domain.contains(y) and float(np.dot(x - y, x - y)) > 0.0:
+                break
+        d = x - y
+        g = field.dim * ((field.value(x) - field.value(y)) / float(np.dot(d, d)) * d)
+        norms.append(float(np.linalg.norm(g)))
+        x = x - cfg.alpha * g
+        if float(np.linalg.norm(x - center)) > 10.0 * cfg.B:
+            termination, offending = DIVERGED, x
+        elif not field.domain.contains(x):
+            termination, offending = LEFT_DOMAIN, x
+        if offending is not None:
+            break
+    trace = OptimizerTrace(np.array(points), np.array(values), np.array(norms),
+                           np.full(len(points) - 1, cfg.alpha), termination, offending)
+    return np.mean(trace.iterates[:cfg.K], axis=0), trace
+
+
+def resampled(kernel, trace, seed, domain):
+    """Whether the chain must have redrawn: one of its first draws has no partner."""
+    steps = len(trace) - 1
+    h = kernel.sample(np.random.default_rng(seed), steps)
+    return not np.all(domain.contains(trace.iterates[:steps] - h))
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_batch_equals_one_seed_runs(self, name):
+        field, cfg, kernel, seeds = BATCHES[name]
+        x_bars, traces = epsilon_sgd_batch(field, cfg, kernel, seeds)
+        assert x_bars.shape == (len(seeds), field.dim) and len(traces) == len(seeds)
+        for s, x_bar, trace in zip(seeds, x_bars, traces):
+            assert_same_run((x_bar, trace), epsilon_sgd(field, replace(cfg, seed=s), kernel))
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_one_seed_run_equals_point_by_point_loop(self, name):
+        field, cfg, kernel, seeds = BATCHES[name]
+        for s in seeds:
+            one = replace(cfg, seed=s)
+            assert_same_run(epsilon_sgd(field, one, kernel), reference_run(field, one, kernel))
+
+    def test_mixed_batch_freezes_each_chain_where_it_stops(self):
+        field, cfg, kernel, seeds = BATCHES["mixed-terminations-2d"]
+        _, traces = epsilon_sgd_batch(field, cfg, kernel, seeds)
+        assert set(Counter(t.termination for t in traces)) == {MAX_ITERS, DIVERGED, LEFT_DOMAIN}
+        for t in traces:
+            if t.termination == MAX_ITERS:
+                assert len(t) == cfg.K + 1 and t.offending_point is None
+            else:
+                assert len(t) <= cfg.K and t.offending_point is not None
+
+    @pytest.mark.parametrize("name", ["resampling-gaussian-1d", "resampling-bump-2d"])
+    def test_batches_include_resampling_chains(self, name):
+        field, cfg, kernel, seeds = BATCHES[name]
+        _, traces = epsilon_sgd_batch(field, cfg, kernel, seeds)
+        assert any(resampled(kernel, t, s, field.domain) for s, t in zip(seeds, traces))
+
+    @pytest.mark.parametrize("kernel", [gaussian_kernel(2, 3), bump_kernel(1, 2), bump_kernel(2, 2)],
+                             ids=["gaussian-2d", "bump-1d", "bump-2d"])
+    def test_sample_size_equals_successive_single_draws(self, kernel):
+        block_rng, single_rng = np.random.default_rng(7), np.random.default_rng(7)
+        block = kernel.sample(block_rng, 17)
+        singles = np.array([kernel.sample(single_rng) for _ in range(17)])
+        assert block.shape == (17, kernel.dim)
+        assert block.tobytes() == singles.tobytes()
+        assert kernel.sample(block_rng).tobytes() == kernel.sample(single_rng).tobytes()
+
+    def test_partner_on_the_iterate_is_redrawn_up_to_the_cap(self, monkeypatch):
+        import nonlocalopt.optimizers as opt_mod
+        from nonlocalopt.errors import RejectionOverflowError
+
+        class Shrunk:
+            """Offsets so small that every partner point rounds onto the iterate."""
+
+            def __init__(self, kernel):
+                self.kernel, self.calls = kernel, 0
+
+            def sample(self, rng, size=None):
+                self.calls += 1
+                return 1e-30 * self.kernel.sample(rng, size)
+
+        monkeypatch.setattr(opt_mod, "_RESAMPLE_CAP", 3)
+        shrunk = Shrunk(gaussian_kernel(1, 8))
+        with pytest.raises(RejectionOverflowError):
+            epsilon_sgd_batch(quadratic_field(BoxDomain.unit(1)), SgdConfig(1.0, 2.0, 1, 0.01),
+                              shrunk, [0, 1])
+        assert shrunk.calls == 2 * 3  # K = 1 draws one offset per call: 3 per chain
+
+    def test_empty_seed_list_rejected(self):
+        f = quadratic_field(BoxDomain.unit(1))
+        with pytest.raises(ValueError):
+            epsilon_sgd_batch(f, SgdConfig(1.0, 2.0, 5, 0.01), gaussian_kernel(1, 8), [])
 
 
 class TestSubgradientCheck:
