@@ -21,15 +21,10 @@ import numpy as np
 
 from . import __version__
 from .catalog import catalog
-from .errors import ConfigError, NodeBudgetError, SingularHessianError
+from .errors import CoincidentPointsError, ConfigError, NodeBudgetError, SingularHessianError
 from .fields import BoxDomain, as_point
 from .kernels import RadialKernel
-from .operators import (
-    HessianVariant,
-    OperatorConfig,
-    nonlocal_gradient,
-    nonlocal_hessian,
-)
+from .operators import FD_NONLOCAL, HessianVariant, OperatorConfig
 from .optimizers import (
     SgdConfig,
     StepSchedule,
@@ -47,7 +42,14 @@ from .pulse import (
 )
 from .quadrature import GAUSS, MIDPOINT, NODE_BUDGET, PvPolicy
 from .reporting import emit_csv, emit_plot_svg
-from .sweeps import REGISTRY, SweepReport, convergence_sweep
+from .sweeps import (
+    REGISTRY,
+    convergence_sweep,
+    diagonal_probes,
+    gradient_errors,
+    hessian_errors,
+    sweep_report,
+)
 
 COMMANDS = ("grad-check", "hess-check", "sweep", "descend", "sgd", "newton", "pulse")
 
@@ -170,6 +172,20 @@ def _count(value, minimum: int = 1) -> int:
     return value
 
 
+def _budgeted(value, minimum: int = 1) -> int:
+    """A count of probes, seeds or iterations: each one costs at least one stored node."""
+    if _count(value, minimum) > NODE_BUDGET:
+        raise ValueError(f"{value} exceeds the node budget {NODE_BUDGET}")
+    return value
+
+
+def _positive(value) -> float:
+    value = float(value)
+    if not 0 < value < np.inf:
+        raise ValueError(f"expected a positive finite number, got {value}")
+    return value
+
+
 def _counts(values) -> list[int]:
     if not isinstance(values, list) or not values:
         raise ValueError(f"expected a nonempty list of integers, got {values!r}")
@@ -238,12 +254,6 @@ def _start(config: dict, key: str, domain: BoxDomain) -> np.ndarray:
     return _get(config, key, build)
 
 
-def _probes(config: dict, domain: BoxDomain, lo: float, hi: float, cap=None) -> np.ndarray:
-    count = _get(config, "check.probes", _count)
-    t = np.linspace(lo, hi, count if cap is None else min(count, cap))
-    return domain.lower_array + (domain.upper_array - domain.lower_array) * t[:, None]
-
-
 def _pulse_runs(config: dict) -> list[PulseRunConfig]:
     def build(p):
         if not isinstance(p["families"], list) or not p["families"]:
@@ -257,7 +267,7 @@ def _pulse_runs(config: dict) -> list[PulseRunConfig]:
                 halving_threshold=float(p["halving_threshold"]),
                 theta0=float(p["theta0"]),
                 theta_star=float(p["theta_star"]),
-                max_iters=_count(p["max_iters"], 0),
+                max_iters=_budgeted(p["max_iters"], 0),
                 pulse_width=float(p["pulse_width"]),
                 signal_grid=_count(p["signal_grid"], 2),
                 resolution=_count(p["resolution"], 2),
@@ -317,19 +327,6 @@ class _Run:
         return exit_code
 
 
-def _report_from_errors(check: str, params, errors, locations=None) -> SweepReport:
-    from .sweeps import monotone_decreasing
-
-    locations = locations or [None] * len(params)
-    return SweepReport(
-        check=check,
-        param_values=tuple(int(p) for p in params),
-        errors=tuple(float(e) for e in errors),
-        locations=tuple(locations),
-        monotone=monotone_decreasing([float(e) for e in errors]),
-    )
-
-
 def _cmd_grad_check(run: _Run) -> int:
     config = run.config
     domain = _domain_from(config)
@@ -337,18 +334,15 @@ def _cmd_grad_check(run: _Run) -> int:
     kernel = _kernel_from(config, domain.dim)
     op = _op_config(config, kernel)
     tol = _get(config, "check.tolerance", float)
-    errors, locations = [], []
-    for p in _probes(config, domain, 0.25, 0.75):
-        err = float(np.linalg.norm(nonlocal_gradient(field, p, op) - field.gradient_at(p)))
-        errors.append(err)
-        locations.append(tuple(p))
-    report = _report_from_errors("grad-check", range(len(errors)), errors, locations)
+    probes = diagonal_probes(domain, _get(config, "check.probes", _budgeted), 0.25, 0.75)
+    report = sweep_report("grad-check", range(len(probes)), gradient_errors(field, probes, op),
+                          map(tuple, probes), tol)
     run.add(emit_csv(report, run.out / "grad_check.csv"))
-    worst = max(errors)
-    run.summary = {"worst_error": worst, "tolerance": tol, "passed": worst <= tol}
+    worst = max(report.errors)
+    run.summary = {"worst_error": worst, "tolerance": tol, "passed": report.within_bound}
     print(f"grad-check: field={field.name} n={kernel.scale_index} "
           f"worst error {worst:.3e} (tolerance {tol:.1e})")
-    return 0 if worst <= tol else 1
+    return 0 if report.within_bound else 1
 
 
 def _cmd_hess_check(run: _Run) -> int:
@@ -365,23 +359,22 @@ def _cmd_hess_check(run: _Run) -> int:
         constant_mode=h["constant_mode"],
     ))
     tol = _get(config, "check.tolerance", float)
-    errors, locations = [], []
-    for p in _probes(config, domain, 0.35, 0.65, cap=10):
-        H = nonlocal_hessian(field, p, variant, op)
-        err = float(np.max(np.abs(H - field.hessian_at(p))))
-        errors.append(err)
-        locations.append(tuple(p))
-    report = _report_from_errors("hess-check", range(len(errors)), errors, locations)
+    count = min(_get(config, "check.probes", _budgeted), 10)
+    probes = diagonal_probes(domain, count, 0.35, 0.65)
+    if variant.kind == FD_NONLOCAL and variant.fd_step >= min(map(domain.boundary_distance, probes)):
+        raise ConfigError("config key 'hessian.fd_step': the difference steps leave the domain")
+    report = sweep_report("hess-check", range(count), hessian_errors(field, probes, variant, op),
+                          map(tuple, probes), tol)
     run.add(emit_csv(report, run.out / "hess_check.csv"))
-    worst = max(errors)
+    worst = max(report.errors)
     run.summary = {
         "variant": variant.kind,
         "worst_error": worst,
         "tolerance": tol,
-        "passed": worst <= tol,
+        "passed": report.within_bound,
     }
     print(f"hess-check: variant={variant.kind} worst error {worst:.3e} (tolerance {tol:.1e})")
-    return 0 if worst <= tol else 1
+    return 0 if report.within_bound else 1
 
 
 def _cmd_sweep(run: _Run) -> int:
@@ -393,9 +386,10 @@ def _cmd_sweep(run: _Run) -> int:
         "domain": domain,
         "kernel": kernel,
         "resolution": _resolution(config, domain.dim),
-        "probes": _get(config, "check.probes", _count),
-        "seeds": _get(config, "check.seeds", _count),
+        "probes": _get(config, "check.probes", _budgeted),
+        "seeds": _get(config, "check.seeds", _budgeted),
         "seed": run.args.seed,
+        "tolerance": _get(config, "check.tolerance", float),
     }
     report = convergence_sweep(name, _get(config, "check.n_values", _counts), settings)
     run.add(emit_csv(report, run.out / f"sweep_{name}.csv"))
@@ -417,7 +411,7 @@ def _run_method(run: _Run, method: str):
     config = run.config
     domain = _domain_from(config)
     field = _field_from(config, domain)
-    max_iters = _get(config, "descend.max_iters", lambda v: _count(v, 0))
+    max_iters = _get(config, "descend.max_iters", lambda v: _budgeted(v, 0))
     grad_tol = _get(config, "descend.grad_tol", float)
     schedule = _get(config, "descend.schedule", lambda s: StepSchedule(
         s["kind"], alpha=float(s["alpha"]), q=float(s["q"]), cap=float(s["cap"])))
@@ -434,7 +428,7 @@ def _run_method(run: _Run, method: str):
         )
     elif method == "esgd":
         sgd_cfg = _get(config, "sgd", lambda s: SgdConfig(
-            B=float(s["B"]), M=float(s["M"]), K=_count(s["K"]),
+            B=float(s["B"]), M=float(s["M"]), K=_budgeted(s["K"]),
             epsilon=float(s["epsilon"]), seed=run.args.seed,
         ))
         x_bar, trace = epsilon_sgd(field, sgd_cfg, kernel)
@@ -448,9 +442,9 @@ def _run_method(run: _Run, method: str):
             field,
             _start(config, "newton.x0", domain),
             _op_config(config, kernel),
-            max_iters=_get(config, "newton.max_iters", lambda v: _count(v, 0)),
+            max_iters=_get(config, "newton.max_iters", lambda v: _budgeted(v, 0)),
             grad_tol=_get(config, "newton.grad_tol", float),
-            beta=_get(config, "newton.beta", float),
+            beta=_get(config, "newton.beta", _positive),
         )
     elif method in ("gd", "gd-ls", "newton"):
         trace = local_counterpart(field, x0, method, schedule, max_iters, grad_tol)
@@ -611,7 +605,7 @@ def run_cli(argv=None) -> int:
         run = _Run(args.command, args, config, raw_argv)
         code = _HANDLERS[args.command](run)
         return run.finish(code)
-    except (ConfigError, NodeBudgetError) as exc:
+    except (ConfigError, NodeBudgetError, CoincidentPointsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,10 +45,10 @@ def bump_profile(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _profile_norm(profile: Callable, dim: int, n_nodes: int = 400) -> float:
-    """Mass of ``profile(|v|)`` over the unit ball in R^dim."""
-    r, w = rule_1d(0.0, 1.0, n_nodes, GAUSS)
-    vals = profile(r) * r ** (dim - 1)
+def _shell_integral(f: Callable, dim: int, lo: float, hi: float, n_nodes: int = 400) -> float:
+    """Integral of ``f(|v|)`` over the shell ``lo < |v| < hi`` in R^dim (Gauss in ``r``)."""
+    r, w = rule_1d(lo, hi, n_nodes, GAUSS)
+    vals = f(r) * r ** (dim - 1)
     return unit_sphere_area(dim) * float(np.sum(w * vals))
 
 
@@ -86,8 +86,8 @@ class RadialKernel:
             raise DimensionMismatchError("kernel dimension must be positive")
         if self.scale_index < 1:
             raise ValueError("scale index must be a positive integer")
-        if self.base_scale <= 0:
-            raise ValueError("base scale must be positive")
+        if not 0 < self.base_scale < math.inf:
+            raise ValueError("base scale must be positive and finite")
         if self.family == CUSTOM:
             if self.profile is None:
                 raise ValueError("custom kernels must supply a radial profile")
@@ -103,11 +103,18 @@ class RadialKernel:
         else:
             peak = 1.0
         prof = self._profile_fn()
-        norm = 1.0 if self.family == GAUSSIAN else _profile_norm(prof, self.dim)
+        norm = 1.0 if self.family == GAUSSIAN else _shell_integral(prof, self.dim, 0.0, 1.0)
         if norm <= 0 or not math.isfinite(norm):
             raise ValueError("profile mass must be positive and finite")
         object.__setattr__(self, "_norm", norm)
         object.__setattr__(self, "_peak", peak * 1.0000001)
+        try:
+            with np.errstate(divide="ignore", over="ignore"):
+                top = float(self.radial_density(0.0))
+        except ArithmeticError:  # the Gaussian's float power raises where numpy gives inf
+            top = math.inf
+        if not top < math.inf:
+            raise ValueError(f"scale {self.scale} is too small for a float64 density")
 
     def _profile_fn(self) -> Callable:
         if self.family == BUMP:
@@ -163,9 +170,7 @@ class RadialKernel:
 
     def mass(self, n_nodes: int = 400) -> float:
         """Total mass by radial quadrature; 1 up to quadrature error."""
-        r, w = rule_1d(0.0, self.full_radius, n_nodes, GAUSS)
-        vals = self.radial_density(r) * r ** (self.dim - 1)
-        return unit_sphere_area(self.dim) * float(np.sum(w * vals))
+        return _shell_integral(self.radial_density, self.dim, 0.0, self.full_radius, n_nodes)
 
     def tail_mass(self, delta: float, n_nodes: int = 400) -> float:
         """Mass outside the centered ball of radius ``delta``."""
@@ -174,9 +179,7 @@ class RadialKernel:
         hi = self.full_radius
         if delta >= hi:
             return 0.0
-        r, w = rule_1d(delta, hi, n_nodes, GAUSS)
-        vals = self.radial_density(r) * r ** (self.dim - 1)
-        return unit_sphere_area(self.dim) * float(np.sum(w * vals))
+        return _shell_integral(self.radial_density, self.dim, delta, hi, n_nodes)
 
     # -- sampling --------------------------------------------------------------
 
@@ -245,16 +248,6 @@ def gaussian_kernel(dim: int, n: int, base_scale: float = 0.1) -> RadialKernel:
 
 def bump_kernel(dim: int, n: int, base_scale: float = 0.2) -> RadialKernel:
     return RadialKernel(BUMP, dim, n, base_scale)
-
-
-def kernel_from_config(dim: int, spec: dict) -> RadialKernel:
-    """Build a kernel from the JSON config block ``{family, base_scale, n}``."""
-    return RadialKernel(
-        family=spec.get("family", GAUSSIAN),
-        dim=dim,
-        scale_index=int(spec.get("n", 1)),
-        base_scale=float(spec.get("base_scale", 0.1)),
-    )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ second-difference form) is the workhorse for Newton iterations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -231,6 +232,10 @@ class HessianVariant:
             raise ValueError("nested hessian needs the outer scale index m")
         if self.constant_mode not in (MOMENT_CONSTANT, ALTERNATE_CONSTANT):
             raise ValueError(f"unknown constant mode {self.constant_mode!r}")
+        if self.kind == FD_NONLOCAL and self.fd_step is None:
+            raise MissingDerivativeError("fd-nonlocal hessian needs an fd_step")
+        if self.fd_step is not None and not 0 < self.fd_step < math.inf:
+            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
 
 
 def _classical_gradient(field: ScalarField, pts: np.ndarray, step: float) -> np.ndarray:
@@ -258,8 +263,6 @@ def nonlocal_hessian(
         return _central_hessian(field, x, kernel_n, config, variant.constant_mode)
 
     if variant.kind == FD_NONLOCAL:
-        if not variant.fd_step or variant.fd_step <= 0:
-            raise MissingDerivativeError("fd-nonlocal hessian needs a positive fd_step")
         h = variant.fd_step
         H = np.empty((D, D))
         for j in range(D):
@@ -271,7 +274,7 @@ def nonlocal_hessian(
         return H
 
     if variant.kind == GRAD_SMOOTHED:
-        if field.gradient is None and (not variant.fd_step or variant.fd_step <= 0):
+        if field.gradient is None and variant.fd_step is None:
             raise MissingDerivativeError(
                 "grad-smoothed hessian needs an analytic gradient or a declared fd step"
             )

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import RejectionOverflowError, SingularHessianError
+from .errors import NodeBudgetError, RejectionOverflowError, SingularHessianError
 from .fields import ScalarField, as_point
 from .kernels import RadialKernel
 from .operators import (
@@ -25,6 +25,8 @@ from .operators import (
     nonlocal_gradient,
     nonlocal_hessian,
 )
+from .oracles import central_gradient, central_hessian, golden_section
+from .quadrature import NODE_BUDGET
 
 MAX_ITERS = "max-iters"
 GRAD_TOL = "grad-tol"
@@ -205,25 +207,6 @@ def nlgd_fixed(
                     _confined(field), max_iters, grad_tol)
 
 
-def _golden_section(phi, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section minimum of ``phi`` on ``[a, b]``; returns (alpha, value)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = phi(c), phi(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = phi(d)
-    alpha = c if fc <= fd else d
-    return alpha, min(fc, fd)
-
-
 def _line_search(field: ScalarField, x: np.ndarray, g: np.ndarray, cap: float) -> float:
     """Grid-seeded golden-section argmin of ``u(x - alpha g)`` over ``[0, cap]``.
 
@@ -250,7 +233,7 @@ def _line_search(field: ScalarField, x: np.ndarray, g: np.ndarray, cap: float) -
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
     phi = lambda t: field.value(x - t * g)
-    refined, refined_val = _golden_section(phi, a, b)
+    refined, refined_val = golden_section(phi, a, b, 1e-8)
     if refined_val < values[best] or (
         refined_val == values[best] and refined < grid[best]
     ):
@@ -287,8 +270,14 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.B, self.M, self.epsilon) <= 0 or self.K <= 0:
-            raise ValueError("B, M, K, epsilon must all be positive")
+        if not (self.K > 0 and all(0 < v < math.inf for v in (self.B, self.M, self.epsilon))):
+            raise ValueError("B, M, K, epsilon must all be positive and finite")
+        try:
+            alpha = self.alpha
+        except ArithmeticError:  # B**2 overflows or M**2 * K underflows to 0
+            alpha = math.nan
+        if not 0 < alpha < math.inf:
+            raise ValueError("the step sqrt(B^2 / (M^2 K)) is not a positive float")
 
     @property
     def alpha(self) -> float:
@@ -333,12 +322,17 @@ def epsilon_sgd_batch(
     chain ``s`` does not depend on the other chains, as long as the field
     callback gives a point the same value in any batch (elementwise
     callbacks do; a matrix product such as ``x @ a`` may round differently).
-    Returns the ``(S, D)`` averages and one trace per seed.
+    Returns the ``(S, D)`` averages and one trace per seed.  ``seeds`` is a
+    sized sequence; a batch whose traces would hold more than ``NODE_BUDGET``
+    coordinates raises ``NodeBudgetError`` before anything is allocated.
     """
+    S, D, K, alpha = len(seeds), field.dim, config.K, config.alpha
+    if S * (K + 1) * D > NODE_BUDGET:
+        raise NodeBudgetError(f"{S} chains of {K} steps in {D}-D would store "
+                              f"{S * (K + 1) * D} coordinates, budget is {NODE_BUDGET}")
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
-    S, D, K, alpha = len(seeds), field.dim, config.K, config.alpha
     center = field.domain.center
     lo, hi = field.domain.lower_array, field.domain.upper_array
     radius = 10.0 * config.B  # divergence guard around the start
@@ -515,6 +509,8 @@ def nonlocal_newton(
     increase, which guards descent but stalls short of that point.  Steps
     that would exit the domain are halved in either mode.
     """
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     variant = HessianVariant(CENTRAL, n=config.kernel.scale_index, constant_mode=constant_mode)
 
     def step(k, x, g, value):
@@ -538,35 +534,6 @@ def nonlocal_newton(
                     max_iters, grad_tol)
 
 
-def _fd_gradient_local(field: ScalarField, x: np.ndarray) -> np.ndarray:
-    step = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-    g = np.empty(field.dim)
-    for j in range(field.dim):
-        e = np.zeros(field.dim)
-        e[j] = step
-        g[j] = (field.value(x + e) - field.value(x - e)) / (2.0 * step)
-    return g
-
-
-def _fd_hessian_local(field: ScalarField, x: np.ndarray) -> np.ndarray:
-    step = 1e-4 * (1.0 + float(np.linalg.norm(x)))
-    D = field.dim
-    H = np.empty((D, D))
-    for i in range(D):
-        for j in range(D):
-            ei = np.zeros(D)
-            ej = np.zeros(D)
-            ei[i] = step
-            ej[j] = step
-            H[i, j] = (
-                field.value(x + ei + ej)
-                - field.value(x + ei - ej)
-                - field.value(x - ei + ej)
-                + field.value(x - ei - ej)
-            ) / (4.0 * step * step)
-    return 0.5 * (H + H.T)
-
-
 def local_counterpart(
     field: ScalarField,
     x0,
@@ -585,8 +552,11 @@ def local_counterpart(
     if method not in ("gd", "gd-ls", "newton"):
         raise ValueError(f"unknown local method {method!r}")
     x_start = as_point(x0, field.dim)
-    grad = field.gradient_at if field.gradient is not None else lambda p: _fd_gradient_local(field, p)
-    hess = field.hessian_at if field.hessian is not None else lambda p: _fd_hessian_local(field, p)
+    # central differences with steps relative to |x|, unconfined like the run
+    grad = field.gradient_at if field.gradient is not None else (
+        lambda p: central_gradient(field, p, 1e-5 * (1.0 + float(np.linalg.norm(p)))))
+    hess = field.hessian_at if field.hessian is not None else (
+        lambda p: central_hessian(field, p, 1e-4 * (1.0 + float(np.linalg.norm(p)))))
 
     def newton_step(k, x, g, value):
         H = np.asarray(hess(x), dtype=float)

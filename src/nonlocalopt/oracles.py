@@ -1,11 +1,15 @@
-"""Independent oracles: finite differences, Monte-Carlo integrals, grid argmin.
+"""Independent oracles: finite differences, golden-section search, Monte-Carlo
+integrals, grid argmin.
 
-These deliberately share no code with the operators they validate; every
-dual-route check in the test suite keeps one side here.
+These deliberately share no code with the kernel operators they validate;
+every dual-route check in the test suite keeps one side here.  The classical
+twins in ``optimizers`` reuse the central differences and the golden-section
+search below.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +20,8 @@ from .kernels import RadialKernel
 from .quadrature import NODE_BUDGET
 
 
-def fd_gradient(field: ScalarField, x, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient; needs an interior margin of ``step``."""
-    x = as_point(x, field.dim)
-    if field.domain.boundary_distance(x) < step:
-        raise ValueError(f"point {x} is within {step} of the boundary")
+def central_gradient(field: ScalarField, x: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference gradient at ``x``; evaluates ``x +- step`` unchecked."""
     g = np.empty(field.dim)
     for j in range(field.dim):
         e = np.zeros(field.dim)
@@ -29,11 +30,8 @@ def fd_gradient(field: ScalarField, x, step: float = 1e-5) -> np.ndarray:
     return g
 
 
-def fd_hessian(field: ScalarField, x, step: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian (symmetrized four-point stencil)."""
-    x = as_point(x, field.dim)
-    if field.domain.boundary_distance(x) < 2 * step:
-        raise ValueError(f"point {x} is within {2 * step} of the boundary")
+def central_hessian(field: ScalarField, x: np.ndarray, step: float) -> np.ndarray:
+    """Symmetrized four-point central-difference Hessian; reaches ``2 step`` unchecked."""
     D = field.dim
     H = np.empty((D, D))
     for i in range(D):
@@ -49,6 +47,43 @@ def fd_hessian(field: ScalarField, x, step: float = 1e-4) -> np.ndarray:
                 + field.value(x - ei - ej)
             ) / (4.0 * step * step)
     return 0.5 * (H + H.T)
+
+
+def fd_gradient(field: ScalarField, x, step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient; needs an interior margin of ``step``."""
+    x = as_point(x, field.dim)
+    if field.domain.boundary_distance(x) < step:
+        raise ValueError(f"point {x} is within {step} of the boundary")
+    return central_gradient(field, x, step)
+
+
+def fd_hessian(field: ScalarField, x, step: float = 1e-4) -> np.ndarray:
+    """Central-difference Hessian; needs an interior margin of ``2 step``."""
+    x = as_point(x, field.dim)
+    if field.domain.boundary_distance(x) < 2 * step:
+        raise ValueError(f"point {x} is within {2 * step} of the boundary")
+    return central_hessian(field, x, step)
+
+
+def golden_section(phi, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimum of ``phi`` on ``[a, b]``, narrowed below ``tol``.
+
+    Returns ``(argmin, value)``; ties keep the left point.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = phi(c), phi(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = phi(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = phi(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 @dataclass(frozen=True)
@@ -108,7 +143,6 @@ def brute_force_min(
     x = pts[best].copy()
     spacing = np.array([ax[1] - ax[0] if ax.size > 1 else 0.0 for ax in axes])
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
     for _ in range(3):  # coordinate-descent sweeps within the winning cell
         for j in range(domain.dim):
             if spacing[j] == 0.0:
@@ -121,19 +155,7 @@ def brute_force_min(
                 p[j] = t
                 return field.value(p)
 
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            fc, fd = phi(c), phi(d)
-            while b - a > 1e-10:
-                if fc <= fd:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    fc = phi(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    fd = phi(d)
-            cand = c if fc <= fd else d
-            if phi(cand) <= field.value(x):
+            cand, value = golden_section(phi, a, b, 1e-10)
+            if value <= field.value(x):
                 x[j] = cand
     return x, field.value(x)

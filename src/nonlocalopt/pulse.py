@@ -151,6 +151,8 @@ class PulseRunConfig:
             raise ValueError("learning rate must lie in (0, 1]")
         if self.halving_threshold <= 1.0:
             raise ValueError("halving threshold must exceed 1")
+        if np.isnan(self.theta0):
+            raise ValueError("theta0 must be a number")
         self.kernel()  # a bad family, scale index or base scale raises here
         self.manifold()  # and so does a bad pulse geometry
 

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import NodeBudgetError
+from .errors import CoincidentPointsError, NodeBudgetError
 from .fields import BoxDomain
 
 NODE_BUDGET = 10_000_000
@@ -286,18 +286,19 @@ STENCILS = StencilCache()
 
 def reach_stencil(kernel, x: np.ndarray, radius: float, domain: Optional[BoxDomain],
                   resolution: int, scheme: str = GAUSS,
-                  pv_epsilon: float = 0.0) -> Optional[Stencil]:
+                  pv_epsilon: float = 0.0) -> Stencil:
     """Stencil over the box of half-width ``radius`` around ``x``.
 
-    The box is clipped to ``domain`` (never, for ``None``); ``None`` is
-    returned when nothing is left.  An unclipped box comes from ``STENCILS``;
-    a clipped one is built for this call.
+    The box is clipped to ``domain`` (never, for ``None``), which must hold
+    ``x``.  An unclipped box comes from ``STENCILS``; a clipped one is built
+    for this call.  A ``radius`` below the float spacing at ``x`` raises
+    ``CoincidentPointsError``: every node would coincide with ``x``.
     """
     lo, hi = x - radius, x + radius
+    if not np.all((lo < x) & (x < hi)):
+        raise CoincidentPointsError(f"kernel reach {radius} is below the float spacing at {x}")
     if domain is not None:
         clipped = domain.clip_box(lo, hi)
-        if clipped is None:
-            return None
         if not (np.array_equal(clipped[0], lo) and np.array_equal(clipped[1], hi)):
             return Stencil(kernel, clipped[0] - x, clipped[1] - x, resolution, scheme,
                            pv_epsilon)

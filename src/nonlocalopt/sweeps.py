@@ -64,14 +64,32 @@ class SweepReport:
             yield p, e, loc
 
 
-def _probes(settings: dict, default_lo=0.2, default_hi=0.8) -> np.ndarray:
-    field: ScalarField = settings["field"]
-    count = int(settings.get("probes", 50))
-    lo = field.domain.lower_array
-    hi = field.domain.upper_array
-    span = hi - lo
-    t = np.linspace(default_lo, default_hi, count)
-    return lo + span * t[:, None]
+def sweep_report(check: str, params, errors, locations,
+                 bound: Optional[float] = None) -> SweepReport:
+    """``errors`` over ``params`` with the monotonicity verdict, judged against ``bound``."""
+    errors = tuple(float(e) for e in errors)
+    return SweepReport(check, tuple(int(p) for p in params), errors, tuple(locations),
+                       monotone_decreasing(errors), bound,
+                       None if bound is None else all(e <= bound for e in errors))
+
+
+def diagonal_probes(domain: BoxDomain, count: int, lo: float, hi: float) -> np.ndarray:
+    """``count`` points from fraction ``lo`` to ``hi`` of the way along the box diagonal."""
+    t = np.linspace(lo, hi, count)
+    return domain.lower_array + (domain.upper_array - domain.lower_array) * t[:, None]
+
+
+def gradient_errors(field: ScalarField, probes: np.ndarray, config: OperatorConfig) -> np.ndarray:
+    """Norm of kernel gradient minus analytic gradient at each probe."""
+    return np.array([np.linalg.norm(nonlocal_gradient(field, p, config) - field.gradient_at(p))
+                     for p in probes])
+
+
+def hessian_errors(field: ScalarField, probes: np.ndarray, variant: HessianVariant,
+                   config: OperatorConfig) -> np.ndarray:
+    """Largest entry of ``|kernel Hessian - analytic Hessian|`` at each probe."""
+    return np.array([np.max(np.abs(nonlocal_hessian(field, p, variant, config)
+                                   - field.hessian_at(p))) for p in probes])
 
 
 def _config_for(settings: dict, n: int) -> OperatorConfig:
@@ -82,32 +100,25 @@ def _config_for(settings: dict, n: int) -> OperatorConfig:
     )
 
 
+def _probes(settings: dict, lo: float, hi: float) -> np.ndarray:
+    return diagonal_probes(settings["field"].domain, int(settings.get("probes", 50)), lo, hi)
+
+
+def _worst(errors: np.ndarray, probes: np.ndarray):
+    i = int(np.argmax(errors))
+    return float(errors[i]), tuple(probes[i])
+
+
 def _check_gradient_localization(n: int, settings: dict):
-    field: ScalarField = settings["field"]
-    config = _config_for(settings, n)
-    probes = _probes(settings)
-    worst, where = -1.0, None
-    for p in probes:
-        err = float(
-            np.linalg.norm(nonlocal_gradient(field, p, config) - field.gradient_at(p))
-        )
-        if err > worst:
-            worst, where = err, tuple(p)
-    return worst, where
+    probes = _probes(settings, 0.2, 0.8)
+    return _worst(gradient_errors(settings["field"], probes, _config_for(settings, n)), probes)
 
 
 def _check_hessian_localization(n: int, settings: dict):
-    field: ScalarField = settings["field"]
-    config = _config_for(settings, n)
     probes = _probes(settings, 0.4, 0.6)
     variant = HessianVariant(CENTRAL, n=n)
-    worst, where = -1.0, None
-    for p in probes:
-        H = nonlocal_hessian(field, p, variant, config)
-        err = float(np.max(np.abs(H - field.hessian_at(p))))
-        if err > worst:
-            worst, where = err, tuple(p)
-    return worst, where
+    return _worst(hessian_errors(settings["field"], probes, variant, _config_for(settings, n)),
+                  probes)
 
 
 def _check_taylor_remainder(n: int, settings: dict):
@@ -234,23 +245,9 @@ def convergence_sweep(
     fn = REGISTRY[check]
     n_values = [int(n) for n in n_values]
     results = [fn(n, settings) for n in n_values]
-    errors = tuple(float(r[0]) for r in results)
-    locations = tuple(r[1] for r in results)
     bound = None
-    within = None
     if check == "sgd-bound":
-        cfg: SgdConfig = settings["sgd"]
-        bound = cfg.gap_bound
-        within = all(e <= bound for e in errors)
+        bound = settings["sgd"].gap_bound
     if check == "moment-c":
         bound = float(settings.get("tolerance", 1e-6))
-        within = all(e <= bound for e in errors)
-    return SweepReport(
-        check=check,
-        param_values=tuple(n_values),
-        errors=errors,
-        locations=locations,
-        monotone=monotone_decreasing(errors),
-        bound=bound,
-        within_bound=within,
-    )
+    return sweep_report(check, n_values, [r[0] for r in results], [r[1] for r in results], bound)

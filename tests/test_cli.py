@@ -5,10 +5,29 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nonlocalopt.cli import DEFAULTS, load_config, run_cli
 from nonlocalopt.errors import ConfigError
 from nonlocalopt.reporting import read_trace_csv
+
+# Runs the CLI under a 1 GiB address-space cap, so that a run that tries a
+# huge allocation fails fast instead of exhausting the machine's memory.
+_CAPPED = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+    "from nonlocalopt.cli import run_cli\n"
+    "sys.exit(run_cli(sys.argv[1:]))\n"
+)
+
+
+def _run_capped(argv, out, timeout=120):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED, *argv, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=timeout,
+    )
 
 
 class TestLoadConfig:
@@ -115,6 +134,12 @@ MALFORMED = [
     (["sweep", "--set", "check.n_values=[]"], "'check.n_values'"),
     (["sweep", "--set", "check=5"], "'check.name'"),
     (["descend", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    (["grad-check", "--set", 'kernel.base_scale="nan"'], "'kernel'"),
+    (["grad-check", "--set", 'kernel.base_scale="inf"'], "'kernel'"),
+    (["hess-check", "--set", 'hessian.variant="fd-nonlocal"', "--set", "hessian.fd_step=0"],
+     "'hessian'"),
+    (["hess-check", "--set", 'hessian.variant="fd-nonlocal"', "--set", "hessian.fd_step=-1"],
+     "'hessian'"),
 ]
 
 
@@ -124,6 +149,92 @@ def test_malformed_config_exits_2(tmp_path, capsys, argv, names):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert names in err
+
+
+# Counts whose arrays would not fit in memory; each is rejected before allocating.
+HUGE_COUNTS = [
+    (["sgd", "--set", "sgd.K=10000000000"], "'sgd'"),
+    (["grad-check", "--set", "check.probes=100000000000"], "'check.probes'"),
+    (["sweep", "--check", "sgd-bound", "--set", "check.seeds=100000000000"], "'check.seeds'"),
+    (["sweep", "--check", "sgd-bound", "--set", "check.seeds=1000000"], "budget"),
+]
+
+
+@pytest.mark.parametrize("argv,names", HUGE_COUNTS, ids=[" ".join(a) for a, _ in HUGE_COUNTS])
+def test_huge_count_exits_2_before_allocating(tmp_path, argv, names):
+    proc = _run_capped(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert names in proc.stderr
+
+
+def test_moment_sweep_reads_the_tolerance(tmp_path):
+    argv = ["sweep", "--check", "moment-c", "--set", "check.n_values=[4,8]"]
+    assert run_cli(argv + ["--out", str(tmp_path / "loose")]) == 0
+    assert run_cli(argv + ["--out", str(tmp_path / "tight"), "--set", "check.tolerance=1e-30"]) == 1
+    summary = json.loads((tmp_path / "tight" / "manifest.json").read_text())["summary"]
+    assert summary["within_bound"] is False and max(summary["errors"]) > 1e-30
+
+
+SHORT_PULSE = ("--set", 'pulse.families=["gaussian"]', "--set", "pulse.n_values=[1]",
+               "--set", "pulse.max_iters=20")
+FD_NONLOCAL = ("--set", 'hessian.variant="fd-nonlocal"')
+# (command, fixed arguments, the key that gets a hostile value)
+FUZZ_CASES = [
+    ("grad-check", (), "kernel.base_scale"),
+    ("grad-check", (), "kernel.n"),
+    ("grad-check", ("--set", 'kernel.family="bump"'), "kernel.base_scale"),
+    ("grad-check", (), "quadrature.resolution"),
+    ("grad-check", (), "quadrature.pv_epsilon"),
+    ("grad-check", (), "check.probes"),
+    ("grad-check", (), "check.tolerance"),
+    ("hess-check", (), "hessian.variant"),
+    ("hess-check", FD_NONLOCAL, "hessian.fd_step"),
+    ("sweep", ("--check", "sgd-bound"), "check.seeds"),
+    ("sweep", ("--check", "moment-c"), "check.tolerance"),
+    ("sweep", (), "check.n_values"),
+    ("sgd", (), "sgd.K"),
+    ("sgd", (), "sgd.B"),
+    ("sgd", (), "sgd.M"),
+    ("descend", (), "descend.max_iters"),
+    ("descend", (), "descend.x0"),
+    ("descend", (), "descend.schedule.alpha"),
+    ("descend", ("--set", 'descend.method="nlgd-ls"'), "descend.schedule.cap"),
+    ("newton", (), "newton.beta"),
+    ("newton", (), "newton.max_iters"),
+    ("newton", (), "newton.x0"),
+    ("pulse", SHORT_PULSE, "pulse.alpha"),
+    ("pulse", SHORT_PULSE, "pulse.theta0"),
+    ("pulse", SHORT_PULSE, "pulse.max_iters"),
+    ("pulse", SHORT_PULSE, "pulse.gaussian_base_scale"),
+]
+HOSTILE = ["NaN", "Infinity", "-Infinity", "-1", "0", "1e-300", str(10**12),
+           '"x"', "null", "[]", "{}", "true"]
+
+
+def _case(command, key):
+    return next(c for c in FUZZ_CASES if c[0] == command and c[2] == key)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(HOSTILE))
+@example(case=_case("grad-check", "kernel.base_scale"), value="NaN")
+@example(case=_case("grad-check", "kernel.base_scale"), value="1e-300")
+@example(case=_case("hess-check", "hessian.fd_step"), value="0")
+@example(case=_case("hess-check", "hessian.fd_step"), value=str(10**12))
+@example(case=_case("sgd", "sgd.K"), value=str(10**12))
+@example(case=_case("sgd", "sgd.M"), value="1e-300")
+@example(case=_case("grad-check", "check.probes"), value=str(10**12))
+@example(case=_case("sweep", "check.seeds"), value=str(10**12))
+@example(case=_case("newton", "newton.beta"), value="Infinity")
+@example(case=_case("pulse", "pulse.theta0"), value="NaN")
+@example(case=_case("pulse", "pulse.max_iters"), value=str(10**12))
+def test_hostile_value_never_crashes(tmp_path_factory, case, value):
+    command, fixed, key = case
+    out = tmp_path_factory.mktemp("fuzz")
+    proc = _run_capped([command, *fixed, "--set", f"{key}={value}"], out, timeout=60)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_rejected_run_writes_no_resolved_config(tmp_path):
@@ -250,23 +361,8 @@ class TestRunsAndArtifacts:
         assert code == 2
 
     def test_huge_resolution_exits_2_before_allocating(self, tmp_path):
-        # Runs under a 1 GiB address-space cap, so that code building the
-        # 50000-node Gauss rule (an 18.6 GiB matrix) fails fast here instead
-        # of exhausting the machine's memory.
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-            "from nonlocalopt.cli import run_cli\n"
-            "sys.exit(run_cli(sys.argv[1:]))\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "grad-check", "--out", str(tmp_path),
-             "--set", "quadrature.resolution=100000"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        # a 50000-node Gauss rule would be an 18.6 GiB matrix
+        proc = _run_capped(["grad-check", "--set", "quadrature.resolution=100000"], tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")

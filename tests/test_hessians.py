@@ -75,6 +75,13 @@ class TestZeroAndSymmetry:
             )
 
 
+    @pytest.mark.parametrize("kind", [FD_NONLOCAL, GRAD_SMOOTHED, CENTRAL])
+    @pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf])
+    def test_fd_step_checked_on_construction(self, kind, step):
+        with pytest.raises(ValueError, match="fd_step"):
+            HessianVariant(kind, n=8, fd_step=step)
+
+
 class TestQuadraticExactness:
     def test_central_moment_constant_1d(self, unit_interval):
         a = 0.7

@@ -119,6 +119,14 @@ class TestSampling:
         emp = float(np.mean(np.linalg.norm(samples, axis=1) > delta))
         assert abs(emp - p) <= 3.0 * math.sqrt(p * (1 - p) / 100_000)
 
+    @pytest.mark.parametrize("family,dim,base_scale", [
+        ("gaussian", 1, math.nan), ("gaussian", 1, math.inf), ("gaussian", 1, 1e-300),
+        ("bump", 2, 1e-300),
+    ])
+    def test_unrepresentable_base_scale_rejected(self, family, dim, base_scale):
+        with pytest.raises(ValueError, match="base scale|too small"):
+            RadialKernel(family, dim, 8, base_scale)
+
     def test_custom_profile_validation(self):
         with pytest.raises(ValueError):
             RadialKernel("custom", 1, 1, 0.2, profile=lambda v: v - 0.5)  # negative
@@ -143,13 +151,6 @@ class TestSampling:
         monkeypatch.setattr(kernels_mod, "_MAX_SAMPLE_ATTEMPTS", 5)
         with pytest.raises(RejectionOverflowError):
             spiky.sample(np.random.default_rng(0))
-
-    def test_kernel_from_config_block(self):
-        from nonlocalopt.kernels import kernel_from_config
-
-        k = kernel_from_config(2, {"family": "bump", "base_scale": 0.3, "n": 4})
-        assert k.family == "bump"
-        assert k.scale == pytest.approx(0.075)
 
 
 class TestMoments:

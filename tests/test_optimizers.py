@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,14 @@ class TestNewton:
                 f, [0.4], cfg(gaussian_kernel(1, 8), 128), max_iters=3, grad_tol=0.0
             )
         assert err.value.iteration == 0
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+    def test_step_factor_must_be_positive_and_finite(self, unit_interval, beta):
+        # an infinite beta used to halve forever; the large grad_tol stops any
+        # run before its first step, so only the check can raise here
+        f = quadratic_field(unit_interval)
+        with pytest.raises(ValueError, match="beta"):
+            nonlocal_newton(f, [0.4], cfg(gaussian_kernel(1, 8), 128), beta=beta, grad_tol=1e9)
 
 
 class TestLocalCounterpart:

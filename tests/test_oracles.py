@@ -12,7 +12,13 @@ from nonlocalopt import (
 )
 from nonlocalopt.catalog import linear_field, quadratic_field, sin_field
 from nonlocalopt.errors import UnknownCheckError
-from nonlocalopt.oracles import brute_force_min, fd_gradient, fd_hessian, mc_nonlocal_gradient
+from nonlocalopt.oracles import (
+    brute_force_min,
+    fd_gradient,
+    fd_hessian,
+    golden_section,
+    mc_nonlocal_gradient,
+)
 from nonlocalopt.pulse import PulseManifold
 
 
@@ -115,6 +121,26 @@ class TestBruteForce:
         for name, target in expected.items():
             x, _ = brute_force_min(fields_1d[name], unit_interval, resolution=resolution)
             assert abs(x[0] - target) <= 1.5 / resolution, name
+
+
+class TestGoldenSection:
+    def test_quadratic_minimum(self):
+        t, value = golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0, 1e-10)
+        assert t == pytest.approx(0.3, abs=1e-9)
+        assert value == (t - 0.3) ** 2
+
+    def test_ties_keep_the_left_point(self):
+        # on a flat function every comparison ties: the bracket closes on the
+        # left end, and the last two points evaluated are the final pair
+        seen = []
+
+        def flat(t):
+            seen.append(t)
+            return 1.0
+
+        t, value = golden_section(flat, 0.0, 1.0, 1e-6)
+        assert value == 1.0
+        assert t == min(seen[-2:]) < 1e-6
 
 
 class TestConvergenceSweep:

@@ -140,6 +140,8 @@ class TestRunExperiment:
             PulseRunConfig(alpha=1.5)
         with pytest.raises(ValueError):
             PulseRunConfig(halving_threshold=0.9)
+        with pytest.raises(ValueError):
+            PulseRunConfig(theta0=math.nan)
 
     def test_trace_alpha_column_halvings(self):
         trace, summary = run_pulse_experiment(PulseRunConfig(family="gaussian", n=3))

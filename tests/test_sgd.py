@@ -18,6 +18,7 @@ from nonlocalopt import (
     gaussian_kernel,
 )
 from nonlocalopt.catalog import constant_field, linear_field, quadratic_field, quartic_field
+from nonlocalopt.errors import NodeBudgetError
 from nonlocalopt.optimizers import DIVERGED, LEFT_DOMAIN, MAX_ITERS
 
 
@@ -46,6 +47,11 @@ class TestSgdConfig:
     def test_positivity_validation(self):
         with pytest.raises(ValueError):
             SgdConfig(B=0.0, M=1.0, K=10, epsilon=0.01)
+
+    @pytest.mark.parametrize("B,M", [(math.nan, 1.0), (math.inf, 1.0), (1.0, 1e-300), (1e200, 1.0)])
+    def test_unrepresentable_step_rejected(self, B, M):
+        with pytest.raises(ValueError):
+            SgdConfig(B=B, M=M, K=10, epsilon=0.01)
 
 
 class TestEpsilonSgd:
@@ -244,6 +250,27 @@ class TestLockstep:
             epsilon_sgd_batch(quadratic_field(BoxDomain.unit(1)), SgdConfig(1.0, 2.0, 1, 0.01),
                               shrunk, [0, 1])
         assert shrunk.calls == 2 * 3  # K = 1 draws one offset per call: 3 per chain
+
+    def test_batch_checks_node_budget_before_allocating(self, monkeypatch):
+        import nonlocalopt.optimizers as opt_mod
+
+        monkeypatch.setattr(opt_mod, "NODE_BUDGET", 2 * 9 * 11)
+        f = quadratic_field(BoxDomain.unit(2))
+        cfg = SgdConfig(1.0, 2.0, 10, 0.01)
+        x_bars, _ = epsilon_sgd_batch(f, cfg, gaussian_kernel(2, 8), range(9))
+        assert x_bars.shape == (9, 2)
+        with pytest.raises(NodeBudgetError):
+            epsilon_sgd_batch(f, cfg, gaussian_kernel(2, 8), range(10))
+
+        class Unlisted:  # ten seeds that must not be listed before the check
+            def __len__(self):
+                return 10
+
+            def __iter__(self):
+                raise AssertionError("seeds listed before the budget check")
+
+        with pytest.raises(NodeBudgetError):
+            epsilon_sgd_batch(f, cfg, gaussian_kernel(2, 8), Unlisted())
 
     def test_empty_seed_list_rejected(self):
         f = quadratic_field(BoxDomain.unit(1))

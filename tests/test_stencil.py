@@ -14,6 +14,7 @@ from nonlocalopt import (
     ScalarField,
     SubsetIndicator,
     build_panel_grid,
+    bump_kernel,
     directional_second_moment,
     gaussian_kernel,
     nonlocal_gradient,
@@ -22,7 +23,7 @@ from nonlocalopt import (
 )
 from nonlocalopt import quadrature
 from nonlocalopt.catalog import sin_field
-from nonlocalopt.errors import NodeBudgetError
+from nonlocalopt.errors import CoincidentPointsError, NodeBudgetError
 from nonlocalopt.fields import zero_extension
 from nonlocalopt.operators import CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED
 from nonlocalopt.quadrature import BLOCK_NODES, PvPolicy, Stencil, StencilCache, rule_1d
@@ -319,6 +320,19 @@ def test_hessians_raise_on_non_finite_field(kind):
     config = OperatorConfig(gaussian_kernel(1, 8), 64)
     with pytest.raises(ValueError, match="not finite at quadrature node"):
         nonlocal_hessian(field, [0.5], HessianVariant(kind, n=8, m=8), config)
+
+
+def test_reach_below_float_spacing_raises():
+    # every node of a 1e-300 bump would round onto the evaluation point
+    kernel = bump_kernel(1, 1, base_scale=1e-300)
+    field = sin_field(BoxDomain.unit(1))
+    config = OperatorConfig(kernel, 64)
+    with pytest.raises(CoincidentPointsError):
+        nonlocal_gradient(field, [0.5], config)
+    with pytest.raises(CoincidentPointsError):
+        nonlocal_hessian(field, [0.5], HessianVariant(CENTRAL, n=1), config)
+    with pytest.raises(CoincidentPointsError):
+        directional_second_moment(kernel, BoxDomain.unit(1), [0.5], 0)
 
 
 def test_gradient_raises_on_non_finite_field():
