@@ -61,7 +61,7 @@ from .pulse import (
     run_pulse_experiment,
     run_pulse_suite,
 )
-from .quadrature import PvPolicy, QuadratureGrid, build_panel_grid
+from .quadrature import QuadratureGrid, build_panel_grid
 from .reporting import emit_csv, emit_plot_svg, read_trace_csv
 from .sweeps import SweepReport, convergence_sweep, monotone_decreasing
 

@@ -40,7 +40,7 @@ from .pulse import (
     holder_exponent_fit,
     run_pulse_experiment,
 )
-from .quadrature import GAUSS, MIDPOINT, NODE_BUDGET, PvPolicy
+from .quadrature import GAUSS, MIDPOINT, NODE_BUDGET
 from .reporting import emit_csv, emit_plot_svg
 from .sweeps import (
     REGISTRY,
@@ -57,7 +57,7 @@ DEFAULTS: dict = {
     "domain": {"dim": 1, "lower": [0.0], "upper": [1.0]},
     "field": "quadratic",
     "kernel": {"family": "gaussian", "base_scale": 0.1, "n": 8},
-    "quadrature": {"resolution": 256, "scheme": "gauss", "pv_epsilon": None},
+    "quadrature": {"resolution": 256, "scheme": "gauss"},
     "check": {
         "name": "gradient-localization",
         "n_values": [4, 8, 16, 32],
@@ -186,6 +186,14 @@ def _positive(value) -> float:
     return value
 
 
+def _nonnegative(value) -> float:
+    """A tolerance: NaN fails the check, so it cannot disable a stop or a verdict."""
+    value = float(value)
+    if not value >= 0:
+        raise ValueError(f"expected a nonnegative number, got {value}")
+    return value
+
+
 def _counts(values) -> list[int]:
     if not isinstance(values, list) or not values:
         raise ValueError(f"expected a nonempty list of integers, got {values!r}")
@@ -225,9 +233,7 @@ def _resolution(config: dict, dim: int) -> int:
 
 def _op_config(config: dict, kernel: RadialKernel) -> OperatorConfig:
     scheme = _get(config, "quadrature.scheme", {"gauss": GAUSS, "midpoint": MIDPOINT}.__getitem__)
-    pv = _get(config, "quadrature.pv_epsilon",
-              lambda e: PvPolicy() if e is None else PvPolicy(float(e)))
-    return OperatorConfig(kernel, resolution=_resolution(config, kernel.dim), scheme=scheme, pv=pv)
+    return OperatorConfig(kernel, resolution=_resolution(config, kernel.dim), scheme=scheme)
 
 
 def _field_from(config: dict, domain: BoxDomain, derivative: str = ""):
@@ -333,7 +339,7 @@ def _cmd_grad_check(run: _Run) -> int:
     field = _field_from(config, domain, "gradient")
     kernel = _kernel_from(config, domain.dim)
     op = _op_config(config, kernel)
-    tol = _get(config, "check.tolerance", float)
+    tol = _get(config, "check.tolerance", _nonnegative)
     probes = diagonal_probes(domain, _get(config, "check.probes", _budgeted), 0.25, 0.75)
     report = sweep_report("grad-check", range(len(probes)), gradient_errors(field, probes, op),
                           map(tuple, probes), tol)
@@ -353,12 +359,11 @@ def _cmd_hess_check(run: _Run) -> int:
     op = _op_config(config, kernel)
     variant = _get(config, "hessian", lambda h: HessianVariant(
         h["variant"],
-        n=kernel.scale_index,
         m=_count(h["m"]),
         fd_step=float(h["fd_step"]),
         constant_mode=h["constant_mode"],
     ))
-    tol = _get(config, "check.tolerance", float)
+    tol = _get(config, "check.tolerance", _nonnegative)
     count = min(_get(config, "check.probes", _budgeted), 10)
     probes = diagonal_probes(domain, count, 0.35, 0.65)
     if variant.kind == FD_NONLOCAL and variant.fd_step >= min(map(domain.boundary_distance, probes)):
@@ -382,14 +387,16 @@ def _cmd_sweep(run: _Run) -> int:
     domain = _domain_from(config)
     name = _get(config, "check.name", _registered)
     kernel = _kernel_from(config, domain.dim)
+    op = _op_config(config, kernel)
     settings = {
         "domain": domain,
         "kernel": kernel,
-        "resolution": _resolution(config, domain.dim),
+        "resolution": op.resolution,
+        "scheme": op.scheme,
         "probes": _get(config, "check.probes", _budgeted),
         "seeds": _get(config, "check.seeds", _budgeted),
         "seed": run.args.seed,
-        "tolerance": _get(config, "check.tolerance", float),
+        "tolerance": _get(config, "check.tolerance", _nonnegative),
     }
     report = convergence_sweep(name, _get(config, "check.n_values", _counts), settings)
     run.add(emit_csv(report, run.out / f"sweep_{name}.csv"))
@@ -412,7 +419,7 @@ def _run_method(run: _Run, method: str):
     domain = _domain_from(config)
     field = _field_from(config, domain)
     max_iters = _get(config, "descend.max_iters", lambda v: _budgeted(v, 0))
-    grad_tol = _get(config, "descend.grad_tol", float)
+    grad_tol = _get(config, "descend.grad_tol", _nonnegative)
     schedule = _get(config, "descend.schedule", lambda s: StepSchedule(
         s["kind"], alpha=float(s["alpha"]), q=float(s["q"]), cap=float(s["cap"])))
     extra: dict = {}
@@ -443,7 +450,7 @@ def _run_method(run: _Run, method: str):
             _start(config, "newton.x0", domain),
             _op_config(config, kernel),
             max_iters=_get(config, "newton.max_iters", lambda v: _budgeted(v, 0)),
-            grad_tol=_get(config, "newton.grad_tol", float),
+            grad_tol=_get(config, "newton.grad_tol", _nonnegative),
             beta=_get(config, "newton.beta", _positive),
         )
     elif method in ("gd", "gd-ls", "newton"):

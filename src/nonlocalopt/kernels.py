@@ -45,9 +45,9 @@ def bump_profile(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shell_integral(f: Callable, dim: int, lo: float, hi: float, n_nodes: int = 400) -> float:
+def _shell_integral(f: Callable, dim: int, lo: float, hi: float) -> float:
     """Integral of ``f(|v|)`` over the shell ``lo < |v| < hi`` in R^dim (Gauss in ``r``)."""
-    r, w = rule_1d(lo, hi, n_nodes, GAUSS)
+    r, w = rule_1d(lo, hi, 400, GAUSS)
     vals = f(r) * r ** (dim - 1)
     return unit_sphere_area(dim) * float(np.sum(w * vals))
 
@@ -168,18 +168,18 @@ class RadialKernel:
 
     # -- mass diagnostics ------------------------------------------------------
 
-    def mass(self, n_nodes: int = 400) -> float:
+    def mass(self) -> float:
         """Total mass by radial quadrature; 1 up to quadrature error."""
-        return _shell_integral(self.radial_density, self.dim, 0.0, self.full_radius, n_nodes)
+        return _shell_integral(self.radial_density, self.dim, 0.0, self.full_radius)
 
-    def tail_mass(self, delta: float, n_nodes: int = 400) -> float:
+    def tail_mass(self, delta: float) -> float:
         """Mass outside the centered ball of radius ``delta``."""
         if delta <= 0:
             raise ValueError("delta must be positive")
         hi = self.full_radius
         if delta >= hi:
             return 0.0
-        return _shell_integral(self.radial_density, self.dim, delta, hi, n_nodes)
+        return _shell_integral(self.radial_density, self.dim, delta, hi)
 
     # -- sampling --------------------------------------------------------------
 

@@ -10,7 +10,7 @@ second-difference form) is the workhorse for Newton iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fields import ScalarField, SubsetIndicator, as_point, zero_extension
 from .kernels import RadialKernel
-from .quadrature import GAUSS, NODE_BUDGET, PvPolicy, Stencil, reach_stencil
+from .quadrature import GAUSS, NODE_BUDGET, Stencil, reach_stencil
 
 # Hessian construction tags.
 NESTED = "nested"               # kernel partial of kernel partials (two scales)
@@ -39,6 +39,8 @@ CENTRAL = "central"             # symmetric second-difference kernel form
 MOMENT_CONSTANT = "moment"
 ALTERNATE_CONSTANT = "alternate"
 
+VANISHING_TOL = 1e-8  # a restricted gradient this small counts as vanished
+
 
 @dataclass(frozen=True)
 class OperatorConfig:
@@ -47,10 +49,6 @@ class OperatorConfig:
     kernel: RadialKernel
     resolution: int = 256
     scheme: str = GAUSS
-    pv: PvPolicy = dc_field(default_factory=PvPolicy)
-
-    def with_kernel(self, kernel: RadialKernel) -> "OperatorConfig":
-        return OperatorConfig(kernel, self.resolution, self.scheme, self.pv)
 
 
 def difference_quotient(field: ScalarField, x, y) -> np.ndarray:
@@ -119,7 +117,7 @@ def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarr
     if kernel.dim != field.dim:
         raise ValueError("kernel dimension does not match field dimension")
     stencil = reach_stencil(kernel, x, kernel.reach, field.domain, config.resolution,
-                            config.scheme, config.pv.epsilon)
+                            config.scheme)
     return _gradient_over(field, x, [stencil])
 
 
@@ -137,21 +135,21 @@ def restricted_nonlocal_gradient(
                                         np.minimum(hi, x + kernel.reach))
         if clipped is not None:
             stencils.append(Stencil(kernel, clipped[0] - x, clipped[1] - x, config.resolution,
-                                    config.scheme, config.pv.epsilon))
+                                    config.scheme))
     if not stencils:
         return np.zeros(field.dim)
     return _gradient_over(field, x, stencils)
 
 
 def find_vanishing_subset_1d(
-    field: ScalarField, x_star, config: OperatorConfig, tol: float = 1e-8
+    field: ScalarField, x_star, config: OperatorConfig
 ) -> SubsetIndicator:
     """Construct a union of at most two intervals on which the restricted
     gradient vanishes at a 1-D approximate local minimizer.
 
     The two sides of the minimizer carry opposite-signed difference-quotient
     mass; one side is kept whole and the other side's interval length is
-    bisected until the signed masses cancel.
+    bisected until the signed masses cancel, to ``VANISHING_TOL``.
     """
     if field.dim != 1:
         raise ValueError("subset construction is implemented for 1-D fields only")
@@ -175,7 +173,7 @@ def find_vanishing_subset_1d(
 
     pos_full = restricted([(xs, hi)])
     neg_full = restricted([(lo, xs)])
-    if pos_full < -tol or neg_full > tol:
+    if pos_full < -VANISHING_TOL or neg_full > VANISHING_TOL:
         raise NoBracketError("difference-quotient mass has the wrong sign pattern")
 
     def solve(fixed, moving_len, moving_side) -> SubsetIndicator:
@@ -186,12 +184,12 @@ def find_vanishing_subset_1d(
 
         t_lo, t_hi = 0.0, moving_len
         f_lo, f_hi = total(t_lo), total(t_hi)
-        if f_lo * f_hi > 0 and min(abs(f_lo), abs(f_hi)) > tol:
+        if f_lo * f_hi > 0 and min(abs(f_lo), abs(f_hi)) > VANISHING_TOL:
             raise NoBracketError("cancellation mass cannot be bracketed")
         for _ in range(200):
             t_mid = 0.5 * (t_lo + t_hi)
             f_mid = total(t_mid)
-            if abs(f_mid) <= tol:
+            if abs(f_mid) <= VANISHING_TOL:
                 moving = (xs - t_mid, xs) if moving_side < 0 else (xs, xs + t_mid)
                 return SubsetIndicator.from_intervals([fixed, moving])
             if f_lo * f_mid <= 0:
@@ -213,14 +211,13 @@ def find_vanishing_subset_1d(
 class HessianVariant:
     """Selector among the four second-order kernel constructions.
 
-    ``nested``        kernel partial (scale ``m``) of kernel partials (scale ``n``)
-    ``grad-smoothed`` kernel partial (scale ``n``) of classical partials
+    ``nested``        kernel partial (scale ``m``) of kernel partials (config scale)
+    ``grad-smoothed`` kernel partial (config scale) of classical partials
     ``fd-nonlocal``   central finite difference of kernel partials
     ``central``       symmetric second-difference kernel form (Newton default)
     """
 
     kind: str
-    n: int
     m: Optional[int] = None
     fd_step: Optional[float] = 1e-5
     constant_mode: str = MOMENT_CONSTANT
@@ -253,14 +250,12 @@ def _classical_gradient(field: ScalarField, pts: np.ndarray, step: float) -> np.
 def nonlocal_hessian(
     field: ScalarField, x, variant: HessianVariant, config: OperatorConfig
 ) -> np.ndarray:
-    """One of four kernel-based second-derivative matrices at an interior point."""
+    """Kernel-based second-derivative matrix at an interior point, at ``config.kernel``."""
     x = _interior_point(field, x)
     D = field.dim
-    kernel_n = config.kernel.with_scale_index(variant.n)
-    cfg_n = config.with_kernel(kernel_n)
 
     if variant.kind == CENTRAL:
-        return _central_hessian(field, x, kernel_n, config, variant.constant_mode)
+        return _central_hessian(field, x, config, variant.constant_mode)
 
     if variant.kind == FD_NONLOCAL:
         h = variant.fd_step
@@ -268,8 +263,8 @@ def nonlocal_hessian(
         for j in range(D):
             e = np.zeros(D)
             e[j] = h
-            gp = nonlocal_gradient(field, x + e, cfg_n)
-            gm = nonlocal_gradient(field, x - e, cfg_n)
+            gp = nonlocal_gradient(field, x + e, config)
+            gm = nonlocal_gradient(field, x - e, config)
             H[:, j] = (gp - gm) / (2.0 * h)
         return H
 
@@ -278,16 +273,15 @@ def nonlocal_hessian(
             raise MissingDerivativeError(
                 "grad-smoothed hessian needs an analytic gradient or a declared fd step"
             )
-        outer_kernel = kernel_n
+        outer_kernel = config.kernel
 
         def grad_at(pts: np.ndarray) -> np.ndarray:
             return _classical_gradient(field, pts, variant.fd_step)
     else:  # NESTED
         outer_kernel = config.kernel.with_scale_index(variant.m)
-        inner_cfg = cfg_n
 
         def grad_at(pts: np.ndarray) -> np.ndarray:
-            return np.stack([nonlocal_gradient(field, p, inner_cfg) for p in pts])
+            return np.stack([nonlocal_gradient(field, p, config) for p in pts])
 
     stencil = reach_stencil(outer_kernel, x, outer_kernel.reach, field.domain,
                             config.resolution, config.scheme)
@@ -305,7 +299,6 @@ def nonlocal_hessian(
 def _central_hessian(
     field: ScalarField,
     x: np.ndarray,
-    kernel: RadialKernel,
     config: OperatorConfig,
     constant_mode: str,
 ) -> np.ndarray:
@@ -325,6 +318,7 @@ def _central_hessian(
         prefactor = D * (D + 2) / 2.0
     else:
         prefactor = D * (D + 1) / 2.0
+    kernel = config.kernel
     stencil = reach_stencil(kernel, x, kernel.reach, None, config.resolution, config.scheme)
     H = np.zeros((D, D))
     trace = 0.0

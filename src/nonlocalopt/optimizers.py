@@ -35,6 +35,9 @@ LEFT_DOMAIN = "left-domain"
 
 _RESAMPLE_CAP = 1_000_000
 
+# Newton runs refuse a curvature matrix whose condition number exceeds this.
+CONDITION_LIMIT = 1e12
+
 # Offsets an SGD chain draws from its generator at a time.
 _DRAW_BLOCK = 128
 
@@ -58,13 +61,13 @@ class StepSchedule:
         if self.kind not in ("fixed", "sequence", "geometric"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "sequence":
-            if not self.values or any(v <= 0 for v in self.values):
+            if not self.values or not all(v > 0 for v in self.values):
                 raise ValueError("sequence schedules need positive entries")
-        elif self.alpha <= 0:
+        elif not self.alpha > 0:
             raise ValueError("step sizes must be positive")
         if self.kind == "geometric" and not 0 < self.q < 1:
             raise ValueError("geometric decay needs 0 < q < 1")
-        if self.cap <= 0:
+        if not self.cap > 0:
             raise ValueError("line-search cap must be positive")
 
     @classmethod
@@ -495,37 +498,29 @@ def nonlocal_newton(
     max_iters: int = 25,
     grad_tol: float = 1e-10,
     beta: float = 1.0,
-    constant_mode: str = "moment",
-    condition_limit: float = 1e12,
-    backtrack: bool = False,
 ) -> OptimizerTrace:
     """Newton iteration on the kernel gradient and second-difference Hessian.
 
     The linear solve uses LAPACK partial pivoting and refuses matrices whose
-    condition estimate exceeds ``condition_limit``.  By default the step size
-    ``beta`` is applied as given, which lets the iterates settle onto the
-    smoothed stationary point (the terminal plateau shrinks with the kernel
-    scale); ``backtrack=True`` halves the step while the objective would
-    increase, which guards descent but stalls short of that point.  Steps
-    that would exit the domain are halved in either mode.
+    condition estimate exceeds ``CONDITION_LIMIT``.  The step size ``beta``
+    is applied as given, which lets the iterates settle onto the smoothed
+    stationary point (the terminal plateau shrinks with the kernel scale);
+    only steps that would exit the domain are halved.
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    variant = HessianVariant(CENTRAL, n=config.kernel.scale_index, constant_mode=constant_mode)
+    variant = HessianVariant(CENTRAL)
 
     def step(k, x, g, value):
         H = nonlocal_hessian(field, x, variant, config)
-        if not np.all(np.isfinite(H)) or np.linalg.cond(H) > condition_limit:
+        if not np.all(np.isfinite(H)) or np.linalg.cond(H) > CONDITION_LIMIT:
             raise SingularHessianError(
                 f"curvature matrix is singular at iteration {k}", iteration=k
             )
         p = np.linalg.solve(H, g)
         b = beta
         x_next = x - b * p
-        while b > 1e-8 and (
-            not field.domain.contains(x_next)
-            or (backtrack and field.value(x_next) > value)
-        ):
+        while b > 1e-8 and not field.domain.contains(x_next):
             b *= 0.5
             x_next = x - b * p
         return b, x_next
@@ -560,7 +555,7 @@ def local_counterpart(
 
     def newton_step(k, x, g, value):
         H = np.asarray(hess(x), dtype=float)
-        if np.linalg.cond(H) > 1e12:
+        if np.linalg.cond(H) > CONDITION_LIMIT:
             raise SingularHessianError(
                 f"classical curvature matrix is singular at iteration {k}", iteration=k
             )

@@ -144,13 +144,14 @@ class PulseRunConfig:
     pulse_width: float = 0.125
     signal_grid: int = 4096
     tolerance: float = 0.02
-    grad_tol: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("learning rate must lie in (0, 1]")
-        if self.halving_threshold <= 1.0:
+        if not self.halving_threshold > 1.0:
             raise ValueError("halving threshold must exceed 1")
+        if not self.tolerance >= 0.0:
+            raise ValueError("tolerance must be nonnegative")
         if np.isnan(self.theta0):
             raise ValueError("theta0 must be a number")
         self.kernel()  # a bad family, scale index or base scale raises here
@@ -219,8 +220,9 @@ def run_pulse_experiment(config: PulseRunConfig) -> tuple[OptimizerTrace, PulseR
         return alpha, inside
 
     theta0 = min(max(config.theta0, margin), 1.0 - margin)
+    # stop at a vanishing smoothed gradient or at the objective's minimum 0
     trace = _descend(field, [theta0], direction, step, _confined(field), config.max_iters,
-                     config.grad_tol, floor=0.0)
+                     1e-12, floor=0.0)
 
     thetas = trace.iterates[:, 0]
     errors = np.abs(thetas - config.theta_star)

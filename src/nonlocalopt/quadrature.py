@@ -83,12 +83,6 @@ class QuadratureGrid:
     """
 
     axes: tuple[tuple[np.ndarray, np.ndarray], ...]
-    scheme: str
-    resolution: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,19 +102,6 @@ class QuadratureGrid:
         for _, w in self.axes:
             weights = np.multiply.outer(weights, w).reshape(-1)
         return weights
-
-
-@dataclass(frozen=True)
-class PvPolicy:
-    """Principal-value exclusion: stencil nodes within ``epsilon`` of the
-    evaluation point carry no weight (``epsilon = 0`` drops exact
-    coincidences only)."""
-
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("exclusion radius must be nonnegative")
 
 
 def build_panel_grid(
@@ -154,7 +135,7 @@ def build_panel_grid(
         else:
             xr, wr = rule_1d(s, b, m, scheme)
         axes.append((np.concatenate([xl, xr]), np.concatenate([wl, wr])))
-    return QuadratureGrid(tuple(axes), scheme, resolution)
+    return QuadratureGrid(tuple(axes))
 
 
 # -- offset stencils ------------------------------------------------------------
@@ -165,9 +146,9 @@ class StencilBlock:
     """Consecutive stencil nodes and their kernel weights.
 
     ``h`` (n, D) are offsets from the evaluation point, ``r2 = |h|^2``,
-    ``wrho = w * rho(|h|)`` and ``grad = D * wrho / r2 * (-h)``.  Inside the
-    exclusion radius ``wrho`` and ``grad`` are zero and ``r2`` is 1, so every
-    quotient by ``r2`` stays finite.
+    ``wrho = w * rho(|h|)`` and ``grad = D * wrho / r2 * (-h)``.  Where
+    ``|h|^2`` underflows to 0, ``wrho`` and ``grad`` are zero and ``r2`` is 1,
+    so every quotient by ``r2`` stays finite.
     """
 
     h: np.ndarray
@@ -184,21 +165,18 @@ class Stencil:
 
     Offsets come from ``build_panel_grid`` split at 0, exactly as operators
     split their grids at the evaluation point.  ``kernel`` supplies ``dim``
-    and ``radial_density``; nodes within ``pv_epsilon`` of the point (or at
-    it) carry zero weight.  ``blocks`` expands the product in C order in runs
+    and ``radial_density``.  ``blocks`` expands the product in C order in runs
     of at most ``BLOCK_NODES`` nodes, on demand unless ``materialize`` has
     stored them.
     """
 
-    def __init__(self, kernel, lo, hi, resolution: int, scheme: str = GAUSS,
-                 pv_epsilon: float = 0.0):
+    def __init__(self, kernel, lo, hi, resolution: int, scheme: str = GAUSS):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         grid = build_panel_grid(lo, hi, np.zeros(lo.size), resolution, scheme)
         self.axes = grid.axes
         self.shape = grid.shape
         self.size = len(grid)
         self.kernel = kernel
-        self.pv_epsilon = pv_epsilon
         self._blocks: Optional[tuple[StencilBlock, ...]] = None
 
     def __len__(self) -> int:
@@ -232,8 +210,7 @@ class Stencil:
             h[:, j] = x[i]
             w = w * wx[i]
         r2 = np.sum(h * h, axis=1)
-        eps = self.pv_epsilon
-        excluded = r2 <= eps * eps if eps > 0 else r2 == 0
+        excluded = r2 == 0
         wrho = w * self.kernel.radial_density(np.sqrt(r2))
         wrho[excluded] = 0.0
         r2[excluded] = 1.0
@@ -244,7 +221,7 @@ class Stencil:
 class StencilCache:
     """Full-box stencils, least recently used evicted beyond ``cap`` bytes.
 
-    Keyed on ``(kernel, radius, resolution, scheme, pv_epsilon)``.  A stencil
+    Keyed on ``(kernel, radius, resolution, scheme)``.  A stencil
     larger than the cap is returned unexpanded and not kept.  Safe to share
     between threads.
     """
@@ -258,16 +235,15 @@ class StencilCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, kernel, radius: float, resolution: int, scheme: str = GAUSS,
-            pv_epsilon: float = 0.0) -> Stencil:
-        key = (kernel, radius, resolution, scheme, pv_epsilon)
+    def get(self, kernel, radius: float, resolution: int, scheme: str = GAUSS) -> Stencil:
+        key = (kernel, radius, resolution, scheme)
         with self._lock:
             stencil = self._entries.get(key)
             if stencil is not None:
                 self._entries.move_to_end(key)
                 return stencil
         reach = np.full(kernel.dim, float(radius))
-        stencil = Stencil(kernel, -reach, reach, resolution, scheme, pv_epsilon)
+        stencil = Stencil(kernel, -reach, reach, resolution, scheme)
         if stencil.nbytes > self.cap:
             return stencil
         stencil.materialize()
@@ -285,8 +261,7 @@ STENCILS = StencilCache()
 
 
 def reach_stencil(kernel, x: np.ndarray, radius: float, domain: Optional[BoxDomain],
-                  resolution: int, scheme: str = GAUSS,
-                  pv_epsilon: float = 0.0) -> Stencil:
+                  resolution: int, scheme: str = GAUSS) -> Stencil:
     """Stencil over the box of half-width ``radius`` around ``x``.
 
     The box is clipped to ``domain`` (never, for ``None``), which must hold
@@ -300,6 +275,5 @@ def reach_stencil(kernel, x: np.ndarray, radius: float, domain: Optional[BoxDoma
     if domain is not None:
         clipped = domain.clip_box(lo, hi)
         if not (np.array_equal(clipped[0], lo) and np.array_equal(clipped[1], hi)):
-            return Stencil(kernel, clipped[0] - x, clipped[1] - x, resolution, scheme,
-                           pv_epsilon)
-    return STENCILS.get(kernel, radius, resolution, scheme, pv_epsilon)
+            return Stencil(kernel, clipped[0] - x, clipped[1] - x, resolution, scheme)
+    return STENCILS.get(kernel, radius, resolution, scheme)

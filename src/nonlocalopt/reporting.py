@@ -84,9 +84,8 @@ def emit_plot_svg(
     path,
     title: str = "",
     ylabel: str = "error",
-    floor: float = 1e-16,
 ) -> Path:
-    """Standalone SVG: one polyline per curve, log-scaled y, legend from labels."""
+    """Standalone SVG: one polyline per curve, log-scaled y floored at 1e-16, legend from labels."""
     if not curves:
         raise ValueError("need at least one curve to plot")
     if len(curves) != len(labels):
@@ -95,7 +94,7 @@ def emit_plot_svg(
     ml, mr, mt, mb = 70, 160, 40, 50
     plot_w, plot_h = width - ml - mr, height - mt - mb
 
-    logs = [np.log10(np.maximum(np.asarray(c, dtype=float), floor)) for c in curves]
+    logs = [np.log10(np.maximum(np.asarray(c, dtype=float), 1e-16)) for c in curves]
     ymin = min(float(np.min(c)) for c in logs)
     ymax = max(float(np.max(c)) for c in logs)
     if ymax - ymin < 1e-12:

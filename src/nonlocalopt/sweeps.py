@@ -32,16 +32,17 @@ from .optimizers import (
     nlgd_fixed,
     nonlocal_newton,
 )
+from .quadrature import GAUSS
 
 NOISE_FLOOR = 1e-9
 
 
-def monotone_decreasing(errors: Sequence[float], floor: float = NOISE_FLOOR) -> bool:
+def monotone_decreasing(errors: Sequence[float]) -> bool:
     """Strict decrease, tolerating a single inversion below the noise floor."""
     inversions = 0
     for prev, cur in zip(errors, errors[1:]):
         if cur >= prev:
-            if cur - prev > floor:
+            if cur - prev > NOISE_FLOOR:
                 return False
             inversions += 1
     return inversions <= 1
@@ -94,10 +95,8 @@ def hessian_errors(field: ScalarField, probes: np.ndarray, variant: HessianVaria
 
 def _config_for(settings: dict, n: int) -> OperatorConfig:
     kernel: RadialKernel = settings["kernel"].with_scale_index(n)
-    return OperatorConfig(
-        kernel,
-        resolution=int(settings.get("resolution", 512)),
-    )
+    return OperatorConfig(kernel, int(settings.get("resolution", 512)),
+                          settings.get("scheme", GAUSS))
 
 
 def _probes(settings: dict, lo: float, hi: float) -> np.ndarray:
@@ -116,7 +115,7 @@ def _check_gradient_localization(n: int, settings: dict):
 
 def _check_hessian_localization(n: int, settings: dict):
     probes = _probes(settings, 0.4, 0.6)
-    variant = HessianVariant(CENTRAL, n=n)
+    variant = HessianVariant(CENTRAL)
     return _worst(hessian_errors(settings["field"], probes, variant, _config_for(settings, n)),
                   probes)
 
@@ -125,12 +124,11 @@ def _check_taylor_remainder(n: int, settings: dict):
     field: ScalarField = settings["field"]
     config = _config_for(settings, n)
     rng = np.random.default_rng(int(settings.get("seed", 0)))
-    pairs = int(settings.get("pairs", 200))
     lo = field.domain.lower_array
     hi = field.domain.upper_array
     span = hi - lo
-    base = lo + span * rng.uniform(0.25, 0.75, size=(pairs, field.dim))
-    target = lo + span * rng.uniform(0.1, 0.9, size=(pairs, field.dim))
+    base = lo + span * rng.uniform(0.25, 0.75, size=(200, field.dim))
+    target = lo + span * rng.uniform(0.1, 0.9, size=(200, field.dim))
     worst, where = -1.0, None
     for x0, x in zip(base, target):
         g_err = field.gradient_at(x0) - nonlocal_gradient(field, x0, config)
@@ -144,13 +142,10 @@ def _check_taylor_remainder(n: int, settings: dict):
 def _check_iterate_tracking(n: int, settings: dict):
     field: ScalarField = settings["field"]
     config = _config_for(settings, n)
-    schedule: StepSchedule = settings.get("schedule", StepSchedule.geometric(0.3, 0.5))
+    schedule = StepSchedule.geometric(0.3, 0.5)
     x0 = np.asarray(settings.get("x0", field.domain.center), dtype=float)
-    steps = int(settings.get("steps", 20))
-    classical = local_counterpart(
-        field, x0, "gd", schedule, max_iters=steps, grad_tol=0.0
-    )
-    smoothed = nlgd_fixed(field, x0, config, schedule, max_iters=steps, grad_tol=0.0)
+    classical = local_counterpart(field, x0, "gd", schedule, max_iters=20, grad_tol=0.0)
+    smoothed = nlgd_fixed(field, x0, config, schedule, max_iters=20, grad_tol=0.0)
     k = min(len(classical), len(smoothed))
     gaps = np.linalg.norm(classical.iterates[:k] - smoothed.iterates[:k], axis=1)
     worst = int(np.argmax(gaps))
@@ -162,9 +157,9 @@ def _check_sgd_bound(n: int, settings: dict):
     kernel: RadialKernel = settings["kernel"].with_scale_index(n)
     cfg: SgdConfig = settings["sgd"]
     seeds = int(settings.get("seeds", 50))
-    minimum = float(settings.get("minimum_value", 0.0))
     x_bars, _ = epsilon_sgd_batch(field, cfg, kernel, range(seeds))
-    return float(np.mean(np.asarray(field(x_bars), dtype=float) - minimum)), None
+    # the optimality gap against 0, the minimum value of the default field
+    return float(np.mean(np.asarray(field(x_bars), dtype=float))), None
 
 
 def _check_newton_floor(n: int, settings: dict):
@@ -172,15 +167,14 @@ def _check_newton_floor(n: int, settings: dict):
     config = _config_for(settings, n)
     x0 = np.asarray(settings.get("x0", field.domain.center), dtype=float)
     x_star = np.asarray(settings["x_star"], dtype=float)
-    iters = int(settings.get("steps", 10))
-    trace = nonlocal_newton(field, x0, config, max_iters=iters, grad_tol=0.0)
+    trace = nonlocal_newton(field, x0, config, max_iters=10, grad_tol=0.0)
     return float(np.linalg.norm(trace.final_point - x_star)), tuple(trace.final_point)
 
 
 def _check_moment(n: int, settings: dict):
     kernel: RadialKernel = settings["kernel"].with_scale_index(n)
     domain: BoxDomain = settings["domain"]
-    x = np.asarray(settings.get("x", domain.center), dtype=float)
+    x = domain.center
     worst = -1.0
     for axis in range(kernel.dim):
         c = directional_second_moment(kernel, domain, x, axis)

@@ -111,11 +111,11 @@ def test_criterion_2_quadratic_exactness():
     mc2 = mc_nonlocal_gradient(f2, x2, k2, samples=1_000_000, seed=1)
     checks.append(np.all(np.abs(mc2.value - g2) <= 3 * mc2.stderr + 1e-12))
 
-    H1 = nonlocal_hessian(f1, [0.5], HessianVariant(CENTRAL, n=8), c1)
+    H1 = nonlocal_hessian(f1, [0.5], HessianVariant(CENTRAL), c1)
     checks.append(abs(H1[0, 0] - 2.0) <= 1e-5)
     A = np.array([[1.2, 0.3], [0.3, 0.8]])
     fA = quadratic_field(SQUARE, matrix=A, center=[0.5, 0.5])
-    HA = nonlocal_hessian(fA, [0.45, 0.55], HessianVariant(CENTRAL, n=8), c2)
+    HA = nonlocal_hessian(fA, [0.45, 0.55], HessianVariant(CENTRAL), c2)
     checks.append(np.max(np.abs(HA - 2 * A)) <= 1e-5)
     elapsed = time.perf_counter() - start
     ok = all(checks) and elapsed < 30.0
@@ -127,10 +127,10 @@ def test_criterion_3_central_constant_discrepancy():
     f = quadratic_field(UNIT, matrix=[[a]])
     config = OperatorConfig(gaussian_kernel(1, 8, 0.1), resolution=512)
     h_alt = nonlocal_hessian(
-        f, [0.5], HessianVariant(CENTRAL, n=8, constant_mode=ALTERNATE_CONSTANT), config
+        f, [0.5], HessianVariant(CENTRAL, constant_mode=ALTERNATE_CONSTANT), config
     )[0, 0]
     h_mom = nonlocal_hessian(
-        f, [0.5], HessianVariant(CENTRAL, n=8, constant_mode=MOMENT_CONSTANT), config
+        f, [0.5], HessianVariant(CENTRAL, constant_mode=MOMENT_CONSTANT), config
     )[0, 0]
     ok = abs(h_alt - 4 * a / 3) <= 1e-5 and abs(h_mom - 2 * a) <= 1e-5
     assert verdict(

@@ -113,6 +113,16 @@ class TestExitCodes:
         assert code == 0
         assert (tmp_path / "sweep_gradient-localization.csv").exists()
 
+    def test_sweep_reads_the_quadrature_scheme(self, tmp_path):
+        errors = {}
+        for scheme in ("gauss", "midpoint"):
+            out = tmp_path / scheme
+            run_cli(["sweep", "--check", "gradient-localization", "--out", str(out),
+                     "--set", "quadrature.resolution=16", "--set", "check.n_values=[4,8]",
+                     "--set", f"quadrature.scheme={scheme}"])
+            errors[scheme] = json.loads((out / "manifest.json").read_text())["summary"]["errors"]
+        assert errors["gauss"] != errors["midpoint"]
+
 
 # Each argv is malformed in one value; the text names what the error must say.
 MALFORMED = [
@@ -130,6 +140,14 @@ MALFORMED = [
     (["descend", "--set", 'descend.schedule.kind="foo"'], "'descend.schedule'"),
     (["hess-check", "--set", 'hessian.variant="foo"'], "'hessian'"),
     (["grad-check", "--set", "quadrature.pv_epsilon=-1"], "'quadrature.pv_epsilon'"),
+    (["pulse", "--set", "pulse.halving_threshold=NaN"], "'pulse'"),
+    (["pulse", "--set", "pulse.tolerance=NaN"], "'pulse'"),
+    (["pulse", "--set", "pulse.tolerance=-1"], "'pulse'"),
+    (["descend", "--set", "descend.schedule.alpha=NaN"], "'descend.schedule'"),
+    (["descend", "--set", "descend.schedule.cap=NaN"], "'descend.schedule'"),
+    (["grad-check", "--set", "check.tolerance=NaN"], "'check.tolerance'"),
+    (["descend", "--set", "descend.grad_tol=NaN"], "'descend.grad_tol'"),
+    (["newton", "--set", "newton.grad_tol=NaN"], "'newton.grad_tol'"),
     (["grad-check", "--field", "ridge"], "'field'"),
     (["sweep", "--set", "check.n_values=[]"], "'check.n_values'"),
     (["sweep", "--set", "check=5"], "'check.name'"),
@@ -185,7 +203,6 @@ FUZZ_CASES = [
     ("grad-check", (), "kernel.n"),
     ("grad-check", ("--set", 'kernel.family="bump"'), "kernel.base_scale"),
     ("grad-check", (), "quadrature.resolution"),
-    ("grad-check", (), "quadrature.pv_epsilon"),
     ("grad-check", (), "check.probes"),
     ("grad-check", (), "check.tolerance"),
     ("hess-check", (), "hessian.variant"),
@@ -313,15 +330,6 @@ class TestRunsAndArtifacts:
             )
             assert code == 0, method
             assert (out / "trace.csv").exists()
-
-    def test_pv_epsilon_config_accepted(self, tmp_path):
-        code = run_cli(
-            [
-                "grad-check", "--field", "quadratic", "--n", "8", "--out", str(tmp_path),
-                "--set", "quadrature.pv_epsilon=1e-6",
-            ]
-        )
-        assert code == 0
 
     def test_midpoint_scheme_accepted(self, tmp_path):
         code = run_cli(

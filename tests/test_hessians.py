@@ -22,10 +22,10 @@ def cfg(kernel, resolution=512):
 
 
 ALL_VARIANTS = [
-    HessianVariant(NESTED, n=8, m=8),
-    HessianVariant(GRAD_SMOOTHED, n=8),
-    HessianVariant(FD_NONLOCAL, n=8),
-    HessianVariant(CENTRAL, n=8),
+    HessianVariant(NESTED, m=8),
+    HessianVariant(GRAD_SMOOTHED),
+    HessianVariant(FD_NONLOCAL),
+    HessianVariant(CENTRAL),
 ]
 
 
@@ -39,21 +39,21 @@ class TestZeroAndSymmetry:
     def test_central_symmetric_by_construction(self, unit_square):
         f = sin_field(unit_square)
         H = nonlocal_hessian(
-            f, [0.45, 0.55], HessianVariant(CENTRAL, n=8), cfg(gaussian_kernel(2, 8), 128)
+            f, [0.45, 0.55], HessianVariant(CENTRAL), cfg(gaussian_kernel(2, 8), 128)
         )
         assert np.max(np.abs(H - H.T)) <= 1e-10
 
     def test_smooth_variants_symmetric_within_tolerance(self, unit_square):
         f = quadratic_field(unit_square, matrix=[[1.0, 0.25], [0.25, 0.7]])
         config = cfg(gaussian_kernel(2, 8), 96)
-        for variant in (HessianVariant(GRAD_SMOOTHED, n=8), HessianVariant(FD_NONLOCAL, n=8)):
+        for variant in (HessianVariant(GRAD_SMOOTHED), HessianVariant(FD_NONLOCAL)):
             H = nonlocal_hessian(f, [0.5, 0.5], variant, config)
             assert np.max(np.abs(H - H.T)) <= 1e-6
 
     def test_nested_symmetric_within_quadrature_tolerance(self, unit_square):
         f = sin_field(unit_square)
         H = nonlocal_hessian(
-            f, [0.4, 0.65], HessianVariant(NESTED, n=8, m=8),
+            f, [0.4, 0.65], HessianVariant(NESTED, m=8),
             cfg(gaussian_kernel(2, 8), 48),
         )
         assert np.max(np.abs(H - H.T)) <= 1e-2
@@ -65,12 +65,12 @@ class TestZeroAndSymmetry:
         plain = ScalarField(lambda p: (np.asarray(p)[..., 0] - 0.5) ** 2, unit_interval)
         with pytest.raises(MissingDerivativeError):
             nonlocal_hessian(
-                plain, [0.4], HessianVariant(GRAD_SMOOTHED, n=8, fd_step=None),
+                plain, [0.4], HessianVariant(GRAD_SMOOTHED, fd_step=None),
                 cfg(gaussian_kernel(1, 8), 128),
             )
         with pytest.raises(MissingDerivativeError):
             nonlocal_hessian(
-                plain, [0.4], HessianVariant(FD_NONLOCAL, n=8, fd_step=None),
+                plain, [0.4], HessianVariant(FD_NONLOCAL, fd_step=None),
                 cfg(gaussian_kernel(1, 8), 128),
             )
 
@@ -79,7 +79,7 @@ class TestZeroAndSymmetry:
     @pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf])
     def test_fd_step_checked_on_construction(self, kind, step):
         with pytest.raises(ValueError, match="fd_step"):
-            HessianVariant(kind, n=8, fd_step=step)
+            HessianVariant(kind, fd_step=step)
 
 
 class TestQuadraticExactness:
@@ -87,7 +87,7 @@ class TestQuadraticExactness:
         a = 0.7
         f = quadratic_field(unit_interval, matrix=[[a]])
         H = nonlocal_hessian(
-            f, [0.5], HessianVariant(CENTRAL, n=8, constant_mode=MOMENT_CONSTANT),
+            f, [0.5], HessianVariant(CENTRAL, constant_mode=MOMENT_CONSTANT),
             cfg(gaussian_kernel(1, 8)),
         )
         assert H[0, 0] == pytest.approx(2 * a, abs=1e-5)
@@ -98,7 +98,7 @@ class TestQuadraticExactness:
         a = 0.7
         f = quadratic_field(unit_interval, matrix=[[a]])
         H = nonlocal_hessian(
-            f, [0.5], HessianVariant(CENTRAL, n=8, constant_mode=ALTERNATE_CONSTANT),
+            f, [0.5], HessianVariant(CENTRAL, constant_mode=ALTERNATE_CONSTANT),
             cfg(gaussian_kernel(1, 8)),
         )
         assert H[0, 0] == pytest.approx(4 * a / 3, abs=1e-5)
@@ -107,7 +107,7 @@ class TestQuadraticExactness:
         A = np.array([[1.2, 0.3], [0.3, 0.8]])
         f = quadratic_field(unit_square, matrix=A, center=[0.5, 0.5])
         H = nonlocal_hessian(
-            f, [0.45, 0.55], HessianVariant(CENTRAL, n=8), cfg(gaussian_kernel(2, 8), 256)
+            f, [0.45, 0.55], HessianVariant(CENTRAL), cfg(gaussian_kernel(2, 8), 256)
         )
         assert np.max(np.abs(H - 2 * A)) <= 1e-5
 
@@ -128,7 +128,7 @@ class TestQuadraticExactness:
     def test_grad_smoothed_exact_on_quadratic(self, unit_interval):
         f = quadratic_field(unit_interval, matrix=[[0.7]])
         H = nonlocal_hessian(
-            f, [0.4], HessianVariant(GRAD_SMOOTHED, n=8), cfg(gaussian_kernel(1, 8))
+            f, [0.4], HessianVariant(GRAD_SMOOTHED), cfg(gaussian_kernel(1, 8))
         )
         assert H[0, 0] == pytest.approx(1.4, abs=1e-6)
 
@@ -136,7 +136,7 @@ class TestQuadraticExactness:
         # weak-convergence variant: smoke test only, one smooth field
         f = quadratic_field(unit_interval, matrix=[[0.7]])
         H = nonlocal_hessian(
-            f, [0.4], HessianVariant(FD_NONLOCAL, n=8), cfg(gaussian_kernel(1, 8))
+            f, [0.4], HessianVariant(FD_NONLOCAL), cfg(gaussian_kernel(1, 8))
         )
         assert H[0, 0] == pytest.approx(1.4, abs=1e-5)
 
@@ -148,10 +148,10 @@ class TestNestedVariant:
         # concentrates.
         f = sin_field(unit_interval)
         config = cfg(gaussian_kernel(1, 8), 128)
-        H3 = nonlocal_hessian(f, [0.4], HessianVariant(FD_NONLOCAL, n=8), config)
+        H3 = nonlocal_hessian(f, [0.4], HessianVariant(FD_NONLOCAL), config)
         gaps = []
         for m in (4, 8, 16):
-            H1 = nonlocal_hessian(f, [0.4], HessianVariant(NESTED, n=8, m=m), config)
+            H1 = nonlocal_hessian(f, [0.4], HessianVariant(NESTED, m=m), config)
             gaps.append(abs(H1[0, 0] - H3[0, 0]))
         assert gaps[2] < gaps[1] < gaps[0]
 
@@ -159,7 +159,7 @@ class TestNestedVariant:
         f = sin_field(unit_square)
         with pytest.raises(NodeBudgetError):
             nonlocal_hessian(
-                f, [0.5, 0.5], HessianVariant(NESTED, n=4, m=4),
+                f, [0.5, 0.5], HessianVariant(NESTED, m=4),
                 cfg(gaussian_kernel(2, 4), 4000),
             )
 
@@ -171,7 +171,7 @@ class TestZeroExtension:
         # the field is identically zero on the whole stencil there
         f = bump_field(unit_interval, center=[0.5], radius=0.25)
         H = nonlocal_hessian(
-            f, [0.95], HessianVariant(CENTRAL, n=4), cfg(gaussian_kernel(1, 4), 256)
+            f, [0.95], HessianVariant(CENTRAL), cfg(gaussian_kernel(1, 4), 256)
         )
         assert abs(H[0, 0]) <= 1e-12
 
@@ -181,7 +181,7 @@ class TestZeroExtension:
         # exact
         f = quadratic_field(unit_interval, matrix=[[0.9]])
         H = nonlocal_hessian(
-            f, [0.5], HessianVariant(CENTRAL, n=8), cfg(gaussian_kernel(1, 8))
+            f, [0.5], HessianVariant(CENTRAL), cfg(gaussian_kernel(1, 8))
         )
         assert H[0, 0] == pytest.approx(1.8, abs=1e-5)
 
@@ -196,7 +196,7 @@ class TestMonteCarloCrossChecks:
         kernel = gaussian_kernel(1, 8, 0.1)
         x = np.array([0.48])
         H = nonlocal_hessian(
-            f, x, HessianVariant(CENTRAL, n=8), cfg(kernel, 512)
+            f, x, HessianVariant(CENTRAL), cfg(kernel, 512)
         )
         rng = np.random.default_rng(1)
         h = kernel.sample_batch(rng, 400_000)[:, 0]
@@ -216,7 +216,7 @@ class TestMonteCarloCrossChecks:
         f = sin_field(unit_interval)
         config = cfg(gaussian_kernel(1, 8, 0.1), 128)
         x = np.array([0.4])
-        H1 = nonlocal_hessian(f, x, HessianVariant(NESTED, n=8, m=8), config)
+        H1 = nonlocal_hessian(f, x, HessianVariant(NESTED, m=8), config)
         outer = gaussian_kernel(1, 8, 0.1)
         rng = np.random.default_rng(0)
         h = outer.sample_batch(rng, 8_000)[:, 0]
@@ -240,7 +240,7 @@ class TestLocalization:
             config = cfg(gaussian_kernel(1, n))
             worst = 0.0
             for x in np.linspace(0.42, 0.58, 9):
-                H = nonlocal_hessian(f, [x], HessianVariant(CENTRAL, n=n), config)
+                H = nonlocal_hessian(f, [x], HessianVariant(CENTRAL), config)
                 # exact curvature of the bump profile via analytic gradient FD
                 step = 1e-6
                 exact = (f.gradient_at([x + step])[0] - f.gradient_at([x - step])[0]) / (

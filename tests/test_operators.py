@@ -274,13 +274,3 @@ class TestDifferenceQuotientProperties:
         a = difference_quotient(f, [x], [y])
         b = difference_quotient(f, [y], [x])
         assert a[0] == pytest.approx(b[0], rel=1e-12)
-
-    def test_pv_radius_wipes_out_gradient(self, unit_interval):
-        # an exclusion radius beyond the kernel reach drops every node
-        from nonlocalopt.quadrature import PvPolicy
-
-        f = quadratic_field(unit_interval)
-        kernel = gaussian_kernel(1, 8)
-        config = OperatorConfig(kernel, resolution=256, pv=PvPolicy(10.0))
-        g = nonlocal_gradient(f, [0.3], config)
-        assert g[0] == 0.0

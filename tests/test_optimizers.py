@@ -42,6 +42,12 @@ class TestSchedule:
             StepSchedule.fixed(-1.0)
         with pytest.raises(ValueError):
             StepSchedule.geometric(0.3, 1.5)
+        with pytest.raises(ValueError):
+            StepSchedule.fixed(math.nan)
+        with pytest.raises(ValueError):
+            StepSchedule("fixed", cap=math.nan)
+        with pytest.raises(ValueError):
+            StepSchedule.sequence([0.1, math.nan])
 
 
 class TestNlgdFixed:

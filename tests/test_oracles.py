@@ -162,7 +162,7 @@ class TestConvergenceSweep:
         report = convergence_sweep(
             "moment-c",
             [4, 8, 16],
-            {"domain": unit_square, "kernel": bump_kernel(2, 1, 0.2), "x": [0.5, 0.5]},
+            {"domain": unit_square, "kernel": bump_kernel(2, 1, 0.2)},
         )
         assert report.within_bound
 

@@ -142,6 +142,9 @@ class TestRunExperiment:
             PulseRunConfig(halving_threshold=0.9)
         with pytest.raises(ValueError):
             PulseRunConfig(theta0=math.nan)
+        for bad in ({"halving_threshold": math.nan}, {"tolerance": math.nan}, {"tolerance": -0.1}):
+            with pytest.raises(ValueError):
+                PulseRunConfig(**bad)
 
     def test_trace_alpha_column_halvings(self):
         trace, summary = run_pulse_experiment(PulseRunConfig(family="gaussian", n=3))

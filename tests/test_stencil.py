@@ -11,6 +11,7 @@ from nonlocalopt import (
     BoxDomain,
     HessianVariant,
     OperatorConfig,
+    RadialKernel,
     ScalarField,
     SubsetIndicator,
     build_panel_grid,
@@ -22,11 +23,11 @@ from nonlocalopt import (
     restricted_nonlocal_gradient,
 )
 from nonlocalopt import quadrature
-from nonlocalopt.catalog import sin_field
+from nonlocalopt.catalog import linear_field, sin_field
 from nonlocalopt.errors import CoincidentPointsError, NodeBudgetError
 from nonlocalopt.fields import zero_extension
 from nonlocalopt.operators import CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED
-from nonlocalopt.quadrature import BLOCK_NODES, PvPolicy, Stencil, StencilCache, rule_1d
+from nonlocalopt.quadrature import BLOCK_NODES, Stencil, StencilCache, reach_stencil, rule_1d
 
 # One resolution per dimension, small enough for a fast reference sum.
 RESOLUTION = {1: 64, 2: 32, 3: 12}
@@ -36,13 +37,13 @@ RESOLUTION = {1: 64, 2: 32, 3: 12}
 
 
 def reference_gradient(field, x, boxes, config):
-    kernel, eps = config.kernel, config.pv.epsilon
+    kernel = config.kernel
     total = np.zeros(field.dim)
     for lo, hi in boxes:
         grid = build_panel_grid(lo, hi, x, config.resolution, config.scheme)
         d = x - grid.nodes
         r2 = np.sum(d * d, axis=1)
-        keep = r2 > eps * eps if eps > 0 else r2 > 0
+        keep = r2 > 0
         diff = field.value(x) - field(grid.nodes)[keep]
         coeff = grid.weights[keep] * diff / r2[keep] * kernel.density(d[keep])
         total += kernel.dim * np.sum(coeff[:, None] * d[keep], axis=0)
@@ -101,20 +102,18 @@ class TestEquivalence:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("scheme", ["gauss", "midpoint"])
     @pytest.mark.parametrize("where", ["interior", "clipped"])
-    @pytest.mark.parametrize("eps", [0.0, 0.01])
-    def test_gradient(self, dim, scheme, where, eps):
+    def test_gradient(self, dim, scheme, where):
         field = sin_field(BoxDomain.unit(dim))
         kernel = gaussian_kernel(dim, 4)
-        config = OperatorConfig(kernel, RESOLUTION[dim], scheme, PvPolicy(eps))
+        config = OperatorConfig(kernel, RESOLUTION[dim], scheme)
         x = point(dim, where)
         box = field.domain.clip_box(x - kernel.reach, x + kernel.reach)
         assert_close(nonlocal_gradient(field, x, config), reference_gradient(field, x, [box], config))
 
-    @pytest.mark.parametrize("eps", [0.0, 0.01])
-    def test_restricted_gradient(self, eps):
+    def test_restricted_gradient(self):
         field = sin_field(BoxDomain.unit(1))
         kernel = gaussian_kernel(1, 4)
-        config = OperatorConfig(kernel, 64, pv=PvPolicy(eps))
+        config = OperatorConfig(kernel, 64)
         x = np.array([0.5])
         subset = SubsetIndicator.from_intervals([(0.3, 0.5), (0.52, 0.9)])
         boxes = [(np.maximum(lo, x - kernel.reach), np.minimum(hi, x + kernel.reach))
@@ -129,7 +128,7 @@ class TestEquivalence:
         kernel = gaussian_kernel(dim, 4)
         config = OperatorConfig(kernel, RESOLUTION[dim], scheme)
         x = point(dim, "interior")
-        H = nonlocal_hessian(field, x, HessianVariant(CENTRAL, n=4), config)
+        H = nonlocal_hessian(field, x, HessianVariant(CENTRAL), config)
         assert_close(H, reference_central_hessian(field, x, kernel, config))
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -139,7 +138,7 @@ class TestEquivalence:
         kernel = gaussian_kernel(dim, 4)
         config = OperatorConfig(kernel, RESOLUTION[dim])
         x = point(dim, where)
-        H = nonlocal_hessian(field, x, HessianVariant(GRAD_SMOOTHED, n=4), config)
+        H = nonlocal_hessian(field, x, HessianVariant(GRAD_SMOOTHED), config)
         assert_close(H, reference_grad_smoothed(field, x, kernel, config))
 
     @pytest.mark.parametrize("where", ["interior", "clipped"])
@@ -167,6 +166,20 @@ def test_full_box_stencil_is_point_symmetric(dim, resolution, scheme):
     assert np.array_equal(w[::-1], w)
 
 
+def test_underflowing_offsets_carry_no_weight():
+    # |h|^2 of the 32 offsets left of x = 1e-200 underflows to 0
+    domain, kernel, x = BoxDomain.unit(1), RadialKernel("gaussian", 1, 1, 1e-150), [1e-200]
+    blocks = list(reach_stencil(kernel, np.array(x), kernel.reach, domain, 64).blocks())
+    h = np.concatenate([b.h for b in blocks])
+    underflow = np.sum(h * h, axis=1) == 0
+    assert np.count_nonzero(underflow) == 32
+    assert np.all(np.concatenate([b.wrho for b in blocks])[underflow] == 0)
+    assert np.all(np.isfinite(np.concatenate([b.grad for b in blocks])))
+    g = nonlocal_gradient(linear_field(domain, [1.0]), x, OperatorConfig(kernel, 64))
+    # the right half of the kernel's mass, less what lies past its 6-sigma reach
+    assert np.all(np.isfinite(g)) and g == pytest.approx([0.5], abs=1e-8)
+
+
 def test_central_hessian_evaluates_each_stencil_node_once():
     points = []
     base = sin_field(BoxDomain.unit(2))
@@ -177,7 +190,7 @@ def test_central_hessian_evaluates_each_stencil_node_once():
 
     field = replace(base, fn=counting)
     config = OperatorConfig(gaussian_kernel(2, 8), 64)
-    nonlocal_hessian(field, [0.5, 0.5], HessianVariant(CENTRAL, n=8), config)
+    nonlocal_hessian(field, [0.5, 0.5], HessianVariant(CENTRAL), config)
     assert sum(points) == 64 * 64 + 1  # the stencil, plus u(x)
 
 
@@ -199,7 +212,7 @@ def test_streamed_path_equals_cached_path(stencil_cache):
     field = sin_field(BoxDomain.unit(2))
     config = OperatorConfig(gaussian_kernel(2, 4), 400)
     x = np.array([0.5, 0.37])
-    variant = HessianVariant(CENTRAL, n=4)
+    variant = HessianVariant(CENTRAL)
     assert 400**2 > 2 * BLOCK_NODES and (400**2 // 2) % BLOCK_NODES
 
     cached = stencil_cache(quadrature.CACHE_BYTES)
@@ -228,7 +241,6 @@ class TestCache:
         kernel = gaussian_kernel(2, 4)
         first = cache.get(kernel, kernel.reach, 32)
         assert cache.get(gaussian_kernel(2, 4), kernel.reach, 32) is first
-        assert cache.get(kernel, kernel.reach, 32, pv_epsilon=0.01) is not first
         assert cache.get(kernel, kernel.reach, 32, "midpoint") is not first
 
     def test_stays_under_its_byte_cap_after_20_kernels(self):
@@ -319,7 +331,7 @@ def test_hessians_raise_on_non_finite_field(kind):
     field = _nan_beyond(0.55)
     config = OperatorConfig(gaussian_kernel(1, 8), 64)
     with pytest.raises(ValueError, match="not finite at quadrature node"):
-        nonlocal_hessian(field, [0.5], HessianVariant(kind, n=8, m=8), config)
+        nonlocal_hessian(field, [0.5], HessianVariant(kind, m=8), config)
 
 
 def test_reach_below_float_spacing_raises():
@@ -330,7 +342,7 @@ def test_reach_below_float_spacing_raises():
     with pytest.raises(CoincidentPointsError):
         nonlocal_gradient(field, [0.5], config)
     with pytest.raises(CoincidentPointsError):
-        nonlocal_hessian(field, [0.5], HessianVariant(CENTRAL, n=1), config)
+        nonlocal_hessian(field, [0.5], HessianVariant(CENTRAL), config)
     with pytest.raises(CoincidentPointsError):
         directional_second_moment(kernel, BoxDomain.unit(1), [0.5], 0)
 
