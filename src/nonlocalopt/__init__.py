@@ -9,14 +9,7 @@ Newton iterations on top of them.
 __version__ = "0.1.0"
 
 from .fields import BoxDomain, ScalarField, SubsetIndicator, extend_by_zero
-from .kernels import (
-    MomentDiagnostics,
-    RadialKernel,
-    bump_kernel,
-    directional_second_moment,
-    gaussian_kernel,
-    moments,
-)
+from .kernels import RadialKernel, bump_kernel, gaussian_kernel
 from .operators import (
     ALTERNATE_CONSTANT,
     CENTRAL,
@@ -28,6 +21,7 @@ from .operators import (
     OperatorConfig,
     TaylorData,
     difference_quotient,
+    directional_second_moments,
     find_vanishing_subset_1d,
     nonlocal_gradient,
     nonlocal_hessian,

@@ -25,7 +25,7 @@ def constant_field(domain: BoxDomain, value: float = 1.0) -> ScalarField:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (domain.dim, domain.dim))
 
-    return ScalarField(fn, domain, grad, hess, lipschitz=0.0, regularity="Cinf", name="constant")
+    return ScalarField(fn, domain, grad, hess, lipschitz=0.0, name="constant")
 
 
 def linear_field(domain: BoxDomain, coeffs, offset: float = 0.0) -> ScalarField:
@@ -43,7 +43,7 @@ def linear_field(domain: BoxDomain, coeffs, offset: float = 0.0) -> ScalarField:
         return np.zeros(x.shape[:-1] + (a.size, a.size))
 
     return ScalarField(
-        fn, domain, grad, hess, lipschitz=float(np.linalg.norm(a)), regularity="Cinf", name="linear"
+        fn, domain, grad, hess, lipschitz=float(np.linalg.norm(a)), name="linear"
     )
 
 
@@ -74,7 +74,7 @@ def quadratic_field(
         np.meshgrid(*zip(domain.lower, domain.upper), indexing="ij"), axis=-1
     ).reshape(-1, D)
     M = float(np.max(np.linalg.norm(grad(corners), axis=1)))
-    return ScalarField(fn, domain, grad, hess, lipschitz=M, regularity="Cinf", name=name)
+    return ScalarField(fn, domain, grad, hess, lipschitz=M, name=name)
 
 
 def sin_field(domain: BoxDomain, freq: float = 1.0) -> ScalarField:
@@ -111,7 +111,7 @@ def sin_field(domain: BoxDomain, freq: float = 1.0) -> ScalarField:
         return H
 
     M = float(w * np.sqrt(D))
-    return ScalarField(fn, domain, grad, hess, lipschitz=M, regularity="Cinf", name="sin")
+    return ScalarField(fn, domain, grad, hess, lipschitz=M, name="sin")
 
 
 def quartic_field(
@@ -149,7 +149,7 @@ def quartic_field(
         np.meshgrid(*zip(domain.lower, domain.upper), indexing="ij"), axis=-1
     ).reshape(-1, domain.dim)
     M = float(np.max(np.linalg.norm(grad(corners), axis=1)))
-    return ScalarField(fn, domain, grad, hess, lipschitz=M, regularity="Cinf", name=name)
+    return ScalarField(fn, domain, grad, hess, lipschitz=M, name=name)
 
 
 def asymmetric_min_field(domain: BoxDomain, center=None, skew: float = 0.3) -> ScalarField:
@@ -172,7 +172,7 @@ def asymmetric_min_field(domain: BoxDomain, center=None, skew: float = 0.3) -> S
 
     lo, hi = domain.lower[0], domain.upper[0]
     M = max(abs(2 * (v - c) + 3 * skew * (v - c) ** 2) for v in (lo, hi))
-    return ScalarField(fn, domain, grad, hess, lipschitz=M, regularity="Cinf", name="asymmetric-min")
+    return ScalarField(fn, domain, grad, hess, lipschitz=M, name="asymmetric-min")
 
 
 def ridge_field(domain: BoxDomain, center=None, slope: float = 1.0) -> ScalarField:
@@ -183,9 +183,7 @@ def ridge_field(domain: BoxDomain, center=None, slope: float = 1.0) -> ScalarFie
         d = np.asarray(x, dtype=float) - c
         return slope * np.linalg.norm(d, axis=-1)
 
-    return ScalarField(
-        fn, domain, lipschitz=float(slope), regularity="C0-lipschitz", name="ridge"
-    )
+    return ScalarField(fn, domain, lipschitz=float(slope), name="ridge")
 
 
 def bump_field(
@@ -257,7 +255,6 @@ def bump_field(
         hess,
         lipschitz=M,
         support=support,
-        regularity="Cinf-compact",
         name="bump",
     )
 

@@ -38,7 +38,7 @@ from .pulse import (
     PulseRunConfig,
     default_holder_offsets,
     holder_exponent_fit,
-    run_pulse_experiment,
+    run_pulse_suite,
 )
 from .quadrature import GAUSS, MIDPOINT, NODE_BUDGET
 from .reporting import emit_csv, emit_plot_svg
@@ -52,6 +52,7 @@ from .sweeps import (
 )
 
 COMMANDS = ("grad-check", "hess-check", "sweep", "descend", "sgd", "newton", "pulse")
+DESCEND_METHODS = ("nlgd", "nlgd-ls", "gd", "gd-ls", "newton")
 
 DEFAULTS: dict = {
     "domain": {"dim": 1, "lower": [0.0], "upper": [1.0]},
@@ -200,6 +201,12 @@ def _counts(values) -> list[int]:
     return [_count(v) for v in values]
 
 
+def _descend_method(method: str) -> str:
+    if method not in DESCEND_METHODS:
+        raise ValueError(f"unknown method {method!r}; known: {list(DESCEND_METHODS)}")
+    return method
+
+
 def _registered(name: str) -> str:
     if name not in REGISTRY:
         raise ValueError(f"unknown check {name!r}; registered: {sorted(REGISTRY)}")
@@ -258,6 +265,12 @@ def _start(config: dict, key: str, domain: BoxDomain) -> np.ndarray:
         return x
 
     return _get(config, key, build)
+
+
+def _sgd_from(config: dict, seed: int) -> SgdConfig:
+    return _get(config, "sgd", lambda s: SgdConfig(
+        B=float(s["B"]), M=float(s["M"]), K=_budgeted(s["K"]), epsilon=float(s["epsilon"]),
+        seed=seed))
 
 
 def _pulse_runs(config: dict) -> list[PulseRunConfig]:
@@ -393,6 +406,7 @@ def _cmd_sweep(run: _Run) -> int:
         "kernel": kernel,
         "resolution": op.resolution,
         "scheme": op.scheme,
+        "sgd": _sgd_from(config, run.args.seed),
         "probes": _get(config, "check.probes", _budgeted),
         "seeds": _get(config, "check.seeds", _budgeted),
         "seed": run.args.seed,
@@ -413,57 +427,25 @@ def _cmd_sweep(run: _Run) -> int:
     return 0 if passed else 1
 
 
-def _run_method(run: _Run, method: str):
-    """Dispatch one optimizer run per the run-spec method string."""
+def _cmd_descend(run: _Run) -> int:
     config = run.config
+    method = _get(config, "descend.method", _descend_method)
     domain = _domain_from(config)
     field = _field_from(config, domain)
     max_iters = _get(config, "descend.max_iters", lambda v: _budgeted(v, 0))
     grad_tol = _get(config, "descend.grad_tol", _nonnegative)
     schedule = _get(config, "descend.schedule", lambda s: StepSchedule(
         s["kind"], alpha=float(s["alpha"]), q=float(s["q"]), cap=float(s["cap"])))
-    extra: dict = {}
-    if method in ("nlgd", "nlgd-ls", "esgd", "nl-newton"):
-        kernel = _kernel_from(config, domain.dim)
-    if method in ("nlgd", "nlgd-ls", "gd", "gd-ls", "newton"):
-        x0 = _start(config, "descend.x0", domain)
-    if method == "nlgd":
-        trace = nlgd_fixed(field, x0, _op_config(config, kernel), schedule, max_iters, grad_tol)
-    elif method == "nlgd-ls":
-        trace = nlgd_linesearch(
-            field, x0, _op_config(config, kernel), schedule.cap, max_iters, grad_tol
-        )
-    elif method == "esgd":
-        sgd_cfg = _get(config, "sgd", lambda s: SgdConfig(
-            B=float(s["B"]), M=float(s["M"]), K=_budgeted(s["K"]),
-            epsilon=float(s["epsilon"]), seed=run.args.seed,
-        ))
-        x_bar, trace = epsilon_sgd(field, sgd_cfg, kernel)
-        extra = {
-            "x_bar": [float(v) for v in x_bar],
-            "value_at_x_bar": field.value(x_bar),
-            "gap_bound": sgd_cfg.gap_bound,
-        }
-    elif method == "nl-newton":
-        trace = nonlocal_newton(
-            field,
-            _start(config, "newton.x0", domain),
-            _op_config(config, kernel),
-            max_iters=_get(config, "newton.max_iters", lambda v: _budgeted(v, 0)),
-            grad_tol=_get(config, "newton.grad_tol", _nonnegative),
-            beta=_get(config, "newton.beta", _positive),
-        )
-    elif method in ("gd", "gd-ls", "newton"):
-        trace = local_counterpart(field, x0, method, schedule, max_iters, grad_tol)
-    else:
-        raise ConfigError(f"unknown config key 'descend.method' value {method!r}")
-    return field, trace, extra
-
-
-def _cmd_descend(run: _Run) -> int:
-    method = _get(run.config, "descend.method")
+    if method in ("nlgd", "nlgd-ls"):
+        op = _op_config(config, _kernel_from(config, domain.dim))
+    x0 = _start(config, "descend.x0", domain)
     try:
-        field, trace, extra = _run_method(run, method)
+        if method == "nlgd":
+            trace = nlgd_fixed(field, x0, op, schedule, max_iters, grad_tol)
+        elif method == "nlgd-ls":
+            trace = nlgd_linesearch(field, x0, op, schedule.cap, max_iters, grad_tol)
+        else:
+            trace = local_counterpart(field, x0, method, schedule, max_iters, grad_tol)
     except SingularHessianError as exc:
         print(f"descend: {exc}", file=sys.stderr)
         run.summary = {"error": str(exc)}
@@ -474,7 +456,6 @@ def _cmd_descend(run: _Run) -> int:
         "termination": trace.termination,
         "final_point": [float(v) for v in trace.final_point],
         "final_value": float(trace.objective_values[-1]),
-        **extra,
     }
     print(f"descend {method}: {trace.termination} after {len(trace) - 1} steps, "
           f"final value {trace.objective_values[-1]:.6g}")
@@ -482,17 +463,36 @@ def _cmd_descend(run: _Run) -> int:
 
 
 def _cmd_sgd(run: _Run) -> int:
-    field, trace, extra = _run_method(run, "esgd")
+    config = run.config
+    domain = _domain_from(config)
+    field = _field_from(config, domain)
+    kernel = _kernel_from(config, domain.dim)
+    sgd = _sgd_from(config, run.args.seed)
+    x_bar, trace = epsilon_sgd(field, sgd, kernel)
     run.add(emit_csv(trace, run.out / "trace.csv", coord_label="x"))
-    run.summary = {"termination": trace.termination, **extra}
-    print(f"sgd: averaged point {extra['x_bar']}, value {extra['value_at_x_bar']:.6g}, "
-          f"bound {extra['gap_bound']:.3g}")
+    run.summary = {
+        "termination": trace.termination,
+        "x_bar": [float(v) for v in x_bar],
+        "value_at_x_bar": field.value(x_bar),
+        "gap_bound": sgd.gap_bound,
+    }
+    print(f"sgd: averaged point {run.summary['x_bar']}, "
+          f"value {run.summary['value_at_x_bar']:.6g}, bound {sgd.gap_bound:.3g}")
     return 0 if trace.termination == "max-iters" else 1
 
 
 def _cmd_newton(run: _Run) -> int:
+    config = run.config
+    domain = _domain_from(config)
+    field = _field_from(config, domain)
+    kernel = _kernel_from(config, domain.dim)
+    x0 = _start(config, "newton.x0", domain)
+    op = _op_config(config, kernel)
+    max_iters = _get(config, "newton.max_iters", lambda v: _budgeted(v, 0))
+    grad_tol = _get(config, "newton.grad_tol", _nonnegative)
+    beta = _get(config, "newton.beta", _positive)
     try:
-        field, trace, _ = _run_method(run, "nl-newton")
+        trace = nonlocal_newton(field, x0, op, max_iters=max_iters, grad_tol=grad_tol, beta=beta)
     except SingularHessianError as exc:
         print(f"newton: {exc}", file=sys.stderr)
         run.summary = {"error": str(exc)}
@@ -512,8 +512,7 @@ def _cmd_pulse(run: _Run) -> int:
     curves, labels = [], []
     summaries = []
     failed = []
-    for cfg in configs:
-        trace, summary = run_pulse_experiment(cfg)
+    for cfg, (trace, summary) in zip(configs, run_pulse_suite(configs)):
         label = f"{cfg.family}-n{cfg.n}"
         run.add(emit_csv(trace, run.out / f"pulse_{cfg.family}_n{cfg.n}.csv"))
         curves.append(np.abs(trace.iterates[:, 0] - cfg.theta_star))

@@ -126,7 +126,6 @@ class ScalarField:
     hessian: Optional[Callable[[Array], Array]] = None
     lipschitz: Optional[float] = None
     support: Optional[BoxDomain] = None
-    regularity: str = ""
     name: str = ""
     zero_extended: bool = False
 
@@ -153,66 +152,34 @@ class ScalarField:
 
 
 def extend_by_zero(field: ScalarField) -> ScalarField:
-    """Extend a compactly supported field by zero to all of R^D.
+    """Extend a field by zero to all of R^D.
 
     The returned field evaluates to the original value strictly inside the
-    declared support box and to exactly zero everywhere else, including
-    outside the original domain.  Idempotent.
+    declared support box, or inside the domain when no support is declared,
+    and to exactly zero everywhere else.  It has no derivative callbacks.
+    Idempotent.
     """
     if field.zero_extended:
         return field
-    if field.support is None:
-        raise MissingDerivativeError(
-            f"field {field.name!r} declares no compact support; cannot extend by zero"
-        )
-    sup_lo = field.support.lower_array
-    sup_hi = field.support.upper_array
+    box = field.domain if field.support is None else field.support
+    lo, hi = box.lower_array, box.upper_array
     base_fn = field.fn
-    base_grad = field.gradient
     dim = field.dim
 
-    def _mask_apply(x, fn, value_shape):
+    def masked(x):
         # evaluate the base callback at inside points only: callbacks are
         # guaranteed total on the domain, not on all of R^D
         x = np.asarray(x, dtype=float)
-        inside = np.all((x > sup_lo) & (x < sup_hi), axis=-1)
-        scalar = inside.ndim == 0
-        pts = x.reshape(-1, dim)
-        mask = np.atleast_1d(inside).reshape(-1)
-        out = np.zeros((mask.shape[0],) + value_shape)
+        inside = np.all((x > lo) & (x < hi), axis=-1)
+        mask = inside.reshape(-1)
+        out = np.zeros(mask.shape[0])
         if mask.any():
-            vals = np.asarray(fn(pts[mask]), dtype=float)
-            out[mask] = vals.reshape((-1,) + value_shape)
-        out = out.reshape(np.shape(inside) + value_shape)
-        if scalar and not value_shape:
-            return float(out)
-        return out
+            out[mask] = np.asarray(base_fn(x.reshape(-1, dim)[mask]), dtype=float).reshape(-1)
+        if inside.ndim == 0:
+            return float(out[0])
+        return out.reshape(inside.shape)
 
-    def masked(x):
-        return _mask_apply(x, base_fn, ())
-
-    masked_grad = None
-    if base_grad is not None:
-
-        def masked_grad(x):
-            return _mask_apply(x, base_grad, (dim,))
-
-    return replace(field, fn=masked, gradient=masked_grad, hessian=None, zero_extended=True)
-
-
-def zero_extension(field: ScalarField) -> ScalarField:
-    """Zero-extend beyond the support box if declared, else beyond the domain.
-
-    Fields without a declared compact support are cut off at the domain
-    boundary; translation-based operators only ever see the difference when
-    their stencil actually leaves the domain.
-    """
-    if field.zero_extended:
-        return field
-    if field.support is not None:
-        return extend_by_zero(field)
-    box = BoxDomain(field.domain.lower, field.domain.upper)
-    return extend_by_zero(replace(field, support=box))
+    return replace(field, fn=masked, gradient=None, hessian=None, zero_extended=True)
 
 
 @dataclass(frozen=True)

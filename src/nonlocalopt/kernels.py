@@ -2,25 +2,23 @@
 
 A kernel at scale index ``n`` is a nonnegative, unit-mass, radially symmetric
 density on R^D whose spread shrinks like ``base_scale / n``.  Two families are
-built in: isotropic Gaussians and compactly supported bump profiles.  Custom
-compact radial profiles are accepted and normalized numerically.
+built in: isotropic Gaussians and compactly supported bump profiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, RejectionOverflowError
-from .fields import BoxDomain, as_point
-from .quadrature import GAUSS, reach_stencil, rule_1d
+from .quadrature import GAUSS, rule_1d
 
 GAUSSIAN = "gaussian"
 BUMP = "bump"
-CUSTOM = "custom"
 
 # Gaussian cutoffs: reach is what operators integrate over, full_radius is
 # what mass/tail computations use (mass beyond 12 sigma underflows float64).
@@ -28,6 +26,10 @@ _GAUSS_REACH_SIGMAS = 6.0
 _GAUSS_FULL_SIGMAS = 12.0
 
 _MAX_SAMPLE_ATTEMPTS = 1_000_000
+
+# Rejection envelope of the bump profile: its peak exp(-1), nudged up so a
+# draw at the peak is accepted.
+_BUMP_ENVELOPE = math.exp(-1.0) * 1.0000001
 
 
 def unit_sphere_area(dim: int) -> float:
@@ -52,6 +54,12 @@ def _shell_integral(f: Callable, dim: int, lo: float, hi: float) -> float:
     return unit_sphere_area(dim) * float(np.sum(w * vals))
 
 
+@lru_cache(maxsize=64)
+def _bump_norm(dim: int) -> float:
+    """Mass of the unit-radius bump profile in R^dim."""
+    return _shell_integral(bump_profile, dim, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class RadialKernel:
     """One member of a Dirac-approximating radial density family.
@@ -59,28 +67,22 @@ class RadialKernel:
     Parameters
     ----------
     family : str
-        ``"gaussian"``, ``"bump"``, or ``"custom"``.
+        ``"gaussian"`` or ``"bump"``.
     dim : int
         Spatial dimension D.
     scale_index : int
         Positive index n; spread shrinks like ``base_scale / n``.
     base_scale : float
         Gaussian standard deviation (or compact support radius) at n = 1.
-    profile : callable, optional
-        Unit-radius radial profile for the custom family; must be nonnegative
-        and integrable on the unit ball.
     """
 
     family: str
     dim: int
     scale_index: int
     base_scale: float
-    profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    _norm: float = 0.0
-    _peak: float = 0.0
 
     def __post_init__(self):
-        if self.family not in (GAUSSIAN, BUMP, CUSTOM):
+        if self.family not in (GAUSSIAN, BUMP):
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.dim < 1:
             raise DimensionMismatchError("kernel dimension must be positive")
@@ -88,26 +90,6 @@ class RadialKernel:
             raise ValueError("scale index must be a positive integer")
         if not 0 < self.base_scale < math.inf:
             raise ValueError("base scale must be positive and finite")
-        if self.family == CUSTOM:
-            if self.profile is None:
-                raise ValueError("custom kernels must supply a radial profile")
-            rr = np.linspace(0.0, 1.0, 513)
-            vals = np.asarray(self.profile(rr), dtype=float)
-            if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-                raise ValueError("custom profile must be finite and nonnegative")
-            peak = float(vals.max())
-            if peak <= 0:
-                raise ValueError("custom profile must carry positive mass")
-        elif self.family == BUMP:
-            peak = math.exp(-1.0)
-        else:
-            peak = 1.0
-        prof = self._profile_fn()
-        norm = 1.0 if self.family == GAUSSIAN else _shell_integral(prof, self.dim, 0.0, 1.0)
-        if norm <= 0 or not math.isfinite(norm):
-            raise ValueError("profile mass must be positive and finite")
-        object.__setattr__(self, "_norm", norm)
-        object.__setattr__(self, "_peak", peak * 1.0000001)
         try:
             with np.errstate(divide="ignore", over="ignore"):
                 top = float(self.radial_density(0.0))
@@ -115,13 +97,6 @@ class RadialKernel:
             top = math.inf
         if not top < math.inf:
             raise ValueError(f"scale {self.scale} is too small for a float64 density")
-
-    def _profile_fn(self) -> Callable:
-        if self.family == BUMP:
-            return bump_profile
-        if self.family == CUSTOM:
-            return self.profile
-        return None
 
     @property
     def scale(self) -> float:
@@ -154,8 +129,7 @@ class RadialKernel:
         if self.family == GAUSSIAN:
             c = (2.0 * math.pi * s * s) ** (-self.dim / 2.0)
             return c * np.exp(-0.5 * (r / s) ** 2)
-        prof = self._profile_fn()
-        return prof(r / s) / (self._norm * s**self.dim)
+        return bump_profile(r / s) / (_bump_norm(self.dim) * s**self.dim)
 
     def density(self, h) -> np.ndarray:
         """Density at offset vectors of shape ``(..., dim)``."""
@@ -201,14 +175,13 @@ class RadialKernel:
         return out
 
     def _rejection_draw(self, rng: np.random.Generator) -> np.ndarray:
-        prof = self._profile_fn()
         s = self.scale
         for _ in range(_MAX_SAMPLE_ATTEMPTS):
             p = rng.uniform(-1.0, 1.0, size=self.dim)
             v = float(np.linalg.norm(p))
             if v >= 1.0:
                 continue
-            if rng.uniform() * self._peak <= float(prof(np.asarray([v]))[0]):
+            if rng.uniform() * _BUMP_ENVELOPE <= float(bump_profile(np.asarray([v]))[0]):
                 return s * p
         raise RejectionOverflowError(
             f"rejection sampler exceeded {_MAX_SAMPLE_ATTEMPTS} attempts"
@@ -221,8 +194,7 @@ class RadialKernel:
         rows are not the draws that successive single samples would give.
         """
         if self.family == GAUSSIAN:
-            return self.scale * rng.standard_normal((size, self.dim))
-        prof = self._profile_fn()
+            return self.sample(rng, size)
         out = np.empty((size, self.dim))
         filled = 0
         attempts = 0
@@ -235,7 +207,7 @@ class RadialKernel:
             p = rng.uniform(-1.0, 1.0, size=(chunk, self.dim))
             v = np.linalg.norm(p, axis=1)
             u = rng.uniform(size=chunk)
-            ok = (v < 1.0) & (u * self._peak <= prof(v))
+            ok = (v < 1.0) & (u * _BUMP_ENVELOPE <= bump_profile(v))
             take = p[ok][: size - filled]
             out[filled : filled + take.shape[0]] = take
             filled += take.shape[0]
@@ -248,41 +220,3 @@ def gaussian_kernel(dim: int, n: int, base_scale: float = 0.1) -> RadialKernel:
 
 def bump_kernel(dim: int, n: int, base_scale: float = 0.2) -> RadialKernel:
     return RadialKernel(BUMP, dim, n, base_scale)
-
-
-@dataclass(frozen=True)
-class MomentDiagnostics:
-    """Directional second moments of a kernel over the domain at a point."""
-
-    point: np.ndarray
-    c_values: np.ndarray
-    kernel: RadialKernel
-
-    @property
-    def d_times_c(self) -> np.ndarray:
-        return self.kernel.dim * self.c_values
-
-
-def directional_second_moment(
-    kernel: RadialKernel, domain: BoxDomain, x, axis: int, resolution: int = 256
-) -> float:
-    """Domain integral of ``(x_i - y_i)^2 / |x - y|^2`` against the kernel.
-
-    Converges to ``1/D`` at interior points as the kernel concentrates; the
-    deficit measures boundary truncation.
-    """
-    x = as_point(x, kernel.dim)
-    if not domain.contains(x):
-        raise ValueError("moment diagnostics require an interior point")
-    if not 0 <= axis < kernel.dim:
-        raise ValueError(f"axis {axis} out of range for dimension {kernel.dim}")
-    stencil = reach_stencil(kernel, x, kernel.full_radius, domain, resolution, GAUSS)
-    return float(sum(np.sum(b.wrho * b.h[:, axis] ** 2 / b.r2) for b in stencil.blocks()))
-
-
-def moments(kernel: RadialKernel, domain: BoxDomain, x, resolution: int = 256) -> MomentDiagnostics:
-    x = as_point(x, kernel.dim)
-    c = np.array(
-        [directional_second_moment(kernel, domain, x, i, resolution) for i in range(kernel.dim)]
-    )
-    return MomentDiagnostics(point=x, c_values=c, kernel=kernel)

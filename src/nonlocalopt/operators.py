@@ -4,7 +4,9 @@ The first-order operator averages difference quotients of the field against a
 radial density; it exists for merely Lipschitz (and weaker) fields and
 localizes to the classical gradient as the kernel concentrates.  Four
 second-order constructions are provided, one of which (the symmetric
-second-difference form) is the workhorse for Newton iterations.
+second-difference form) is the workhorse for Newton iterations.  The
+directional second moments of the kernel over the domain measure how much
+of its mass a boundary truncates.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     NoBracketError,
     NodeBudgetError,
 )
-from .fields import ScalarField, SubsetIndicator, as_point, zero_extension
+from .fields import BoxDomain, ScalarField, SubsetIndicator, as_point, extend_by_zero
 from .kernels import RadialKernel
 from .quadrature import GAUSS, NODE_BUDGET, Stencil, reach_stencil
 
@@ -310,7 +312,7 @@ def _central_hessian(
     half is summed, each node standing for itself and its mirror.
     """
     D = field.dim
-    ext = zero_extension(field)
+    ext = extend_by_zero(field)
     value_x = float(ext(x))
     if not np.isfinite(value_x):
         raise ValueError(f"field value is not finite at {x}")
@@ -328,6 +330,24 @@ def _central_hessian(
         H += (b.h * c[:, None]).T @ b.h
         trace += float(np.sum(c * b.r2))
     return H - trace / (D + 2) * np.eye(D)
+
+
+def directional_second_moments(domain: BoxDomain, x, config: OperatorConfig) -> np.ndarray:
+    """Domain integrals of ``(x_i - y_i)^2 / |x - y|^2`` against the kernel, one per axis.
+
+    Each converges to ``1/D`` at interior points as the kernel concentrates;
+    the deficit of ``D * c_i`` below 1 measures boundary truncation.
+    """
+    kernel = config.kernel
+    x = as_point(x, kernel.dim)
+    if not domain.contains(x):
+        raise ValueError("moment diagnostics require an interior point")
+    stencil = reach_stencil(kernel, x, kernel.full_radius, domain, config.resolution,
+                            config.scheme)
+    c = np.zeros(kernel.dim)
+    for b in stencil.blocks():
+        c += [np.sum(b.wrho * b.h[:, i] ** 2 / b.r2) for i in range(kernel.dim)]
+    return c
 
 
 # -- affine approximant ---------------------------------------------------------

@@ -44,7 +44,7 @@ _DRAW_BLOCK = 128
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Positive step sizes: fixed, an explicit sequence, or a geometric decay.
+    """Positive step sizes: fixed or a geometric decay.
 
     ``cap`` bounds the line-search interval ``[0, cap]`` where relevant.
     A geometric schedule with total mass below 1 carries the boundedness
@@ -54,16 +54,12 @@ class StepSchedule:
     kind: str
     alpha: float = 0.1
     q: float = 0.5
-    values: tuple[float, ...] = ()
     cap: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "sequence", "geometric"):
+        if self.kind not in ("fixed", "geometric"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "sequence":
-            if not self.values or not all(v > 0 for v in self.values):
-                raise ValueError("sequence schedules need positive entries")
-        elif not self.alpha > 0:
+        if not self.alpha > 0:
             raise ValueError("step sizes must be positive")
         if self.kind == "geometric" and not 0 < self.q < 1:
             raise ValueError("geometric decay needs 0 < q < 1")
@@ -75,10 +71,6 @@ class StepSchedule:
         return cls("fixed", alpha=alpha)
 
     @classmethod
-    def sequence(cls, values) -> "StepSchedule":
-        return cls("sequence", values=tuple(float(v) for v in values))
-
-    @classmethod
     def geometric(cls, alpha0: float, q: float) -> "StepSchedule":
         return cls("geometric", alpha=alpha0, q=q)
 
@@ -86,16 +78,12 @@ class StepSchedule:
         """Step size for iteration ``k`` (0-based)."""
         if self.kind == "fixed":
             return self.alpha
-        if self.kind == "sequence":
-            return self.values[min(k, len(self.values) - 1)]
         return self.alpha * self.q**k
 
     def total(self) -> float:
         """Sum of all steps (infinite-horizon for geometric decay)."""
         if self.kind == "fixed":
             return math.inf
-        if self.kind == "sequence":
-            return float(sum(self.values))
         return self.alpha / (1.0 - self.q)
 
 

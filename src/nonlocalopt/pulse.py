@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import BoxDomain, ScalarField
-from .kernels import BUMP, GAUSSIAN, RadialKernel
+from .kernels import GAUSSIAN, RadialKernel
 from .operators import OperatorConfig, nonlocal_gradient
 from .optimizers import OptimizerTrace, _confined, _descend
 
@@ -88,7 +88,7 @@ class PulseManifold:
             x = np.asarray(x, dtype=float)
             return manifold.objective(x[..., 0])
 
-        return ScalarField(fn, domain, regularity="C0-holder", name="pulse-objective")
+        return ScalarField(fn, domain, name="pulse-objective")
 
 
 def default_holder_offsets(manifold: PulseManifold) -> np.ndarray:
@@ -152,8 +152,8 @@ class PulseRunConfig:
             raise ValueError("halving threshold must exceed 1")
         if not self.tolerance >= 0.0:
             raise ValueError("tolerance must be nonnegative")
-        if np.isnan(self.theta0):
-            raise ValueError("theta0 must be a number")
+        if not 0.0 <= self.theta0 <= 1.0:
+            raise ValueError("starting shift theta0 must lie in [0, 1]")
         self.kernel()  # a bad family, scale index or base scale raises here
         self.manifold()  # and so does a bad pulse geometry
 
@@ -244,12 +244,7 @@ def run_pulse_experiment(config: PulseRunConfig) -> tuple[OptimizerTrace, PulseR
 
 
 def run_pulse_suite(
-    families: Sequence[str] = (BUMP, GAUSSIAN),
-    n_values: Sequence[int] = (1, 2, 3),
-    **overrides,
-) -> list[tuple[PulseRunConfig, OptimizerTrace, PulseRunSummary]]:
-    """Run the (family, scale-index) grid of pulse experiments."""
-    configs = [
-        PulseRunConfig(family=f, n=int(n), **overrides) for f in families for n in n_values
-    ]
-    return [(cfg, *run_pulse_experiment(cfg)) for cfg in configs]
+    configs: Sequence[PulseRunConfig],
+) -> list[tuple[OptimizerTrace, PulseRunSummary]]:
+    """Run the pulse experiment of each config, in order."""
+    return [run_pulse_experiment(cfg) for cfg in configs]

@@ -16,11 +16,12 @@ import numpy as np
 from .catalog import quadratic_field, sin_field
 from .errors import UnknownCheckError
 from .fields import BoxDomain, ScalarField
-from .kernels import RadialKernel, directional_second_moment, gaussian_kernel
+from .kernels import RadialKernel, gaussian_kernel
 from .operators import (
     CENTRAL,
     HessianVariant,
     OperatorConfig,
+    directional_second_moments,
     nonlocal_gradient,
     nonlocal_hessian,
 )
@@ -172,14 +173,10 @@ def _check_newton_floor(n: int, settings: dict):
 
 
 def _check_moment(n: int, settings: dict):
-    kernel: RadialKernel = settings["kernel"].with_scale_index(n)
     domain: BoxDomain = settings["domain"]
     x = domain.center
-    worst = -1.0
-    for axis in range(kernel.dim):
-        c = directional_second_moment(kernel, domain, x, axis)
-        worst = max(worst, abs(kernel.dim * c - 1.0))
-    return worst, tuple(x)
+    c = directional_second_moments(domain, x, _config_for(settings, n))
+    return float(np.max(np.abs(domain.dim * c - 1.0))), tuple(x)
 
 
 REGISTRY: dict[str, Callable] = {

@@ -143,6 +143,11 @@ MALFORMED = [
     (["pulse", "--set", "pulse.halving_threshold=NaN"], "'pulse'"),
     (["pulse", "--set", "pulse.tolerance=NaN"], "'pulse'"),
     (["pulse", "--set", "pulse.tolerance=-1"], "'pulse'"),
+    (["pulse", "--set", "pulse.theta0=5"], "'pulse'"),
+    (["pulse", "--set", "pulse.theta0=Infinity"], "'pulse'"),
+    (["pulse", "--set", "pulse.theta0=-3"], "'pulse'"),
+    (["descend", "--set", 'descend.method="esgd"'], "'descend.method'"),
+    (["descend", "--set", 'descend.method="nl-newton"'], "'descend.method'"),
     (["descend", "--set", "descend.schedule.alpha=NaN"], "'descend.schedule'"),
     (["descend", "--set", "descend.schedule.cap=NaN"], "'descend.schedule'"),
     (["grad-check", "--set", "check.tolerance=NaN"], "'check.tolerance'"),
@@ -192,6 +197,26 @@ def test_moment_sweep_reads_the_tolerance(tmp_path):
     assert run_cli(argv + ["--out", str(tmp_path / "tight"), "--set", "check.tolerance=1e-30"]) == 1
     summary = json.loads((tmp_path / "tight" / "manifest.json").read_text())["summary"]
     assert summary["within_bound"] is False and max(summary["errors"]) > 1e-30
+
+
+def _sweep_errors(out, *argv):
+    run_cli(["sweep", "--out", str(out), *argv])
+    return json.loads((out / "manifest.json").read_text())["summary"]["errors"]
+
+
+def test_moment_sweep_reads_the_quadrature(tmp_path):
+    errors = {res: _sweep_errors(tmp_path / str(res), "--check", "moment-c",
+                                 "--set", "check.n_values=[4,8]",
+                                 "--set", f"quadrature.resolution={res}")
+              for res in (16, 256)}
+    assert errors[16] != errors[256]
+
+
+def test_sgd_bound_sweep_reads_the_sgd_settings(tmp_path):
+    argv = ("--check", "sgd-bound", "--set", "check.n_values=[4,8]", "--set", "check.seeds=5")
+    default = _sweep_errors(tmp_path / "default", *argv)
+    assert _sweep_errors(tmp_path / "K1", *argv, "--set", "sgd.K=1") != default
+    assert _sweep_errors(tmp_path / "M1", *argv, "--set", "sgd.M=1.0") != default
 
 
 SHORT_PULSE = ("--set", 'pulse.families=["gaussian"]', "--set", "pulse.n_values=[1]",
@@ -319,10 +344,8 @@ class TestRunsAndArtifacts:
             "--set", "descend.x0=[0.4]",
             "--set", "descend.schedule.alpha=0.05",
             "--set", 'domain={"dim":1,"lower":[-1.0],"upper":[1.0]}',
-            "--set", "sgd.K=10",
-            "--set", "newton.x0=[0.4]", "--set", "newton.max_iters=5",
         ]
-        for i, method in enumerate(["nlgd", "nlgd-ls", "esgd", "nl-newton", "gd", "newton"]):
+        for i, method in enumerate(["nlgd", "nlgd-ls", "gd", "gd-ls", "newton"]):
             out = tmp_path / f"m{i}"
             code = run_cli(
                 ["descend", "--field", "quadratic", "--out", str(out),

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from nonlocalopt import BoxDomain, extend_by_zero
 from nonlocalopt.catalog import bump_field, quadratic_field
-from nonlocalopt.errors import DimensionMismatchError, MissingDerivativeError
+from nonlocalopt.errors import DimensionMismatchError
 from nonlocalopt.fields import SubsetIndicator
 
 
@@ -95,10 +95,13 @@ class TestExtendByZero:
         probes = np.linspace(-0.5, 1.5, 21)[:, None]
         assert np.array_equal(once(probes), twice(probes))
 
-    def test_requires_declared_support(self, unit_interval):
-        f = quadratic_field(unit_interval)
-        with pytest.raises(MissingDerivativeError):
-            extend_by_zero(f)
+    def test_cuts_off_at_domain_without_support(self, unit_interval):
+        base = quadratic_field(unit_interval)
+        ext = extend_by_zero(base)
+        probes = np.array([[-0.5], [0.0], [0.3], [0.7], [1.0], [1.5]])
+        inside = [base.value([0.3]), base.value([0.7])]
+        assert np.array_equal(ext(probes), [0.0, 0.0, *inside, 0.0, 0.0])
+        assert ext.value([0.3]) == base.value([0.3])
 
 
 class TestSubsetIndicator:

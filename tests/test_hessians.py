@@ -190,7 +190,7 @@ class TestMonteCarloCrossChecks:
     def test_central_matches_mc_on_nonquadratic(self, unit_interval):
         # dual route on a field where the moment identity alone is not the
         # oracle: sample the kernel and average the stencil integrand
-        from nonlocalopt.fields import zero_extension
+        from nonlocalopt.fields import extend_by_zero
 
         f = sin_field(unit_interval)
         kernel = gaussian_kernel(1, 8, 0.1)
@@ -200,7 +200,7 @@ class TestMonteCarloCrossChecks:
         )
         rng = np.random.default_rng(1)
         h = kernel.sample_batch(rng, 400_000)[:, 0]
-        ext = zero_extension(f)
+        ext = extend_by_zero(f)
         sec = ext((x[0] + h)[:, None]) - 2 * f.value(x) + ext((x[0] - h)[:, None])
         pref = 1 * 3 / 2  # dim (dim + 2) / 2
         vals = np.where(h != 0, pref * sec / h**2 * (1 - 1 / 3), 0.0)

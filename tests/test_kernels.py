@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonlocalopt import (
+    OperatorConfig,
     RadialKernel,
     bump_kernel,
-    directional_second_moment,
+    directional_second_moments,
     gaussian_kernel,
-    moments,
 )
 from nonlocalopt.errors import DimensionMismatchError
 
@@ -127,63 +127,48 @@ class TestSampling:
         with pytest.raises(ValueError, match="base scale|too small"):
             RadialKernel(family, dim, 8, base_scale)
 
-    def test_custom_profile_validation(self):
-        with pytest.raises(ValueError):
-            RadialKernel("custom", 1, 1, 0.2, profile=lambda v: v - 0.5)  # negative
-
-    def test_custom_profile_sampling_and_mass(self):
-        # triangular profile on the unit ball
-        k = RadialKernel("custom", 1, 2, 0.2, profile=lambda v: 1.0 - np.abs(v))
-        assert abs(k.mass() - 1.0) <= 1e-8
-        rng = np.random.default_rng(5)
-        s = k.sample_batch(rng, 20_000)
-        assert np.all(np.abs(s) < k.scale)
-
     def test_rejection_overflow_signalled(self, monkeypatch):
-        # a nearly-degenerate acceptance profile plus a tiny attempt budget
+        # no attempt budget at all: the bump sampler must give up, not loop
         import nonlocalopt.kernels as kernels_mod
         from nonlocalopt.errors import RejectionOverflowError
 
-        spiky = RadialKernel(
-            "custom", 1, 1, 0.2,
-            profile=lambda v: np.where(np.abs(v) > 0.999, 1.0, 1e-12),
-        )
-        monkeypatch.setattr(kernels_mod, "_MAX_SAMPLE_ATTEMPTS", 5)
+        monkeypatch.setattr(kernels_mod, "_MAX_SAMPLE_ATTEMPTS", 0)
         with pytest.raises(RejectionOverflowError):
-            spiky.sample(np.random.default_rng(0))
+            bump_kernel(1, 1).sample(np.random.default_rng(0))
 
 
 class TestMoments:
     def test_1d_degenerate(self, unit_interval):
         # integrand is identically the density in 1-D
         k = bump_kernel(1, 4, base_scale=0.2)
-        c = directional_second_moment(k, unit_interval, [0.5], 0)
-        assert c == pytest.approx(1.0, abs=1e-8)
+        c = directional_second_moments(unit_interval, [0.5], OperatorConfig(k))
+        assert c[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_2d_interior_split(self, unit_square):
         k = bump_kernel(2, 4, base_scale=0.2)  # radius 0.05, interior at center
-        c = directional_second_moment(k, unit_square, [0.5, 0.5], 0)
-        assert abs(2.0 * c - 1.0) <= 1e-6
+        c = directional_second_moments(unit_square, [0.5, 0.5], OperatorConfig(k))
+        assert np.all(np.abs(2.0 * c - 1.0) <= 1e-6)
 
     def test_2d_corner_deficit(self, unit_square):
         # quadrature oracle: near a corner with a wide kernel, D*c < 1 strictly
         k = gaussian_kernel(2, 1, base_scale=0.2)
-        diag = moments(k, unit_square, [0.05, 0.05])
-        assert np.all(diag.d_times_c < 1.0 - 1e-3)
+        c = directional_second_moments(unit_square, [0.05, 0.05], OperatorConfig(k))
+        assert np.all(2 * c < 1.0 - 1e-3)
 
     def test_interior_bounds(self, unit_square):
         k = gaussian_kernel(2, 2, base_scale=0.2)
         for x in ([0.3, 0.7], [0.5, 0.2], [0.9, 0.9]):
-            diag = moments(k, unit_square, x)
-            assert np.all(diag.d_times_c >= -1e-12)
-            assert np.all(diag.d_times_c <= 1.0 + 1e-8)
+            c = directional_second_moments(unit_square, x, OperatorConfig(k))
+            assert np.all(2 * c >= -1e-12)
+            assert np.all(2 * c <= 1.0 + 1e-8)
 
     def test_moment_convergence_in_n(self, unit_square):
         k = gaussian_kernel(2, 1, base_scale=0.2)
         errs = []
         for n in (1, 2, 4, 8):
-            c = directional_second_moment(k.with_scale_index(n), unit_square, [0.3, 0.4], 0)
-            errs.append(abs(2 * c - 1.0))
+            c = directional_second_moments(unit_square, [0.3, 0.4],
+                                           OperatorConfig(k.with_scale_index(n)))
+            errs.append(abs(2 * c[0] - 1.0))
         assert errs[-1] <= 1e-6
 
 

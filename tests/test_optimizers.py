@@ -27,11 +27,6 @@ class TestSchedule:
         s = StepSchedule.fixed(0.2)
         assert s.step(0) == s.step(9) == 0.2
 
-    def test_sequence_holds_last(self):
-        s = StepSchedule.sequence([0.4, 0.2, 0.1])
-        assert s.step(1) == 0.2
-        assert s.step(10) == 0.1
-
     def test_geometric_total(self):
         s = StepSchedule.geometric(0.3, 0.5)
         assert s.total() == pytest.approx(0.6)
@@ -46,8 +41,6 @@ class TestSchedule:
             StepSchedule.fixed(math.nan)
         with pytest.raises(ValueError):
             StepSchedule("fixed", cap=math.nan)
-        with pytest.raises(ValueError):
-            StepSchedule.sequence([0.1, math.nan])
 
 
 class TestNlgdFixed:

@@ -16,7 +16,8 @@ from nonlocalopt import (
     SubsetIndicator,
     build_panel_grid,
     bump_kernel,
-    directional_second_moment,
+    directional_second_moments,
+    extend_by_zero,
     gaussian_kernel,
     nonlocal_gradient,
     nonlocal_hessian,
@@ -25,7 +26,6 @@ from nonlocalopt import (
 from nonlocalopt import quadrature
 from nonlocalopt.catalog import linear_field, sin_field
 from nonlocalopt.errors import CoincidentPointsError, NodeBudgetError
-from nonlocalopt.fields import zero_extension
 from nonlocalopt.operators import CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED
 from nonlocalopt.quadrature import BLOCK_NODES, Stencil, StencilCache, reach_stencil, rule_1d
 
@@ -52,7 +52,7 @@ def reference_gradient(field, x, boxes, config):
 
 def reference_central_hessian(field, x, kernel, config):
     D = field.dim
-    ext = zero_extension(field)
+    ext = extend_by_zero(field)
     # Offsets from a grid centred at 0, so both sides evaluate the same points:
     # the second difference amplifies node rounding by about 1/|h|^2.
     R = np.full(D, kernel.reach)
@@ -144,9 +144,10 @@ class TestEquivalence:
     @pytest.mark.parametrize("where", ["interior", "clipped"])
     def test_directional_second_moment(self, where):
         domain, kernel, x = BoxDomain.unit(2), gaussian_kernel(2, 4), point(2, where)
+        new = directional_second_moments(domain, x, OperatorConfig(kernel, 32))
         for axis in (0, 1):
-            new = directional_second_moment(kernel, domain, x, axis, 32)
-            assert new == pytest.approx(reference_moment(kernel, domain, x, axis, 32), rel=1e-12)
+            assert new[axis] == pytest.approx(reference_moment(kernel, domain, x, axis, 32),
+                                              rel=1e-12)
 
 
 # -- structure ---------------------------------------------------------------------------
@@ -344,7 +345,7 @@ def test_reach_below_float_spacing_raises():
     with pytest.raises(CoincidentPointsError):
         nonlocal_hessian(field, [0.5], HessianVariant(CENTRAL), config)
     with pytest.raises(CoincidentPointsError):
-        directional_second_moment(kernel, BoxDomain.unit(1), [0.5], 0)
+        directional_second_moments(BoxDomain.unit(1), [0.5], config)
 
 
 def test_gradient_raises_on_non_finite_field():
