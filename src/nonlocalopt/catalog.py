@@ -3,6 +3,10 @@
 These are the workhorses of the validation suite: every convergence check and
 acceptance criterion runs against fields from this catalog so that errors can
 be measured against closed-form references.
+
+Every callback computes a row from that row alone, with elementwise numpy
+operations in a fixed order and no BLAS dot: a point gets the same bits on
+its own as inside any batch, so operators may pack points into one call.
 """
 
 from __future__ import annotations
@@ -28,11 +32,31 @@ def constant_field(domain: BoxDomain, value: float = 1.0) -> ScalarField:
     return ScalarField(fn, domain, grad, hess, lipschitz=0.0, name="constant")
 
 
+def _bilinear(u, terms):
+    """``sum of c * u[..., i] * u[..., j]`` over ``(i, j, c)``, summed left to right from 0.
+
+    ``u`` may be a point ``(D,)`` or a batch ``(..., D)``; each product is
+    ``(u_i * c) * u_j``, the order ``einsum`` uses.
+    """
+    total = 0.0
+    for i, j, c in terms:
+        total = total + u[..., i] * c * u[..., j]
+    return total
+
+
+def _linear(u, coeffs):
+    """``u @ coeffs`` summed left to right from 0, one rounded product per term."""
+    total = 0.0
+    for i, c in enumerate(coeffs.tolist()):
+        total = total + u[..., i] * c
+    return total
+
+
 def linear_field(domain: BoxDomain, coeffs, offset: float = 0.0) -> ScalarField:
     a = np.atleast_1d(np.asarray(coeffs, dtype=float))
 
     def fn(x):
-        return np.asarray(x, dtype=float) @ a + offset
+        return _linear(np.asarray(x, dtype=float), a) + offset
 
     def grad(x):
         x = np.asarray(x, dtype=float)
@@ -56,14 +80,22 @@ def quadratic_field(
     c = domain.center if center is None else np.atleast_1d(np.asarray(center, dtype=float))
     b = np.zeros(D) if linear is None else np.atleast_1d(np.asarray(linear, dtype=float))
     S = A + A.T
+    # nonzero entries only: a zero term changes no sum but the sign of a zero
+    terms = [(i, j, A[i, j]) for i in range(D) for j in range(D) if A[i, j] != 0.0]
+    rows = [(i, S[i]) for i in range(D)]
+    lin = b if np.any(b != 0.0) else None
 
     def fn(x):
         d = np.asarray(x, dtype=float) - c
-        return np.einsum("...i,ij,...j->...", d, A, d) + d @ b
+        value = _bilinear(d, terms)
+        return value if lin is None else value + _linear(d, lin)
 
     def grad(x):
         d = np.asarray(x, dtype=float) - c
-        return d @ S.T + b
+        out = np.empty(d.shape)
+        for i, s in rows:
+            out[..., i] = _linear(d, s) + b[i]
+        return out
 
     def hess(x):
         x = np.asarray(x, dtype=float)
@@ -158,13 +190,14 @@ def asymmetric_min_field(domain: BoxDomain, center=None, skew: float = 0.3) -> S
         raise ValueError("asymmetric-min field is 1-D")
     c = float(domain.center[0]) if center is None else float(center)
 
+    # products, not powers: ``d**3`` rounds differently on a scalar than on an array
     def fn(x):
         d = np.asarray(x, dtype=float)[..., 0] - c
-        return d**2 + skew * d**3
+        return d * d + skew * (d * d * d)
 
     def grad(x):
         d = np.asarray(x, dtype=float)[..., 0] - c
-        return (2.0 * d + 3.0 * skew * d**2)[..., None]
+        return (2.0 * d + 3.0 * skew * (d * d))[..., None]
 
     def hess(x):
         d = np.asarray(x, dtype=float)[..., 0] - c

@@ -51,6 +51,9 @@ from .sweeps import (
     sweep_report,
 )
 
+# hess-check evaluates at most this many of the ``check.probes`` it is asked for.
+HESS_CHECK_PROBES = 10
+
 COMMANDS = ("grad-check", "hess-check", "sweep", "descend", "sgd", "newton", "pulse")
 DESCEND_METHODS = ("nlgd", "nlgd-ls", "gd", "gd-ls", "newton")
 
@@ -377,7 +380,11 @@ def _cmd_hess_check(run: _Run) -> int:
         constant_mode=h["constant_mode"],
     ))
     tol = _get(config, "check.tolerance", _nonnegative)
-    count = min(_get(config, "check.probes", _budgeted), 10)
+    requested = _get(config, "check.probes", _budgeted)
+    count = min(requested, HESS_CHECK_PROBES)
+    if count < requested:
+        print(f"hess-check: config key 'check.probes' asks for {requested} probes, "
+              f"above the cap of {count}; {requested - count} dropped", file=sys.stderr)
     probes = diagonal_probes(domain, count, 0.35, 0.65)
     if variant.kind == FD_NONLOCAL and variant.fd_step >= min(map(domain.boundary_distance, probes)):
         raise ConfigError("config key 'hessian.fd_step': the difference steps leave the domain")
@@ -390,6 +397,7 @@ def _cmd_hess_check(run: _Run) -> int:
         "worst_error": worst,
         "tolerance": tol,
         "passed": report.within_bound,
+        "probes_dropped": requested - count,
     }
     print(f"hess-check: variant={variant.kind} worst error {worst:.3e} (tolerance {tol:.1e})")
     return 0 if report.within_bound else 1

@@ -20,12 +20,31 @@ Array = np.ndarray
 
 def as_point(x, dim: int) -> Array:
     """Coerce ``x`` to a float vector of length ``dim``."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.asarray(x, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
     if p.ndim != 1 or p.shape[0] != dim:
         raise DimensionMismatchError(
             f"expected a point of dimension {dim}, got shape {np.shape(x)}"
         )
     return p
+
+
+def _frozen(values) -> Array:
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def as_points(x, dim: int) -> tuple[Array, bool]:
+    """Coerce ``x`` to one point ``(dim,)`` or a batch ``(P, dim)``; say whether it is a batch.
+
+    A 1-D ``x`` is one point, as for ``as_point``.
+    """
+    p = np.asarray(x, dtype=float)
+    if p.ndim == 2 and p.shape[1] == dim and p.shape[0] > 0:
+        return p, True
+    return as_point(p, dim), False
 
 
 @dataclass(frozen=True)
@@ -44,6 +63,9 @@ class BoxDomain:
             raise ValueError(f"box must be nonempty: lower={lo}, upper={up}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+        # Read-only array forms of the bounds, built once: operators read them on every call.
+        object.__setattr__(self, "lower_array", _frozen(lo))
+        object.__setattr__(self, "upper_array", _frozen(up))
 
     @classmethod
     def interval(cls, a: float, b: float) -> "BoxDomain":
@@ -56,14 +78,6 @@ class BoxDomain:
     @property
     def dim(self) -> int:
         return len(self.lower)
-
-    @property
-    def lower_array(self) -> Array:
-        return np.asarray(self.lower)
-
-    @property
-    def upper_array(self) -> Array:
-        return np.asarray(self.upper)
 
     @property
     def volume(self) -> float:
@@ -84,7 +98,7 @@ class BoxDomain:
             raise DimensionMismatchError(
                 f"point dimension {p.shape[-1:]} does not match domain dimension {self.dim}"
             )
-        inside = np.all((p > self.lower_array) & (p < self.upper_array), axis=-1)
+        inside = np.logical_and.reduce((p > self.lower_array) & (p < self.upper_array), axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
     def boundary_distance(self, x) -> float:
@@ -141,14 +155,16 @@ class ScalarField:
         return float(self.fn(as_point(x, self.dim)))
 
     def gradient_at(self, x) -> Array:
+        """Analytic gradient at one point ``(D,)``, or at each row of ``(P, D)``."""
         if self.gradient is None:
             raise MissingDerivativeError(f"field {self.name!r} has no analytic gradient")
-        return np.asarray(self.gradient(as_point(x, self.dim)), dtype=float)
+        return np.asarray(self.gradient(as_points(x, self.dim)[0]), dtype=float)
 
     def hessian_at(self, x) -> Array:
+        """Analytic Hessian at one point ``(D,)``, or at each row of ``(P, D)``."""
         if self.hessian is None:
             raise MissingDerivativeError(f"field {self.name!r} has no analytic hessian")
-        return np.asarray(self.hessian(as_point(x, self.dim)), dtype=float)
+        return np.asarray(self.hessian(as_points(x, self.dim)[0]), dtype=float)
 
 
 def extend_by_zero(field: ScalarField) -> ScalarField:

@@ -23,9 +23,16 @@ from .errors import (
     NoBracketError,
     NodeBudgetError,
 )
-from .fields import BoxDomain, ScalarField, SubsetIndicator, as_point, extend_by_zero
+from .fields import (
+    BoxDomain,
+    ScalarField,
+    SubsetIndicator,
+    as_point,
+    as_points,
+    extend_by_zero,
+)
 from .kernels import RadialKernel
-from .quadrature import GAUSS, NODE_BUDGET, Stencil, reach_stencil
+from .quadrature import BLOCK_NODES, GAUSS, NODE_BUDGET, Stencil, reach_stencil, reach_stencils
 
 # Hessian construction tags.
 NESTED = "nested"               # kernel partial of kernel partials (two scales)
@@ -68,59 +75,88 @@ def difference_quotient(field: ScalarField, x, y) -> np.ndarray:
 
 
 def _interior_point(field: ScalarField, x) -> np.ndarray:
-    x = as_point(x, field.dim)
-    if not field.domain.contains(x):
-        raise ValueError(f"operator evaluation requires an interior point, got {x}")
-    return x
+    return _interior_points(field, as_point(x, field.dim))[0][0]
+
+
+def _interior_points(field: ScalarField, x) -> tuple[np.ndarray, bool]:
+    """``x`` as a ``(P, D)`` batch of interior points, and whether it was given as a batch."""
+    points, batch = as_points(x, field.dim)
+    if not batch:
+        points = points[None]
+    domain = field.domain
+    if not np.logical_and.reduce((points > domain.lower_array) & (points < domain.upper_array),
+                                 axis=None):
+        bad = points[np.argmin(domain.contains(points))]
+        raise ValueError(f"operator evaluation requires an interior point, got {bad}")
+    return points, batch
 
 
 def _field_values(fn, points: np.ndarray) -> np.ndarray:
     """``fn`` at the given points: the one finiteness check every operator shares."""
     values = np.asarray(fn(points), dtype=float)
-    finite = np.isfinite(values)
-    if not finite.all():
-        row = np.argmin(finite.reshape(len(points), -1).all(axis=1))
-        raise ValueError(f"field value is not finite at quadrature node {points[row]}")
+    # a sum is finite when every value is; one that overflows gets the full check
+    if not math.isfinite(np.add.reduce(values, axis=None)):
+        finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"field value is not finite at quadrature node "
+                             f"{points[np.argmin(finite)]}")
     return values
 
 
-def _contract(stencil: Stencil, x: np.ndarray, value_x, fn) -> np.ndarray:
-    """Kernel-weighted difference quotients of ``fn`` over the stencil around ``x``.
+def _values_at(field: ScalarField, points: np.ndarray) -> list[float]:
+    """``u`` at each point, one ``field.value`` call each."""
+    values = [field.value(x) for x in points]
+    for x, value in zip(points, values):
+        if not math.isfinite(value):
+            raise ValueError(f"field value is not finite at {x}")
+    return values
 
-    Sums ``D * w * rho(|h|) * (value_x - fn(x + h)) / |h|^2 * (-h)`` over the
-    offsets ``h``.  A vector-valued ``fn`` gives a matrix whose rows index its
-    components.
+
+def _chunks(rows: np.ndarray, n: int):
+    """``rows`` in runs whose ``n``-node stencil blocks fill at most ``BLOCK_NODES`` nodes."""
+    per_call = max(1, BLOCK_NODES // n)
+    return (rows[start:start + per_call] for start in range(0, len(rows), per_call))
+
+
+def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.ndarray:
+    """Adds kernel-weighted difference quotients of ``fn`` over each point's stencil to ``out``.
+
+    For every row ``x`` of ``points`` this sums ``D * w * rho(|h|) *
+    (values[p] - fn(x + h)) / |h|^2 * (-h)`` over the offsets ``h`` of its
+    stencil into ``out[p]``; ``groups`` pairs each stencil with the rows it
+    serves (see ``reach_stencils``).  A vector-valued ``fn`` gives matrices
+    whose rows index its components.  One ``fn`` call covers a stencil block
+    for as many points as fit in ``BLOCK_NODES`` nodes, and each point adds
+    the same ``(n,) @ (n, D)`` product per block it would add on its own.
     """
-    total = 0.0
-    for block in stencil.blocks():
-        total = total + (value_x - _field_values(fn, x + block.h)).T @ block.grad
-    return total
-
-
-def _gradient_over(field: ScalarField, x: np.ndarray, stencils) -> np.ndarray:
-    value_x = field.value(x)
-    if not np.isfinite(value_x):
-        raise ValueError(f"field value is not finite at {x}")
-    total = np.zeros(field.dim)
-    for stencil in stencils:
-        total += _contract(stencil, x, value_x, field)
-    return total
+    D = points.shape[1]
+    for stencil, rows in groups:
+        for block in stencil.blocks():
+            n = block.r2.size
+            for chunk in _chunks(rows, n):
+                found = _field_values(fn, (points[chunk][:, None] + block.h).reshape(-1, D))
+                for i, vals in zip(chunk, found.reshape(len(chunk), n, *found.shape[1:])):
+                    out[i] += (values[i] - vals).T @ block.grad
+    return out
 
 
 def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarray:
-    """Kernel-smoothed gradient of the field at an interior point.
+    """Kernel-smoothed gradient of the field at an interior point, or at each row of ``(P, D)``.
 
     Integrates ``D * k_u(x, y) * rho(x - y)`` over the domain, restricted to
     the kernel's reach ball (identical value, large speedup).  Exact on
-    linear fields whenever the reach ball lies inside the domain.
+    linear fields whenever the reach ball lies inside the domain.  A batch
+    gives the rows that one-point calls give, bit for bit, when the field
+    computes each row on its own (as the catalog fields do).
     """
-    x = _interior_point(field, x)
+    points, batch = _interior_points(field, x)
     kernel = config.kernel
     if kernel.dim != field.dim:
         raise ValueError("kernel dimension does not match field dimension")
-    stencil = reach_stencil(kernel, x, kernel.reach, field.domain, config.resolution,
+    groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution,
                             config.scheme)
-    return _gradient_over(field, x, [stencil])
+    total = _contract(groups, points, _values_at(field, points), field, np.zeros(points.shape))
+    return total if batch else total[0]
 
 
 def restricted_nonlocal_gradient(
@@ -138,9 +174,11 @@ def restricted_nonlocal_gradient(
         if clipped is not None:
             stencils.append(Stencil(kernel, clipped[0] - x, clipped[1] - x, config.resolution,
                                     config.scheme))
-    if not stencils:
-        return np.zeros(field.dim)
-    return _gradient_over(field, x, stencils)
+    total = np.zeros((1, field.dim))
+    if stencils:
+        groups = [(stencil, np.arange(1)) for stencil in stencils]
+        _contract(groups, x[None], _values_at(field, x[None]), field, total)
+    return total[0]
 
 
 def find_vanishing_subset_1d(
@@ -252,24 +290,31 @@ def _classical_gradient(field: ScalarField, pts: np.ndarray, step: float) -> np.
 def nonlocal_hessian(
     field: ScalarField, x, variant: HessianVariant, config: OperatorConfig
 ) -> np.ndarray:
-    """Kernel-based second-derivative matrix at an interior point, at ``config.kernel``."""
-    x = _interior_point(field, x)
-    D = field.dim
+    """Kernel-based second-derivative matrix at an interior point, at ``config.kernel``.
 
+    A ``(P, D)`` batch of points gives ``(P, D, D)``, row for row the
+    one-point results.
+    """
+    points, batch = _interior_points(field, x)
     if variant.kind == CENTRAL:
-        return _central_hessian(field, x, config, variant.constant_mode)
-
-    if variant.kind == FD_NONLOCAL:
+        H = _central_hessians(field, points, config, variant.constant_mode)
+    elif variant.kind == FD_NONLOCAL:
         h = variant.fd_step
-        H = np.empty((D, D))
-        for j in range(D):
-            e = np.zeros(D)
+        H = np.empty(points.shape + (field.dim,))
+        for j in range(field.dim):
+            e = np.zeros(field.dim)
             e[j] = h
-            gp = nonlocal_gradient(field, x + e, config)
-            gm = nonlocal_gradient(field, x - e, config)
-            H[:, j] = (gp - gm) / (2.0 * h)
-        return H
+            gp = nonlocal_gradient(field, points + e, config)
+            gm = nonlocal_gradient(field, points - e, config)
+            H[:, :, j] = (gp - gm) / (2.0 * h)
+    else:
+        H = _smoothed_hessians(field, points, variant, config)
+    return H if batch else H[0]
 
+
+def _smoothed_hessians(field: ScalarField, points: np.ndarray, variant: HessianVariant,
+                       config: OperatorConfig) -> np.ndarray:
+    """Kernel partials of classical (grad-smoothed) or kernel (nested) partials."""
     if variant.kind == GRAD_SMOOTHED:
         if field.gradient is None and variant.fd_step is None:
             raise MissingDerivativeError(
@@ -283,53 +328,62 @@ def nonlocal_hessian(
         outer_kernel = config.kernel.with_scale_index(variant.m)
 
         def grad_at(pts: np.ndarray) -> np.ndarray:
-            return np.stack([nonlocal_gradient(field, p, config) for p in pts])
+            return nonlocal_gradient(field, pts, config)
 
-    stencil = reach_stencil(outer_kernel, x, outer_kernel.reach, field.domain,
+    groups = reach_stencils(outer_kernel, points, outer_kernel.reach, field.domain,
                             config.resolution, config.scheme)
     if variant.kind == NESTED:
         inner_nodes = config.resolution ** field.dim
-        if len(stencil) * inner_nodes > NODE_BUDGET:
-            raise NodeBudgetError(
-                f"nested hessian needs ~{len(stencil) * inner_nodes} field nodes, "
-                f"budget is {NODE_BUDGET}"
-            )
-    gx = _field_values(grad_at, x[None, :])[0]
-    return _contract(stencil, x, gx, grad_at)
+        for stencil, _ in groups:
+            if len(stencil) * inner_nodes > NODE_BUDGET:
+                raise NodeBudgetError(
+                    f"nested hessian needs ~{len(stencil) * inner_nodes} field nodes, "
+                    f"budget is {NODE_BUDGET}"
+                )
+    out = np.zeros((len(points), field.dim, field.dim))
+    return _contract(groups, points, _field_values(grad_at, points), grad_at, out)
 
 
-def _central_hessian(
+def _central_hessians(
     field: ScalarField,
-    x: np.ndarray,
+    points: np.ndarray,
     config: OperatorConfig,
     constant_mode: str,
 ) -> np.ndarray:
-    """Symmetric second-difference construction over the kernel's reach box.
+    """Symmetric second-difference construction over the kernel's reach box, per point.
 
     The field is extended by zero beyond its support (or beyond the domain)
     so the translated stencil is always defined.  The stencil is point
     symmetric (its second half is the negated first half), so only the first
-    half is summed, each node standing for itself and its mirror.
+    half is summed, each node standing for itself and its mirror.  Field
+    calls pack the half blocks of several points, as ``_contract`` does.
     """
-    D = field.dim
+    P, D = points.shape
     ext = extend_by_zero(field)
-    value_x = float(ext(x))
-    if not np.isfinite(value_x):
-        raise ValueError(f"field value is not finite at {x}")
+    values = np.array([float(ext(x)) for x in points])
+    if not np.isfinite(values).all():
+        raise ValueError(f"field value is not finite at {points[np.argmin(np.isfinite(values))]}")
     if constant_mode == MOMENT_CONSTANT:
         prefactor = D * (D + 2) / 2.0
     else:
         prefactor = D * (D + 1) / 2.0
     kernel = config.kernel
-    stencil = reach_stencil(kernel, x, kernel.reach, None, config.resolution, config.scheme)
-    H = np.zeros((D, D))
-    trace = 0.0
+    [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution,
+                                       config.scheme)
+    H = np.zeros((P, D, D))
+    trace = np.zeros(P)
     for b in stencil.blocks(len(stencil) // 2):
-        second = _field_values(ext, x + b.h) - 2.0 * value_x + _field_values(ext, x - b.h)
-        c = 2.0 * prefactor * b.wrho / (b.r2 * b.r2) * second
-        H += (b.h * c[:, None]).T @ b.h
-        trace += float(np.sum(c * b.r2))
-    return H - trace / (D + 2) * np.eye(D)
+        n = b.r2.size
+        weight = 2.0 * prefactor * b.wrho / (b.r2 * b.r2)
+        for chunk in _chunks(rows, n):
+            x = points[chunk][:, None]
+            second = (_field_values(ext, (x + b.h).reshape(-1, D)).reshape(-1, n)
+                      - 2.0 * values[chunk, None]
+                      + _field_values(ext, (x - b.h).reshape(-1, D)).reshape(-1, n))
+            for p, c in zip(chunk, weight * second):
+                H[p] += (b.h * c[:, None]).T @ b.h
+                trace[p] += np.sum(c * b.r2)
+    return H - (trace / (D + 2))[:, None, None] * np.eye(D)
 
 
 def directional_second_moments(domain: BoxDomain, x, config: OperatorConfig) -> np.ndarray:

@@ -80,12 +80,6 @@ class StepSchedule:
             return self.alpha
         return self.alpha * self.q**k
 
-    def total(self) -> float:
-        """Sum of all steps (infinite-horizon for geometric decay)."""
-        if self.kind == "fixed":
-            return math.inf
-        return self.alpha / (1.0 - self.q)
-
 
 @dataclass
 class OptimizerTrace:
@@ -141,7 +135,7 @@ def _descend(field: ScalarField, x0, direction, step, escaped, max_iters: int,
     for k in range(max_iters + 1):
         g = direction(k, x)
         value = field.value(x)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g.dot(g))  # np.linalg.norm of a vector, without its checks
         points.append(x)
         values.append(value)
         norms.append(gnorm)
@@ -286,15 +280,17 @@ class SgdConfig:
         return math.ceil(B**2 * M**2 / (target_gap - epsilon) ** 2)
 
 
-def _row_dots(a: np.ndarray) -> np.ndarray:
-    """``a[i] @ a[i]`` for every row, through the routine ``np.dot`` uses on a vector.
+def _row_dots(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """``a[i] @ b[i]`` (``b`` defaults to ``a``) for every row, through the routine
+    ``np.dot`` uses on two vectors.
 
     That BLAS routine may fuse multiplies and adds, so an elementwise sum of
-    squares can round differently once a row has two or more entries.
+    products can round differently once a row has two or more entries.
     """
+    b = a if b is None else b
     if a.shape[1] == 1:
-        return np.square(a[:, 0])  # a one-entry dot is one rounded product
-    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+        return a[:, 0] * b[:, 0]  # a one-entry dot is one rounded product
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def epsilon_sgd_batch(

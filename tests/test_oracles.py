@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from nonlocalopt import (
+    BoxDomain,
+    HessianVariant,
     OperatorConfig,
     SweepReport,
     bump_kernel,
@@ -9,6 +11,7 @@ from nonlocalopt import (
     gaussian_kernel,
     monotone_decreasing,
     nonlocal_gradient,
+    nonlocal_hessian,
 )
 from nonlocalopt.catalog import linear_field, quadratic_field, sin_field
 from nonlocalopt.errors import UnknownCheckError
@@ -19,7 +22,9 @@ from nonlocalopt.oracles import (
     golden_section,
     mc_nonlocal_gradient,
 )
+from nonlocalopt.operators import CENTRAL
 from nonlocalopt.pulse import PulseManifold
+from nonlocalopt.sweeps import diagonal_probes, gradient_errors, hessian_errors
 
 
 class TestFdGradient:
@@ -184,6 +189,44 @@ class TestConvergenceSweep:
         first = convergence_sweep("gradient-localization", [4, 8], dict(settings))
         second = convergence_sweep("gradient-localization", [4, 8], dict(settings))
         assert first.errors == second.errors
+
+    @pytest.mark.parametrize("check", ["gradient-localization", "moment-c"])
+    def test_default_resolution_is_the_operator_default(self, unit_interval, check):
+        settings = {"field": sin_field(unit_interval), "kernel": gaussian_kernel(1, 1, 0.1)}
+        default = convergence_sweep(check, [4, 8, 16], dict(settings))
+        at_256 = convergence_sweep(check, [4, 8, 16], {**settings, "resolution": 256})
+        assert OperatorConfig(gaussian_kernel(1, 1)).resolution == 256
+        assert default.errors == at_256.errors
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_probe_errors_equal_one_probe_at_a_time(self, dim):
+        domain = BoxDomain.unit(dim)
+        field = sin_field(domain)
+        config = OperatorConfig(gaussian_kernel(dim, 8), {1: 64, 2: 32, 3: 12}[dim])
+        probes = diagonal_probes(domain, 7, 0.2, 0.8)
+        expected = [np.linalg.norm(nonlocal_gradient(field, p, config) - field.gradient_at(p))
+                    for p in probes]
+        assert gradient_errors(field, probes, config).tolist() == expected
+        variant = HessianVariant(CENTRAL)
+        expected = [np.max(np.abs(nonlocal_hessian(field, p, variant, config)
+                                  - field.hessian_at(p))) for p in probes]
+        assert hessian_errors(field, probes, variant, config).tolist() == expected
+
+    def test_taylor_remainder_equals_one_point_loop(self, unit_square):
+        field = sin_field(unit_square)
+        config = OperatorConfig(gaussian_kernel(2, 8), 32)
+        settings = {"field": field, "kernel": gaussian_kernel(2, 1), "resolution": 32}
+        report = convergence_sweep("taylor-remainder", [8], settings)
+        rng = np.random.default_rng(0)
+        base = rng.uniform(0.25, 0.75, size=(200, 2))
+        target = rng.uniform(0.1, 0.9, size=(200, 2))
+        worst, where = -1.0, None
+        for x0, x in zip(base, target):
+            val = abs(float(np.dot(x - x0, field.gradient_at(x0)
+                                   - nonlocal_gradient(field, x0, config))))
+            if val > worst:
+                worst, where = val, tuple(x0)
+        assert report.errors == (worst,) and report.locations == (where,)
 
     def test_report_serialization_roundtrip(self, tmp_path):
         from nonlocalopt import emit_csv

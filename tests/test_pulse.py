@@ -235,3 +235,83 @@ class TestManifoldProperties:
         man = PulseManifold()
         val = man.objective(theta)
         assert 0.0 <= val <= 1.0
+
+
+# -- bit identity with the six-rounding rule ----------------------------------------
+
+
+def six_rounding_squared_distance(man, theta1, theta2):
+    """Each of the six edges (two per pulse, two of the overlap) rounded on its own."""
+    N = man.signal_grid
+
+    def cells(a, b):
+        return np.clip(np.ceil(b * N - 0.5) - np.ceil(a * N - 0.5), 0.0, N)
+
+    t1 = np.asarray(theta1, dtype=float)
+    t2 = np.asarray(theta2, dtype=float)
+    b1 = np.minimum(t1 + man.pulse_width, 1.0)
+    b2 = np.minimum(t2 + man.pulse_width, 1.0)
+    overlap = cells(np.maximum(t1, t2), np.minimum(b1, b2))
+    return (cells(t1, b1) + cells(t2, b2) - 2.0 * overlap) / N
+
+
+def six_rounding_distance(man, theta1, theta2):
+    return np.sqrt(np.maximum(six_rounding_squared_distance(man, theta1, theta2), 0.0))
+
+
+MANIFOLDS = [PulseManifold(), PulseManifold(0.3, 1000, 0.0), PulseManifold(0.01, 37, 1.0),
+             PulseManifold(1e-5, 4096, 0.2)]
+
+
+def edge_shifts(man):
+    """0, 1, -0, every cell edge ``(k + 1/2) / N`` and its float neighbours, and the
+    template and its pulse-width neighbours, all inside [0, 1]."""
+    N = man.signal_grid
+    edges = (np.arange(N + 1) + 0.5) / N
+    t, w = man.template_theta, man.pulse_width
+    special = np.array([0.0, 1.0, -0.0, t, t - w, t + w, 1.0 - w, 1e-300])
+    out = np.concatenate([special, special + 1e-12, special - 1e-12, edges,
+                          np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    return out[(out >= 0.0) & (out <= 1.0)]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestObjectiveBits:
+    @pytest.mark.parametrize("man", MANIFOLDS, ids=str)
+    def test_objective_matches_six_roundings(self, man):
+        thetas = np.concatenate([edge_shifts(man), np.random.default_rng(3).uniform(0, 1, 20_000)])
+        expected = six_rounding_distance(man, thetas, man.template_theta)
+        assert same_bits(man.objective(thetas), expected)
+        assert same_bits(man.objective(thetas[:, None])[:, 0], expected)
+
+    @pytest.mark.parametrize("man", MANIFOLDS, ids=str)
+    def test_one_point_matches_six_roundings(self, man):
+        for theta in edge_shifts(man)[::7]:
+            got = man.objective(theta)
+            assert isinstance(got, np.float64)
+            assert same_bits(got, six_rounding_distance(man, theta, man.template_theta))
+            assert same_bits(man.objective(np.array([theta])),
+                             six_rounding_distance(man, np.array([theta]), man.template_theta))
+
+    @pytest.mark.parametrize("man", MANIFOLDS, ids=str)
+    def test_distance_matches_six_roundings(self, man):
+        # distance takes shifts outside [0, 1] too: its counts keep their clips
+        rng = np.random.default_rng(4)
+        a = np.concatenate([edge_shifts(man), rng.uniform(-2.0, 3.0, 5_000)])
+        b = rng.permutation(a)
+        assert same_bits(man.squared_distance(a, b), six_rounding_squared_distance(man, a, b))
+        assert same_bits(man.distance(a, b), six_rounding_distance(man, a, b))
+
+    def test_zero_results_are_positive_zero(self):
+        for man in MANIFOLDS:
+            t = man.template_theta
+            for got in (man.objective(t), man.objective(np.array([t]))[0], man.distance(t, t)):
+                assert got == 0.0 and not np.signbit(got)
+
+    def test_nan_shift_gives_nan(self, manifold):
+        assert math.isnan(manifold.objective(math.nan))
+        assert np.isnan(manifold.objective(np.array([0.2, math.nan]))[1])

@@ -24,7 +24,7 @@ from nonlocalopt import (
     restricted_nonlocal_gradient,
 )
 from nonlocalopt import quadrature
-from nonlocalopt.catalog import linear_field, sin_field
+from nonlocalopt.catalog import bump_field, linear_field, quadratic_field, sin_field
 from nonlocalopt.errors import CoincidentPointsError, NodeBudgetError
 from nonlocalopt.operators import CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED
 from nonlocalopt.quadrature import BLOCK_NODES, Stencil, StencilCache, reach_stencil, rule_1d
@@ -314,6 +314,103 @@ def test_gauss_rule_checks_its_matrix_size():
         rule_1d(0.0, 1.0, 50_000)
     x, w = rule_1d(0.0, 1.0, 3000)
     assert w.sum() == pytest.approx(1.0)
+
+
+# -- point batches ---------------------------------------------------------------------------
+
+
+def batch_points(dim):
+    """Six points: four whose reach box stays inside the unit cube, two it clips."""
+    x = np.random.default_rng(11).uniform(0.3, 0.7, size=(6, dim))
+    x[1, 0] = 0.02
+    x[4, -1] = 0.97
+    return x
+
+
+def batch_config(dim, family):
+    kernel = gaussian_kernel(dim, 4) if family == "gaussian" else bump_kernel(dim, 2)
+    return OperatorConfig(kernel, RESOLUTION[dim])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+BATCH_FIELDS = {
+    "sin": lambda dim: sin_field(BoxDomain.unit(dim)),
+    "quadratic": lambda dim: quadratic_field(
+        BoxDomain.unit(dim), matrix=np.eye(dim) + 0.3, center=np.full(dim, 0.41),
+        linear=np.linspace(-0.7, 0.9, dim)),
+    "bump": lambda dim: bump_field(BoxDomain.unit(dim)),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+@pytest.mark.parametrize("name", sorted(BATCH_FIELDS))
+class TestPointBatches:
+    def test_gradient_rows_equal_one_point_calls(self, dim, family, name):
+        field, config, x = BATCH_FIELDS[name](dim), batch_config(dim, family), batch_points(dim)
+        batch = nonlocal_gradient(field, x, config)
+        assert batch.shape == (6, dim)
+        assert same_bits(batch, np.stack([nonlocal_gradient(field, p, config) for p in x]))
+
+    @pytest.mark.parametrize("kind", [CENTRAL, NESTED, GRAD_SMOOTHED, FD_NONLOCAL])
+    def test_hessian_rows_equal_one_point_calls(self, dim, family, name, kind):
+        field, config, x = BATCH_FIELDS[name](dim), batch_config(dim, family), batch_points(dim)
+        if kind == NESTED:
+            config = replace(config, resolution=16)
+        variant = HessianVariant(kind, m=8, fd_step=1e-3)
+        batch = nonlocal_hessian(field, x, variant, config)
+        assert batch.shape == (6, dim, dim)
+        assert same_bits(batch, np.stack([nonlocal_hessian(field, p, variant, config) for p in x]))
+
+
+def test_one_point_keeps_its_shape():
+    field = sin_field(BoxDomain.unit(2))
+    config = OperatorConfig(gaussian_kernel(2, 4), 16)
+    assert nonlocal_gradient(field, [0.5, 0.4], config).shape == (2,)
+    assert nonlocal_gradient(field, [[0.5, 0.4]], config).shape == (1, 2)
+    assert nonlocal_hessian(field, [0.5, 0.4], HessianVariant(CENTRAL), config).shape == (2, 2)
+    assert nonlocal_hessian(field, [[0.5, 0.4]], HessianVariant(CENTRAL), config).shape == (1, 2, 2)
+
+
+def test_batch_with_an_exterior_point_names_it():
+    field = sin_field(BoxDomain.unit(1))
+    config = OperatorConfig(gaussian_kernel(1, 4), 16)
+    with pytest.raises(ValueError, match=r"interior point, got \[1.5\]"):
+        nonlocal_gradient(field, [[0.5], [1.5], [0.2]], config)
+
+
+@pytest.mark.parametrize("count,calls", [(50, [50 * 64]), (1100, [1024 * 64, 76 * 64])])
+def test_interior_points_share_field_calls(count, calls):
+    seen = []
+    base = sin_field(BoxDomain.unit(1))
+
+    def counting(p):
+        seen.append(np.shape(p)[0] if np.ndim(p) > 1 else 1)
+        return base.fn(p)
+
+    field = replace(base, fn=counting)
+    x = np.linspace(0.3, 0.7, count)[:, None]
+    nonlocal_gradient(field, x, OperatorConfig(gaussian_kernel(1, 4), 64))
+    # u at each point, then whole stencils of as many points as fit in a block
+    assert seen == [1] * count + calls
+
+
+def test_reach_stencils_cover_every_row_once():
+    kernel, domain = gaussian_kernel(2, 4), BoxDomain.unit(2)
+    x = batch_points(2)
+    groups = quadrature.reach_stencils(kernel, x, kernel.reach, domain, 16)
+    rows = sorted(int(i) for _, r in groups for i in r)
+    assert rows == list(range(6))
+    shared, *own = groups
+    assert list(shared[1]) == [0, 2, 3, 5] and [list(r) for _, r in own] == [[1], [4]]
+    # the clipped stencils stop at the walls the points sit near
+    h1 = np.concatenate([b.h for b in own[0][0].blocks()])
+    h4 = np.concatenate([b.h for b in own[1][0].blocks()])
+    assert np.all(x[1, 0] + h1[:, 0] > 0.0) and np.all(x[4, 1] + h4[:, 1] < 1.0)
+    assert h1[:, 0].min() > -kernel.reach / 2 and h4[:, 1].max() < kernel.reach / 2
 
 
 # -- non-finite field values ----------------------------------------------------------------
