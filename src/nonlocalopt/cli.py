@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import platform
 import sys
@@ -40,7 +41,7 @@ from .pulse import (
     holder_exponent_fit,
     run_pulse_suite,
 )
-from .quadrature import GAUSS, MIDPOINT, NODE_BUDGET
+from .quadrature import NODE_BUDGET
 from .reporting import emit_csv, emit_plot_svg
 from .sweeps import (
     REGISTRY,
@@ -97,30 +98,16 @@ DEFAULTS: dict = {
 }
 
 
-def _merge(defaults: dict, override: dict, prefix: str = "") -> dict:
-    out = copy.deepcopy(defaults)
+def _merge(config: dict, override: dict, prefix: str = "") -> None:
+    """Overlays ``override`` on ``config`` in place; a dict value merges into its block."""
     for key, value in override.items():
         dotted = f"{prefix}{key}"
-        if key not in defaults:
+        if key not in config:
             raise ConfigError(f"unknown config key {dotted!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge(defaults[key], value, prefix=f"{dotted}.")
+        if isinstance(config[key], dict) and isinstance(value, dict):
+            _merge(config[key], value, prefix=f"{dotted}.")
         else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def _apply_dotted(config: dict, dotted_key: str, value) -> None:
-    parts = dotted_key.split(".")
-    node = config
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key {dotted_key!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown config key {dotted_key!r}")
-    node[leaf] = value
+            config[key] = copy.deepcopy(value)
 
 
 def _parse_value(raw: str):
@@ -131,7 +118,10 @@ def _parse_value(raw: str):
 
 
 def load_config(path, overrides=()) -> dict:
-    """Defaults, overlaid with a JSON file, overlaid with key=value overrides."""
+    """Defaults, overlaid with a JSON file, overlaid with key=value overrides.
+
+    ``a.b=value`` overlays ``{"a": {"b": value}}`` exactly as a file would.
+    """
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -143,12 +133,15 @@ def load_config(path, overrides=()) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        config = _merge(config, file_cfg)
+        _merge(config, file_cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
-        _apply_dotted(config, key.strip(), _parse_value(raw))
+        value = _parse_value(raw)
+        for part in reversed(key.strip().split(".")):
+            value = {part: value}
+        _merge(config, value)
     return config
 
 
@@ -230,20 +223,9 @@ def _kernel_from(config: dict, dim: int) -> RadialKernel:
         k["family"], dim, _count(k["n"]), float(k["base_scale"])))
 
 
-def _resolution(config: dict, dim: int) -> int:
-    """``quadrature.resolution``, checked before any grid is allocated."""
-
-    def build(r):
-        if _count(r, 2) ** dim > NODE_BUDGET:
-            raise ValueError(f"resolution**{dim} exceeds the node budget {NODE_BUDGET}")
-        return r
-
-    return _get(config, "quadrature.resolution", build)
-
-
 def _op_config(config: dict, kernel: RadialKernel) -> OperatorConfig:
-    scheme = _get(config, "quadrature.scheme", {"gauss": GAUSS, "midpoint": MIDPOINT}.__getitem__)
-    return OperatorConfig(kernel, resolution=_resolution(config, kernel.dim), scheme=scheme)
+    return _get(config, "quadrature",
+                lambda q: OperatorConfig(kernel, q["resolution"], q["scheme"]))
 
 
 def _field_from(config: dict, domain: BoxDomain, derivative: str = ""):
@@ -407,13 +389,9 @@ def _cmd_sweep(run: _Run) -> int:
     config = run.config
     domain = _domain_from(config)
     name = _get(config, "check.name", _registered)
-    kernel = _kernel_from(config, domain.dim)
-    op = _op_config(config, kernel)
     settings = {
         "domain": domain,
-        "kernel": kernel,
-        "resolution": op.resolution,
-        "scheme": op.scheme,
+        "config": _op_config(config, _kernel_from(config, domain.dim)),
         "sgd": _sgd_from(config, run.args.seed),
         "probes": _get(config, "check.probes", _budgeted),
         "seeds": _get(config, "check.seeds", _budgeted),
@@ -566,7 +544,9 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="nonlocalopt",
         description="Kernel-smoothed differential operators and the descent methods on them.",
@@ -600,9 +580,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv=None) -> int:
     raw_argv = list(argv) if argv is not None else sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(raw_argv)
+        args = _parser().parse_args(raw_argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     overrides = list(args.overrides)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     CoincidentPointsError,
+    DimensionMismatchError,
     MissingDerivativeError,
     NoBracketError,
     NodeBudgetError,
@@ -32,7 +33,7 @@ from .fields import (
     extend_by_zero,
 )
 from .kernels import RadialKernel
-from .quadrature import BLOCK_NODES, GAUSS, NODE_BUDGET, Stencil, reach_stencil, reach_stencils
+from .quadrature import BLOCK_NODES, GAUSS, MIDPOINT, NODE_BUDGET, Stencil, reach_stencils
 
 # Hessian construction tags.
 NESTED = "nested"               # kernel partial of kernel partials (two scales)
@@ -59,6 +60,13 @@ class OperatorConfig:
     resolution: int = 256
     scheme: str = GAUSS
 
+    def __post_init__(self):
+        r = self.resolution
+        if isinstance(r, bool) or not isinstance(r, int) or r < 2:
+            raise ValueError(f"resolution must be an integer >= 2, got {r!r}")
+        if self.scheme not in (GAUSS, MIDPOINT):
+            raise ValueError(f"scheme must be {GAUSS!r} or {MIDPOINT!r}, got {self.scheme!r}")
+
 
 def difference_quotient(field: ScalarField, x, y) -> np.ndarray:
     """Vector difference quotient ``(u(x)-u(y))/|x-y| * (x-y)/|x-y|``.
@@ -74,12 +82,14 @@ def difference_quotient(field: ScalarField, x, y) -> np.ndarray:
     return (field.value(x) - field.value(y)) / r2 * d
 
 
-def _interior_point(field: ScalarField, x) -> np.ndarray:
-    return _interior_points(field, as_point(x, field.dim))[0][0]
+def _interior_points(field: ScalarField, x, kernel: RadialKernel) -> tuple[np.ndarray, bool]:
+    """``x`` as a ``(P, D)`` batch of interior points, and whether it was given as a batch.
 
-
-def _interior_points(field: ScalarField, x) -> tuple[np.ndarray, bool]:
-    """``x`` as a ``(P, D)`` batch of interior points, and whether it was given as a batch."""
+    Every operator takes its points here, so here the kernel's dimension is checked too.
+    """
+    if kernel.dim != field.dim:
+        raise DimensionMismatchError(
+            f"kernel dimension {kernel.dim} does not match field dimension {field.dim}")
     points, batch = as_points(x, field.dim)
     if not batch:
         points = points[None]
@@ -103,12 +113,12 @@ def _field_values(fn, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _values_at(field: ScalarField, points: np.ndarray) -> list[float]:
+def _values_at(field: ScalarField, points: np.ndarray) -> np.ndarray:
     """``u`` at each point, one ``field.value`` call each."""
-    values = [field.value(x) for x in points]
-    for x, value in zip(points, values):
-        if not math.isfinite(value):
-            raise ValueError(f"field value is not finite at {x}")
+    values = np.array([field.value(x) for x in points])
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"field value is not finite at {points[np.argmin(finite)]}")
     return values
 
 
@@ -149,10 +159,8 @@ def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarr
     gives the rows that one-point calls give, bit for bit, when the field
     computes each row on its own (as the catalog fields do).
     """
-    points, batch = _interior_points(field, x)
     kernel = config.kernel
-    if kernel.dim != field.dim:
-        raise ValueError("kernel dimension does not match field dimension")
+    points, batch = _interior_points(field, x, kernel)
     groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution,
                             config.scheme)
     total = _contract(groups, points, _values_at(field, points), field, np.zeros(points.shape))
@@ -163,7 +171,7 @@ def restricted_nonlocal_gradient(
     field: ScalarField, x, config: OperatorConfig, subset: SubsetIndicator
 ) -> np.ndarray:
     """Nonlocal gradient with the integral restricted to a box-union subset."""
-    x = _interior_point(field, x)
+    x = _interior_points(field, as_point(x, field.dim), config.kernel)[0][0]
     if subset.dim != field.dim:
         raise ValueError("subset dimension does not match field dimension")
     kernel = config.kernel
@@ -193,7 +201,7 @@ def find_vanishing_subset_1d(
     """
     if field.dim != 1:
         raise ValueError("subset construction is implemented for 1-D fields only")
-    x = _interior_point(field, x_star)
+    x = _interior_points(field, as_point(x_star, 1), config.kernel)[0][0]
     reach = config.kernel.reach
     lo = max(field.domain.lower[0], float(x[0]) - reach)
     hi = min(field.domain.upper[0], float(x[0]) + reach)
@@ -295,7 +303,7 @@ def nonlocal_hessian(
     A ``(P, D)`` batch of points gives ``(P, D, D)``, row for row the
     one-point results.
     """
-    points, batch = _interior_points(field, x)
+    points, batch = _interior_points(field, x, config.kernel)
     if variant.kind == CENTRAL:
         H = _central_hessians(field, points, config, variant.constant_mode)
     elif variant.kind == FD_NONLOCAL:
@@ -360,9 +368,7 @@ def _central_hessians(
     """
     P, D = points.shape
     ext = extend_by_zero(field)
-    values = np.array([float(ext(x)) for x in points])
-    if not np.isfinite(values).all():
-        raise ValueError(f"field value is not finite at {points[np.argmin(np.isfinite(values))]}")
+    values = _values_at(ext, points)
     if constant_mode == MOMENT_CONSTANT:
         prefactor = D * (D + 2) / 2.0
     else:
@@ -396,8 +402,8 @@ def directional_second_moments(domain: BoxDomain, x, config: OperatorConfig) -> 
     x = as_point(x, kernel.dim)
     if not domain.contains(x):
         raise ValueError("moment diagnostics require an interior point")
-    stencil = reach_stencil(kernel, x, kernel.full_radius, domain, config.resolution,
-                            config.scheme)
+    [(stencil, _)] = reach_stencils(kernel, x[None], kernel.full_radius, domain,
+                                    config.resolution, config.scheme)
     c = np.zeros(kernel.dim)
     for b in stencil.blocks():
         c += [np.sum(b.wrho * b.h[:, i] ** 2 / b.r2) for i in range(kernel.dim)]
@@ -427,6 +433,6 @@ class TaylorData:
 
 def taylor_affine(field: ScalarField, x0, config: OperatorConfig) -> TaylorData:
     """Affine approximant built from the kernel-smoothed gradient at ``x0``."""
-    x0 = _interior_point(field, x0)
+    x0 = as_point(x0, field.dim)
     slope = nonlocal_gradient(field, x0, config)
     return TaylorData(base=x0, value=field.value(x0), slope=slope, _field=field)

@@ -294,8 +294,3 @@ def reach_stencils(kernel, points: np.ndarray, radius: float, domain: Optional[B
         out.append((Stencil(kernel, box_lo[i], box_hi[i], resolution, scheme), own[k:k + 1]))
     return out
 
-
-def reach_stencil(kernel, x: np.ndarray, radius: float, domain: Optional[BoxDomain],
-                  resolution: int, scheme: str = GAUSS) -> Stencil:
-    """``reach_stencils`` for the one point ``x``."""
-    return reach_stencils(kernel, x[None], radius, domain, resolution, scheme)[0][0]

@@ -8,15 +8,14 @@ the quadrature noise floor (1e-9) is tolerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .catalog import quadratic_field, sin_field
+from .catalog import bump_field, quadratic_field, quartic_field, sin_field
 from .errors import UnknownCheckError
 from .fields import BoxDomain, ScalarField
-from .kernels import RadialKernel, gaussian_kernel
 from .operators import (
     CENTRAL,
     HessianVariant,
@@ -26,7 +25,6 @@ from .operators import (
     nonlocal_hessian,
 )
 from .optimizers import (
-    SgdConfig,
     StepSchedule,
     _row_dots,
     epsilon_sgd_batch,
@@ -95,13 +93,12 @@ def hessian_errors(field: ScalarField, probes: np.ndarray, variant: HessianVaria
 
 
 def _config_for(settings: dict, n: int) -> OperatorConfig:
-    kernel: RadialKernel = settings["kernel"].with_scale_index(n)
-    return OperatorConfig(kernel, int(settings.get("resolution", OperatorConfig.resolution)),
-                          settings.get("scheme", OperatorConfig.scheme))
+    config: OperatorConfig = settings["config"]
+    return replace(config, kernel=config.kernel.with_scale_index(n))
 
 
 def _probes(settings: dict, lo: float, hi: float) -> np.ndarray:
-    return diagonal_probes(settings["field"].domain, int(settings.get("probes", 50)), lo, hi)
+    return diagonal_probes(settings["field"].domain, settings["probes"], lo, hi)
 
 
 def _worst(errors: np.ndarray, probes: np.ndarray):
@@ -124,7 +121,7 @@ def _check_hessian_localization(n: int, settings: dict):
 def _check_taylor_remainder(n: int, settings: dict):
     field: ScalarField = settings["field"]
     config = _config_for(settings, n)
-    rng = np.random.default_rng(int(settings.get("seed", 0)))
+    rng = np.random.default_rng(settings["seed"])
     lo = field.domain.lower_array
     hi = field.domain.upper_array
     span = hi - lo
@@ -141,7 +138,7 @@ def _check_iterate_tracking(n: int, settings: dict):
     field: ScalarField = settings["field"]
     config = _config_for(settings, n)
     schedule = StepSchedule.geometric(0.3, 0.5)
-    x0 = np.asarray(settings.get("x0", field.domain.center), dtype=float)
+    x0 = settings["x0"]
     classical = local_counterpart(field, x0, "gd", schedule, max_iters=20, grad_tol=0.0)
     smoothed = nlgd_fixed(field, x0, config, schedule, max_iters=20, grad_tol=0.0)
     k = min(len(classical), len(smoothed))
@@ -152,10 +149,8 @@ def _check_iterate_tracking(n: int, settings: dict):
 
 def _check_sgd_bound(n: int, settings: dict):
     field: ScalarField = settings["field"]
-    kernel: RadialKernel = settings["kernel"].with_scale_index(n)
-    cfg: SgdConfig = settings["sgd"]
-    seeds = int(settings.get("seeds", 50))
-    x_bars, _ = epsilon_sgd_batch(field, cfg, kernel, range(seeds))
+    kernel = settings["config"].kernel.with_scale_index(n)
+    x_bars, _ = epsilon_sgd_batch(field, settings["sgd"], kernel, range(settings["seeds"]))
     # the optimality gap against 0, the minimum value of the default field
     return float(np.mean(np.asarray(field(x_bars), dtype=float))), None
 
@@ -163,10 +158,8 @@ def _check_sgd_bound(n: int, settings: dict):
 def _check_newton_floor(n: int, settings: dict):
     field: ScalarField = settings["field"]
     config = _config_for(settings, n)
-    x0 = np.asarray(settings.get("x0", field.domain.center), dtype=float)
-    x_star = np.asarray(settings["x_star"], dtype=float)
-    trace = nonlocal_newton(field, x0, config, max_iters=10, grad_tol=0.0)
-    return float(np.linalg.norm(trace.final_point - x_star)), tuple(trace.final_point)
+    trace = nonlocal_newton(field, settings["x0"], config, max_iters=10, grad_tol=0.0)
+    return float(np.linalg.norm(trace.final_point - settings["x_star"])), tuple(trace.final_point)
 
 
 def _check_moment(n: int, settings: dict):
@@ -187,30 +180,19 @@ REGISTRY: dict[str, Callable] = {
 }
 
 
-def default_settings(check: str, domain: Optional[BoxDomain] = None) -> dict:
-    """Reasonable settings so every check can run out of the box."""
-    domain = domain or BoxDomain.unit(1)
-    kernel = gaussian_kernel(domain.dim, 1, 0.1)
-    settings: dict = {"domain": domain, "kernel": kernel}
+def default_settings(check: str, domain: BoxDomain) -> dict:
+    """The problem each check poses on ``domain``: its field, and its start and target points."""
+    settings: dict = {}
     if check in ("gradient-localization", "taylor-remainder"):
         settings["field"] = sin_field(domain)
     elif check == "hessian-localization":
-        from .catalog import bump_field
-
         settings["field"] = bump_field(domain)
     elif check == "iterate-tracking":
         settings["field"] = quadratic_field(domain)
-        settings["x0"] = domain.lower_array + 0.05 * (
-            domain.upper_array - domain.lower_array
-        )
+        settings["x0"] = domain.lower_array + 0.05 * (domain.upper_array - domain.lower_array)
     elif check == "sgd-bound":
-        center = domain.center
-        settings["field"] = quadratic_field(domain, center=center)
-        settings["sgd"] = SgdConfig(B=1.0, M=2.0, K=100, epsilon=0.02)
-        settings["seeds"] = 50
+        settings["field"] = quadratic_field(domain, center=domain.center)
     elif check == "newton-floor":
-        from .catalog import quartic_field
-
         center = domain.center + 0.05 * (domain.upper_array - domain.lower_array)
         settings["field"] = quartic_field(domain, center=center)
         settings["x0"] = domain.center - 0.15 * (domain.upper_array - domain.lower_array)
@@ -218,18 +200,20 @@ def default_settings(check: str, domain: Optional[BoxDomain] = None) -> dict:
     return settings
 
 
-def convergence_sweep(
-    check: str,
-    n_values: Sequence[int],
-    settings: Optional[dict] = None,
-) -> SweepReport:
-    """Run a registered check across scale indices and report the errors."""
+def convergence_sweep(check: str, n_values: Sequence[int], settings: dict) -> SweepReport:
+    """Run a registered check across scale indices and report the errors.
+
+    ``settings`` holds the ``domain``, the operator ``config`` (its kernel is
+    rescaled to each index), the ``probes`` count, the taylor-remainder
+    ``seed``, the ``sgd`` config with its ``seeds`` count, and the moment
+    ``tolerance``; each check's problem comes from ``default_settings`` unless
+    ``settings`` names it.
+    """
     if check not in REGISTRY:
         raise UnknownCheckError(
             f"unknown check {check!r}; registered: {sorted(REGISTRY)}"
         )
-    settings = settings or {}
-    settings = {**default_settings(check, settings.get("domain")), **settings}
+    settings = {**default_settings(check, settings["domain"]), **settings}
     fn = REGISTRY[check]
     n_values = [int(n) for n in n_values]
     results = [fn(n, settings) for n in n_values]
@@ -237,5 +221,5 @@ def convergence_sweep(
     if check == "sgd-bound":
         bound = settings["sgd"].gap_bound
     if check == "moment-c":
-        bound = float(settings.get("tolerance", 1e-6))
+        bound = settings["tolerance"]
     return sweep_report(check, n_values, [r[0] for r in results], [r[1] for r in results], bound)

@@ -53,6 +53,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="kernel.sigma"):
             load_config(None, ["kernel.sigma=3"])
 
+    def test_set_merges_a_dict_like_a_config_file(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"kernel": {"n": 4}}))
+        assert load_config(None, ['kernel={"n": 4}']) == load_config(p)
+        assert load_config(None, ['kernel={"n": 4}'])["kernel"]["family"] == "gaussian"
+
+    def test_unknown_key_inside_a_dict_named_on_both_routes(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"kernel": {"n": 4, "bogus": 1}}))
+        with pytest.raises(ConfigError, match="'kernel.bogus'"):
+            load_config(p)
+        with pytest.raises(ConfigError, match="'kernel.bogus'"):
+            load_config(None, ['kernel={"n": 4, "bogus": 1}'])
+
+    def test_overrides_leave_the_defaults_alone(self):
+        load_config(None, ["kernel.n=4", 'descend={"x0": [0.4]}'])
+        assert load_config(None) == DEFAULTS
+        assert DEFAULTS["kernel"]["n"] == 8 and DEFAULTS["descend"]["x0"] == [0.2]
+
     def test_json_values_parsed(self):
         cfg = load_config(None, ["check.n_values=[2,4]", "field=sin"])
         assert cfg["check"]["n_values"] == [2, 4]
@@ -179,6 +198,12 @@ MALFORMED = [
      "'hessian'"),
     (["hess-check", "--set", 'hessian.variant="fd-nonlocal"', "--set", "hessian.fd_step=-1"],
      "'hessian'"),
+    (["grad-check", "--set", 'kernel={"family":"gaussian","base_scale":0.1,"n":4,"bogus":1}'],
+     "'kernel.bogus'"),
+    (["grad-check", "--set", "quadrature.resolution=1"], "'quadrature': resolution"),
+    (["sweep", "--set", "quadrature.resolution=2.5"], "'quadrature': resolution"),
+    (["descend", "--set", "quadrature.resolution=true"], "'quadrature': resolution"),
+    (["grad-check", "--set", 'quadrature.scheme="simpson"'], "'quadrature': scheme"),
 ]
 
 
@@ -304,6 +329,20 @@ def test_rejected_run_writes_no_resolved_config(tmp_path):
     manifest = json.loads((accepted / "manifest.json").read_text())
     assert manifest["outputs"] == ["config.resolved.json", "grad_check.csv", "manifest.json"]
     assert json.loads((accepted / "config.resolved.json").read_text()) == manifest["config"]
+
+
+def test_parser_is_built_once_and_keeps_no_overrides(tmp_path):
+    from nonlocalopt import cli
+
+    argv = ["grad-check", "--field", "quadratic"]
+    assert run_cli([*argv, "--out", str(tmp_path / "a"), "--set", "kernel.n=4"]) == 0
+    parser = cli._parser()
+    assert run_cli([*argv, "--out", str(tmp_path / "b")]) == 0
+    assert cli._parser() is parser
+    resolved = [json.loads((tmp_path / d / "config.resolved.json").read_text()) for d in "ab"]
+    assert resolved[0]["kernel"]["n"] == 4
+    assert resolved[1] == {**DEFAULTS, "field": "quadratic"}
+    assert parser.parse_args(argv).overrides == []
 
 
 def test_module_entry_point_runs_the_cli():

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonlocalopt import (
+    CENTRAL,
+    FD_NONLOCAL,
+    GRAD_SMOOTHED,
+    NESTED,
     BoxDomain,
+    HessianVariant,
     OperatorConfig,
     ScalarField,
     SubsetIndicator,
@@ -12,6 +17,7 @@ from nonlocalopt import (
     find_vanishing_subset_1d,
     gaussian_kernel,
     nonlocal_gradient,
+    nonlocal_hessian,
     restricted_nonlocal_gradient,
     taylor_affine,
 )
@@ -23,12 +29,45 @@ from nonlocalopt.catalog import (
     ridge_field,
     sin_field,
 )
-from nonlocalopt.errors import CoincidentPointsError, NoBracketError
+from nonlocalopt.errors import CoincidentPointsError, DimensionMismatchError, NoBracketError
 from nonlocalopt.oracles import mc_nonlocal_gradient
 
 
 def cfg(kernel, resolution=512):
     return OperatorConfig(kernel, resolution=resolution)
+
+
+class TestOperatorConfig:
+    @pytest.mark.parametrize("resolution", [0, 1, -4, 2.5, True, "64", None])
+    def test_resolution_must_be_an_integer_of_at_least_2(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            OperatorConfig(gaussian_kernel(1, 8), resolution)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="simpson"):
+            OperatorConfig(gaussian_kernel(1, 8), 64, "simpson")
+
+
+@pytest.mark.parametrize("field_dim,kernel_dim", [(2, 1), (1, 2)])
+def test_kernel_of_another_dimension_rejected_by_every_operator(field_dim, kernel_dim):
+    # a 1-D kernel on the unit square gave the central Hessian [[12, 16], [16, 12]]
+    # at the center, where every variant should give 2I
+    domain = BoxDomain.unit(field_dim)
+    field = quadratic_field(domain)
+    config = cfg(gaussian_kernel(kernel_dim, 8), 8)
+    x = domain.center
+    subset = SubsetIndicator.full(domain)
+    calls = [lambda: nonlocal_gradient(field, x, config),
+             lambda: nonlocal_gradient(field, x[None], config),
+             lambda: restricted_nonlocal_gradient(field, x, config, subset),
+             lambda: taylor_affine(field, x, config)]
+    calls += [lambda v=HessianVariant(kind, m=4): nonlocal_hessian(field, x, v, config)
+              for kind in (CENTRAL, GRAD_SMOOTHED, FD_NONLOCAL, NESTED)]
+    if field_dim == 1:
+        calls.append(lambda: find_vanishing_subset_1d(field, x, config))
+    for call in calls:
+        with pytest.raises(DimensionMismatchError, match="kernel dimension"):
+            call()
 
 
 class TestDifferenceQuotient:

@@ -5,6 +5,7 @@ from nonlocalopt import (
     BoxDomain,
     HessianVariant,
     OperatorConfig,
+    SgdConfig,
     SweepReport,
     bump_kernel,
     convergence_sweep,
@@ -148,16 +149,25 @@ class TestGoldenSection:
         assert t == min(seen[-2:]) < 1e-6
 
 
+def sweep_settings(domain, kernel, resolution=256, **problem):
+    """Complete sweep settings, at the CLI's default values for what the call does not name."""
+    return {"domain": domain, "config": OperatorConfig(kernel, resolution), "probes": 50,
+            "seed": 0, "sgd": SgdConfig(B=1.0, M=2.0, K=100, epsilon=0.02), "seeds": 50,
+            "tolerance": 1e-6, **problem}
+
+
 class TestConvergenceSweep:
-    def test_unknown_check_rejected(self):
+    def test_unknown_check_rejected(self, unit_interval):
         with pytest.raises(UnknownCheckError):
-            convergence_sweep("no-such-check", [4, 8])
+            convergence_sweep("no-such-check", [4, 8],
+                              sweep_settings(unit_interval, gaussian_kernel(1, 1)))
 
     def test_gradient_localization_monotone(self, unit_interval):
         report = convergence_sweep(
             "gradient-localization",
             [4, 8, 16, 32],
-            {"field": sin_field(unit_interval), "kernel": gaussian_kernel(1, 1, 0.1)},
+            sweep_settings(unit_interval, gaussian_kernel(1, 1, 0.1),
+                           field=sin_field(unit_interval)),
         )
         assert report.monotone
         assert report.errors[-1] <= 1e-3
@@ -167,7 +177,7 @@ class TestConvergenceSweep:
         report = convergence_sweep(
             "moment-c",
             [4, 8, 16],
-            {"domain": unit_square, "kernel": bump_kernel(2, 1, 0.2)},
+            sweep_settings(unit_square, bump_kernel(2, 1, 0.2)),
         )
         assert report.within_bound
 
@@ -180,23 +190,17 @@ class TestConvergenceSweep:
         report = convergence_sweep(
             "taylor-remainder",
             [4, 8, 16, 32],
-            {"field": sin_field(unit_interval), "kernel": gaussian_kernel(1, 1, 0.1)},
+            sweep_settings(unit_interval, gaussian_kernel(1, 1, 0.1),
+                           field=sin_field(unit_interval)),
         )
         assert report.monotone
 
     def test_repeated_sweep_gives_same_numbers(self, unit_interval):
-        settings = {"field": sin_field(unit_interval), "kernel": gaussian_kernel(1, 1, 0.1)}
+        settings = sweep_settings(unit_interval, gaussian_kernel(1, 1, 0.1),
+                                  field=sin_field(unit_interval))
         first = convergence_sweep("gradient-localization", [4, 8], dict(settings))
         second = convergence_sweep("gradient-localization", [4, 8], dict(settings))
         assert first.errors == second.errors
-
-    @pytest.mark.parametrize("check", ["gradient-localization", "moment-c"])
-    def test_default_resolution_is_the_operator_default(self, unit_interval, check):
-        settings = {"field": sin_field(unit_interval), "kernel": gaussian_kernel(1, 1, 0.1)}
-        default = convergence_sweep(check, [4, 8, 16], dict(settings))
-        at_256 = convergence_sweep(check, [4, 8, 16], {**settings, "resolution": 256})
-        assert OperatorConfig(gaussian_kernel(1, 1)).resolution == 256
-        assert default.errors == at_256.errors
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_probe_errors_equal_one_probe_at_a_time(self, dim):
@@ -215,7 +219,7 @@ class TestConvergenceSweep:
     def test_taylor_remainder_equals_one_point_loop(self, unit_square):
         field = sin_field(unit_square)
         config = OperatorConfig(gaussian_kernel(2, 8), 32)
-        settings = {"field": field, "kernel": gaussian_kernel(2, 1), "resolution": 32}
+        settings = sweep_settings(unit_square, gaussian_kernel(2, 1), 32, field=field)
         report = convergence_sweep("taylor-remainder", [8], settings)
         rng = np.random.default_rng(0)
         base = rng.uniform(0.25, 0.75, size=(200, 2))

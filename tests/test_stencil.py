@@ -27,7 +27,7 @@ from nonlocalopt import quadrature
 from nonlocalopt.catalog import bump_field, linear_field, quadratic_field, sin_field
 from nonlocalopt.errors import CoincidentPointsError, NodeBudgetError
 from nonlocalopt.operators import CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED
-from nonlocalopt.quadrature import BLOCK_NODES, Stencil, StencilCache, reach_stencil, rule_1d
+from nonlocalopt.quadrature import BLOCK_NODES, Stencil, StencilCache, reach_stencils, rule_1d
 
 # One resolution per dimension, small enough for a fast reference sum.
 RESOLUTION = {1: 64, 2: 32, 3: 12}
@@ -170,7 +170,8 @@ def test_full_box_stencil_is_point_symmetric(dim, resolution, scheme):
 def test_underflowing_offsets_carry_no_weight():
     # |h|^2 of the 32 offsets left of x = 1e-200 underflows to 0
     domain, kernel, x = BoxDomain.unit(1), RadialKernel("gaussian", 1, 1, 1e-150), [1e-200]
-    blocks = list(reach_stencil(kernel, np.array(x), kernel.reach, domain, 64).blocks())
+    [(stencil, _)] = reach_stencils(kernel, np.array([x]), kernel.reach, domain, 64)
+    blocks = list(stencil.blocks())
     h = np.concatenate([b.h for b in blocks])
     underflow = np.sum(h * h, axis=1) == 0
     assert np.count_nonzero(underflow) == 32
