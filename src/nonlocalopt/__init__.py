@@ -53,7 +53,6 @@ from .pulse import (
     default_holder_offsets,
     holder_exponent_fit,
     run_pulse_experiment,
-    run_pulse_suite,
 )
 from .quadrature import QuadratureGrid, build_panel_grid
 from .reporting import emit_csv, emit_plot_svg, read_trace_csv

@@ -25,7 +25,7 @@ from .catalog import catalog
 from .errors import CoincidentPointsError, ConfigError, NodeBudgetError, SingularHessianError
 from .fields import BoxDomain, as_point
 from .kernels import RadialKernel
-from .operators import FD_NONLOCAL, HessianVariant, OperatorConfig
+from .operators import FD_NONLOCAL, GRAD_SMOOTHED, NESTED, HessianVariant, OperatorConfig
 from .optimizers import (
     SgdConfig,
     StepSchedule,
@@ -39,7 +39,7 @@ from .pulse import (
     PulseRunConfig,
     default_holder_offsets,
     holder_exponent_fit,
-    run_pulse_suite,
+    run_pulse_experiment,
 )
 from .quadrature import NODE_BUDGET
 from .reporting import emit_csv, emit_plot_svg
@@ -55,7 +55,6 @@ from .sweeps import (
 # hess-check evaluates at most this many of the ``check.probes`` it is asked for.
 HESS_CHECK_PROBES = 10
 
-COMMANDS = ("grad-check", "hess-check", "sweep", "descend", "sgd", "newton", "pulse")
 DESCEND_METHODS = ("nlgd", "nlgd-ls", "gd", "gd-ls", "newton")
 
 DEFAULTS: dict = {
@@ -92,7 +91,6 @@ DEFAULTS: dict = {
         "signal_grid": 4096,
         "gaussian_base_scale": None,
         "bump_base_scale": None,
-        "resolution": 512,
         "tolerance": 0.02,
     },
 }
@@ -197,6 +195,13 @@ def _counts(values) -> list[int]:
     return [_count(v) for v in values]
 
 
+def _distinct(values: list) -> list:
+    """``values``, none of them repeated: a repeat would rerun a run and rewrite its output."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"expected distinct values, got {values!r}")
+    return values
+
+
 def _descend_method(method: str) -> str:
     if method not in DESCEND_METHODS:
         raise ValueError(f"unknown method {method!r}; known: {list(DESCEND_METHODS)}")
@@ -274,11 +279,10 @@ def _pulse_runs(config: dict) -> list[PulseRunConfig]:
                 max_iters=_budgeted(p["max_iters"], 0),
                 pulse_width=float(p["pulse_width"]),
                 signal_grid=_count(p["signal_grid"], 2),
-                resolution=_count(p["resolution"], 2),
                 tolerance=float(p["tolerance"]),
             )
-            for family in p["families"]
-            for n in _counts(p["n_values"])
+            for family in _distinct(p["families"])
+            for n in _distinct(_counts(p["n_values"]))
         ]
 
     return _get(config, "pulse", build)
@@ -357,8 +361,8 @@ def _cmd_hess_check(run: _Run) -> int:
     op = _op_config(config, kernel)
     variant = _get(config, "hessian", lambda h: HessianVariant(
         h["variant"],
-        m=_count(h["m"]),
-        fd_step=float(h["fd_step"]),
+        m=_count(h["m"]) if h["variant"] == NESTED else None,
+        fd_step=float(h["fd_step"]) if h["variant"] in (FD_NONLOCAL, GRAD_SMOOTHED) else None,
         constant_mode=h["constant_mode"],
     ))
     tol = _get(config, "check.tolerance", _nonnegative)
@@ -392,12 +396,13 @@ def _cmd_sweep(run: _Run) -> int:
     settings = {
         "domain": domain,
         "config": _op_config(config, _kernel_from(config, domain.dim)),
-        "sgd": _sgd_from(config, run.args.seed),
         "probes": _get(config, "check.probes", _budgeted),
-        "seeds": _get(config, "check.seeds", _budgeted),
         "seed": run.args.seed,
         "tolerance": _get(config, "check.tolerance", _nonnegative),
     }
+    if name == "sgd-bound":  # the one check that draws
+        settings["sgd"] = _sgd_from(config, run.args.seed)
+        settings["seeds"] = _get(config, "check.seeds", _budgeted)
     report = convergence_sweep(name, _get(config, "check.n_values", _counts), settings)
     run.add(emit_csv(report, run.out / f"sweep_{name}.csv"))
     passed = report.within_bound if report.within_bound is not None else report.monotone
@@ -420,22 +425,17 @@ def _cmd_descend(run: _Run) -> int:
     field = _field_from(config, domain)
     max_iters = _get(config, "descend.max_iters", lambda v: _budgeted(v, 0))
     grad_tol = _get(config, "descend.grad_tol", _nonnegative)
-    schedule = _get(config, "descend.schedule", lambda s: StepSchedule(
-        s["kind"], alpha=float(s["alpha"]), q=float(s["q"]), cap=float(s["cap"])))
+    schedule = None if method == "newton" else _get(config, "descend.schedule", lambda s: (
+        StepSchedule(s["kind"], alpha=float(s["alpha"]), q=float(s["q"]), cap=float(s["cap"]))))
     if method in ("nlgd", "nlgd-ls"):
         op = _op_config(config, _kernel_from(config, domain.dim))
     x0 = _start(config, "descend.x0", domain)
-    try:
-        if method == "nlgd":
-            trace = nlgd_fixed(field, x0, op, schedule, max_iters, grad_tol)
-        elif method == "nlgd-ls":
-            trace = nlgd_linesearch(field, x0, op, schedule.cap, max_iters, grad_tol)
-        else:
-            trace = local_counterpart(field, x0, method, schedule, max_iters, grad_tol)
-    except SingularHessianError as exc:
-        print(f"descend: {exc}", file=sys.stderr)
-        run.summary = {"error": str(exc)}
-        return 1
+    if method == "nlgd":
+        trace = nlgd_fixed(field, x0, op, schedule, max_iters, grad_tol)
+    elif method == "nlgd-ls":
+        trace = nlgd_linesearch(field, x0, op, schedule.cap, max_iters, grad_tol)
+    else:
+        trace = local_counterpart(field, x0, method, schedule, max_iters, grad_tol)
     run.add(emit_csv(trace, run.out / "trace.csv", coord_label="x"))
     run.summary = {
         "method": method,
@@ -477,12 +477,7 @@ def _cmd_newton(run: _Run) -> int:
     max_iters = _get(config, "newton.max_iters", lambda v: _budgeted(v, 0))
     grad_tol = _get(config, "newton.grad_tol", _nonnegative)
     beta = _get(config, "newton.beta", _positive)
-    try:
-        trace = nonlocal_newton(field, x0, op, max_iters=max_iters, grad_tol=grad_tol, beta=beta)
-    except SingularHessianError as exc:
-        print(f"newton: {exc}", file=sys.stderr)
-        run.summary = {"error": str(exc)}
-        return 1
+    trace = nonlocal_newton(field, x0, op, max_iters=max_iters, grad_tol=grad_tol, beta=beta)
     run.add(emit_csv(trace, run.out / "trace.csv", coord_label="x"))
     run.summary = {
         "termination": trace.termination,
@@ -498,7 +493,8 @@ def _cmd_pulse(run: _Run) -> int:
     curves, labels = [], []
     summaries = []
     failed = []
-    for cfg, (trace, summary) in zip(configs, run_pulse_suite(configs)):
+    for cfg in configs:
+        trace, summary = run_pulse_experiment(cfg)
         label = f"{cfg.family}-n{cfg.n}"
         run.add(emit_csv(trace, run.out / f"pulse_{cfg.family}_n{cfg.n}.csv"))
         curves.append(np.abs(trace.iterates[:, 0] - cfg.theta_star))
@@ -552,7 +548,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Kernel-smoothed differential operators and the descent methods on them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="JSON config file")
         cmd.add_argument("--out", default=f"out/{name}", help="output directory")
@@ -596,8 +592,11 @@ def run_cli(argv=None) -> int:
         if args.verbose:
             print(json.dumps(config, indent=2, sort_keys=True))
         run = _Run(args.command, args, config, raw_argv)
-        code = _HANDLERS[args.command](run)
-        return run.finish(code)
+        return run.finish(_HANDLERS[args.command](run))
+    except SingularHessianError as exc:  # raised only by a run, after its config was built
+        print(f"{run.command}: {exc}", file=sys.stderr)
+        run.summary = {"error": str(exc)}
+        return run.finish(1)
     except (ConfigError, NodeBudgetError, CoincidentPointsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

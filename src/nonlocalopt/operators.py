@@ -307,14 +307,12 @@ def nonlocal_hessian(
     if variant.kind == CENTRAL:
         H = _central_hessians(field, points, config, variant.constant_mode)
     elif variant.kind == FD_NONLOCAL:
+        # one gradient call over the shifted points, indexed (axis j, sign, point, D)
         h = variant.fd_step
-        H = np.empty(points.shape + (field.dim,))
-        for j in range(field.dim):
-            e = np.zeros(field.dim)
-            e[j] = h
-            gp = nonlocal_gradient(field, points + e, config)
-            gm = nonlocal_gradient(field, points - e, config)
-            H[:, :, j] = (gp - gm) / (2.0 * h)
+        step = h * np.eye(field.dim)[:, None]
+        shifted = points + np.stack([step, -step], axis=1)
+        g = nonlocal_gradient(field, shifted.reshape(-1, field.dim), config).reshape(shifted.shape)
+        H = np.moveaxis((g[:, 0] - g[:, 1]) / (2.0 * h), 0, -1)
     else:
         H = _smoothed_hessians(field, points, variant, config)
     return H if batch else H[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .optimizers import OptimizerTrace, _confined, _descend
 # every (family, scale-index) combination.
 DEFAULT_GAUSSIAN_BASE = 1.8
 DEFAULT_BUMP_BASE = 3.5
+
+# Gauss nodes of the quadrature every pulse gradient uses.
+RESOLUTION = 512
 
 
 def _cells(count, N: int):
@@ -173,7 +176,6 @@ class PulseRunConfig:
     theta0: float = 0.1
     theta_star: float = 0.5
     max_iters: int = 200
-    resolution: int = 512
     pulse_width: float = 0.125
     signal_grid: int = 4096
     tolerance: float = 0.02
@@ -228,7 +230,7 @@ def run_pulse_experiment(config: PulseRunConfig) -> tuple[OptimizerTrace, PulseR
     boundary.
     """
     field = config.manifold().objective_field()
-    op_config = OperatorConfig(config.kernel(), resolution=config.resolution)
+    op_config = OperatorConfig(config.kernel(), RESOLUTION)
     margin = 1e-9
     alpha = config.alpha
     prev_gnorm = None
@@ -274,10 +276,3 @@ def run_pulse_experiment(config: PulseRunConfig) -> tuple[OptimizerTrace, PulseR
         clamped=clamped,
     )
     return trace, summary
-
-
-def run_pulse_suite(
-    configs: Sequence[PulseRunConfig],
-) -> list[tuple[OptimizerTrace, PulseRunSummary]]:
-    """Run the pulse experiment of each config, in order."""
-    return [run_pulse_experiment(cfg) for cfg in configs]

@@ -205,9 +205,9 @@ def convergence_sweep(check: str, n_values: Sequence[int], settings: dict) -> Sw
 
     ``settings`` holds the ``domain``, the operator ``config`` (its kernel is
     rescaled to each index), the ``probes`` count, the taylor-remainder
-    ``seed``, the ``sgd`` config with its ``seeds`` count, and the moment
-    ``tolerance``; each check's problem comes from ``default_settings`` unless
-    ``settings`` names it.
+    ``seed``, the moment ``tolerance``, and for ``sgd-bound`` the ``sgd``
+    config with its ``seeds`` count; each check's problem comes from
+    ``default_settings`` unless ``settings`` names it.
     """
     if check not in REGISTRY:
         raise UnknownCheckError(

@@ -204,6 +204,9 @@ MALFORMED = [
     (["sweep", "--set", "quadrature.resolution=2.5"], "'quadrature': resolution"),
     (["descend", "--set", "quadrature.resolution=true"], "'quadrature': resolution"),
     (["grad-check", "--set", 'quadrature.scheme="simpson"'], "'quadrature': scheme"),
+    (["pulse", "--set", "pulse.resolution=512"], "'pulse.resolution'"),
+    (["pulse", "--set", 'pulse.families=["gaussian","gaussian"]'], "'pulse'"),
+    (["pulse", "--set", "pulse.n_values=[1,2,1]"], "'pulse'"),
 ]
 
 
@@ -230,6 +233,43 @@ def test_huge_count_exits_2_before_allocating(tmp_path, argv, names):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert names in proc.stderr
+
+
+# A value that only some runs read: (argv of a run that never reads it, exit 0;
+# argv of a run that reads it, exit 2 naming it).
+UNREAD_SETTINGS = [
+    (["sweep", "--check", "moment-c", "--set", "sgd.K=0"],
+     ["sweep", "--check", "sgd-bound", "--set", "sgd.K=0"], "'sgd'"),
+    (["sweep", "--check", "moment-c", "--set", "check.seeds=0"],
+     ["sweep", "--check", "sgd-bound", "--set", "check.seeds=0"], "'check.seeds'"),
+    (["descend", "--set", 'descend.method="newton"', "--set", "descend.schedule.alpha=-1"],
+     ["descend", "--set", 'descend.method="nlgd"', "--set", "descend.schedule.alpha=-1"],
+     "'descend.schedule'"),
+    (["hess-check", "--set", "hessian.m=0"],
+     ["hess-check", "--set", 'hessian.variant="nested"', "--set", "hessian.m=0"], "'hessian'"),
+    (["hess-check", "--set", "hessian.fd_step=0"],
+     ["hess-check", "--set", 'hessian.variant="fd-nonlocal"', "--set", "hessian.fd_step=0"],
+     "'hessian'"),
+]
+
+
+@pytest.mark.parametrize("unread,read,names", UNREAD_SETTINGS,
+                         ids=[" ".join(a) for a, _, _ in UNREAD_SETTINGS])
+def test_a_value_is_checked_only_where_it_is_read(tmp_path, capsys, unread, read, names):
+    assert run_cli(unread + ["--out", str(tmp_path / "unread")]) == 0
+    capsys.readouterr()
+    assert run_cli(read + ["--out", str(tmp_path / "read")]) == 2
+    assert names in capsys.readouterr().err
+
+
+def test_singular_curvature_exits_1_with_its_message(tmp_path, capsys):
+    argv = ["descend", "--field", "linear", "--set", 'descend.method="newton"']
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 1
+    message = "classical curvature matrix is singular at iteration 0"
+    assert capsys.readouterr().err == f"descend: {message}\n"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["exit_code"] == 1 and manifest["summary"] == {"error": message}
+    assert manifest["outputs"] == ["config.resolved.json", "manifest.json"]
 
 
 def test_moment_sweep_reads_the_tolerance(tmp_path):

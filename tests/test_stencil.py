@@ -23,7 +23,7 @@ from nonlocalopt import (
     nonlocal_hessian,
     restricted_nonlocal_gradient,
 )
-from nonlocalopt import quadrature
+from nonlocalopt import operators, quadrature
 from nonlocalopt.catalog import bump_field, linear_field, quadratic_field, sin_field
 from nonlocalopt.errors import CoincidentPointsError, NodeBudgetError
 from nonlocalopt.operators import CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED
@@ -365,6 +365,28 @@ class TestPointBatches:
         batch = nonlocal_hessian(field, x, variant, config)
         assert batch.shape == (6, dim, dim)
         assert same_bits(batch, np.stack([nonlocal_hessian(field, p, variant, config) for p in x]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name", ["sin", "diagonal-quadratic"])
+def test_fd_nonlocal_hessian_is_one_gradient_call_equal_to_the_axis_loop(monkeypatch, dim, name):
+    domain = BoxDomain.unit(dim)
+    field = (sin_field(domain) if name == "sin"
+             else quadratic_field(domain, matrix=np.diag(np.linspace(0.5, 1.7, dim))))
+    config, x, h = batch_config(dim, "gaussian"), batch_points(dim), 1e-3
+    expected = np.empty((6, dim, dim))
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = h
+        expected[:, :, j] = (nonlocal_gradient(field, x + e, config)
+                             - nonlocal_gradient(field, x - e, config)) / (2.0 * h)
+    calls = []
+    gradient = operators.nonlocal_gradient
+    monkeypatch.setattr(operators, "nonlocal_gradient",
+                        lambda *args: calls.append(1) or gradient(*args))
+    H = nonlocal_hessian(field, x, HessianVariant(FD_NONLOCAL, fd_step=h), config)
+    assert len(calls) == 1
+    assert same_bits(np.ascontiguousarray(H), expected)
 
 
 def test_one_point_keeps_its_shape():
