@@ -25,7 +25,8 @@ from .catalog import catalog
 from .errors import CoincidentPointsError, ConfigError, NodeBudgetError, SingularHessianError
 from .fields import BoxDomain, as_point
 from .kernels import RadialKernel
-from .operators import FD_NONLOCAL, GRAD_SMOOTHED, NESTED, HessianVariant, OperatorConfig
+from .operators import (CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, MOMENT_CONSTANT, NESTED,
+                        HessianVariant, OperatorConfig)
 from .optimizers import (
     SgdConfig,
     StepSchedule,
@@ -363,7 +364,7 @@ def _cmd_hess_check(run: _Run) -> int:
         h["variant"],
         m=_count(h["m"]) if h["variant"] == NESTED else None,
         fd_step=float(h["fd_step"]) if h["variant"] in (FD_NONLOCAL, GRAD_SMOOTHED) else None,
-        constant_mode=h["constant_mode"],
+        constant_mode=h["constant_mode"] if h["variant"] == CENTRAL else MOMENT_CONSTANT,
     ))
     tol = _get(config, "check.tolerance", _nonnegative)
     requested = _get(config, "check.probes", _budgeted)
@@ -393,16 +394,17 @@ def _cmd_sweep(run: _Run) -> int:
     config = run.config
     domain = _domain_from(config)
     name = _get(config, "check.name", _registered)
-    settings = {
-        "domain": domain,
-        "config": _op_config(config, _kernel_from(config, domain.dim)),
-        "probes": _get(config, "check.probes", _budgeted),
-        "seed": run.args.seed,
-        "tolerance": _get(config, "check.tolerance", _nonnegative),
-    }
-    if name == "sgd-bound":  # the one check that draws
-        settings["sgd"] = _sgd_from(config, run.args.seed)
-        settings["seeds"] = _get(config, "check.seeds", _budgeted)
+    kernel = _kernel_from(config, domain.dim)
+    settings = {"domain": domain, "seed": run.args.seed}
+    if name == "sgd-bound":  # the one check that draws, and the one without quadrature
+        settings.update(kernel=kernel, sgd=_sgd_from(config, run.args.seed),
+                        seeds=_get(config, "check.seeds", _budgeted))
+    else:
+        settings["config"] = _op_config(config, kernel)
+    if name in ("gradient-localization", "hessian-localization"):
+        settings["probes"] = _get(config, "check.probes", _budgeted)
+    if name == "moment-c":
+        settings["tolerance"] = _get(config, "check.tolerance", _nonnegative)
     report = convergence_sweep(name, _get(config, "check.n_values", _counts), settings)
     run.add(emit_csv(report, run.out / f"sweep_{name}.csv"))
     passed = report.within_bound if report.within_bound is not None else report.monotone
@@ -425,7 +427,9 @@ def _cmd_descend(run: _Run) -> int:
     field = _field_from(config, domain)
     max_iters = _get(config, "descend.max_iters", lambda v: _budgeted(v, 0))
     grad_tol = _get(config, "descend.grad_tol", _nonnegative)
+    # a line search reads only the cap of its interval
     schedule = None if method == "newton" else _get(config, "descend.schedule", lambda s: (
+        StepSchedule("fixed", cap=float(s["cap"])) if method in ("gd-ls", "nlgd-ls") else
         StepSchedule(s["kind"], alpha=float(s["alpha"]), q=float(s["q"]), cap=float(s["cap"]))))
     if method in ("nlgd", "nlgd-ls"):
         op = _op_config(config, _kernel_from(config, domain.dim))

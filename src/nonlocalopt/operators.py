@@ -359,19 +359,23 @@ def _central_hessians(
     """Symmetric second-difference construction over the kernel's reach box, per point.
 
     The field is extended by zero beyond its support (or beyond the domain)
-    so the translated stencil is always defined.  The stencil is point
+    so the translated stencil is always defined (it is the field itself when
+    every reach box lies strictly inside).  The stencil is point
     symmetric (its second half is the negated first half), so only the first
     half is summed, each node standing for itself and its mirror.  Field
     calls pack the half blocks of several points, as ``_contract`` does.
     """
     P, D = points.shape
-    ext = extend_by_zero(field)
+    kernel = config.kernel
+    box = field.domain if field.support is None else field.support
+    # every offset has |h_i| <= reach, so then each x + h and x - h is inside the box
+    inside = np.all(box.contains(points - kernel.reach) & box.contains(points + kernel.reach))
+    ext = field if inside else extend_by_zero(field)
     values = _values_at(ext, points)
     if constant_mode == MOMENT_CONSTANT:
         prefactor = D * (D + 2) / 2.0
     else:
         prefactor = D * (D + 1) / 2.0
-    kernel = config.kernel
     [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution,
                                        config.scheme)
     H = np.zeros((P, D, D))

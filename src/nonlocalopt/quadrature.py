@@ -208,13 +208,20 @@ class Stencil:
             h = x[:, None]
             r2 = x * x
         else:
-            index = np.unravel_index(np.arange(start, stop), self.shape)
-            h = np.empty((stop - start, len(self.shape)))
-            w = np.ones(1)
-            for j, ((x, wx), i) in enumerate(zip(self.axes, index)):
-                h[:, j] = x[i]
-                w = w * wx[i]
-            r2 = np.sum(h * h, axis=1)
+            # broadcast the leading-axis slabs the block touches, then slice it out; sums and
+            # products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2)
+            slab = self.size // self.shape[0]
+            first, last = start // slab, -(-stop // slab)
+            xs = np.ix_(self.axes[0][0][first:last], *(x for x, _ in self.axes[1:]))
+            ws = np.ix_(self.axes[0][1][first:last], *(w for _, w in self.axes[1:]))
+            h = np.stack(np.broadcast_arrays(*xs), axis=-1).reshape(-1, len(self.shape))
+            r2, w = xs[0] * xs[0], ws[0]
+            for x, wx in zip(xs[1:], ws[1:]):
+                r2, w = r2 + x * x, w * wx
+            part = slice(start - first * slab, stop - first * slab)
+            h, r2, w = h[part], r2.reshape(-1)[part], w.reshape(-1)[part]
+            if stop - start < (last - first) * slab:  # a cached block keeps only its own nodes
+                h, r2 = h.copy(), r2.copy()
         wrho = w * self.kernel.radial_density(np.sqrt(r2))
         excluded = r2 == 0
         if np.logical_or.reduce(excluded):

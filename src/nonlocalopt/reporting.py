@@ -12,7 +12,6 @@ import io
 import math
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -22,6 +21,11 @@ from .sweeps import SweepReport
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``, whose import would load ``urllib`` and ``http`` too."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def trace_header(trace: OptimizerTrace, coord_label: str = "theta") -> list[str]:
@@ -121,7 +125,7 @@ def emit_plot_svg(
     if title:
         out.write(
             f'<text x="{width / 2:.1f}" y="{mt - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>\n'
+            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>\n'
         )
     # y ticks at integer decades
     for dec in range(math.ceil(ymin), math.floor(ymax) + 1):
@@ -150,7 +154,7 @@ def emit_plot_svg(
     out.write(
         f'<text x="18" y="{mt + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {mt + plot_h / 2:.1f})">{escape(ylabel)}</text>\n'
+        f'transform="rotate(-90 18 {mt + plot_h / 2:.1f})">{_escape(ylabel)}</text>\n'
     )
     for idx, (logc, label) in enumerate(zip(logs, labels)):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -165,7 +169,7 @@ def emit_plot_svg(
         )
         out.write(
             f'<text x="{width - mr + 40}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{escape(str(label))}</text>\n'
+            f'font-size="12">{_escape(str(label))}</text>\n'
         )
     out.write("</svg>\n")
 

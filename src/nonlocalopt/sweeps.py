@@ -149,7 +149,7 @@ def _check_iterate_tracking(n: int, settings: dict):
 
 def _check_sgd_bound(n: int, settings: dict):
     field: ScalarField = settings["field"]
-    kernel = settings["config"].kernel.with_scale_index(n)
+    kernel = settings["kernel"].with_scale_index(n)
     x_bars, _ = epsilon_sgd_batch(field, settings["sgd"], kernel, range(settings["seeds"]))
     # the optimality gap against 0, the minimum value of the default field
     return float(np.mean(np.asarray(field(x_bars), dtype=float))), None
@@ -203,10 +203,11 @@ def default_settings(check: str, domain: BoxDomain) -> dict:
 def convergence_sweep(check: str, n_values: Sequence[int], settings: dict) -> SweepReport:
     """Run a registered check across scale indices and report the errors.
 
-    ``settings`` holds the ``domain``, the operator ``config`` (its kernel is
-    rescaled to each index), the ``probes`` count, the taylor-remainder
-    ``seed``, the moment ``tolerance``, and for ``sgd-bound`` the ``sgd``
-    config with its ``seeds`` count; each check's problem comes from
+    ``settings`` holds what the check reads: the ``domain``; the operator
+    ``config`` (its kernel is rescaled to each index), or for ``sgd-bound``
+    the ``kernel``, the ``sgd`` config and its ``seeds`` count; the
+    localization ``probes`` count, the taylor-remainder ``seed`` and the
+    moment ``tolerance``.  Each check's problem comes from
     ``default_settings`` unless ``settings`` names it.
     """
     if check not in REGISTRY:

@@ -250,6 +250,20 @@ UNREAD_SETTINGS = [
     (["hess-check", "--set", "hessian.fd_step=0"],
      ["hess-check", "--set", 'hessian.variant="fd-nonlocal"', "--set", "hessian.fd_step=0"],
      "'hessian'"),
+    (["hess-check", "--set", 'hessian.variant="nested"', "--set", 'hessian.constant_mode="bogus"'],
+     ["hess-check", "--set", 'hessian.constant_mode="bogus"'], "'hessian'"),
+    (["sweep", "--check", "moment-c", "--set", "check.probes=0"],
+     ["sweep", "--check", "gradient-localization", "--set", "check.probes=0"], "'check.probes'"),
+    (["sweep", "--check", "gradient-localization", "--set", "check.tolerance=-1"],
+     ["sweep", "--check", "moment-c", "--set", "check.tolerance=-1"], "'check.tolerance'"),
+    (["sweep", "--check", "sgd-bound", "--set", "quadrature.resolution=1"],
+     ["sweep", "--check", "moment-c", "--set", "quadrature.resolution=1"], "'quadrature'"),
+    (["descend", "--set", 'descend.method="gd-ls"', "--set", "descend.schedule.alpha=-1"],
+     ["descend", "--set", 'descend.method="gd"', "--set", "descend.schedule.alpha=-1"],
+     "'descend.schedule'"),
+    (["descend", "--set", 'descend.method="nlgd-ls"', "--set", "descend.schedule.alpha=-1"],
+     ["descend", "--set", 'descend.method="nlgd-ls"', "--set", "descend.schedule.cap=-1"],
+     "'descend.schedule'"),
 ]
 
 
@@ -383,6 +397,17 @@ def test_parser_is_built_once_and_keeps_no_overrides(tmp_path):
     assert resolved[0]["kernel"]["n"] == 4
     assert resolved[1] == {**DEFAULTS, "field": "quadratic"}
     assert parser.parse_args(argv).overrides == []
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, nonlocalopt.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('xml', 'http', 'email') or m.startswith('urllib.request')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_runs_the_cli():

@@ -167,6 +167,50 @@ def test_full_box_stencil_is_point_symmetric(dim, resolution, scheme):
     assert np.array_equal(w[::-1], w)
 
 
+def reference_blocks(stencil, stop, block_nodes):
+    """The per-node expansion: each node's axis indices by ``unravel_index``, then gathers."""
+    for start in range(0, stop, block_nodes):
+        index = np.unravel_index(np.arange(start, min(start + block_nodes, stop)), stencil.shape)
+        h = np.stack([x[i] for (x, _), i in zip(stencil.axes, index)], axis=1)
+        w = np.ones(1)
+        for (_, wx), i in zip(stencil.axes, index):
+            w = w * wx[i]
+        r2 = np.sum(h * h, axis=1)
+        wrho = w * stencil.kernel.radial_density(np.sqrt(r2))
+        wrho[r2 == 0] = 0.0
+        r2[r2 == 0] = 1.0
+        yield h, r2, wrho, (stencil.kernel.dim * wrho / r2)[:, None] * -h
+
+
+# (dimension, resolution, box half-widths in reaches, nodes per block): leading-axis slabs
+# that divide the block, slabs that do not, a slab larger than a block, and boxes clipped on
+# one side
+EXPANSIONS = [
+    (2, 256, (1.0, 1.0), BLOCK_NODES), (3, 50, (1.0, 1.0), BLOCK_NODES),
+    (2, 32, (1.0, 1.0), 1024), (2, 30, (0.4, 1.0), 1024), (3, 16, (1.0, 1.0), 1024),
+    (3, 12, (1.0, 0.3), 1024), (4, 8, (1.0, 1.0), 1024), (4, 12, (1.0, 1.0), 1000),
+]
+
+
+@pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS)
+def test_blocks_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths, block_nodes):
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
+    kernel = bump_kernel(dim, 2)
+    lo = -np.full(dim, widths[0] * kernel.reach)
+    stencil = Stencil(kernel, lo, np.full(dim, widths[1] * kernel.reach), resolution)
+    slab = len(stencil) // stencil.shape[0]
+    stops = [None, len(stencil) // 2, 3 * slab + slab // 2]  # the last ends mid-slab
+    for materialized in (False, True):
+        if materialized:
+            stencil.materialize()
+        for stop in stops:
+            blocks = list(stencil.blocks(stop))
+            expected = list(reference_blocks(stencil, stop or len(stencil), block_nodes))
+            assert len(blocks) == len(expected)
+            for b, arrays in zip(blocks, expected):
+                assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho, b.grad), arrays))
+
+
 def test_underflowing_offsets_carry_no_weight():
     # |h|^2 of the 32 offsets left of x = 1e-200 underflows to 0
     domain, kernel, x = BoxDomain.unit(1), RadialKernel("gaussian", 1, 1, 1e-150), [1e-200]
@@ -194,6 +238,51 @@ def test_central_hessian_evaluates_each_stencil_node_once():
     config = OperatorConfig(gaussian_kernel(2, 8), 64)
     nonlocal_hessian(field, [0.5, 0.5], HessianVariant(CENTRAL), config)
     assert sum(points) == 64 * 64 + 1  # the stencil, plus u(x)
+
+
+def _inside_only(field, box):
+    """``field`` whose callback fails on any point outside the open ``box``."""
+
+    def fn(p):
+        p = np.asarray(p, dtype=float)
+        assert np.all((p > box.lower_array) & (p < box.upper_array))
+        return field.fn(p)
+
+    return replace(field, fn=fn)
+
+
+def _extensions(monkeypatch):
+    calls = []
+    monkeypatch.setattr(operators, "extend_by_zero",
+                        lambda f: calls.append(f) or extend_by_zero(f))
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+@pytest.mark.parametrize("name", ["sin", "quadratic"])
+def test_interior_central_hessian_calls_the_field_as_its_zero_extension(monkeypatch, dim, family,
+                                                                        name):
+    field, config = BATCH_FIELDS[name](dim), batch_config(dim, family)
+    x = batch_points(dim)[[0, 2, 3, 5]]  # every reach box inside the unit cube
+    reference = nonlocal_hessian(extend_by_zero(field), x, HessianVariant(CENTRAL), config)
+    calls = _extensions(monkeypatch)
+    H = nonlocal_hessian(_inside_only(field, field.domain), x, HessianVariant(CENTRAL), config)
+    assert calls == [] and same_bits(H, reference)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_central_hessian_crossing_the_support_keeps_the_zero_extension(monkeypatch, dim):
+    field = bump_field(BoxDomain.unit(dim), radius=0.3)
+    config = OperatorConfig(gaussian_kernel(dim, 4), RESOLUTION[dim])
+    # the first row's reach box crosses the support's lower edge 0.2, the second stays inside
+    x = np.array([[0.25] * dim, [0.5] * dim])
+    guarded = _inside_only(field, field.support)
+    for rows in (x[:1], x):
+        reference = nonlocal_hessian(extend_by_zero(field), rows, HessianVariant(CENTRAL), config)
+        calls = _extensions(monkeypatch)
+        H = nonlocal_hessian(guarded, rows, HessianVariant(CENTRAL), config)
+        assert len(calls) == 1 and same_bits(H, reference)
 
 
 @pytest.fixture
