@@ -7,6 +7,9 @@ be measured against closed-form references.
 Every callback computes a row from that row alone, with elementwise numpy
 operations in a fixed order and no BLAS dot: a point gets the same bits on
 its own as inside any batch, so operators may pack points into one call.
+Sums and products over the coordinate axis run column by column from the
+left, so the bits do not depend on the batch's memory layout either: numpy
+sums a contiguous axis of 8 or more entries pairwise, a strided one in order.
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ def _bilinear(u, terms):
     total = 0.0
     for i, j, c in terms:
         total = total + u[..., i] * c * u[..., j]
+    return total
+
+
+def _fold(op, u, columns):
+    """``op`` over the given columns of ``u`` (last axis), left to right."""
+    first, *rest = columns
+    total = u[..., first]
+    for i in rest:
+        total = op(total, u[..., i])
     return total
 
 
@@ -116,14 +128,14 @@ def sin_field(domain: BoxDomain, freq: float = 1.0) -> ScalarField:
 
     def fn(x):
         x = np.asarray(x, dtype=float)
-        return np.prod(np.sin(w * x), axis=-1)
+        return _fold(np.multiply, np.sin(w * x), range(D))
 
     def grad(x):
         x = np.asarray(x, dtype=float)
         s = np.sin(w * x)
         out = np.empty_like(x)
         for j in range(D):
-            others = np.prod(np.delete(s, j, axis=-1), axis=-1) if D > 1 else 1.0
+            others = _fold(np.multiply, s, [k for k in range(D) if k != j]) if D > 1 else 1.0
             out[..., j] = w * np.cos(w * x[..., j]) * others
         return out
 
@@ -135,7 +147,7 @@ def sin_field(domain: BoxDomain, freq: float = 1.0) -> ScalarField:
         for i in range(D):
             for j in range(D):
                 rest_axes = [k for k in range(D) if k not in (i, j)]
-                rest = np.prod(s[..., rest_axes], axis=-1) if rest_axes else 1.0
+                rest = _fold(np.multiply, s, rest_axes) if rest_axes else 1.0
                 if i == j:
                     H[..., i, j] = -(w**2) * s[..., i] * rest
                 else:
@@ -163,7 +175,7 @@ def quartic_field(
 
     def fn(x):
         d = np.asarray(x, dtype=float) - c
-        return np.sum(0.5 * a * d**2 + b3 * d**3 + b4 * d**4, axis=-1)
+        return _fold(np.add, 0.5 * a * d**2 + b3 * d**3 + b4 * d**4, range(d.shape[-1]))
 
     def grad(x):
         d = np.asarray(x, dtype=float) - c
@@ -214,7 +226,7 @@ def ridge_field(domain: BoxDomain, center=None, slope: float = 1.0) -> ScalarFie
 
     def fn(x):
         d = np.asarray(x, dtype=float) - c
-        return slope * np.linalg.norm(d, axis=-1)
+        return slope * np.sqrt(_fold(np.add, d * d, range(d.shape[-1])))
 
     return ScalarField(fn, domain, lipschitz=float(slope), name="ridge")
 
@@ -237,7 +249,7 @@ def bump_field(
 
     def fn(x):
         d = (np.asarray(x, dtype=float) - c) / r
-        v2 = np.sum(d * d, axis=-1)
+        v2 = _fold(np.add, d * d, range(d.shape[-1]))
         out = np.zeros_like(v2)
         inside = v2 < 1.0
         out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - v2[inside]))
@@ -246,7 +258,7 @@ def bump_field(
     def grad(x):
         x = np.asarray(x, dtype=float)
         d = (x - c) / r
-        v2 = np.sum(d * d, axis=-1)
+        v2 = _fold(np.add, d * d, range(d.shape[-1]))
         out = np.zeros_like(x)
         inside = v2 < 1.0
         g = 1.0 - v2[inside]
@@ -261,7 +273,7 @@ def bump_field(
         x = np.asarray(x, dtype=float)
         D = x.shape[-1]
         d = x - c
-        s = np.sum(d * d, axis=-1) / (r * r)
+        s = _fold(np.add, d * d, range(D)) / (r * r)
         H = np.zeros(x.shape[:-1] + (D, D))
         inside = s < 1.0
         g = 1.0 - s[inside]

@@ -3,7 +3,11 @@
 Every operator in this package works on an open axis-aligned box domain and
 on scalar fields given by vectorized evaluation callbacks.  Callbacks must
 accept arrays of shape ``(..., D)`` and return shape ``(...)``; this is what
-quadrature-heavy code needs to stay fast.
+quadrature-heavy code needs to stay fast.  Operators pass their stencil
+batches as column-contiguous ``(N, D)`` views (each coordinate column is
+contiguous), so a callback must not assume C order; it gives a point the
+same bits in any batch only if it makes no BLAS call, whose rounding
+depends on the layout.  The operators' own BLAS operands stay C-ordered.
 """
 
 from __future__ import annotations
@@ -121,7 +125,8 @@ class ScalarField:
     Parameters
     ----------
     fn : callable
-        Vectorized evaluation, ``(..., D) -> (...)``.
+        Vectorized evaluation, ``(..., D) -> (...)``.  A batch may arrive as a
+        column-contiguous ``(N, D)`` view; see the module docstring.
     domain : BoxDomain
         The open box the field lives on.
     gradient, hessian : callable, optional

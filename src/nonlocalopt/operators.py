@@ -128,6 +128,18 @@ def _chunks(rows: np.ndarray, n: int):
     return (rows[start:start + per_call] for start in range(0, len(rows), per_call))
 
 
+def _shifted(points: np.ndarray, h: np.ndarray, op=np.add) -> np.ndarray:
+    """``op(x, h)`` for every row ``x`` of ``points`` and offset ``h``, point-major, as ``(N, D)``.
+
+    The batch is filled axis by axis into one ``(D, P, n)`` buffer and returned as its
+    transposed view: its rows are in C order, its coordinate columns are contiguous, so a
+    callback's elementwise work runs in loops of length ``N`` rather than ``D``.
+    """
+    buf = np.empty((points.shape[1], len(points), len(h)))
+    op(points.T[:, :, None], h.T[:, None, :], out=buf)
+    return buf.reshape(len(buf), -1).T
+
+
 def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.ndarray:
     """Adds kernel-weighted difference quotients of ``fn`` over each point's stencil to ``out``.
 
@@ -137,14 +149,15 @@ def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.nda
     serves (see ``reach_stencils``).  A vector-valued ``fn`` gives matrices
     whose rows index its components.  One ``fn`` call covers a stencil block
     for as many points as fit in ``BLOCK_NODES`` nodes, and each point adds
-    the same ``(n,) @ (n, D)`` product per block it would add on its own.
+    the same ``(n,) @ (n, D)`` product per block it would add on its own.  Its
+    operands keep C order whatever layout ``fn`` returns, because BLAS rounding
+    depends on the layout.
     """
-    D = points.shape[1]
     for stencil, rows in groups:
         for block in stencil.blocks():
             n = block.r2.size
             for chunk in _chunks(rows, n):
-                found = _field_values(fn, (points[chunk][:, None] + block.h).reshape(-1, D))
+                found = np.ascontiguousarray(_field_values(fn, _shifted(points[chunk], block.h)))
                 for i, vals in zip(chunk, found.reshape(len(chunk), n, *found.shape[1:])):
                     out[i] += (values[i] - vals).T @ block.grad
     return out
@@ -383,13 +396,16 @@ def _central_hessians(
     for b in stencil.blocks(len(stencil) // 2):
         n = b.r2.size
         weight = 2.0 * prefactor * b.wrho / (b.r2 * b.r2)
+        hc = np.empty_like(b.h)  # h * c[:, None], filled column by column
         for chunk in _chunks(rows, n):
-            x = points[chunk][:, None]
-            second = (_field_values(ext, (x + b.h).reshape(-1, D)).reshape(-1, n)
+            x = points[chunk]
+            second = (_field_values(ext, _shifted(x, b.h)).reshape(-1, n)
                       - 2.0 * values[chunk, None]
-                      + _field_values(ext, (x - b.h).reshape(-1, D)).reshape(-1, n))
+                      + _field_values(ext, _shifted(x, b.h, np.subtract)).reshape(-1, n))
             for p, c in zip(chunk, weight * second):
-                H[p] += (b.h * c[:, None]).T @ b.h
+                for j in range(D):
+                    np.multiply(b.h[:, j], c, out=hc[:, j])
+                H[p] += hc.T @ b.h
                 trace[p] += np.sum(c * b.r2)
     return H - (trace / (D + 2))[:, None, None] * np.eye(D)
 

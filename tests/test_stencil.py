@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -183,12 +184,13 @@ def reference_blocks(stencil, stop, block_nodes):
 
 
 # (dimension, resolution, box half-widths in reaches, nodes per block): leading-axis slabs
-# that divide the block, slabs that do not, a slab larger than a block, and boxes clipped on
-# one side
+# that divide the block, slabs that do not, slabs larger than a block (expanded in runs over
+# two or three leading axes), and boxes clipped on one side
 EXPANSIONS = [
     (2, 256, (1.0, 1.0), BLOCK_NODES), (3, 50, (1.0, 1.0), BLOCK_NODES),
     (2, 32, (1.0, 1.0), 1024), (2, 30, (0.4, 1.0), 1024), (3, 16, (1.0, 1.0), 1024),
     (3, 12, (1.0, 0.3), 1024), (4, 8, (1.0, 1.0), 1024), (4, 12, (1.0, 1.0), 1000),
+    (3, 40, (1.0, 1.0), 1024), (4, 20, (1.0, 0.5), 1024),
 ]
 
 
@@ -209,6 +211,23 @@ def test_blocks_equal_the_per_node_expansion(monkeypatch, dim, resolution, width
             assert len(blocks) == len(expected)
             for b, arrays in zip(blocks, expected):
                 assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho, b.grad), arrays))
+
+
+@pytest.mark.parametrize("dim,resolution", [(4, 56), (5, 24), (3, 200), (2, 256)])
+def test_one_block_expands_little_more_than_its_own_nodes(dim, resolution):
+    # a 4-D resolution-56 slab is 175,616 nodes, almost three blocks
+    kernel = gaussian_kernel(dim, 8)
+    reach = np.full(dim, kernel.reach)
+    stencil = Stencil(kernel, -reach, reach, resolution)
+    for start in range(0, len(stencil), 7 * BLOCK_NODES):
+        tracemalloc.start()
+        try:
+            block = stencil._expand(start, min(start + BLOCK_NODES, len(stencil)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = block.h.nbytes + block.r2.nbytes + block.wrho.nbytes + block.grad.nbytes
+        assert peak <= 2 * own, (start, peak / own)
 
 
 def test_underflowing_offsets_carry_no_weight():
@@ -417,9 +436,9 @@ def batch_points(dim):
     return x
 
 
-def batch_config(dim, family):
+def batch_config(dim, family, resolution=None):
     kernel = gaussian_kernel(dim, 4) if family == "gaussian" else bump_kernel(dim, 2)
-    return OperatorConfig(kernel, RESOLUTION[dim])
+    return OperatorConfig(kernel, resolution or RESOLUTION[dim])
 
 
 def same_bits(a, b):
@@ -476,6 +495,122 @@ def test_fd_nonlocal_hessian_is_one_gradient_call_equal_to_the_axis_loop(monkeyp
     H = nonlocal_hessian(field, x, HessianVariant(FD_NONLOCAL, fd_step=h), config)
     assert len(calls) == 1
     assert same_bits(np.ascontiguousarray(H), expected)
+
+
+# -- bit identity with row-major field batches ------------------------------------------------
+
+
+def row_major_contract(groups, points, values, fn, out):
+    """``operators._contract`` with C-order field batches and C-order BLAS operands."""
+    D = points.shape[1]
+    for stencil, rows in groups:
+        for block in stencil.blocks():
+            n, grad = block.r2.size, np.ascontiguousarray(block.grad)
+            for chunk in operators._chunks(rows, n):
+                batch = (points[chunk][:, None] + block.h).reshape(-1, D)
+                found = operators._field_values(fn, batch)
+                for i, vals in zip(chunk, found.reshape(len(chunk), n, *found.shape[1:])):
+                    out[i] += (values[i] - vals).T @ grad
+    return out
+
+
+def row_major_central_hessians(field, points, config, constant_mode):
+    """``operators._central_hessians`` with C-order batches and broadcast ``h * c`` products."""
+    P, D = points.shape
+    kernel = config.kernel
+    box = field.domain if field.support is None else field.support
+    inside = np.all(box.contains(points - kernel.reach) & box.contains(points + kernel.reach))
+    ext = field if inside else extend_by_zero(field)
+    values = operators._values_at(ext, points)
+    prefactor = D * (D + 2) / 2.0 if constant_mode == operators.MOMENT_CONSTANT else D * (D + 1) / 2.0
+    [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution,
+                                       config.scheme)
+    H, trace = np.zeros((P, D, D)), np.zeros(P)
+    for b in stencil.blocks(len(stencil) // 2):
+        n, h = b.r2.size, np.ascontiguousarray(b.h)
+        weight = 2.0 * prefactor * b.wrho / (b.r2 * b.r2)
+        for chunk in operators._chunks(rows, n):
+            x = points[chunk][:, None]
+            second = (operators._field_values(ext, (x + h).reshape(-1, D)).reshape(-1, n)
+                      - 2.0 * values[chunk, None]
+                      + operators._field_values(ext, (x - h).reshape(-1, D)).reshape(-1, n))
+            for p, c in zip(chunk, weight * second):
+                H[p] += (h * c[:, None]).T @ h
+                trace[p] += np.sum(c * b.r2)
+    return H - (trace / (D + 2))[:, None, None] * np.eye(D)
+
+
+def row_major_moments(domain, x, config):
+    """Second moments summed over the per-node expansion, whose ``h`` is stacked row by row."""
+    kernel = config.kernel
+    [(stencil, _)] = reach_stencils(kernel, x[None], kernel.full_radius, domain,
+                                    config.resolution, config.scheme)
+    c = np.zeros(kernel.dim)
+    for h, r2, wrho, _ in reference_blocks(stencil, len(stencil), BLOCK_NODES):
+        c += [np.sum(wrho * h[:, i] ** 2 / r2) for i in range(kernel.dim)]
+    return c
+
+
+# stencil resolution, and the nested Hessian's (it pays the node count twice)
+LAYOUT_RESOLUTION = {1: (64, 16), 2: (32, 8), 3: (12, 6), 4: (6, 4)}
+
+
+def layout_results(field, config, nested_config):
+    """Every operator on ``batch_points``: interior rows alone, and with the two clipped rows.
+
+    With the clipped rows the central Hessian calls the zero extension; the grad-smoothed and
+    nested Hessians contract vector-valued callbacks.
+    """
+    dim, x = field.dim, batch_points(field.dim)
+    interior = x[[0, 2, 3, 5]]
+    subset = SubsetIndicator.from_boxes([(np.full(dim, 0.2), np.full(dim, 0.45)),
+                                         (np.full(dim, 0.5), np.full(dim, 0.6))], dim)
+    out = {"gradient": nonlocal_gradient(field, x, config),
+           "restricted": restricted_nonlocal_gradient(field, x[0], config, subset),
+           "restricted-clipped": restricted_nonlocal_gradient(field, x[1], config, subset)}
+    for kind in (CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED):
+        variant = HessianVariant(kind, m=8, fd_step=1e-3)
+        kind_config = nested_config if kind == NESTED else config
+        out[kind] = nonlocal_hessian(field, x, variant, kind_config)
+        out[kind + "-interior"] = nonlocal_hessian(field, interior, variant, kind_config)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+@pytest.mark.parametrize("name", sorted(BATCH_FIELDS))
+def test_operators_keep_the_bits_of_row_major_batches(monkeypatch, dim, family, name):
+    field = BATCH_FIELDS[name](dim)
+    resolution, nested_resolution = LAYOUT_RESOLUTION[dim]
+    config = batch_config(dim, family, resolution)
+    nested_config = replace(config, resolution=nested_resolution)
+    results = layout_results(field, config, nested_config)
+    monkeypatch.setattr(operators, "_contract", row_major_contract)
+    monkeypatch.setattr(operators, "_central_hessians", row_major_central_hessians)
+    reference = layout_results(field, config, nested_config)
+    for key, value in results.items():
+        assert same_bits(value, reference[key]), key
+    for p in batch_points(dim):
+        assert same_bits(directional_second_moments(field.domain, p, config),
+                         row_major_moments(field.domain, p, config))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stencil_field_calls_get_column_contiguous_batches(dim):
+    layouts = []
+    base = sin_field(BoxDomain.unit(dim))
+
+    def recording(p):
+        if np.ndim(p) == 2:
+            layouts.append((p.flags.f_contiguous, p.flags.c_contiguous))
+        return base.fn(p)
+
+    field = replace(base, fn=recording)
+    config = OperatorConfig(gaussian_kernel(dim, 4), LAYOUT_RESOLUTION[dim][0])
+    x = batch_points(dim)[[0, 2, 3, 5]]  # interior: the central Hessian calls the field itself
+    nonlocal_gradient(field, x, config)
+    nonlocal_hessian(field, x, HessianVariant(CENTRAL), config)
+    assert len(layouts) >= 3 and all(f and not c for f, c in layouts)
 
 
 def test_one_point_keeps_its_shape():
