@@ -396,16 +396,13 @@ def _central_hessians(
     for b in stencil.blocks(len(stencil) // 2):
         n = b.r2.size
         weight = 2.0 * prefactor * b.wrho / (b.r2 * b.r2)
-        hc = np.empty_like(b.h)  # h * c[:, None], filled column by column
         for chunk in _chunks(rows, n):
             x = points[chunk]
             second = (_field_values(ext, _shifted(x, b.h)).reshape(-1, n)
                       - 2.0 * values[chunk, None]
                       + _field_values(ext, _shifted(x, b.h, np.subtract)).reshape(-1, n))
             for p, c in zip(chunk, weight * second):
-                for j in range(D):
-                    np.multiply(b.h[:, j], c, out=hc[:, j])
-                H[p] += hc.T @ b.h
+                H[p] += (b.h * c[:, None]).T @ b.h
                 trace[p] += np.sum(c * b.r2)
     return H - (trace / (D + 2))[:, None, None] * np.eye(D)
 

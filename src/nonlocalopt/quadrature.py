@@ -209,35 +209,22 @@ class Stencil:
             h = x[:, None]
             r2 = x * x
         else:
-            # the block's nodes lie in runs over the trailing axes, one run per index of the
-            # k leading axes; a run holds at most a quarter block, so the broadcast covers at
-            # most two partial runs beyond the block.  Sums and products run axis by axis as a
-            # per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2)
+            # broadcast the leading-axis slabs the block touches, then slice it out; sums and
+            # products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2)
             D = len(self.shape)
-            k = 1
-            while k < D - 1 and math.prod(self.shape[k:]) > BLOCK_NODES // 4:
-                k += 1
-            run = math.prod(self.shape[k:])
-            first, last = start // run, -(-stop // run)
-            lead = np.unravel_index(np.arange(first, last), self.shape[:k])
-            grid = (last - first,) + self.shape[k:]
-            xs, ws = [], []
-            for j, (x, wx) in enumerate(self.axes):
-                at = [1] * len(grid)  # axis j varies along grid axis 0 if it leads, else its own
-                at[max(0, j - k + 1)] = -1
-                if j < k:
-                    x, wx = x[lead[j]], wx[lead[j]]
-                xs.append(x.reshape(at))
-                ws.append(wx.reshape(at))
-            h = np.empty(grid + (D,))
-            for j, x in enumerate(xs):  # column by column, each a loop over the run
+            slab = self.size // self.shape[0]
+            first, last = start // slab, -(-stop // slab)
+            xs = np.ix_(self.axes[0][0][first:last], *(x for x, _ in self.axes[1:]))
+            ws = np.ix_(self.axes[0][1][first:last], *(w for _, w in self.axes[1:]))
+            h = np.empty((last - first,) + self.shape[1:] + (D,))
+            for j, x in enumerate(xs):  # column by column, each a loop over the slabs
                 h[..., j] = x
             r2, w = xs[0] * xs[0], ws[0]
             for x, wx in zip(xs[1:], ws[1:]):
                 r2, w = r2 + x * x, w * wx
-            part = slice(start - first * run, stop - first * run)
+            part = slice(start - first * slab, stop - first * slab)
             h, r2, w = h.reshape(-1, D)[part], r2.reshape(-1)[part], w.reshape(-1)[part]
-            if stop - start < (last - first) * run:  # a cached block keeps only its own nodes
+            if stop - start < (last - first) * slab:  # a cached block keeps only its own nodes
                 h, r2 = h.copy(), r2.copy()
         wrho = w * self.kernel.radial_density(np.sqrt(r2))
         excluded = r2 == 0

@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -184,8 +183,8 @@ def reference_blocks(stencil, stop, block_nodes):
 
 
 # (dimension, resolution, box half-widths in reaches, nodes per block): leading-axis slabs
-# that divide the block, slabs that do not, slabs larger than a block (expanded in runs over
-# two or three leading axes), and boxes clipped on one side
+# that divide the block, slabs that do not, slabs larger than a block, and boxes clipped on
+# one side
 EXPANSIONS = [
     (2, 256, (1.0, 1.0), BLOCK_NODES), (3, 50, (1.0, 1.0), BLOCK_NODES),
     (2, 32, (1.0, 1.0), 1024), (2, 30, (0.4, 1.0), 1024), (3, 16, (1.0, 1.0), 1024),
@@ -211,23 +210,6 @@ def test_blocks_equal_the_per_node_expansion(monkeypatch, dim, resolution, width
             assert len(blocks) == len(expected)
             for b, arrays in zip(blocks, expected):
                 assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho, b.grad), arrays))
-
-
-@pytest.mark.parametrize("dim,resolution", [(4, 56), (5, 24), (3, 200), (2, 256)])
-def test_one_block_expands_little_more_than_its_own_nodes(dim, resolution):
-    # a 4-D resolution-56 slab is 175,616 nodes, almost three blocks
-    kernel = gaussian_kernel(dim, 8)
-    reach = np.full(dim, kernel.reach)
-    stencil = Stencil(kernel, -reach, reach, resolution)
-    for start in range(0, len(stencil), 7 * BLOCK_NODES):
-        tracemalloc.start()
-        try:
-            block = stencil._expand(start, min(start + BLOCK_NODES, len(stencil)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        own = block.h.nbytes + block.r2.nbytes + block.wrho.nbytes + block.grad.nbytes
-        assert peak <= 2 * own, (start, peak / own)
 
 
 def test_underflowing_offsets_carry_no_weight():
@@ -515,7 +497,7 @@ def row_major_contract(groups, points, values, fn, out):
 
 
 def row_major_central_hessians(field, points, config, constant_mode):
-    """``operators._central_hessians`` with C-order batches and broadcast ``h * c`` products."""
+    """``operators._central_hessians`` with C-order field batches."""
     P, D = points.shape
     kernel = config.kernel
     box = field.domain if field.support is None else field.support
