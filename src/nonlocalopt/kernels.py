@@ -60,6 +60,13 @@ def _bump_norm(dim: int) -> float:
     return _shell_integral(bump_profile, dim, 0.0, 1.0)
 
 
+def require_dim(kernel, dim: int) -> None:
+    """Raise ``DimensionMismatchError`` unless ``kernel`` draws ``dim``-D offsets."""
+    if kernel.dim != dim:
+        raise DimensionMismatchError(
+            f"kernel dimension {kernel.dim} does not match field dimension {dim}")
+
+
 @dataclass(frozen=True)
 class RadialKernel:
     """One member of a Dirac-approximating radial density family.

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     CoincidentPointsError,
-    DimensionMismatchError,
     MissingDerivativeError,
     NoBracketError,
     NodeBudgetError,
@@ -32,7 +31,7 @@ from .fields import (
     as_points,
     extend_by_zero,
 )
-from .kernels import RadialKernel
+from .kernels import RadialKernel, require_dim
 from .quadrature import BLOCK_NODES, GAUSS, MIDPOINT, NODE_BUDGET, Stencil, reach_stencils
 
 # Hessian construction tags.
@@ -87,9 +86,7 @@ def _interior_points(field: ScalarField, x, kernel: RadialKernel) -> tuple[np.nd
 
     Every operator takes its points here, so here the kernel's dimension is checked too.
     """
-    if kernel.dim != field.dim:
-        raise DimensionMismatchError(
-            f"kernel dimension {kernel.dim} does not match field dimension {field.dim}")
+    require_dim(kernel, field.dim)
     points, batch = as_points(x, field.dim)
     if not batch:
         points = points[None]

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NodeBudgetError, RejectionOverflowError, SingularHessianError
 from .fields import ScalarField, as_point
-from .kernels import RadialKernel
+from .kernels import RadialKernel, require_dim
 from .operators import (
     CENTRAL,
     HessianVariant,
@@ -293,37 +293,61 @@ def _row_dots(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _chain_groups_per_batch(chains: int, K: int, D: int) -> int:
+    """How many groups of ``chains`` SGD chains of ``K`` steps in ``D``-D one batch holds.
+
+    Each chain's trace stores ``(K + 1) D`` coordinates and a batch stores at
+    most ``NODE_BUDGET``; ``NodeBudgetError`` when not even one group fits.
+    """
+    if chains < 1:
+        raise ValueError("need at least one seed")
+    groups = NODE_BUDGET // (chains * (K + 1) * D)
+    if groups < 1:
+        raise NodeBudgetError(f"{chains} chains of {K} steps in {D}-D would store "
+                              f"{chains * (K + 1) * D} coordinates, budget is {NODE_BUDGET}")
+    return groups
+
+
 def epsilon_sgd_batch(
-    field: ScalarField, config: SgdConfig, kernel: RadialKernel, seeds
+    field: ScalarField, config: SgdConfig, kernel: RadialKernel | Sequence[RadialKernel], seeds
 ) -> tuple[np.ndarray, list[OptimizerTrace]]:
     """Independent runs of :func:`epsilon_sgd`, one per seed, stepped in lockstep.
 
-    ``config.seed`` is not used: chain ``s`` draws only from
-    ``np.random.default_rng(seeds[s])``, in blocks of up to ``_DRAW_BLOCK``
-    offsets that equal its successive single draws.  Each step takes one
-    offset per chain, redraws for the chains whose partner point falls
-    outside the domain or onto the iterate (at most ``_RESAMPLE_CAP`` draws
-    per chain and step, else ``RejectionOverflowError``), and evaluates the
-    field once at all iterates and once at all partner points.  A chain that
-    diverges or leaves the domain stops there while the others go on.  So
-    chain ``s`` does not depend on the other chains, as long as the field
-    callback gives a point the same value in any batch (elementwise
-    callbacks do; a matrix product such as ``x @ a`` may round differently).
-    Returns the ``(S, D)`` averages and one trace per seed.  ``seeds`` is a
-    sized sequence; a batch whose traces would hold more than ``NODE_BUDGET``
-    coordinates raises ``NodeBudgetError`` before anything is allocated.
+    ``kernel`` is one ``RadialKernel`` for every chain, or a sequence of them
+    aligned with ``seeds``; chains may share a kernel object.
+    ``config.seed`` is not used: chain ``s`` draws only from its own kernel
+    and ``np.random.default_rng(seeds[s])``, in blocks of up to
+    ``_DRAW_BLOCK`` offsets that equal its successive single draws.  Each
+    step takes one offset per chain, redraws for the chains whose partner
+    point falls outside the domain or onto the iterate (at most
+    ``_RESAMPLE_CAP`` draws per chain and step, else
+    ``RejectionOverflowError``), and evaluates the field once at all iterates
+    and once at all partner points.  A chain that diverges or leaves the
+    domain stops there while the others go on.  So chain ``s`` does not
+    depend on the other chains or their kernels, as long as the field
+    callback gives a point the same value in any batch (elementwise callbacks
+    do; a matrix product such as ``x @ a`` may round differently).  Returns
+    the ``(S, D)`` averages and one trace per seed, views into the batch's
+    arrays.  ``seeds`` is a sized sequence; a batch whose traces would hold
+    more than ``NODE_BUDGET`` coordinates raises ``NodeBudgetError`` before
+    anything is allocated.
     """
     S, D, K, alpha = len(seeds), field.dim, config.K, config.alpha
-    if S * (K + 1) * D > NODE_BUDGET:
-        raise NodeBudgetError(f"{S} chains of {K} steps in {D}-D would store "
-                              f"{S * (K + 1) * D} coordinates, budget is {NODE_BUDGET}")
+    _chain_groups_per_batch(S, K, D)
+    kernels = [kernel] * S if hasattr(kernel, "sample") else list(kernel)
+    if len(kernels) != S:
+        raise ValueError(f"{len(kernels)} kernels for {S} seeds")
+    for k in kernels:
+        require_dim(k, D)
     seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError("need at least one seed")
     center = field.domain.center
     lo, hi = field.domain.lower_array, field.domain.upper_array
     radius = 10.0 * config.B  # divergence guard around the start
     rngs = [np.random.default_rng(s) for s in seeds]
+    # Allocated before the large arrays, so that a caller who keeps only the
+    # averages frees those in one piece, with no live block above them.
+    steps = np.full(K, alpha)
+    x_bars = np.empty((S, D))
     # Chain i's undrawn offsets are rows pos[i]:end[i] of its block; the
     # arrays below run over the live chains and shrink when chains stop.
     width = min(_DRAW_BLOCK, K)
@@ -337,7 +361,8 @@ def epsilon_sgd_batch(
     def refill(empty, k):
         for i in empty.tolist():
             n = min(_DRAW_BLOCK, K - k)  # every step left needs at least one draw
-            offsets[start[i]:start[i] + n] = kernel.sample(rngs[live[i]], n)
+            s = live[i]
+            offsets[start[i]:start[i] + n] = kernels[s].sample(rngs[s], n)
             pos[i], end[i] = start[i], start[i] + n
 
     iterates = np.empty((S, K + 1, D))
@@ -399,21 +424,21 @@ def epsilon_sgd_batch(
         values[live, K] = np.asarray(field(x), dtype=float)
         norms[live, K] = np.nan  # final iterate: no direction drawn
 
-    x_bars = np.empty((S, D))
+    del offsets, rngs  # no draws are left: free them before the traces are built
     traces = []
     for s in range(S):
         n = length[s]
-        trace = OptimizerTrace(
+        traces.append(OptimizerTrace(
             iterates=iterates[s, :n],
             objective_values=values[s, :n],
             gradient_norms=norms[s, :n],
-            steps_taken=np.full(n - 1, alpha),
+            steps_taken=steps[:n - 1],
             termination=termination[s],
             offending_point=offending[s],
-        )
-        # the mean over the chain's own contiguous rows, as a single run takes it
-        x_bars[s] = np.mean(trace.iterates[:K], axis=0)
-        traces.append(trace)
+        ))
+        # the sum over the chain's own contiguous rows, as np.mean takes it in a single run
+        x_bars[s] = np.add.reduce(iterates[s, :min(n, K)], axis=0)
+    x_bars /= np.minimum(length, K)[:, None]
     return x_bars, traces
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NodeBudgetError
 from .fields import BoxDomain, ScalarField, as_point
-from .kernels import RadialKernel
+from .kernels import RadialKernel, require_dim
 from .quadrature import NODE_BUDGET
 
 
@@ -104,6 +104,7 @@ def mc_nonlocal_gradient(
     quotient; partner points falling outside the domain contribute zero,
     which matches the domain-restricted integral the quadrature path computes.
     """
+    require_dim(kernel, field.dim)
     x = as_point(x, field.dim)
     rng = np.random.default_rng(seed)
     h = kernel.sample_batch(rng, samples)

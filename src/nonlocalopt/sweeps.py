@@ -26,6 +26,7 @@ from .operators import (
 )
 from .optimizers import (
     StepSchedule,
+    _chain_groups_per_batch,
     _row_dots,
     epsilon_sgd_batch,
     local_counterpart,
@@ -147,12 +148,24 @@ def _check_iterate_tracking(n: int, settings: dict):
     return float(gaps[worst]), tuple(classical.iterates[worst])
 
 
-def _check_sgd_bound(n: int, settings: dict):
+def _check_sgd_bound(n_values: list[int], settings: dict):
+    """Mean optimality gap of ``seeds`` chains at each index, all of them in one batch.
+
+    The chains of one index share its kernel object.  The batch is split, at
+    whole indices, only where ``NODE_BUDGET`` requires it.
+    """
     field: ScalarField = settings["field"]
-    kernel = settings["kernel"].with_scale_index(n)
-    x_bars, _ = epsilon_sgd_batch(field, settings["sgd"], kernel, range(settings["seeds"]))
+    config, seeds = settings["sgd"], settings["seeds"]
+    kernels = [settings["kernel"].with_scale_index(n) for n in n_values]
+    per_batch = _chain_groups_per_batch(seeds, config.K, field.dim)
+    x_bars = []
+    for i in range(0, len(kernels), per_batch):
+        group = kernels[i:i + per_batch]
+        x_bars.append(epsilon_sgd_batch(field, config, [k for k in group for _ in range(seeds)],
+                                        list(range(seeds)) * len(group))[0])
     # the optimality gap against 0, the minimum value of the default field
-    return float(np.mean(np.asarray(field(x_bars), dtype=float))), None
+    gaps = np.asarray(field(np.concatenate(x_bars)), dtype=float)
+    return [(float(np.mean(gaps[i:i + seeds])), None) for i in range(0, gaps.size, seeds)]
 
 
 def _check_newton_floor(n: int, settings: dict):
@@ -169,14 +182,21 @@ def _check_moment(n: int, settings: dict):
     return float(np.max(np.abs(domain.dim * c - 1.0))), tuple(x)
 
 
+def _each_index(check: Callable) -> Callable:
+    """A check of one scale index, run at each index of the sweep in turn."""
+    return lambda n_values, settings: [check(n, settings) for n in n_values]
+
+
+# Each check takes every scale index of the sweep and returns one
+# ``(error, location)`` per index.
 REGISTRY: dict[str, Callable] = {
-    "gradient-localization": _check_gradient_localization,
-    "hessian-localization": _check_hessian_localization,
-    "taylor-remainder": _check_taylor_remainder,
-    "iterate-tracking": _check_iterate_tracking,
+    "gradient-localization": _each_index(_check_gradient_localization),
+    "hessian-localization": _each_index(_check_hessian_localization),
+    "taylor-remainder": _each_index(_check_taylor_remainder),
+    "iterate-tracking": _each_index(_check_iterate_tracking),
     "sgd-bound": _check_sgd_bound,
-    "newton-floor": _check_newton_floor,
-    "moment-c": _check_moment,
+    "newton-floor": _each_index(_check_newton_floor),
+    "moment-c": _each_index(_check_moment),
 }
 
 
@@ -215,9 +235,8 @@ def convergence_sweep(check: str, n_values: Sequence[int], settings: dict) -> Sw
             f"unknown check {check!r}; registered: {sorted(REGISTRY)}"
         )
     settings = {**default_settings(check, settings["domain"]), **settings}
-    fn = REGISTRY[check]
     n_values = [int(n) for n in n_values]
-    results = [fn(n, settings) for n in n_values]
+    results = REGISTRY[check](n_values, settings)
     bound = None
     if check == "sgd-bound":
         bound = settings["sgd"].gap_bound

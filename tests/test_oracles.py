@@ -15,7 +15,7 @@ from nonlocalopt import (
     nonlocal_hessian,
 )
 from nonlocalopt.catalog import linear_field, quadratic_field, sin_field
-from nonlocalopt.errors import UnknownCheckError
+from nonlocalopt.errors import DimensionMismatchError, UnknownCheckError
 from nonlocalopt.oracles import (
     brute_force_min,
     fd_gradient,
@@ -70,6 +70,12 @@ class TestMcGradient:
         a = mc_nonlocal_gradient(f, [0.3], gaussian_kernel(1, 8), samples=5_000, seed=7)
         b = mc_nonlocal_gradient(f, [0.3], gaussian_kernel(1, 8), samples=5_000, seed=7)
         assert np.array_equal(a.value, b.value)
+
+    @pytest.mark.parametrize("field_dim,kernel_dim,x", [(2, 1, [0.3, 0.6]), (1, 2, [0.3])])
+    def test_kernel_of_another_dimension_rejected(self, field_dim, kernel_dim, x):
+        f = quadratic_field(BoxDomain.unit(field_dim))
+        with pytest.raises(DimensionMismatchError):
+            mc_nonlocal_gradient(f, x, gaussian_kernel(kernel_dim, 8), samples=100)
 
     @pytest.mark.parametrize("n", [4, 16])
     def test_oracle_agreement_across_catalog(self, unit_interval, fields_1d, n):

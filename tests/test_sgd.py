@@ -18,8 +18,9 @@ from nonlocalopt import (
     gaussian_kernel,
 )
 from nonlocalopt.catalog import constant_field, linear_field, quadratic_field, quartic_field
-from nonlocalopt.errors import NodeBudgetError
+from nonlocalopt.errors import DimensionMismatchError, NodeBudgetError
 from nonlocalopt.optimizers import DIVERGED, LEFT_DOMAIN, MAX_ITERS
+from nonlocalopt.sweeps import convergence_sweep
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +239,7 @@ class TestLockstep:
             """Offsets so small that every partner point rounds onto the iterate."""
 
             def __init__(self, kernel):
-                self.kernel, self.calls = kernel, 0
+                self.kernel, self.dim, self.calls = kernel, kernel.dim, 0
 
             def sample(self, rng, size=None):
                 self.calls += 1
@@ -276,6 +277,113 @@ class TestLockstep:
         f = quadratic_field(BoxDomain.unit(1))
         with pytest.raises(ValueError):
             epsilon_sgd_batch(f, SgdConfig(1.0, 2.0, 5, 0.01), gaussian_kernel(1, 8), [])
+
+
+# Gaussian and bump kernels at several scale indices.  The 1-D step overshoots
+# the minimum (alpha u'' = 2.25 > 2), so 1-D chains also run to the end,
+# diverge or leave the domain; the widest kernels of both batches redraw often.
+OVERSHOOT = ScalarField(lambda x: 3.0 * x[..., 0] ** 2 + 0.3 * x[..., 0],
+                        BoxDomain.interval(-1.0, 1.0))
+MIXED = {
+    "1d": (OVERSHOOT, SgdConfig(0.12, 0.08, 16, 0.02),
+           [gaussian_kernel(1, 1, 0.6), gaussian_kernel(1, 8), bump_kernel(1, 1, 0.9),
+            bump_kernel(1, 4)]),
+    "2d": (DRIFT, SgdConfig(0.3, 0.4, 16, 0.02),
+           [gaussian_kernel(2, 4, 0.2), gaussian_kernel(2, 1, 0.6), bump_kernel(2, 1, 0.7),
+            bump_kernel(2, 3, 0.5)]),
+}
+MIXED_SEEDS = range(6)
+
+
+def mixed_batch(name):
+    """Every kernel with every seed, chains of one seed side by side: chain ``i`` has
+    seed ``i // 4`` and kernel ``i % 4``."""
+    field, cfg, kernels = MIXED[name]
+    chain_kernels = [k for _ in MIXED_SEEDS for k in kernels]
+    chain_seeds = [s for s in MIXED_SEEDS for _ in kernels]
+    return chain_kernels, chain_seeds, epsilon_sgd_batch(field, cfg, chain_kernels, chain_seeds)
+
+
+class TestPerChainKernels:
+    @pytest.mark.parametrize("name", sorted(MIXED))
+    def test_each_chain_equals_its_single_kernel_batch(self, name):
+        field, cfg, kernels = MIXED[name]
+        _, _, (x_bars, traces) = mixed_batch(name)
+        for j, kernel in enumerate(kernels):
+            want_bars, want_traces = epsilon_sgd_batch(field, cfg, kernel, MIXED_SEEDS)
+            for s in MIXED_SEEDS:
+                i = s * len(kernels) + j
+                assert_same_run((x_bars[i], traces[i]), (want_bars[s], want_traces[s]))
+
+    @pytest.mark.parametrize("name", sorted(MIXED))
+    def test_mixed_batches_stop_every_way_and_resample(self, name):
+        field, _, _ = MIXED[name]
+        chain_kernels, chain_seeds, (_, traces) = mixed_batch(name)
+        assert set(Counter(t.termination for t in traces)) == {MAX_ITERS, DIVERGED, LEFT_DOMAIN}
+        redrawn = [resampled(k, t, s, field.domain)
+                   for k, s, t in zip(chain_kernels, chain_seeds, traces)]
+        assert sum(redrawn) >= 3
+
+    def test_kernel_count_must_match_seeds(self):
+        f = quadratic_field(BoxDomain.unit(1))
+        with pytest.raises(ValueError):
+            epsilon_sgd_batch(f, SgdConfig(1.0, 2.0, 5, 0.01), [gaussian_kernel(1, 8)] * 2,
+                              range(3))
+
+    @pytest.mark.parametrize("field_dim,kernel_dim", [(2, 1), (1, 2)])
+    def test_kernel_of_another_dimension_rejected(self, field_dim, kernel_dim):
+        f = quadratic_field(BoxDomain.unit(field_dim))
+        cfg = SgdConfig(1.0, 2.0, 5, 0.01)
+        with pytest.raises(DimensionMismatchError):
+            epsilon_sgd_batch(f, cfg, gaussian_kernel(kernel_dim, 8), range(3))
+        right, wrong = gaussian_kernel(field_dim, 8), bump_kernel(kernel_dim, 2)
+        with pytest.raises(DimensionMismatchError):
+            epsilon_sgd_batch(f, cfg, [right, wrong, right], range(3))
+
+
+SWEEP_FIELD = quadratic_field(BoxDomain.unit(1), center=[0.5])
+SWEEP = {"domain": BoxDomain.unit(1), "kernel": gaussian_kernel(1, 8),
+         "sgd": SgdConfig(1.0, 2.0, 20, 0.02), "seeds": 6}
+SWEEP_N = [4, 8, 16, 32]
+ONE_INDEX = 6 * 21 * 1  # coordinates the traces of one index's chains store
+
+
+class TestSgdBoundSweep:
+    def test_each_index_equals_its_own_batch(self):
+        report = convergence_sweep("sgd-bound", SWEEP_N, SWEEP)
+        for n, error in zip(SWEEP_N, report.errors):
+            x_bars, _ = epsilon_sgd_batch(SWEEP_FIELD, SWEEP["sgd"],
+                                          SWEEP["kernel"].with_scale_index(n), range(6))
+            assert error == float(np.mean(SWEEP_FIELD(x_bars)))
+
+    @pytest.mark.parametrize("budget,batches", [
+        (None, [24]), (4 * ONE_INDEX, [24]), (4 * ONE_INDEX - 1, [18, 6]),
+        (2 * ONE_INDEX, [12, 12]), (ONE_INDEX, [6, 6, 6, 6])])
+    def test_batch_is_split_only_where_the_budget_requires(self, monkeypatch, budget, batches):
+        import nonlocalopt.optimizers as opt_mod
+        import nonlocalopt.sweeps as sweeps_mod
+
+        want = convergence_sweep("sgd-bound", SWEEP_N, SWEEP)
+        if budget is not None:
+            monkeypatch.setattr(opt_mod, "NODE_BUDGET", budget)
+        calls = []
+
+        def recorded(field, config, kernel, seeds):
+            calls.append((len(seeds), len({id(k) for k in kernel})))
+            return epsilon_sgd_batch(field, config, kernel, seeds)
+
+        monkeypatch.setattr(sweeps_mod, "epsilon_sgd_batch", recorded)
+        got = convergence_sweep("sgd-bound", SWEEP_N, SWEEP)
+        assert got.errors == want.errors
+        # one shared kernel object per scale index in the batch
+        assert calls == [(size, size // 6) for size in batches]
+
+    def test_index_over_budget_raises(self, monkeypatch):
+        import nonlocalopt.optimizers as opt_mod
+
+        monkeypatch.setattr(opt_mod, "NODE_BUDGET", ONE_INDEX - 1)
+        with pytest.raises(NodeBudgetError):
+            convergence_sweep("sgd-bound", SWEEP_N, SWEEP)
 
 
 class TestSubgradientCheck:
