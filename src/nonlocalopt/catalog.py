@@ -304,25 +304,50 @@ def bump_field(
     )
 
 
+def _ascending_linear(domain: BoxDomain) -> ScalarField:
+    """Slopes ``1, 2, ..., D``."""
+    return linear_field(domain, np.arange(1, domain.dim + 1, dtype=float))
+
+
+def _indefinite_quadratic(domain: BoxDomain) -> ScalarField:
+    """A saddle ``diag(1, -1, ..., -1)`` about the centre; ``-(x-c)^2`` in 1-D."""
+    D = domain.dim
+    matrix = np.diag([1.0] + [-1.0] * (D - 1)) if D > 1 else -np.eye(D)
+    return quadratic_field(domain, matrix=matrix, name="quadratic-indefinite")
+
+
+def _quarter_bump(domain: BoxDomain) -> ScalarField:
+    """Radius a quarter of the shortest side."""
+    return bump_field(domain, radius=0.25 * float(np.min(domain.upper_array - domain.lower_array)))
+
+
+# Each named field's constructor, and the one dimension it exists in (None: every dimension).
+FIELDS = {
+    "constant": (constant_field, None),
+    "linear": (_ascending_linear, None),
+    "quadratic": (quadratic_field, None),
+    "quadratic-indefinite": (_indefinite_quadratic, None),
+    "sin": (sin_field, None),
+    "quartic": (quartic_field, None),
+    "ridge": (ridge_field, None),
+    "bump": (_quarter_bump, None),
+    "asymmetric-min": (asymmetric_min_field, 1),
+}
+
+
+def field_names(dim: int) -> list[str]:
+    """Names of the catalog fields that exist in ``dim`` dimensions, in catalog order."""
+    return [name for name, (_, only) in FIELDS.items() if only in (None, dim)]
+
+
+def catalog_field(name: str, domain: BoxDomain) -> ScalarField:
+    """The catalog field ``name`` on ``domain``, built without the others."""
+    names = field_names(domain.dim)
+    if name not in names:
+        raise ValueError(f"unknown field {name!r}; known: {sorted(names)}")
+    return FIELDS[name][0](domain)
+
+
 def catalog(domain: BoxDomain) -> dict[str, ScalarField]:
     """All named test fields instantiated on the given domain."""
-    D = domain.dim
-    indefinite = -np.eye(D)
-    if D > 1:
-        indefinite = np.diag([1.0] + [-1.0] * (D - 1))
-    side = float(np.min(domain.upper_array - domain.lower_array))
-    fields = {
-        "constant": constant_field(domain, 1.0),
-        "linear": linear_field(domain, np.arange(1, D + 1, dtype=float)),
-        "quadratic": quadratic_field(domain),
-        "quadratic-indefinite": quadratic_field(
-            domain, matrix=indefinite, name="quadratic-indefinite"
-        ),
-        "sin": sin_field(domain),
-        "quartic": quartic_field(domain),
-        "ridge": ridge_field(domain),
-        "bump": bump_field(domain, radius=0.25 * side),
-    }
-    if D == 1:
-        fields["asymmetric-min"] = asymmetric_min_field(domain)
-    return fields
+    return {name: FIELDS[name][0](domain) for name in field_names(domain.dim)}

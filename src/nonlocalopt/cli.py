@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import catalog
+from .catalog import catalog_field
 from .errors import CoincidentPointsError, ConfigError, NodeBudgetError, SingularHessianError
 from .fields import BoxDomain, as_point
 from .kernels import RadialKernel
@@ -236,14 +236,12 @@ def _op_config(config: dict, kernel: RadialKernel) -> OperatorConfig:
 
 def _field_from(config: dict, domain: BoxDomain, derivative: str = ""):
     """The catalog field named by ``field``, which must declare ``derivative``."""
-    fields = catalog(domain)
 
     def build(name):
-        if name not in fields:
-            raise ValueError(f"unknown field {name!r}; known: {sorted(fields)}")
-        if derivative and getattr(fields[name], derivative) is None:
+        field = catalog_field(name, domain)
+        if derivative and getattr(field, derivative) is None:
             raise ValueError(f"field {name!r} has no analytic {derivative} to check against")
-        return fields[name]
+        return field
 
     return _get(config, "field", build)
 

@@ -38,12 +38,17 @@ def unit_sphere_area(dim: int) -> float:
 
 
 def bump_profile(v: np.ndarray) -> np.ndarray:
-    """Unit-radius bump ``exp(-1/(1-v^2))`` on ``|v| < 1``, zero outside."""
+    """Unit-radius bump ``exp(-1/(1-v^2))`` on ``|v| < 1``, zero outside.
+
+    Only the square is masked: outside it is 0, so no ``v`` (infinite, NaN,
+    or one whose square overflows) raises a warning, and the value computed
+    there from that 0 is zeroed by the mask at the end.
+    """
     v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
     inside = np.abs(v) < 1.0
-    vi = v[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - vi * vi))
+    square = np.multiply(v, v, out=np.zeros(v.shape), where=inside)
+    out = np.exp(-1.0 / (1.0 - square))
+    out *= inside
     return out
 
 

@@ -32,7 +32,8 @@ from .fields import (
     extend_by_zero,
 )
 from .kernels import RadialKernel, require_dim
-from .quadrature import BLOCK_NODES, GAUSS, MIDPOINT, NODE_BUDGET, Stencil, reach_stencils
+from .quadrature import (BLOCK_NODES, GAUSS, MIDPOINT, NODE_BUDGET, Stencil, clipped_blocks,
+                         reach_stencils)
 
 # Hessian construction tags.
 NESTED = "nested"               # kernel partial of kernel partials (two scales)
@@ -110,13 +111,17 @@ def _field_values(fn, points: np.ndarray) -> np.ndarray:
     return values
 
 
+def _value_at(field: ScalarField, x: np.ndarray) -> float:
+    """``u(x)`` from one ``field.value`` call; it must be finite."""
+    value = field.value(x)
+    if not math.isfinite(value):
+        raise ValueError(f"field value is not finite at {x}")
+    return value
+
+
 def _values_at(field: ScalarField, points: np.ndarray) -> np.ndarray:
     """``u`` at each point, one ``field.value`` call each."""
-    values = np.array([field.value(x) for x in points])
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise ValueError(f"field value is not finite at {points[np.argmin(finite)]}")
-    return values
+    return np.array([_value_at(field, x) for x in points])
 
 
 def _chunks(rows: np.ndarray, n: int):
@@ -148,7 +153,9 @@ def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.nda
     for as many points as fit in ``BLOCK_NODES`` nodes, and each point adds
     the same ``(n,) @ (n, D)`` product per block it would add on its own.  Its
     operands keep C order whatever layout ``fn`` returns, because BLAS rounding
-    depends on the layout.
+    depends on the layout.  ``nonlocal_gradient`` sums a single clipped row
+    against the blocks of ``clipped_blocks`` itself, with this per-row product
+    and one field call per block, and never builds its ``groups``.
     """
     for stencil, rows in groups:
         for block in stencil.blocks():
@@ -167,13 +174,23 @@ def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarr
     the kernel's reach ball (identical value, large speedup).  Exact on
     linear fields whenever the reach ball lies inside the domain.  A batch
     gives the rows that one-point calls give, bit for bit, when the field
-    computes each row on its own (as the catalog fields do).
+    computes each row on its own (as the catalog fields do).  One point whose
+    reach box the domain clips is contracted directly against its own rule
+    (``clipped_blocks``), with the sums ``_contract`` would make.
     """
     kernel = config.kernel
     points, batch = _interior_points(field, x, kernel)
-    groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution,
-                            config.scheme)
-    total = _contract(groups, points, _values_at(field, points), field, np.zeros(points.shape))
+    blocks = None if len(points) > 1 else clipped_blocks(
+        kernel, points[0], kernel.reach, field.domain, config.resolution, config.scheme)
+    if blocks is None:
+        groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution,
+                                config.scheme)
+        total = _contract(groups, points, _values_at(field, points), field, np.zeros(points.shape))
+    else:
+        total = np.zeros(points.shape)
+        value = _value_at(field, points[0])
+        for block in blocks:
+            total[0] += (value - _field_values(field, _shifted(points, block.h))) @ block.grad
     return total if batch else total[0]
 
 

@@ -159,6 +159,44 @@ class StencilBlock:
         return StencilBlock(self.h[:n], self.r2[:n], self.wrho[:n], self.grad[:n])
 
 
+def _expand(axes, kernel, start: int, stop: int) -> StencilBlock:
+    """Nodes ``start`` to ``stop`` of the C-order product of the per-axis rules ``axes``."""
+    if len(axes) == 1:
+        # one axis: the block is a slice of its rule (``1.0 * w`` and a
+        # one-term sum of squares are exact, so the bits are the gather's)
+        x, w = axes[0]
+        x, w = x[start:stop], w[start:stop]
+        h = x[:, None]
+        r2 = x * x
+    else:
+        # broadcast the leading-axis slabs the block touches, then slice it out; sums and
+        # products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2)
+        shape = tuple(x.size for x, _ in axes)
+        D = len(shape)
+        slab = math.prod(shape[1:])
+        first, last = start // slab, -(-stop // slab)
+        xs = np.ix_(axes[0][0][first:last], *(x for x, _ in axes[1:]))
+        ws = np.ix_(axes[0][1][first:last], *(w for _, w in axes[1:]))
+        h = np.empty((last - first,) + shape[1:] + (D,))
+        for j, x in enumerate(xs):  # column by column, each a loop over the slabs
+            h[..., j] = x
+        r2, w = xs[0] * xs[0], ws[0]
+        for x, wx in zip(xs[1:], ws[1:]):
+            r2, w = r2 + x * x, w * wx
+        part = slice(start - first * slab, stop - first * slab)
+        h, r2, w = h.reshape(-1, D)[part], r2.reshape(-1)[part], w.reshape(-1)[part]
+        if stop - start < (last - first) * slab:  # a cached block keeps only its own nodes
+            h, r2 = h.copy(), r2.copy()
+    wrho = w * kernel.radial_density(np.sqrt(r2))
+    if np.count_nonzero(r2) < r2.size:
+        excluded = r2 == 0
+        wrho[excluded] = 0.0
+        r2[excluded] = 1.0
+    grad = -h  # scaled in place: no second (n, D) temporary
+    grad *= (kernel.dim * wrho / r2)[:, None]
+    return StencilBlock(h, r2, wrho, grad)
+
+
 class Stencil:
     """Tensor-product offset rule over the box ``[lo, hi]`` around a point.
 
@@ -186,8 +224,7 @@ class Stencil:
         return self.size * (2 * len(self.shape) + 2) * 8
 
     def materialize(self) -> None:
-        self._blocks = tuple(self._expand(start, min(start + BLOCK_NODES, self.size))
-                             for start in range(0, self.size, BLOCK_NODES))
+        self._blocks = tuple(self.blocks())
 
     def blocks(self, stop: Optional[int] = None) -> Iterator[StencilBlock]:
         """Blocks covering the first ``stop`` nodes (all by default)."""
@@ -195,45 +232,10 @@ class Stencil:
         for start in range(0, stop, BLOCK_NODES):
             end = min(start + BLOCK_NODES, stop)
             if self._blocks is None:
-                yield self._expand(start, end)
+                yield _expand(self.axes, self.kernel, start, end)
                 continue
             block = self._blocks[start // BLOCK_NODES]
             yield block if block.r2.size == end - start else block.head(end - start)
-
-    def _expand(self, start: int, stop: int) -> StencilBlock:
-        if len(self.shape) == 1:
-            # one axis: the block is a slice of its rule (``1.0 * w`` and a
-            # one-term sum of squares are exact, so the bits are the gather's)
-            x, w = self.axes[0]
-            x, w = x[start:stop], w[start:stop]
-            h = x[:, None]
-            r2 = x * x
-        else:
-            # broadcast the leading-axis slabs the block touches, then slice it out; sums and
-            # products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2)
-            D = len(self.shape)
-            slab = self.size // self.shape[0]
-            first, last = start // slab, -(-stop // slab)
-            xs = np.ix_(self.axes[0][0][first:last], *(x for x, _ in self.axes[1:]))
-            ws = np.ix_(self.axes[0][1][first:last], *(w for _, w in self.axes[1:]))
-            h = np.empty((last - first,) + self.shape[1:] + (D,))
-            for j, x in enumerate(xs):  # column by column, each a loop over the slabs
-                h[..., j] = x
-            r2, w = xs[0] * xs[0], ws[0]
-            for x, wx in zip(xs[1:], ws[1:]):
-                r2, w = r2 + x * x, w * wx
-            part = slice(start - first * slab, stop - first * slab)
-            h, r2, w = h.reshape(-1, D)[part], r2.reshape(-1)[part], w.reshape(-1)[part]
-            if stop - start < (last - first) * slab:  # a cached block keeps only its own nodes
-                h, r2 = h.copy(), r2.copy()
-        wrho = w * self.kernel.radial_density(np.sqrt(r2))
-        excluded = r2 == 0
-        if np.logical_or.reduce(excluded):
-            wrho[excluded] = 0.0
-            r2[excluded] = 1.0
-        grad = -h  # scaled in place: no second (n, D) temporary
-        grad *= (self.kernel.dim * wrho / r2)[:, None]
-        return StencilBlock(h, r2, wrho, grad)
 
 
 class StencilCache:
@@ -285,9 +287,11 @@ def reach_stencils(kernel, points: np.ndarray, radius: float, domain: Optional[B
     Returns ``(stencil, rows)`` pairs that cover every row once.  Each box is
     clipped to ``domain`` (never, for ``None``), which must hold the points.
     The rows whose box needs no clipping share one stencil from ``STENCILS``;
-    each other row gets a clipped stencil of its own.  A ``radius`` below the
-    float spacing at a point raises ``CoincidentPointsError``: every node
-    would coincide with it.
+    each other row gets a clipped stencil of its own, from one
+    ``build_panel_grid`` call (``clipped_blocks`` builds that rule for a
+    single point without the stencil).  A ``radius`` below the float spacing
+    at a point raises ``CoincidentPointsError``: every node would coincide
+    with it.
     """
     lo, hi = points - radius, points + radius
     spaced = (lo < points) & (points < hi)
@@ -306,3 +310,29 @@ def reach_stencils(kernel, points: np.ndarray, radius: float, domain: Optional[B
         out.append((Stencil(kernel, box_lo[i], box_hi[i], resolution, scheme), own[k:k + 1]))
     return out
 
+
+def clipped_blocks(kernel, x: np.ndarray, radius: float, domain: BoxDomain, resolution: int,
+                   scheme: str = GAUSS) -> Optional[Iterator[StencilBlock]]:
+    """The blocks of one point's rule if ``domain`` clips its reach box, else ``None``.
+
+    ``x`` is one point ``(D,)`` of ``domain``.  The rule is the clipped stencil
+    ``reach_stencils`` gives the row, after the same spacing check: one
+    ``build_panel_grid`` call over the clipped box, split at 0, expanded block
+    by block.  The box is worked out in Python floats, which for one row cost
+    less than ``(1, D)`` array arithmetic.  ``None`` means the point shares the
+    cached stencil.
+    """
+    box_lo, box_hi, clipped = [], [], False
+    for v, a, b in zip(x.tolist(), domain.lower, domain.upper):
+        lo, hi = v - radius, v + radius
+        if not lo < v < hi:
+            raise CoincidentPointsError(f"kernel reach {radius} is below the float spacing at {x}")
+        clipped = clipped or lo < a or hi > b
+        box_lo.append(max(lo, a) - v)
+        box_hi.append(min(hi, b) - v)
+    if not clipped:
+        return None
+    axes = build_panel_grid(box_lo, box_hi, [0.0] * len(box_lo), resolution, scheme).axes
+    size = math.prod(w.size for _, w in axes)
+    return (_expand(axes, kernel, start, min(start + BLOCK_NODES, size))
+            for start in range(0, size, BLOCK_NODES))

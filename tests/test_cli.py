@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nonlocalopt import BoxDomain, catalog
 from nonlocalopt.cli import DEFAULTS, load_config, run_cli
 from nonlocalopt.errors import ConfigError
 from nonlocalopt.reporting import read_trace_csv
@@ -397,6 +398,33 @@ def test_parser_is_built_once_and_keeps_no_overrides(tmp_path):
     assert resolved[0]["kernel"]["n"] == 4
     assert resolved[1] == {**DEFAULTS, "field": "quadratic"}
     assert parser.parse_args(argv).overrides == []
+
+
+@pytest.mark.parametrize("command", ["grad-check", "hess-check", "descend", "sgd", "newton"])
+def test_a_run_builds_only_the_field_it_names(tmp_path, monkeypatch, command):
+    built = []
+    for name, (make, only) in catalog.FIELDS.items():
+        monkeypatch.setitem(catalog.FIELDS, name,
+                            (lambda domain, n=name, f=make: built.append(n) or f(domain), only))
+    field = "quartic" if command == "newton" else "quadratic"
+    argv = [command, "--field", field, "--set", "check.probes=1", "--set", "descend.max_iters=1",
+            "--set", "sgd.K=1", "--set", "newton.max_iters=1"]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    assert built == [field]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_unknown_field_names_the_fields_of_its_dimension(tmp_path, capsys, dim):
+    domain = json.dumps({"dim": dim, "lower": [0.0] * dim, "upper": [1.0] * dim})
+    argv = ["grad-check", "--field", "nope", "--set", f"domain={domain}", "--out", str(tmp_path)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    known = sorted(catalog.field_names(dim))
+    assert f"unknown field 'nope'; known: {known}" in err
+    assert ("asymmetric-min" in known) == (dim == 1)
+    # the whole catalog comes from the same table, in its order
+    fields = catalog.catalog(BoxDomain.unit(dim))
+    assert [f.name for f in fields.values()] == list(fields) == catalog.field_names(dim)
 
 
 def test_cli_import_loads_no_xml_or_network_modules():

@@ -12,6 +12,7 @@ from nonlocalopt import (
     gaussian_kernel,
 )
 from nonlocalopt.errors import DimensionMismatchError
+from nonlocalopt.kernels import bump_profile
 
 
 def normal_cdf(z):
@@ -47,6 +48,38 @@ class TestDensity:
         h1 = np.array([r, 0.0])
         h2 = r * np.array([math.cos(angle), math.sin(angle)])
         assert k.density(h1) == pytest.approx(k.density(h2), rel=1e-12)
+
+
+def gathered_bump(v):
+    """The bump profile by boolean gather and scatter: ``exp(-1/(1-v^2))`` at the inside values."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros_like(v)
+    inside = np.abs(v) < 1.0
+    vi = v[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - vi * vi))
+    return out
+
+
+# inside the support, on its edge, past it, and values whose square overflows or is not a number
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-160, 0.5, -0.5, 0.999999, 1.0 - 2.0**-53, -(1.0 - 2.0**-53),
+               1.0, -1.0, 1.0 + 2.0**-52, 2.0, 1e154, 1.1e154, -1e200, 1e308, math.inf, -math.inf,
+               math.nan, -math.nan]
+
+
+class TestBumpProfile:
+    def test_masked_form_keeps_the_bits_of_the_gather(self):
+        rng = np.random.default_rng(3)
+        values = [np.array(EDGE_VALUES), np.array(EDGE_VALUES).reshape(3, 7)]
+        values += [rng.uniform(-1.5, 1.5, size) for size in (1, 7, 512, 3001)]
+        for v in values:
+            got = bump_profile(v)  # a RuntimeWarning fails the test suite
+            assert got.shape == v.shape and got.tobytes() == gathered_bump(v).tobytes()
+            assert np.all(got[~(np.abs(v) < 1.0)] == 0.0)
+
+    def test_one_value(self):
+        for v in EDGE_VALUES:
+            assert bump_profile(v).shape == ()
+            assert bump_profile(v).tobytes() == gathered_bump(v).tobytes()
 
 
 class TestMass:

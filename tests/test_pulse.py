@@ -19,6 +19,7 @@ from nonlocalopt import (
     read_trace_csv,
     run_pulse_experiment,
 )
+from nonlocalopt.pulse import RESOLUTION
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,18 @@ class TestSmoothedGradient:
                 cfg = OperatorConfig(RadialKernel(family, 1, n, base), resolution=256)
                 vals = [nonlocal_gradient(field, [t], cfg)[0] for t in probes]
                 assert np.all(np.isfinite(vals)), (family, n)
+
+    @pytest.mark.parametrize("family", ["gaussian", "bump"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_shift_keeps_the_bits_of_its_batch_row(self, manifold, family, n):
+        # the six default pulse kernels: each one's box covers the unit interval, so a batch
+        # contracts a clipped stencil per row and a one-shift call its own clipped rule
+        cfg = OperatorConfig(PulseRunConfig(family=family, n=n).kernel(), RESOLUTION)
+        field = manifold.objective_field()
+        thetas = np.linspace(0.02, 0.98, 37)[:, None]
+        batch = nonlocal_gradient(field, thetas, cfg)
+        one = np.stack([nonlocal_gradient(field, t, cfg) for t in thetas])
+        assert one.tobytes() == batch.tobytes()
 
     def test_flat_region_pull_toward_basin(self, manifold):
         # at theta = 0.3 the objective is locally flat; a wide kernel still

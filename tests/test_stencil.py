@@ -222,6 +222,8 @@ def test_underflowing_offsets_carry_no_weight():
     assert np.count_nonzero(underflow) == 32
     assert np.all(np.concatenate([b.wrho for b in blocks])[underflow] == 0)
     assert np.all(np.isfinite(np.concatenate([b.grad for b in blocks])))
+    [own] = quadrature.clipped_blocks(kernel, np.array(x), kernel.reach, domain, 64)
+    assert same_bits(own.wrho, blocks[0].wrho) and same_bits(own.grad, blocks[0].grad)
     g = nonlocal_gradient(linear_field(domain, [1.0]), x, OperatorConfig(kernel, 64))
     # the right half of the kernel's mass, less what lies past its 6-sigma reach
     assert np.all(np.isfinite(g)) and g == pytest.approx([0.5], abs=1e-8)
@@ -609,6 +611,9 @@ def test_batch_with_an_exterior_point_names_it():
     config = OperatorConfig(gaussian_kernel(1, 4), 16)
     with pytest.raises(ValueError, match=r"interior point, got \[1.5\]"):
         nonlocal_gradient(field, [[0.5], [1.5], [0.2]], config)
+    # one row on the wall: the domain would clip its box
+    with pytest.raises(ValueError, match=r"interior point, got \[1\.\]"):
+        nonlocal_gradient(field, [1.0], config)
 
 
 @pytest.mark.parametrize("count,calls", [(50, [50 * 64]), (1100, [1024 * 64, 76 * 64])])
@@ -642,6 +647,51 @@ def test_reach_stencils_cover_every_row_once():
     assert h1[:, 0].min() > -kernel.reach / 2 and h4[:, 1].max() < kernel.reach / 2
 
 
+# -- one point whose reach box the domain clips ----------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+def test_one_clipped_row_builds_one_grid_and_keeps_its_batch_bits(monkeypatch, family):
+    field, config = sin_field(BoxDomain.unit(1)), batch_config(1, family)
+    reach = config.kernel.reach
+    # interior rows mixed with rows clipped at either wall
+    x = np.array([[0.02], [0.4], [0.97], [0.5], [0.07], [0.93], [0.6]])
+    clipped = [bool(p[0] - reach < 0.0 or p[0] + reach > 1.0) for p in x]
+    assert clipped == [True, False, True, False, True, True, False]
+    nonlocal_gradient(field, x[1], config)  # the interior stencil is cached from here on
+    builds = []
+    build = quadrature.build_panel_grid
+    monkeypatch.setattr(quadrature, "build_panel_grid", lambda *a: builds.append(a) or build(*a))
+    batch = nonlocal_gradient(field, x, config)
+    assert len(builds) == sum(clipped)
+    for row, p, own in zip(batch, x, clipped):
+        builds.clear()
+        assert same_bits(nonlocal_gradient(field, p, config), row)
+        assert len(builds) == own
+
+
+def test_one_clipped_row_sums_its_blocks_in_order():
+    # 400**2 nodes: the clipped rule of the first row spans three blocks
+    field, config = sin_field(BoxDomain.unit(2)), OperatorConfig(gaussian_kernel(2, 4), 400)
+    x = np.array([[0.02, 0.5], [0.5, 0.97]])
+    blocks = quadrature.clipped_blocks(config.kernel, x[0], config.kernel.reach, field.domain, 400)
+    assert len(list(blocks)) == 3
+    batch = nonlocal_gradient(field, x, config)
+    assert same_bits(np.stack([nonlocal_gradient(field, p, config) for p in x]), batch)
+
+
+def test_clipped_blocks_are_the_clipped_stencil_blocks():
+    domain = BoxDomain.unit(2)
+    for kernel, x in ((gaussian_kernel(2, 4), [0.02, 0.5]), (bump_kernel(2, 2), [0.6, 0.95])):
+        x = np.array(x)
+        [(stencil, _)] = reach_stencils(kernel, x[None], kernel.reach, domain, 32)
+        blocks = quadrature.clipped_blocks(kernel, x, kernel.reach, domain, 32)
+        for b, e in zip(blocks, stencil.blocks(), strict=True):
+            assert all(same_bits(getattr(b, k), getattr(e, k)) for k in ("h", "r2", "wrho", "grad"))
+    kernel = gaussian_kernel(2, 4)
+    assert quadrature.clipped_blocks(kernel, np.array([0.5, 0.5]), kernel.reach, domain, 32) is None
+
+
 # -- non-finite field values ----------------------------------------------------------------
 
 
@@ -672,9 +722,20 @@ def test_reach_below_float_spacing_raises():
         nonlocal_hessian(field, [0.5], HessianVariant(CENTRAL), config)
     with pytest.raises(CoincidentPointsError):
         directional_second_moments(BoxDomain.unit(1), [0.5], config)
+    # one row whose box the domain clips on its first axis, with the reach below the spacing
+    # on its second
+    tiny = OperatorConfig(bump_kernel(2, 1, base_scale=1e-20), 64)
+    with pytest.raises(CoincidentPointsError, match="float spacing"):
+        nonlocal_gradient(sin_field(BoxDomain.unit(2)), [1e-21, 0.5], tiny)
 
 
 def test_gradient_raises_on_non_finite_field():
     config = OperatorConfig(gaussian_kernel(1, 8), 64)
     with pytest.raises(ValueError, match="not finite at quadrature node"):
         nonlocal_gradient(_nan_beyond(0.55), [0.5], config)
+    # one row whose box the domain clips: a node past 0.55, then its own value
+    wide = OperatorConfig(gaussian_kernel(1, 1), 64)
+    with pytest.raises(ValueError, match="not finite at quadrature node"):
+        nonlocal_gradient(_nan_beyond(0.55), [0.5], wide)
+    with pytest.raises(ValueError, match=r"field value is not finite at \[0.6\]"):
+        nonlocal_gradient(_nan_beyond(0.55), [0.6], wide)
