@@ -164,6 +164,7 @@ def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.nda
                 found = np.ascontiguousarray(_field_values(fn, _shifted(points[chunk], block.h)))
                 for i, vals in zip(chunk, found.reshape(len(chunk), n, *found.shape[1:])):
                     out[i] += (values[i] - vals).T @ block.grad
+            del block  # a streamed block is freed before the next one is expanded
     return out
 
 
@@ -418,6 +419,7 @@ def _central_hessians(
             for p, c in zip(chunk, weight * second):
                 H[p] += (b.h * c[:, None]).T @ b.h
                 trace[p] += np.sum(c * b.r2)
+        del b  # as in ``_contract``
     return H - (trace / (D + 2))[:, None, None] * np.eye(D)
 
 

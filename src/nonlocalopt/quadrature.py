@@ -8,11 +8,23 @@ A ``Stencil`` is such a grid of offsets ``h`` around an evaluation point,
 expanded in blocks of ``BLOCK_NODES`` nodes together with its kernel
 weights.  The full-box stencil of a kernel is the same at every point whose
 reach box lies inside the domain, so ``StencilCache`` keeps it, within a byte
-cap.
+cap.  Where axes 1.. of a stencil are mirror images about 0 (every full box),
+a block computes ``|h|^2`` and its weights on the upper orthant of those axes
+only and mirrors them, bit for bit: ``1/2^(D-1)`` of the density calls.
+
+Allocator policy: the first block whose ``(n, D)`` arrays reach glibc's
+default mmap threshold (128 KiB) fixes the process's mmap threshold at 32 MiB
+and its trim threshold at 64 MiB, once, through ``mallopt``; without glibc's
+``mallopt`` nothing happens.  Under the dynamic thresholds each freed block
+temporary went back to the kernel and was faulted in again by the next block:
+about 25,400 minor faults per in-process pass of the benchmark's 2-D and 3-D
+operator checks, against under 10 with the thresholds fixed.  A process may
+then keep up to 64 MiB of freed heap.  1-D and SGD runs never reach that size.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from collections import OrderedDict
@@ -34,6 +46,13 @@ BLOCK_NODES = 65_536
 # Total bytes of cached stencil blocks.  A 3-D stencil of 2**19 nodes fits;
 # larger ones are streamed block by block.
 CACHE_BYTES = 32 * 2**20
+
+# glibc's default mmap threshold, 128 KiB, in float64 entries: the first block whose
+# (n, D) arrays reach it fixes the process's allocator thresholds (``_keep_heap``)
+_LARGE_BLOCK = 16_384
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
+_heap_kept = False
+_heap_lock = threading.Lock()
 
 GAUSS = "gauss"
 MIDPOINT = "midpoint"
@@ -159,42 +178,123 @@ class StencilBlock:
         return StencilBlock(self.h[:n], self.r2[:n], self.wrho[:n], self.grad[:n])
 
 
-def _expand(axes, kernel, start: int, stop: int) -> StencilBlock:
-    """Nodes ``start`` to ``stop`` of the C-order product of the per-axis rules ``axes``."""
-    if len(axes) == 1:
+def _keep_heap() -> None:
+    """Fixes glibc's mmap and trim thresholds, once per process; elsewhere does nothing.
+
+    By default glibc gives each freed temporary of a few hundred KiB back to the kernel,
+    and the next block faults its pages in again; with both thresholds fixed the blocks'
+    temporaries reuse the heap, which may then keep up to 64 MiB that is free.
+    """
+    global _heap_kept
+    with _heap_lock:
+        if _heap_kept:
+            return
+        _heap_kept = True
+    try:  # no C library to open (TypeError on Windows), or no ``mallopt`` in it
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)  # returns 0 on failure, which changes nothing
+    mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
+
+
+def _mirrored(axes) -> bool:
+    """Whether axes 1.. are even-sized rules mirrored at 0: ``x[::-1] == -x``, ``w[::-1] == w``."""
+    return len(axes) > 1 and all(
+        x.size % 2 == 0 and np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+        for x, w in axes[1:])
+
+
+def _weights(kernel, r2: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``wrho = w * rho(|h|)`` and the gradient scale ``D * wrho / r2``.
+
+    Where ``r2`` underflowed to 0, ``wrho`` is set to 0 and ``r2`` (in place) to 1.
+    """
+    wrho = w * kernel.radial_density(np.sqrt(r2))
+    if np.count_nonzero(r2) < r2.size:
+        excluded = r2 == 0
+        wrho[excluded] = 0.0
+        r2[excluded] = 1.0
+    return wrho, kernel.dim * wrho / r2
+
+
+def _unfold(upper: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Slabs ``(L,) + shape[1:]`` whose upper orthant of axes 1.. is ``upper``.
+
+    Every other orthant is ``upper`` reversed along the axes on which it lies below 0,
+    copied axis by axis from the last, while the copied region is smallest.
+    """
+    out = np.empty((len(upper),) + shape[1:])
+    index = [slice(None)] + [slice(m // 2, None) for m in shape[1:]]
+    out[tuple(index)] = upper
+    for k in range(len(shape) - 1, 0, -1):
+        lower = index.copy()
+        lower[k] = slice(None, shape[k] // 2)
+        out[tuple(lower)] = np.flip(out[tuple(index)], axis=k)
+        index[k] = slice(None)
+    return out
+
+
+def _expand(axes, kernel, start: int, stop: int, mirrored: bool = False) -> StencilBlock:
+    """Nodes ``start`` to ``stop`` of the C-order product of the per-axis rules ``axes``.
+
+    ``mirrored`` says that ``_mirrored(axes)`` holds.  Then ``r2``, the weights and the
+    gradient scale are computed on the upper orthant of axes 1.. only and mirrored into
+    the rest (``_unfold``): a node and its mirror image share their bits there.
+    """
+    D = len(axes)
+    if (stop - start) * D >= _LARGE_BLOCK:
+        _keep_heap()
+    if D == 1:
         # one axis: the block is a slice of its rule (``1.0 * w`` and a
         # one-term sum of squares are exact, so the bits are the gather's)
         x, w = axes[0]
         x, w = x[start:stop], w[start:stop]
         h = x[:, None]
         r2 = x * x
-    else:
-        # broadcast the leading-axis slabs the block touches, then slice it out; sums and
-        # products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2)
-        shape = tuple(x.size for x, _ in axes)
-        D = len(shape)
-        slab = math.prod(shape[1:])
-        first, last = start // slab, -(-stop // slab)
-        xs = np.ix_(axes[0][0][first:last], *(x for x, _ in axes[1:]))
-        ws = np.ix_(axes[0][1][first:last], *(w for _, w in axes[1:]))
-        h = np.empty((last - first,) + shape[1:] + (D,))
-        for j, x in enumerate(xs):  # column by column, each a loop over the slabs
-            h[..., j] = x
-        r2, w = xs[0] * xs[0], ws[0]
-        for x, wx in zip(xs[1:], ws[1:]):
-            r2, w = r2 + x * x, w * wx
-        part = slice(start - first * slab, stop - first * slab)
-        h, r2, w = h.reshape(-1, D)[part], r2.reshape(-1)[part], w.reshape(-1)[part]
-        if stop - start < (last - first) * slab:  # a cached block keeps only its own nodes
+        wrho, scale = _weights(kernel, r2, w)
+        return StencilBlock(h, r2, wrho, _scaled(h, scale))
+    # broadcast the leading-axis slabs the block touches, then slice it out; sums and
+    # products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2)
+    shape = tuple(x.size for x, _ in axes)
+    slab = math.prod(shape[1:])
+    first, last = start // slab, -(-stop // slab)
+    part = slice(start - first * slab, stop - first * slab)
+    cut = [m // 2 if mirrored else 0 for m in shape[1:]]
+    xs = np.ix_(axes[0][0][first:last], *(x[c:] for (x, _), c in zip(axes[1:], cut)))
+    ws = np.ix_(axes[0][1][first:last], *(w[c:] for (_, w), c in zip(axes[1:], cut)))
+    r2, w = xs[0] * xs[0], ws[0]
+    for x, wx in zip(xs[1:], ws[1:]):
+        r2, w = r2 + x * x, w * wx
+    whole = np.ix_(axes[0][0][first:last], *(x for x, _ in axes[1:]))
+    h = np.empty((last - first,) + shape[1:] + (D,))
+    for j, x in enumerate(whole):  # column by column, each a loop over the slabs
+        h[..., j] = x
+    h = h.reshape(-1, D)[part]
+    partial = stop - start < (last - first) * slab  # a cached block keeps only its own nodes
+    if not mirrored:
+        r2 = r2.reshape(-1)[part]
+        wrho, scale = _weights(kernel, r2, w.reshape(-1)[part])
+        if partial:
             h, r2 = h.copy(), r2.copy()
-    wrho = w * kernel.radial_density(np.sqrt(r2))
-    if np.count_nonzero(r2) < r2.size:
-        excluded = r2 == 0
-        wrho[excluded] = 0.0
-        r2[excluded] = 1.0
-    grad = -h  # scaled in place: no second (n, D) temporary
-    grad *= (kernel.dim * wrho / r2)[:, None]
+        return StencilBlock(h, r2, wrho, _scaled(h, scale))
+    wrho, scale = _weights(kernel, r2, w)
+    r2, wrho, scale = (_unfold(a, shape) for a in (r2, wrho, scale))
+    grad = np.empty(scale.shape + (D,))
+    for j, x in enumerate(whole):  # as ``h``: reads the rules, not ``h``
+        np.multiply(scale, -x, out=grad[..., j])
+    r2, wrho, grad = r2.reshape(-1)[part], wrho.reshape(-1)[part], grad.reshape(-1, D)[part]
+    if partial:
+        h, r2, wrho, grad = h.copy(), r2.copy(), wrho.copy(), grad.copy()
     return StencilBlock(h, r2, wrho, grad)
+
+
+def _scaled(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The gradient weights ``scale * (-h)``, scaled in place: no second (n, D) temporary."""
+    grad = -h
+    grad *= scale[:, None]
+    return grad
 
 
 class Stencil:
@@ -213,6 +313,7 @@ class Stencil:
         self.shape = grid.shape
         self.size = len(grid)
         self.kernel = kernel
+        self._mirrored = _mirrored(self.axes)
         self._blocks: Optional[tuple[StencilBlock, ...]] = None
 
     def __len__(self) -> int:
@@ -232,7 +333,7 @@ class Stencil:
         for start in range(0, stop, BLOCK_NODES):
             end = min(start + BLOCK_NODES, stop)
             if self._blocks is None:
-                yield _expand(self.axes, self.kernel, start, end)
+                yield _expand(self.axes, self.kernel, start, end, self._mirrored)
                 continue
             block = self._blocks[start // BLOCK_NODES]
             yield block if block.r2.size == end - start else block.head(end - start)
@@ -333,6 +434,6 @@ def clipped_blocks(kernel, x: np.ndarray, radius: float, domain: BoxDomain, reso
     if not clipped:
         return None
     axes = build_panel_grid(box_lo, box_hi, [0.0] * len(box_lo), resolution, scheme).axes
-    size = math.prod(w.size for _, w in axes)
-    return (_expand(axes, kernel, start, min(start + BLOCK_NODES, size))
+    size, mirrored = math.prod(w.size for _, w in axes), _mirrored(axes)
+    return (_expand(axes, kernel, start, min(start + BLOCK_NODES, size), mirrored)
             for start in range(0, size, BLOCK_NODES))

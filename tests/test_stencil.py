@@ -1,8 +1,11 @@
 """Offset stencils, their cache, and the blocked contraction every operator shares."""
 
+import ctypes
+import platform
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,23 +14,28 @@ from nonlocalopt import (
     BoxDomain,
     HessianVariant,
     OperatorConfig,
+    PulseRunConfig,
     RadialKernel,
     ScalarField,
+    SgdConfig,
     SubsetIndicator,
     build_panel_grid,
     bump_kernel,
     directional_second_moments,
+    epsilon_sgd,
     extend_by_zero,
     gaussian_kernel,
     nonlocal_gradient,
     nonlocal_hessian,
     restricted_nonlocal_gradient,
+    run_pulse_experiment,
 )
 from nonlocalopt import operators, quadrature
 from nonlocalopt.catalog import bump_field, linear_field, quadratic_field, sin_field
 from nonlocalopt.errors import CoincidentPointsError, NodeBudgetError
 from nonlocalopt.operators import CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED
 from nonlocalopt.quadrature import BLOCK_NODES, Stencil, StencilCache, reach_stencils, rule_1d
+from nonlocalopt.sweeps import diagonal_probes
 
 # One resolution per dimension, small enough for a fast reference sum.
 RESOLUTION = {1: 64, 2: 32, 3: 12}
@@ -184,12 +192,14 @@ def reference_blocks(stencil, stop, block_nodes):
 
 # (dimension, resolution, box half-widths in reaches, nodes per block): leading-axis slabs
 # that divide the block, slabs that do not, slabs larger than a block, and boxes clipped on
-# one side
+# one side; full boxes (1.0, 1.0) take their weights from one orthant, and the last three
+# end their blocks mid-slab
 EXPANSIONS = [
     (2, 256, (1.0, 1.0), BLOCK_NODES), (3, 50, (1.0, 1.0), BLOCK_NODES),
     (2, 32, (1.0, 1.0), 1024), (2, 30, (0.4, 1.0), 1024), (3, 16, (1.0, 1.0), 1024),
     (3, 12, (1.0, 0.3), 1024), (4, 8, (1.0, 1.0), 1024), (4, 12, (1.0, 1.0), 1000),
     (3, 40, (1.0, 1.0), 1024), (4, 20, (1.0, 0.5), 1024),
+    (2, 30, (1.0, 1.0), 1000), (3, 14, (1.0, 1.0), 1000), (4, 8, (1.0, 1.0), 1000),
 ]
 
 
@@ -210,6 +220,22 @@ def test_blocks_equal_the_per_node_expansion(monkeypatch, dim, resolution, width
             assert len(blocks) == len(expected)
             for b, arrays in zip(blocks, expected):
                 assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho, b.grad), arrays))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_full_box_blocks_weigh_one_orthant(monkeypatch, dim):
+    # axes 1.. of a full box are mirror images, so a block evaluates the density on the
+    # upper orthant of them only; a box clipped across every axis evaluates every node
+    kernel = bump_kernel(dim, 2)
+    seen, density = [], RadialKernel.radial_density
+    monkeypatch.setattr(RadialKernel, "radial_density",
+                        lambda self, r: seen.append(np.size(r)) or density(self, r))
+    reach = np.full(dim, kernel.reach)
+    for hi, share in ((reach, 2 ** (dim - 1)), (0.5 * reach, 1)):
+        stencil = Stencil(kernel, -reach, hi, 8)
+        seen.clear()
+        [block] = stencil.blocks()
+        assert block.r2.size == len(stencil) == share * sum(seen)
 
 
 def test_underflowing_offsets_carry_no_weight():
@@ -393,6 +419,86 @@ class TestCache:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert cache.nbytes == len(cache) * one <= cache.cap
+
+
+# -- allocator thresholds ---------------------------------------------------------------
+
+
+class FakeLibc:
+    def __init__(self):
+        self.calls = []
+        # a plain function, so that ``argtypes`` and ``restype`` can be set on it
+        self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+@pytest.fixture
+def libc(monkeypatch, stencil_cache):
+    """A process whose thresholds are unset, whose stencils are streamed, and whose
+    ``ctypes.CDLL(None)`` is a fake; returns it and the names it opened."""
+    fake, opened = FakeLibc(), []
+    stencil_cache(0)
+    monkeypatch.setattr(quadrature, "_heap_kept", False)
+    monkeypatch.setattr(quadrature, "ctypes", SimpleNamespace(
+        CDLL=lambda name: opened.append(name) or fake, c_int=ctypes.c_int))
+    return fake, opened
+
+
+def test_heap_thresholds_are_set_once_per_process(libc):
+    fake, opened = libc
+    field, config = sin_field(BoxDomain.unit(2)), OperatorConfig(gaussian_kernel(2, 4), 256)
+    for x in ([0.5, 0.5], [0.4, 0.6]):
+        nonlocal_gradient(field, x, config)
+    assert opened == [None]
+    assert fake.calls == [(quadrature._M_MMAP_THRESHOLD, 32 * 2**20),
+                          (quadrature._M_TRIM_THRESHOLD, 64 * 2**20)]
+
+
+RUNS = {
+    "gradient-1d-res512": lambda: nonlocal_gradient(
+        sin_field(BoxDomain.unit(1)), [0.5], OperatorConfig(gaussian_kernel(1, 4), 512)),
+    "pulse": lambda: run_pulse_experiment(PulseRunConfig(family="gaussian", n=2, max_iters=40)),
+    "sgd": lambda: epsilon_sgd(quadratic_field(BoxDomain.interval(-1.0, 1.0), center=[0.0]),
+                               SgdConfig(B=1.0, M=2.0, K=20, epsilon=0.02, seed=0),
+                               gaussian_kernel(1, 16)),
+    "gradient-2d-res256": lambda: nonlocal_gradient(
+        sin_field(BoxDomain.unit(2)), [0.5, 0.5], OperatorConfig(gaussian_kernel(2, 4), 256)),
+}
+
+
+@pytest.mark.parametrize("name,sets", [("gradient-1d-res512", False), ("pulse", False),
+                                       ("sgd", False), ("gradient-2d-res256", True)])
+def test_only_large_blocks_set_the_heap_thresholds(libc, name, sets):
+    RUNS[name]()
+    assert bool(libc[0].calls) == sets and quadrature._heap_kept == sets
+
+
+def _raise_oserror(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_raise_oserror, lambda name: object()],
+                         ids=["cdll-raises", "no-mallopt"])
+def test_heap_thresholds_without_mallopt_do_nothing(monkeypatch, cdll):
+    monkeypatch.setattr(quadrature, "_heap_kept", False)
+    monkeypatch.setattr(quadrature, "ctypes", SimpleNamespace(CDLL=cdll, c_int=ctypes.c_int))
+    quadrature._keep_heap()
+    assert quadrature._heap_kept
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_central_hessians_reuse_the_heap(stencil_cache):
+    # five central Hessian probes in 3-D at resolution 64: once the thresholds are fixed,
+    # their block temporaries come from the heap instead of fresh pages (16k faults before)
+    import resource
+
+    stencil_cache(quadrature.CACHE_BYTES)
+    domain = BoxDomain.unit(3)
+    field, probes = quadratic_field(domain), diagonal_probes(domain, 5, 0.35, 0.65)
+    config, variant = OperatorConfig(gaussian_kernel(3, 8), 64), HessianVariant(CENTRAL)
+    nonlocal_hessian(field, probes, variant, config)  # builds and caches the stencil
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    nonlocal_hessian(field, probes, variant, config)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
 def test_stencil_checks_node_budget_before_building_rules():
