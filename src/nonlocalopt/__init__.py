@@ -19,14 +19,11 @@ from .operators import (
     NESTED,
     HessianVariant,
     OperatorConfig,
-    TaylorData,
-    difference_quotient,
     directional_second_moments,
     find_vanishing_subset_1d,
     nonlocal_gradient,
     nonlocal_hessian,
     restricted_nonlocal_gradient,
-    taylor_affine,
 )
 from .optimizers import (
     DIVERGED,
@@ -36,16 +33,14 @@ from .optimizers import (
     OptimizerTrace,
     SgdConfig,
     StepSchedule,
-    SubgradientReport,
     epsilon_sgd,
     epsilon_sgd_batch,
-    epsilon_subgradient_check,
     local_counterpart,
     nlgd_fixed,
     nlgd_linesearch,
     nonlocal_newton,
 )
-from .oracles import brute_force_min, fd_gradient, fd_hessian, mc_nonlocal_gradient
+from .oracles import mc_nonlocal_gradient
 from .pulse import (
     PulseManifold,
     PulseRunConfig,

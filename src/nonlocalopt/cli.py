@@ -62,7 +62,7 @@ DEFAULTS: dict = {
     "domain": {"dim": 1, "lower": [0.0], "upper": [1.0]},
     "field": "quadratic",
     "kernel": {"family": "gaussian", "base_scale": 0.1, "n": 8},
-    "quadrature": {"resolution": 256, "scheme": "gauss"},
+    "quadrature": {"resolution": 256},
     "check": {
         "name": "gradient-localization",
         "n_values": [4, 8, 16, 32],
@@ -230,8 +230,7 @@ def _kernel_from(config: dict, dim: int) -> RadialKernel:
 
 
 def _op_config(config: dict, kernel: RadialKernel) -> OperatorConfig:
-    return _get(config, "quadrature",
-                lambda q: OperatorConfig(kernel, q["resolution"], q["scheme"]))
+    return _get(config, "quadrature", lambda q: OperatorConfig(kernel, q["resolution"]))
 
 
 def _field_from(config: dict, domain: BoxDomain, derivative: str = ""):
@@ -582,6 +581,9 @@ def run_cli(argv=None) -> int:
         args = _parser().parse_args(raw_argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
+    if args.seed < 0:  # numpy's generators take only non-negative seeds
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 2
     overrides = list(args.overrides)
     if getattr(args, "field", None):
         overrides.append(f"field={args.field}")

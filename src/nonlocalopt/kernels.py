@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, RejectionOverflowError
-from .quadrature import GAUSS, rule_1d
+from .quadrature import rule_1d
 
 GAUSSIAN = "gaussian"
 BUMP = "bump"
@@ -54,7 +54,7 @@ def bump_profile(v: np.ndarray) -> np.ndarray:
 
 def _shell_integral(f: Callable, dim: int, lo: float, hi: float) -> float:
     """Integral of ``f(|v|)`` over the shell ``lo < |v| < hi`` in R^dim (Gauss in ``r``)."""
-    r, w = rule_1d(lo, hi, 400, GAUSS)
+    r, w = rule_1d(lo, hi, 400)
     vals = f(r) * r ** (dim - 1)
     return unit_sphere_area(dim) * float(np.sum(w * vals))
 

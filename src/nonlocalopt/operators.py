@@ -1,4 +1,4 @@
-"""Kernel-based differential operators: gradients, Hessians, affine approximants.
+"""Kernel-based differential operators: gradients and Hessians.
 
 The first-order operator averages difference quotients of the field against a
 radial density; it exists for merely Lipschitz (and weaker) fields and
@@ -17,12 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CoincidentPointsError,
-    MissingDerivativeError,
-    NoBracketError,
-    NodeBudgetError,
-)
+from .errors import DimensionMismatchError, MissingDerivativeError, NoBracketError, NodeBudgetError
 from .fields import (
     BoxDomain,
     ScalarField,
@@ -32,8 +27,7 @@ from .fields import (
     extend_by_zero,
 )
 from .kernels import RadialKernel, require_dim
-from .quadrature import (BLOCK_NODES, GAUSS, MIDPOINT, NODE_BUDGET, Stencil, clipped_blocks,
-                         reach_stencils)
+from .quadrature import BLOCK_NODES, NODE_BUDGET, Stencil, clipped_blocks, reach_stencils
 
 # Hessian construction tags.
 NESTED = "nested"               # kernel partial of kernel partials (two scales)
@@ -58,28 +52,11 @@ class OperatorConfig:
 
     kernel: RadialKernel
     resolution: int = 256
-    scheme: str = GAUSS
 
     def __post_init__(self):
         r = self.resolution
         if isinstance(r, bool) or not isinstance(r, int) or r < 2:
             raise ValueError(f"resolution must be an integer >= 2, got {r!r}")
-        if self.scheme not in (GAUSS, MIDPOINT):
-            raise ValueError(f"scheme must be {GAUSS!r} or {MIDPOINT!r}, got {self.scheme!r}")
-
-
-def difference_quotient(field: ScalarField, x, y) -> np.ndarray:
-    """Vector difference quotient ``(u(x)-u(y))/|x-y| * (x-y)/|x-y|``.
-
-    Scaling by the dimension is applied by callers, not here.
-    """
-    x = as_point(x, field.dim)
-    y = as_point(y, field.dim)
-    d = x - y
-    r2 = float(np.dot(d, d))
-    if r2 == 0.0:
-        raise CoincidentPointsError("difference quotient requires x != y")
-    return (field.value(x) - field.value(y)) / r2 * d
 
 
 def _interior_points(field: ScalarField, x, kernel: RadialKernel) -> tuple[np.ndarray, bool]:
@@ -182,10 +159,9 @@ def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarr
     kernel = config.kernel
     points, batch = _interior_points(field, x, kernel)
     blocks = None if len(points) > 1 else clipped_blocks(
-        kernel, points[0], kernel.reach, field.domain, config.resolution, config.scheme)
+        kernel, points[0], kernel.reach, field.domain, config.resolution)
     if blocks is None:
-        groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution,
-                                config.scheme)
+        groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution)
         total = _contract(groups, points, _values_at(field, points), field, np.zeros(points.shape))
     else:
         total = np.zeros(points.shape)
@@ -201,15 +177,15 @@ def restricted_nonlocal_gradient(
     """Nonlocal gradient with the integral restricted to a box-union subset."""
     x = _interior_points(field, as_point(x, field.dim), config.kernel)[0][0]
     if subset.dim != field.dim:
-        raise ValueError("subset dimension does not match field dimension")
+        raise DimensionMismatchError(
+            f"subset dimension {subset.dim} does not match field dimension {field.dim}")
     kernel = config.kernel
     stencils = []
     for lo, hi in subset.pieces():
         clipped = field.domain.clip_box(np.maximum(lo, x - kernel.reach),
                                         np.minimum(hi, x + kernel.reach))
         if clipped is not None:
-            stencils.append(Stencil(kernel, clipped[0] - x, clipped[1] - x, config.resolution,
-                                    config.scheme))
+            stencils.append(Stencil(kernel, clipped[0] - x, clipped[1] - x, config.resolution))
     total = np.zeros((1, field.dim))
     if stencils:
         groups = [(stencil, np.arange(1)) for stencil in stencils]
@@ -365,7 +341,7 @@ def _smoothed_hessians(field: ScalarField, points: np.ndarray, variant: HessianV
             return nonlocal_gradient(field, pts, config)
 
     groups = reach_stencils(outer_kernel, points, outer_kernel.reach, field.domain,
-                            config.resolution, config.scheme)
+                            config.resolution)
     if variant.kind == NESTED:
         inner_nodes = config.resolution ** field.dim
         for stencil, _ in groups:
@@ -404,8 +380,7 @@ def _central_hessians(
         prefactor = D * (D + 2) / 2.0
     else:
         prefactor = D * (D + 1) / 2.0
-    [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution,
-                                       config.scheme)
+    [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
     H = np.zeros((P, D, D))
     trace = np.zeros(P)
     for b in stencil.blocks(len(stencil) // 2):
@@ -434,36 +409,8 @@ def directional_second_moments(domain: BoxDomain, x, config: OperatorConfig) -> 
     if not domain.contains(x):
         raise ValueError("moment diagnostics require an interior point")
     [(stencil, _)] = reach_stencils(kernel, x[None], kernel.full_radius, domain,
-                                    config.resolution, config.scheme)
+                                    config.resolution)
     c = np.zeros(kernel.dim)
     for b in stencil.blocks():
         c += [np.sum(b.wrho * b.h[:, i] ** 2 / b.r2) for i in range(kernel.dim)]
     return c
-
-
-# -- affine approximant ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TaylorData:
-    """First-order kernel-based affine approximant and its remainder."""
-
-    base: np.ndarray
-    value: float
-    slope: np.ndarray
-    _field: ScalarField
-
-    def affine(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.value + np.sum((x - self.base) * self.slope, axis=-1)
-
-    def remainder(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self._field(x) - self.affine(x)
-
-
-def taylor_affine(field: ScalarField, x0, config: OperatorConfig) -> TaylorData:
-    """Affine approximant built from the kernel-smoothed gradient at ``x0``."""
-    x0 = as_point(x0, field.dim)
-    slope = nonlocal_gradient(field, x0, config)
-    return TaylorData(base=x0, value=field.value(x0), slope=slope, _field=field)

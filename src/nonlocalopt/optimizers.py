@@ -458,48 +458,6 @@ def epsilon_sgd(
     return x_bars[0], traces[0]
 
 
-@dataclass(frozen=True)
-class SubgradientReport:
-    """Outcome of probing the relaxed-subgradient inequality."""
-
-    passed: bool
-    worst_margin: float
-    worst_point: np.ndarray
-    epsilon: float
-    probes: int
-
-
-def epsilon_subgradient_check(
-    field: ScalarField,
-    x,
-    config: OperatorConfig,
-    probe_points: np.ndarray,
-    epsilon: float,
-) -> SubgradientReport:
-    """Check ``u(y) - u(x) >= (y - x)^T g - epsilon`` at every probe point.
-
-    ``g`` is the kernel-smoothed gradient at ``x``; the report carries the
-    worst margin (nonnegative margins mean the inequality held everywhere).
-    """
-    x = as_point(x, field.dim)
-    probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    g = nonlocal_gradient(field, x, config)
-    margins = (
-        np.asarray(field(probes), dtype=float)
-        - field.value(x)
-        - (probes - x) @ g
-        + epsilon
-    )
-    worst = int(np.argmin(margins))
-    return SubgradientReport(
-        passed=bool(np.all(margins >= 0.0)),
-        worst_margin=float(margins[worst]),
-        worst_point=probes[worst],
-        epsilon=epsilon,
-        probes=probes.shape[0],
-    )
-
-
 def nonlocal_newton(
     field: ScalarField,
     x0,

@@ -1,5 +1,5 @@
-"""Independent oracles: finite differences, golden-section search, Monte-Carlo
-integrals, grid argmin.
+"""Independent oracles: central differences, golden-section search, Monte-Carlo
+integrals.
 
 These deliberately share no code with the kernel operators they validate;
 every dual-route check in the test suite keeps one side here.  The classical
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeBudgetError
-from .fields import BoxDomain, ScalarField, as_point
+from .fields import ScalarField, as_point
 from .kernels import RadialKernel, require_dim
-from .quadrature import NODE_BUDGET
 
 
 def central_gradient(field: ScalarField, x: np.ndarray, step: float) -> np.ndarray:
@@ -47,22 +45,6 @@ def central_hessian(field: ScalarField, x: np.ndarray, step: float) -> np.ndarra
                 + field.value(x - ei - ej)
             ) / (4.0 * step * step)
     return 0.5 * (H + H.T)
-
-
-def fd_gradient(field: ScalarField, x, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient; needs an interior margin of ``step``."""
-    x = as_point(x, field.dim)
-    if field.domain.boundary_distance(x) < step:
-        raise ValueError(f"point {x} is within {step} of the boundary")
-    return central_gradient(field, x, step)
-
-
-def fd_hessian(field: ScalarField, x, step: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian; needs an interior margin of ``2 step``."""
-    x = as_point(x, field.dim)
-    if field.domain.boundary_distance(x) < 2 * step:
-        raise ValueError(f"point {x} is within {2 * step} of the boundary")
-    return central_hessian(field, x, step)
 
 
 def golden_section(phi, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -120,43 +102,3 @@ def mc_nonlocal_gradient(
     mean = contrib.mean(axis=0)
     stderr = contrib.std(axis=0, ddof=1) / np.sqrt(samples)
     return McGradient(value=mean, stderr=stderr, samples=samples)
-
-
-def brute_force_min(
-    field: ScalarField, domain: BoxDomain, resolution: int = 1024
-) -> tuple[np.ndarray, float]:
-    """Grid argmin refined by per-axis golden-section polish within one cell.
-
-    Ties break to the first grid index.
-    """
-    if resolution**domain.dim > NODE_BUDGET:
-        raise NodeBudgetError(
-            f"brute-force grid would need {resolution**domain.dim} nodes"
-        )
-    axes = [
-        np.linspace(lo, hi, resolution + 2)[1:-1]
-        for lo, hi in zip(domain.lower, domain.upper)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    vals = np.asarray(field(pts), dtype=float)
-    best = int(np.argmin(vals))
-    x = pts[best].copy()
-    spacing = np.array([ax[1] - ax[0] if ax.size > 1 else 0.0 for ax in axes])
-
-    for _ in range(3):  # coordinate-descent sweeps within the winning cell
-        for j in range(domain.dim):
-            if spacing[j] == 0.0:
-                continue
-            a = max(domain.lower[j] + 1e-12, x[j] - spacing[j])
-            b = min(domain.upper[j] - 1e-12, x[j] + spacing[j])
-
-            def phi(t):
-                p = x.copy()
-                p[j] = t
-                return field.value(p)
-
-            cand, value = golden_section(phi, a, b, 1e-10)
-            if value <= field.value(x):
-                x[j] = cand
-    return x, field.value(x)

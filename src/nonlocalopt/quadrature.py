@@ -1,8 +1,8 @@
 """Deterministic tensor-product quadrature over boxes, and
 the offset stencils every kernel operator contracts against.
 
-Grids are tensor products of 1-D Gauss-Legendre or midpoint rules, kept as
-their per-axis rules; the flat node list is built only when asked for.
+Grids are tensor products of 1-D Gauss-Legendre rules, kept as their per-axis
+rules; the flat node list is built only when asked for.
 
 A ``Stencil`` is such a grid of offsets ``h`` around an evaluation point,
 expanded in blocks of ``BLOCK_NODES`` nodes together with its kernel
@@ -54,9 +54,6 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc'
 _heap_kept = False
 _heap_lock = threading.Lock()
 
-GAUSS = "gauss"
-MIDPOINT = "midpoint"
-
 
 def _check_budget(count: int) -> None:
     if count > NODE_BUDGET:
@@ -71,26 +68,21 @@ def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def rule_1d(a: float, b: float, m: int, scheme: str = GAUSS) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights integrating over ``[a, b]`` with ``m`` nodes.
+def rule_1d(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights integrating over ``[a, b]`` with ``m`` nodes.
 
-    A Gauss rule is computed from an ``m x m`` companion matrix, so ``m*m``
-    must stay within ``NODE_BUDGET``.
+    The rule is computed from an ``m x m`` companion matrix, so ``m*m`` must
+    stay within ``NODE_BUDGET``.
     """
     if m < 1:
         raise ValueError("need at least one node")
-    if scheme == GAUSS:
-        if m * m > NODE_BUDGET:
-            raise NodeBudgetError(
-                f"a {m}-node Gauss rule needs a {m}x{m} matrix, budget is {NODE_BUDGET} entries"
-            )
-        x, w = _leggauss(m)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return mid + half * x, half * w
-    if scheme == MIDPOINT:
-        h = (b - a) / m
-        return a + h * (np.arange(m) + 0.5), np.full(m, h)
-    raise ValueError(f"unknown quadrature scheme {scheme!r}")
+    if m * m > NODE_BUDGET:
+        raise NodeBudgetError(
+            f"a {m}-node Gauss rule needs a {m}x{m} matrix, budget is {NODE_BUDGET} entries"
+        )
+    x, w = _leggauss(m)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
 
 
 @dataclass(frozen=True)
@@ -123,9 +115,7 @@ class QuadratureGrid:
         return weights
 
 
-def build_panel_grid(
-    lo, hi, split: Optional[np.ndarray], resolution: int, scheme: str = GAUSS
-) -> QuadratureGrid:
+def build_panel_grid(lo, hi, split: Optional[np.ndarray], resolution: int) -> QuadratureGrid:
     """Box grid whose per-axis rules are split at an interior point.
 
     Splitting keeps quadrature nodes away from the marked point and improves
@@ -144,13 +134,13 @@ def build_panel_grid(
     axes = []
     for a, b, s in zip(lo, hi, splits):
         if s is None:
-            axes.append(rule_1d(a, b, resolution, scheme))
+            axes.append(rule_1d(a, b, resolution))
             continue
-        xl, wl = rule_1d(a, s, m, scheme)
+        xl, wl = rule_1d(a, s, m)
         if s - a == b - s:
             xr, wr = 2.0 * s - xl[::-1], wl[::-1]
         else:
-            xr, wr = rule_1d(s, b, m, scheme)
+            xr, wr = rule_1d(s, b, m)
         axes.append((np.concatenate([xl, xr]), np.concatenate([wl, wr])))
     return QuadratureGrid(tuple(axes))
 
@@ -307,8 +297,8 @@ class Stencil:
     stored them.
     """
 
-    def __init__(self, kernel, lo, hi, resolution: int, scheme: str = GAUSS):
-        grid = build_panel_grid(lo, hi, np.zeros(np.size(lo)), resolution, scheme)
+    def __init__(self, kernel, lo, hi, resolution: int):
+        grid = build_panel_grid(lo, hi, np.zeros(np.size(lo)), resolution)
         self.axes = grid.axes
         self.shape = grid.shape
         self.size = len(grid)
@@ -342,9 +332,8 @@ class Stencil:
 class StencilCache:
     """Full-box stencils, least recently used evicted beyond ``cap`` bytes.
 
-    Keyed on ``(kernel, radius, resolution, scheme)``.  A stencil
-    larger than the cap is returned unexpanded and not kept.  Safe to share
-    between threads.
+    Keyed on ``(kernel, radius, resolution)``.  A stencil larger than the
+    cap is returned unexpanded and not kept.  Safe to share between threads.
     """
 
     def __init__(self, cap: int = CACHE_BYTES):
@@ -356,15 +345,15 @@ class StencilCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, kernel, radius: float, resolution: int, scheme: str = GAUSS) -> Stencil:
-        key = (kernel, radius, resolution, scheme)
+    def get(self, kernel, radius: float, resolution: int) -> Stencil:
+        key = (kernel, radius, resolution)
         with self._lock:
             stencil = self._entries.get(key)
             if stencil is not None:
                 self._entries.move_to_end(key)
                 return stencil
         reach = np.full(kernel.dim, float(radius))
-        stencil = Stencil(kernel, -reach, reach, resolution, scheme)
+        stencil = Stencil(kernel, -reach, reach, resolution)
         if stencil.nbytes > self.cap:
             return stencil
         stencil.materialize()
@@ -382,7 +371,7 @@ STENCILS = StencilCache()
 
 
 def reach_stencils(kernel, points: np.ndarray, radius: float, domain: Optional[BoxDomain],
-                   resolution: int, scheme: str = GAUSS) -> list[tuple[Stencil, np.ndarray]]:
+                   resolution: int) -> list[tuple[Stencil, np.ndarray]]:
     """Stencils over the boxes of half-width ``radius`` around the rows of ``points``.
 
     Returns ``(stencil, rows)`` pairs that cover every row once.  Each box is
@@ -400,20 +389,20 @@ def reach_stencils(kernel, points: np.ndarray, radius: float, domain: Optional[B
         bad = points[np.argmin(np.logical_and.reduce(spaced, axis=1))]
         raise CoincidentPointsError(f"kernel reach {radius} is below the float spacing at {bad}")
     if domain is None:
-        return [(STENCILS.get(kernel, radius, resolution, scheme), np.arange(len(points)))]
+        return [(STENCILS.get(kernel, radius, resolution), np.arange(len(points)))]
     clipped = np.logical_or.reduce((lo < domain.lower_array) | (hi > domain.upper_array), axis=1)
     box_lo = np.maximum(lo, domain.lower_array) - points
     box_hi = np.minimum(hi, domain.upper_array) - points
     own = np.flatnonzero(clipped)
     out = [] if own.size == len(points) else [
-        (STENCILS.get(kernel, radius, resolution, scheme), np.flatnonzero(~clipped))]
+        (STENCILS.get(kernel, radius, resolution), np.flatnonzero(~clipped))]
     for k, i in enumerate(own.tolist()):
-        out.append((Stencil(kernel, box_lo[i], box_hi[i], resolution, scheme), own[k:k + 1]))
+        out.append((Stencil(kernel, box_lo[i], box_hi[i], resolution), own[k:k + 1]))
     return out
 
 
-def clipped_blocks(kernel, x: np.ndarray, radius: float, domain: BoxDomain, resolution: int,
-                   scheme: str = GAUSS) -> Optional[Iterator[StencilBlock]]:
+def clipped_blocks(kernel, x: np.ndarray, radius: float, domain: BoxDomain,
+                   resolution: int) -> Optional[Iterator[StencilBlock]]:
     """The blocks of one point's rule if ``domain`` clips its reach box, else ``None``.
 
     ``x`` is one point ``(D,)`` of ``domain``.  The rule is the clipped stencil
@@ -433,7 +422,7 @@ def clipped_blocks(kernel, x: np.ndarray, radius: float, domain: BoxDomain, reso
         box_hi.append(min(hi, b) - v)
     if not clipped:
         return None
-    axes = build_panel_grid(box_lo, box_hi, [0.0] * len(box_lo), resolution, scheme).axes
+    axes = build_panel_grid(box_lo, box_hi, [0.0] * len(box_lo), resolution).axes
     size, mirrored = math.prod(w.size for _, w in axes), _mirrored(axes)
     return (_expand(axes, kernel, start, min(start + BLOCK_NODES, size), mirrored)
             for start in range(0, size, BLOCK_NODES))

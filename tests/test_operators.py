@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from nonlocalopt import (
     CENTRAL,
@@ -13,13 +12,11 @@ from nonlocalopt import (
     ScalarField,
     SubsetIndicator,
     bump_kernel,
-    difference_quotient,
     find_vanishing_subset_1d,
     gaussian_kernel,
     nonlocal_gradient,
     nonlocal_hessian,
     restricted_nonlocal_gradient,
-    taylor_affine,
 )
 from nonlocalopt.catalog import (
     asymmetric_min_field,
@@ -29,7 +26,7 @@ from nonlocalopt.catalog import (
     ridge_field,
     sin_field,
 )
-from nonlocalopt.errors import CoincidentPointsError, DimensionMismatchError, NoBracketError
+from nonlocalopt.errors import DimensionMismatchError, NoBracketError
 from nonlocalopt.oracles import mc_nonlocal_gradient
 
 
@@ -43,10 +40,6 @@ class TestOperatorConfig:
         with pytest.raises(ValueError, match="resolution"):
             OperatorConfig(gaussian_kernel(1, 8), resolution)
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="simpson"):
-            OperatorConfig(gaussian_kernel(1, 8), 64, "simpson")
-
 
 @pytest.mark.parametrize("field_dim,kernel_dim", [(2, 1), (1, 2)])
 def test_kernel_of_another_dimension_rejected_by_every_operator(field_dim, kernel_dim):
@@ -59,8 +52,7 @@ def test_kernel_of_another_dimension_rejected_by_every_operator(field_dim, kerne
     subset = SubsetIndicator.full(domain)
     calls = [lambda: nonlocal_gradient(field, x, config),
              lambda: nonlocal_gradient(field, x[None], config),
-             lambda: restricted_nonlocal_gradient(field, x, config, subset),
-             lambda: taylor_affine(field, x, config)]
+             lambda: restricted_nonlocal_gradient(field, x, config, subset)]
     calls += [lambda v=HessianVariant(kind, m=4): nonlocal_hessian(field, x, v, config)
               for kind in (CENTRAL, GRAD_SMOOTHED, FD_NONLOCAL, NESTED)]
     if field_dim == 1:
@@ -70,36 +62,11 @@ def test_kernel_of_another_dimension_rejected_by_every_operator(field_dim, kerne
             call()
 
 
-class TestDifferenceQuotient:
-    def test_identity_slope(self, unit_interval):
-        f = linear_field(unit_interval, [1.0])
-        for x, y in ((0.2, 0.9), (0.8, 0.1), (0.5, 0.500001)):
-            assert difference_quotient(f, [x], [y])[0] == pytest.approx(1.0)
-
-    def test_constant_zero(self, unit_interval):
-        f = constant_field(unit_interval, 3.0)
-        assert difference_quotient(f, [0.2], [0.7])[0] == 0.0
-
-    def test_2d_hand_computed(self, unit_square):
-        # u = |x|^2 at x=(1,0), y=(0,0): (u(x)-u(y))/|x-y|^2 * (x-y) = (1, 0)
-        f = ScalarField(
-            lambda p: np.sum(np.asarray(p) ** 2, axis=-1), BoxDomain((-2, -2), (2, 2))
-        )
-        k = difference_quotient(f, [1.0, 0.0], [0.0, 0.0])
-        assert np.allclose(k, [1.0, 0.0], atol=1e-14)
-
-    def test_coincident_points_error(self, unit_interval):
-        f = linear_field(unit_interval, [1.0])
-        with pytest.raises(CoincidentPointsError):
-            difference_quotient(f, [0.3], [0.3])
-
-    @given(a=st.floats(-5, 5), x=st.floats(0.05, 0.95), y=st.floats(0.05, 0.95))
-    @settings(max_examples=50)
-    def test_linear_slope_property(self, a, x, y):
-        if abs(x - y) < 1e-9:
-            return
-        f = linear_field(BoxDomain.unit(1), [a])
-        assert difference_quotient(f, [x], [y])[0] == pytest.approx(a, abs=1e-7)
+def test_subset_of_another_dimension_rejected():
+    field = quadratic_field(BoxDomain.unit(1))
+    subset = SubsetIndicator.full(BoxDomain.unit(2))
+    with pytest.raises(DimensionMismatchError, match="subset dimension"):
+        restricted_nonlocal_gradient(field, [0.5], cfg(gaussian_kernel(1, 8), 8), subset)
 
 
 class TestNonlocalGradient:
@@ -262,24 +229,6 @@ class TestVanishingSubset:
 
 
 class TestTaylor:
-    def test_remainder_zero_at_base(self, unit_interval):
-        f = sin_field(unit_interval)
-        td = taylor_affine(f, [0.4], cfg(gaussian_kernel(1, 8)))
-        assert float(td.remainder([0.4])) == 0.0
-
-    def test_definitional_identity(self, unit_interval):
-        f = sin_field(unit_interval)
-        td = taylor_affine(f, [0.4], cfg(gaussian_kernel(1, 8)))
-        xs = np.linspace(0.1, 0.9, 17)[:, None]
-        recon = td.affine(xs) + td.remainder(xs)
-        assert np.allclose(recon, f(xs), rtol=0, atol=1e-15)
-
-    def test_linear_field_exact(self, unit_interval):
-        f = linear_field(unit_interval, [1.7])
-        td = taylor_affine(f, [0.5], cfg(bump_kernel(1, 8)))
-        for x in np.linspace(0.05, 0.95, 20):
-            assert abs(float(td.remainder([x]))) <= 1e-8
-
     def test_remainder_gap_shrinks_with_scale(self, unit_interval):
         # sup |r_n - r| over sampled pairs strictly decreasing in n
         f = sin_field(unit_interval)
@@ -295,21 +244,3 @@ class TestTaylor:
                 sup = max(sup, abs((x - x0) * defect))
             sups.append(sup)
         assert all(b < a for a, b in zip(sups, sups[1:]))
-
-
-class TestDifferenceQuotientProperties:
-    @given(
-        x=st.floats(0.05, 0.95),
-        y=st.floats(0.05, 0.95),
-        freq=st.floats(0.5, 2.0),
-    )
-    @settings(max_examples=50)
-    def test_swap_symmetry(self, x, y, freq):
-        # k_u(x, y) = k_u(y, x): both the value difference and the direction
-        # flip sign, so the product is unchanged
-        if abs(x - y) < 1e-8:
-            return
-        f = sin_field(BoxDomain.unit(1), freq=freq)
-        a = difference_quotient(f, [x], [y])
-        b = difference_quotient(f, [y], [x])
-        assert a[0] == pytest.approx(b[0], rel=1e-12)

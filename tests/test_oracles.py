@@ -17,43 +17,36 @@ from nonlocalopt import (
 from nonlocalopt.catalog import linear_field, quadratic_field, sin_field
 from nonlocalopt.errors import DimensionMismatchError, UnknownCheckError
 from nonlocalopt.oracles import (
-    brute_force_min,
-    fd_gradient,
-    fd_hessian,
+    central_gradient,
+    central_hessian,
     golden_section,
     mc_nonlocal_gradient,
 )
 from nonlocalopt.operators import CENTRAL
-from nonlocalopt.pulse import PulseManifold
 from nonlocalopt.sweeps import diagonal_probes, gradient_errors, hessian_errors
 
 
-class TestFdGradient:
+class TestCentralDifferences:
     def test_linear_exact(self, unit_interval):
         f = linear_field(unit_interval, [2.2])
-        assert fd_gradient(f, [0.5])[0] == pytest.approx(2.2, abs=1e-10)
+        assert central_gradient(f, np.array([0.5]), 1e-5)[0] == pytest.approx(2.2, abs=1e-10)
 
     def test_quadratic_exact(self, unit_square):
         f = quadratic_field(unit_square, center=[0.0, 0.0])  # |x|^2
-        g = fd_gradient(f, [0.3, 0.4])
+        g = central_gradient(f, np.array([0.3, 0.4]), 1e-5)
         assert np.allclose(g, [0.6, 0.8], atol=1e-8)
-
-    def test_margin_violation(self, unit_interval):
-        f = linear_field(unit_interval, [1.0])
-        with pytest.raises(ValueError):
-            fd_gradient(f, [1e-7], step=1e-5)
 
     def test_second_order_step_halving(self, unit_interval):
         f = sin_field(unit_interval)
-        x = [0.37]
+        x = np.array([0.37])
         exact = f.gradient_at(x)[0]
-        e1 = abs(fd_gradient(f, x, step=2e-4)[0] - exact)
-        e2 = abs(fd_gradient(f, x, step=1e-4)[0] - exact)
+        e1 = abs(central_gradient(f, x, 2e-4)[0] - exact)
+        e2 = abs(central_gradient(f, x, 1e-4)[0] - exact)
         assert e1 / e2 == pytest.approx(4.0, rel=0.2)
 
-    def test_fd_hessian_quadratic(self, unit_interval):
+    def test_hessian_quadratic(self, unit_interval):
         f = quadratic_field(unit_interval, matrix=[[1.3]])
-        assert fd_hessian(f, [0.4])[0, 0] == pytest.approx(2.6, abs=1e-6)
+        assert central_hessian(f, np.array([0.4]), 1e-4)[0, 0] == pytest.approx(2.6, abs=1e-6)
 
 
 class TestMcGradient:
@@ -96,43 +89,6 @@ class TestMcGradient:
                 assert np.all(
                     np.abs(mc.value - quad) <= 3.0 * mc.stderr + 1e-6
                 ), f"disagreement on {name} at {x:.3f} (n={n})"
-
-
-class TestBruteForce:
-    def test_quadratic_grid_argmin(self, unit_interval):
-        f = quadratic_field(unit_interval)
-        x, val = brute_force_min(f, unit_interval, resolution=512)
-        assert abs(x[0] - 0.5) <= 1.0 / 512
-        assert val <= f.value([0.5]) + 1e-12
-
-    def test_pulse_objective_argmin(self):
-        man = PulseManifold(template_theta=0.5)
-        field = man.objective_field()
-        x, val = brute_force_min(field, field.domain, resolution=512)
-        assert abs(x[0] - 0.5) <= 1.0 / 512
-
-    def test_constant_first_index_tiebreak(self, unit_interval):
-        from nonlocalopt.catalog import constant_field
-
-        f = constant_field(unit_interval, 2.0)
-        x, val = brute_force_min(f, unit_interval, resolution=64)
-        axis = np.linspace(0, 1, 66)[1:-1]
-        assert x[0] <= axis[0] + 1e-9  # stays in the first cell
-        assert val == 2.0
-
-    def test_agrees_with_analytic_minimizers_across_catalog(self, unit_interval, fields_1d):
-        # every catalog field with a known unique interior minimizer
-        expected = {
-            "quadratic": 0.5,
-            "quartic": 0.5,
-            "ridge": 0.5,
-            "sin": 0.75,            # sin(2 pi x) bottoms out at 3/4
-            "asymmetric-min": 0.5,
-        }
-        resolution = 512
-        for name, target in expected.items():
-            x, _ = brute_force_min(fields_1d[name], unit_interval, resolution=resolution)
-            assert abs(x[0] - target) <= 1.5 / resolution, name
 
 
 class TestGoldenSection:

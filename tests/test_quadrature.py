@@ -8,9 +8,9 @@ from nonlocalopt import build_panel_grid
 from nonlocalopt.errors import NodeBudgetError
 
 
-def box_grid(lo, hi, m, scheme="gauss"):
+def box_grid(lo, hi, m):
     """Tensor grid with ``m`` nodes per axis: a panel grid with no split point."""
-    return build_panel_grid(lo, hi, None, m, scheme)
+    return build_panel_grid(lo, hi, None, m)
 
 
 def integrate(grid, integrand):
@@ -41,12 +41,6 @@ class TestBoxGrid:
     def test_budget_error(self):
         with pytest.raises(NodeBudgetError):
             box_grid([0.0] * 3, [1.0] * 3, 400)
-
-    def test_midpoint_scheme(self):
-        grid = box_grid([0.0], [1.0], 100, scheme="midpoint")
-        assert float(np.sum(grid.weights)) == pytest.approx(1.0, abs=1e-12)
-        val = integrate(grid, lambda p: p[:, 0])
-        assert val == pytest.approx(0.5, abs=1e-12)
 
     @given(degree=st.integers(0, 15), seed=st.integers(0, 999))
     @settings(max_examples=40, deadline=None)

@@ -48,7 +48,7 @@ def reference_gradient(field, x, boxes, config):
     kernel = config.kernel
     total = np.zeros(field.dim)
     for lo, hi in boxes:
-        grid = build_panel_grid(lo, hi, x, config.resolution, config.scheme)
+        grid = build_panel_grid(lo, hi, x, config.resolution)
         d = x - grid.nodes
         r2 = np.sum(d * d, axis=1)
         keep = r2 > 0
@@ -64,7 +64,7 @@ def reference_central_hessian(field, x, kernel, config):
     # Offsets from a grid centred at 0, so both sides evaluate the same points:
     # the second difference amplifies node rounding by about 1/|h|^2.
     R = np.full(D, kernel.reach)
-    grid = build_panel_grid(-R, R, np.zeros(D), config.resolution, config.scheme)
+    grid = build_panel_grid(-R, R, np.zeros(D), config.resolution)
     h = grid.nodes
     r2 = np.sum(h * h, axis=1)
     second = ext(x + h) - 2.0 * float(ext(x)) + ext(x - h)
@@ -75,7 +75,7 @@ def reference_central_hessian(field, x, kernel, config):
 
 def reference_grad_smoothed(field, x, kernel, config):
     clipped = field.domain.clip_box(x - kernel.reach, x + kernel.reach)
-    grid = build_panel_grid(clipped[0], clipped[1], x, config.resolution, config.scheme)
+    grid = build_panel_grid(clipped[0], clipped[1], x, config.resolution)
     d = x - grid.nodes
     r2 = np.sum(d * d, axis=1)
     diff = field.gradient(x) - field.gradient(grid.nodes)
@@ -108,12 +108,11 @@ def point(dim, where):
 
 class TestEquivalence:
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("scheme", ["gauss", "midpoint"])
     @pytest.mark.parametrize("where", ["interior", "clipped"])
-    def test_gradient(self, dim, scheme, where):
+    def test_gradient(self, dim, where):
         field = sin_field(BoxDomain.unit(dim))
         kernel = gaussian_kernel(dim, 4)
-        config = OperatorConfig(kernel, RESOLUTION[dim], scheme)
+        config = OperatorConfig(kernel, RESOLUTION[dim])
         x = point(dim, where)
         box = field.domain.clip_box(x - kernel.reach, x + kernel.reach)
         assert_close(nonlocal_gradient(field, x, config), reference_gradient(field, x, [box], config))
@@ -130,11 +129,10 @@ class TestEquivalence:
                      reference_gradient(field, x, boxes, config))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("scheme", ["gauss", "midpoint"])
-    def test_central_hessian(self, dim, scheme):
+    def test_central_hessian(self, dim):
         field = sin_field(BoxDomain.unit(dim))
         kernel = gaussian_kernel(dim, 4)
-        config = OperatorConfig(kernel, RESOLUTION[dim], scheme)
+        config = OperatorConfig(kernel, RESOLUTION[dim])
         x = point(dim, "interior")
         H = nonlocal_hessian(field, x, HessianVariant(CENTRAL), config)
         assert_close(H, reference_central_hessian(field, x, kernel, config))
@@ -161,13 +159,11 @@ class TestEquivalence:
 # -- structure ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "dim,resolution,scheme", [(1, 64, "gauss"), (2, 30, "midpoint"), (3, 10, "gauss"), (2, 400, "gauss")]
-)
-def test_full_box_stencil_is_point_symmetric(dim, resolution, scheme):
+@pytest.mark.parametrize("dim,resolution", [(1, 64), (3, 10), (2, 400)])
+def test_full_box_stencil_is_point_symmetric(dim, resolution):
     kernel = gaussian_kernel(dim, 4)
     reach = np.full(dim, kernel.reach)
-    stencil = Stencil(kernel, -reach, reach, resolution, scheme)
+    stencil = Stencil(kernel, -reach, reach, resolution)
     h = np.concatenate([b.h for b in stencil.blocks()])
     w = np.concatenate([b.wrho for b in stencil.blocks()])
     assert len(h) == len(stencil) == (2 * (resolution // 2)) ** dim
@@ -361,7 +357,7 @@ class TestCache:
         kernel = gaussian_kernel(2, 4)
         first = cache.get(kernel, kernel.reach, 32)
         assert cache.get(gaussian_kernel(2, 4), kernel.reach, 32) is first
-        assert cache.get(kernel, kernel.reach, 32, "midpoint") is not first
+        assert cache.get(kernel, kernel.reach, 64) is not first
 
     def test_stays_under_its_byte_cap_after_20_kernels(self):
         one = StencilCache().get(gaussian_kernel(2, 1), 0.1, 64).nbytes
@@ -613,8 +609,7 @@ def row_major_central_hessians(field, points, config, constant_mode):
     ext = field if inside else extend_by_zero(field)
     values = operators._values_at(ext, points)
     prefactor = D * (D + 2) / 2.0 if constant_mode == operators.MOMENT_CONSTANT else D * (D + 1) / 2.0
-    [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution,
-                                       config.scheme)
+    [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
     H, trace = np.zeros((P, D, D)), np.zeros(P)
     for b in stencil.blocks(len(stencil) // 2):
         n, h = b.r2.size, np.ascontiguousarray(b.h)
@@ -634,7 +629,7 @@ def row_major_moments(domain, x, config):
     """Second moments summed over the per-node expansion, whose ``h`` is stacked row by row."""
     kernel = config.kernel
     [(stencil, _)] = reach_stencils(kernel, x[None], kernel.full_radius, domain,
-                                    config.resolution, config.scheme)
+                                    config.resolution)
     c = np.zeros(kernel.dim)
     for h, r2, wrho, _ in reference_blocks(stencil, len(stencil), BLOCK_NODES):
         c += [np.sum(wrho * h[:, i] ** 2 / r2) for i in range(kernel.dim)]
