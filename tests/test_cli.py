@@ -149,6 +149,16 @@ class TestExitCodes:
         assert code == 0
         assert (tmp_path / "sweep_gradient-localization.csv").exists()
 
+    def test_sweep_reads_the_quadrature_resolution(self, tmp_path):
+        errors = {}
+        for resolution in (8, 16):
+            out = tmp_path / str(resolution)
+            run_cli(["sweep", "--check", "gradient-localization", "--out", str(out),
+                     "--set", f"quadrature.resolution={resolution}",
+                     "--set", "check.n_values=[4,8]"])
+            errors[resolution] = json.loads((out / "manifest.json").read_text())["summary"]["errors"]
+        assert errors[8] != errors[16]
+
 
 # Each argv is malformed in one value; the text names what the error must say.
 MALFORMED = [

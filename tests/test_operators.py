@@ -229,6 +229,13 @@ class TestVanishingSubset:
 
 
 class TestTaylor:
+    def test_linear_field_exact(self, unit_interval):
+        # the affine model u(x0) + (x - x0) g of a linear field leaves no remainder
+        f = linear_field(unit_interval, [1.7])
+        g = nonlocal_gradient(f, [0.5], cfg(bump_kernel(1, 8)))
+        for x in np.linspace(0.05, 0.95, 20):
+            assert abs(f.value([x]) - f.value([0.5]) - (x - 0.5) * g[0]) <= 1e-8
+
     def test_remainder_gap_shrinks_with_scale(self, unit_interval):
         # sup |r_n - r| over sampled pairs strictly decreasing in n
         f = sin_field(unit_interval)

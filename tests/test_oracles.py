@@ -48,6 +48,11 @@ class TestCentralDifferences:
         f = quadratic_field(unit_interval, matrix=[[1.3]])
         assert central_hessian(f, np.array([0.4]), 1e-4)[0, 0] == pytest.approx(2.6, abs=1e-6)
 
+    def test_hessian_quadratic_2d_off_diagonal(self, unit_square):
+        A = np.array([[1.3, -0.4], [-0.4, 0.7]])
+        f = quadratic_field(unit_square, matrix=A)
+        assert np.allclose(central_hessian(f, np.array([0.3, 0.6]), 1e-4), 2 * A, atol=1e-6)
+
 
 class TestMcGradient:
     def test_constant_field(self, unit_interval):
@@ -109,6 +114,15 @@ class TestGoldenSection:
         t, value = golden_section(flat, 0.0, 1.0, 1e-6)
         assert value == 1.0
         assert t == min(seen[-2:]) < 1e-6
+
+    # every catalog field with a known unique minimizer on (0, 1), where it is unimodal
+    @pytest.mark.parametrize("name,target", [("quadratic", 0.5), ("quartic", 0.5), ("ridge", 0.5),
+                                             ("sin", 0.75), ("asymmetric-min", 0.5)])
+    def test_finds_the_catalog_minimizers(self, fields_1d, name, target):
+        field = fields_1d[name]
+        t, value = golden_section(lambda t: field.value([t]), 0.0, 1.0, 1e-8)
+        assert abs(t - target) <= 1e-3
+        assert value == field.value([t])
 
 
 def sweep_settings(domain, kernel, resolution=256, **problem):

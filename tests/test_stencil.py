@@ -41,6 +41,11 @@ from nonlocalopt.sweeps import diagonal_probes
 RESOLUTION = {1: 64, 2: 32, 3: 12}
 
 
+def family_kernel(dim, family):
+    """A Gaussian kernel, or a bump kernel, whose compact support ends inside its reach box."""
+    return gaussian_kernel(dim, 4) if family == "gaussian" else bump_kernel(dim, 2)
+
+
 # -- references: the per-call grid sums the stencil contraction replaced ----------
 
 
@@ -108,10 +113,11 @@ def point(dim, where):
 
 class TestEquivalence:
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["gaussian", "bump"])
     @pytest.mark.parametrize("where", ["interior", "clipped"])
-    def test_gradient(self, dim, where):
+    def test_gradient(self, dim, family, where):
         field = sin_field(BoxDomain.unit(dim))
-        kernel = gaussian_kernel(dim, 4)
+        kernel = family_kernel(dim, family)
         config = OperatorConfig(kernel, RESOLUTION[dim])
         x = point(dim, where)
         box = field.domain.clip_box(x - kernel.reach, x + kernel.reach)
@@ -129,27 +135,30 @@ class TestEquivalence:
                      reference_gradient(field, x, boxes, config))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_central_hessian(self, dim):
+    @pytest.mark.parametrize("family", ["gaussian", "bump"])
+    def test_central_hessian(self, dim, family):
         field = sin_field(BoxDomain.unit(dim))
-        kernel = gaussian_kernel(dim, 4)
+        kernel = family_kernel(dim, family)
         config = OperatorConfig(kernel, RESOLUTION[dim])
         x = point(dim, "interior")
         H = nonlocal_hessian(field, x, HessianVariant(CENTRAL), config)
         assert_close(H, reference_central_hessian(field, x, kernel, config))
 
     @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", ["gaussian", "bump"])
     @pytest.mark.parametrize("where", ["interior", "clipped"])
-    def test_grad_smoothed_hessian(self, dim, where):
+    def test_grad_smoothed_hessian(self, dim, family, where):
         field = sin_field(BoxDomain.unit(dim))
-        kernel = gaussian_kernel(dim, 4)
+        kernel = family_kernel(dim, family)
         config = OperatorConfig(kernel, RESOLUTION[dim])
         x = point(dim, where)
         H = nonlocal_hessian(field, x, HessianVariant(GRAD_SMOOTHED), config)
         assert_close(H, reference_grad_smoothed(field, x, kernel, config))
 
+    @pytest.mark.parametrize("family", ["gaussian", "bump"])
     @pytest.mark.parametrize("where", ["interior", "clipped"])
-    def test_directional_second_moment(self, where):
-        domain, kernel, x = BoxDomain.unit(2), gaussian_kernel(2, 4), point(2, where)
+    def test_directional_second_moment(self, family, where):
+        domain, kernel, x = BoxDomain.unit(2), family_kernel(2, family), point(2, where)
         new = directional_second_moments(domain, x, OperatorConfig(kernel, 32))
         for axis in (0, 1):
             assert new[axis] == pytest.approx(reference_moment(kernel, domain, x, axis, 32),
@@ -159,7 +168,8 @@ class TestEquivalence:
 # -- structure ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dim,resolution", [(1, 64), (3, 10), (2, 400)])
+# (1, 65): an odd resolution rounds down to an even node count per axis
+@pytest.mark.parametrize("dim,resolution", [(1, 64), (1, 65), (2, 30), (3, 10), (2, 400)])
 def test_full_box_stencil_is_point_symmetric(dim, resolution):
     kernel = gaussian_kernel(dim, 4)
     reach = np.full(dim, kernel.reach)
@@ -523,8 +533,7 @@ def batch_points(dim):
 
 
 def batch_config(dim, family, resolution=None):
-    kernel = gaussian_kernel(dim, 4) if family == "gaussian" else bump_kernel(dim, 2)
-    return OperatorConfig(kernel, resolution or RESOLUTION[dim])
+    return OperatorConfig(family_kernel(dim, family), resolution or RESOLUTION[dim])
 
 
 def same_bits(a, b):
