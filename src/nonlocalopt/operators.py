@@ -27,7 +27,8 @@ from .fields import (
     extend_by_zero,
 )
 from .kernels import RadialKernel, require_dim
-from .quadrature import BLOCK_NODES, NODE_BUDGET, Stencil, clipped_blocks, reach_stencils
+from . import quadrature
+from .quadrature import BLOCK_NODES, NODE_BUDGET, Stencil, reach_stencils
 
 # Hessian construction tags.
 NESTED = "nested"               # kernel partial of kernel partials (two scales)
@@ -130,9 +131,7 @@ def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.nda
     for as many points as fit in ``BLOCK_NODES`` nodes, and each point adds
     the same ``(n,) @ (n, D)`` product per block it would add on its own.  Its
     operands keep C order whatever layout ``fn`` returns, because BLAS rounding
-    depends on the layout.  ``nonlocal_gradient`` sums a single clipped row
-    against the blocks of ``clipped_blocks`` itself, with this per-row product
-    and one field call per block, and never builds its ``groups``.
+    depends on the layout.  ``_point_gradient`` makes these sums for one point.
     """
     for stencil, rows in groups:
         for block in stencil.blocks():
@@ -145,6 +144,32 @@ def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.nda
     return out
 
 
+def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfig):
+    """The gradient at one point ``(D,)``, or ``None`` if it fails a batch row's checks.
+
+    The checks and the reach box run in Python floats.  The point's own rule is
+    the cached full-box stencil, or ``box_blocks`` over a clipped box; each
+    block adds the row's ``(n,) @ (n, D)`` product to zeros, as ``_contract``.
+    """
+    kernel, domain, reach = config.kernel, field.domain, config.kernel.reach
+    lo, hi, clipped = [], [], False
+    for v, a, b in zip(point.tolist(), domain.lower, domain.upper):
+        low, high = v - reach, v + reach
+        if not (a < v < b and low < v < high):
+            return None
+        clipped = clipped or low < a or high > b
+        lo.append(max(low, a) - v)
+        hi.append(min(high, b) - v)
+    blocks = (quadrature.box_blocks(kernel, lo, hi, config.resolution) if clipped
+              else quadrature.STENCILS.get(kernel, reach, config.resolution).blocks())
+    value = _value_at(field, point)
+    total = np.zeros(point.shape)
+    for block in blocks:
+        total += (value - _field_values(field, _shifted(point[None], block.h))) @ block.grad
+        del block  # as in ``_contract``
+    return total
+
+
 def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarray:
     """Kernel-smoothed gradient of the field at an interior point, or at each row of ``(P, D)``.
 
@@ -152,22 +177,18 @@ def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarr
     the kernel's reach ball (identical value, large speedup).  Exact on
     linear fields whenever the reach ball lies inside the domain.  A batch
     gives the rows that one-point calls give, bit for bit, when the field
-    computes each row on its own (as the catalog fields do).  One point whose
-    reach box the domain clips is contracted directly against its own rule
-    (``clipped_blocks``), with the sums ``_contract`` would make.
+    computes each row on its own (as the catalog fields do).  One point (not
+    a ``(1, D)`` batch) sums its own rule directly; if it fails a check, the
+    batch route raises the batch's error.
     """
     kernel = config.kernel
+    require_dim(kernel, field.dim)
+    point, batch = as_points(x, field.dim)
+    if not batch and (total := _point_gradient(field, point, config)) is not None:
+        return total
     points, batch = _interior_points(field, x, kernel)
-    blocks = None if len(points) > 1 else clipped_blocks(
-        kernel, points[0], kernel.reach, field.domain, config.resolution)
-    if blocks is None:
-        groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution)
-        total = _contract(groups, points, _values_at(field, points), field, np.zeros(points.shape))
-    else:
-        total = np.zeros(points.shape)
-        value = _value_at(field, points[0])
-        for block in blocks:
-            total[0] += (value - _field_values(field, _shifted(points, block.h))) @ block.grad
+    groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution)
+    total = _contract(groups, points, _values_at(field, points), field, np.zeros(points.shape))
     return total if batch else total[0]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .fields import BoxDomain, ScalarField
 from .kernels import GAUSSIAN, RadialKernel
 from .operators import OperatorConfig, nonlocal_gradient
-from .optimizers import OptimizerTrace, _confined, _descend
+from .optimizers import LEFT_DOMAIN, OptimizerTrace, _descend
 
 # Base kernel scales for the shift experiment, calibrated so that (a) even
 # the narrowest kernel in the default scale list feels the objective's basin
@@ -94,21 +94,22 @@ class PulseManifold:
         """L2 distance to the template pulse; zero exactly at the template shift.
 
         Equal, bit for bit, to ``distance(theta, template_theta)``.  One
-        non-NaN shift takes the same integer arithmetic in Python numbers,
-        which costs a fraction of numpy's per-call overhead.
+        non-NaN shift (a float or a 0-d array) takes the same integer
+        arithmetic in Python numbers, at a fraction of numpy's overhead.
         """
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 0 and theta == theta:
-            t = float(theta)
-            if not 0.0 <= t <= 1.0:
-                raise ValueError("shift parameter must lie in [0, 1]")
-            apart = self._cells_apart(*self._edges(t, math.ceil, min), min, max)
-            return np.float64(math.sqrt(apart / self.signal_grid))
-        # fmin and fmax skip NaN, as the elementwise comparisons did
-        if (np.fmin.reduce(theta, axis=None, initial=0.0) < 0.0
-                or np.fmax.reduce(theta, axis=None, initial=1.0) > 1.0):
+        if not (isinstance(theta, float) and theta == theta):
+            theta = np.asarray(theta, dtype=float)
+            if theta.ndim or theta != theta:
+                # fmin and fmax skip NaN, as the elementwise comparisons did
+                if (np.fmin.reduce(theta, axis=None, initial=0.0) < 0.0
+                        or np.fmax.reduce(theta, axis=None, initial=1.0) > 1.0):
+                    raise ValueError("shift parameter must lie in [0, 1]")
+                return np.sqrt(self._cells_apart(*self._edges(theta)) / self.signal_grid)
+        t = float(theta)
+        if not 0.0 <= t <= 1.0:
             raise ValueError("shift parameter must lie in [0, 1]")
-        return np.sqrt(self._cells_apart(*self._edges(theta)) / self.signal_grid)
+        apart = self._cells_apart(*self._edges(t, math.ceil, min), min, max)
+        return np.float64(math.sqrt(apart / self.signal_grid))
 
     def signal(self, theta: float) -> np.ndarray:
         """Midpoint samples of the pulse at one shift (for plots and tests)."""
@@ -121,8 +122,7 @@ class PulseManifold:
         manifold = self
 
         def fn(x):
-            x = np.asarray(x, dtype=float)
-            return manifold.objective(x[..., 0])
+            return manifold.objective(x[0] if x.ndim == 1 else x[..., 0])  # (1,): a float
 
         return ScalarField(fn, domain, name="pulse-objective")
 
@@ -248,16 +248,17 @@ def run_pulse_experiment(config: PulseRunConfig) -> tuple[OptimizerTrace, PulseR
         return g
 
     def step(k, theta, g, value):
+        # in Python floats: the bits of the (1,)-array arithmetic, NaN included
         nonlocal clamped
-        theta_next = theta - alpha * g
-        inside = np.minimum(np.maximum(theta_next, margin), 1.0 - margin)
-        clamped += int(inside[0] != theta_next[0])
-        return alpha, inside
+        theta_next = float(theta[0]) - alpha * float(g[0])
+        inside = min(max(theta_next, margin), 1.0 - margin)
+        clamped += inside != theta_next
+        return alpha, [inside]
 
     theta0 = min(max(config.theta0, margin), 1.0 - margin)
-    # stop at a vanishing smoothed gradient or at the objective's minimum 0
-    trace = _descend(field, [theta0], direction, step, _confined(field), config.max_iters,
-                     1e-12, floor=0.0)
+    # stop at a vanishing smoothed gradient or at the objective's minimum 0; exit (0, 1)
+    trace = _descend(field, [theta0], direction, step, lambda t: None if 0.0 < t[0] < 1.0
+                     else LEFT_DOMAIN, config.max_iters, 1e-12, floor=0.0)
 
     thetas = trace.iterates[:, 0]
     errors = np.abs(thetas - config.theta_star)

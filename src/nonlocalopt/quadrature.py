@@ -62,6 +62,14 @@ def _check_budget(count: int) -> None:
 
 @lru_cache(maxsize=64)
 def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``m``-node Gauss-Legendre rule on ``[-1, 1]``, from an ``m x m``
+    companion matrix, so ``m*m`` must stay within ``NODE_BUDGET`` (cached rules did)."""
+    if m < 1:
+        raise ValueError("need at least one node")
+    if m * m > NODE_BUDGET:
+        raise NodeBudgetError(
+            f"a {m}-node Gauss rule needs a {m}x{m} matrix, budget is {NODE_BUDGET} entries"
+        )
     x, w = np.polynomial.legendre.leggauss(m)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -69,20 +77,16 @@ def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rule_1d(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights integrating over ``[a, b]`` with ``m`` nodes.
+    """Gauss-Legendre nodes and weights integrating over ``[a, b]`` with ``m`` nodes."""
+    return _affine(a, b, _leggauss(m), np.empty(m), np.empty(m))
 
-    The rule is computed from an ``m x m`` companion matrix, so ``m*m`` must
-    stay within ``NODE_BUDGET``.
-    """
-    if m < 1:
-        raise ValueError("need at least one node")
-    if m * m > NODE_BUDGET:
-        raise NodeBudgetError(
-            f"a {m}-node Gauss rule needs a {m}x{m} matrix, budget is {NODE_BUDGET} entries"
-        )
-    x, w = _leggauss(m)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+
+def _affine(a: float, b: float, rule, x: np.ndarray, w: np.ndarray):
+    """Writes ``rule`` on ``[-1, 1]`` mapped to ``[a, b]`` into ``x`` and ``w``; returns them."""
+    half = 0.5 * (b - a)
+    np.multiply(half, rule[0], out=x)
+    x += 0.5 * (a + b)  # mid + half * x
+    return x, np.multiply(half, rule[1], out=w)
 
 
 @dataclass(frozen=True)
@@ -123,25 +127,28 @@ def build_panel_grid(lo, hi, split: Optional[np.ndarray], resolution: int) -> Qu
     ``resolution // 2`` nodes (at least 2); two sides of equal length are
     mirror images, so a box centred on a split at 0 has nodes ``h`` with
     ``h[::-1] == -h`` exactly.  The node count is checked before any rule is
-    built.
+    built.  Both sides of a split axis are written into one array, with the
+    arithmetic of ``rule_1d``.
     """
     lo = np.asarray(lo, dtype=float).ravel().tolist()
     hi = np.asarray(hi, dtype=float).ravel().tolist()
     split = [None] * len(lo) if split is None else np.asarray(split, dtype=float).ravel().tolist()
     m = max(2, resolution // 2)
     splits = [s if s is not None and a < s < b else None for a, b, s in zip(lo, hi, split)]
-    _check_budget(math.prod(resolution if s is None else 2 * m for s in splits))
+    _check_budget(math.prod([resolution if s is None else 2 * m for s in splits]))
     axes = []
     for a, b, s in zip(lo, hi, splits):
         if s is None:
             axes.append(rule_1d(a, b, resolution))
             continue
-        xl, wl = rule_1d(a, s, m)
+        xs, ws = np.empty(2 * m), np.empty(2 * m)
+        _affine(a, s, _leggauss(m), xs[:m], ws[:m])
         if s - a == b - s:
-            xr, wr = 2.0 * s - xl[::-1], wl[::-1]
+            np.subtract(2.0 * s, xs[m - 1::-1], out=xs[m:])  # 2 s - (left nodes)[::-1]
+            ws[m:] = ws[m - 1::-1]
         else:
-            xr, wr = rule_1d(s, b, m)
-        axes.append((np.concatenate([xl, xr]), np.concatenate([wl, wr])))
+            _affine(s, b, _leggauss(m), xs[m:], ws[m:])
+        axes.append((xs, ws))
     return QuadratureGrid(tuple(axes))
 
 
@@ -206,7 +213,7 @@ def _weights(kernel, r2: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
         excluded = r2 == 0
         wrho[excluded] = 0.0
         r2[excluded] = 1.0
-    return wrho, kernel.dim * wrho / r2
+    return wrho, (wrho if kernel.dim == 1 else kernel.dim * wrho) / r2  # 1 * wrho is wrho
 
 
 def _unfold(upper: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -237,14 +244,7 @@ def _expand(axes, kernel, start: int, stop: int, mirrored: bool = False) -> Sten
     if (stop - start) * D >= _LARGE_BLOCK:
         _keep_heap()
     if D == 1:
-        # one axis: the block is a slice of its rule (``1.0 * w`` and a
-        # one-term sum of squares are exact, so the bits are the gather's)
-        x, w = axes[0]
-        x, w = x[start:stop], w[start:stop]
-        h = x[:, None]
-        r2 = x * x
-        wrho, scale = _weights(kernel, r2, w)
-        return StencilBlock(h, r2, wrho, _scaled(h, scale))
+        return _line_block(kernel, axes[0][0][start:stop], axes[0][1][start:stop])
     # broadcast the leading-axis slabs the block touches, then slice it out; sums and
     # products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2)
     shape = tuple(x.size for x, _ in axes)
@@ -278,6 +278,15 @@ def _expand(axes, kernel, start: int, stop: int, mirrored: bool = False) -> Sten
     if partial:
         h, r2, wrho, grad = h.copy(), r2.copy(), wrho.copy(), grad.copy()
     return StencilBlock(h, r2, wrho, grad)
+
+
+def _line_block(kernel, x: np.ndarray, w: np.ndarray) -> StencilBlock:
+    """The one-axis block of offsets ``x``: the bits of a per-node gather, whose
+    ``1.0 * w`` and one-term sum of squares are exact."""
+    h = x[:, None]
+    r2 = x * x
+    wrho, scale = _weights(kernel, r2, w)
+    return StencilBlock(h, r2, wrho, _scaled(h, scale))
 
 
 def _scaled(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -378,10 +387,8 @@ def reach_stencils(kernel, points: np.ndarray, radius: float, domain: Optional[B
     clipped to ``domain`` (never, for ``None``), which must hold the points.
     The rows whose box needs no clipping share one stencil from ``STENCILS``;
     each other row gets a clipped stencil of its own, from one
-    ``build_panel_grid`` call (``clipped_blocks`` builds that rule for a
-    single point without the stencil).  A ``radius`` below the float spacing
-    at a point raises ``CoincidentPointsError``: every node would coincide
-    with it.
+    ``build_panel_grid`` call.  A ``radius`` below the float spacing at a
+    point raises ``CoincidentPointsError``: every node would coincide with it.
     """
     lo, hi = points - radius, points + radius
     spaced = (lo < points) & (points < hi)
@@ -401,28 +408,12 @@ def reach_stencils(kernel, points: np.ndarray, radius: float, domain: Optional[B
     return out
 
 
-def clipped_blocks(kernel, x: np.ndarray, radius: float, domain: BoxDomain,
-                   resolution: int) -> Optional[Iterator[StencilBlock]]:
-    """The blocks of one point's rule if ``domain`` clips its reach box, else ``None``.
+def box_blocks(kernel, lo: list[float], hi: list[float], resolution: int):
+    """The blocks of ``reach_stencils``' rule for a row clipped to the offset box ``[lo, hi]``.
 
-    ``x`` is one point ``(D,)`` of ``domain``.  The rule is the clipped stencil
-    ``reach_stencils`` gives the row, after the same spacing check: one
-    ``build_panel_grid`` call over the clipped box, split at 0, expanded block
-    by block.  The box is worked out in Python floats, which for one row cost
-    less than ``(1, D)`` array arithmetic.  ``None`` means the point shares the
-    cached stencil.
+    One ``build_panel_grid`` call; one axis has at most ``2 * 3,162`` nodes
+    (``rule_1d``'s budget), so its rule is one block, built with no generator.
     """
-    box_lo, box_hi, clipped = [], [], False
-    for v, a, b in zip(x.tolist(), domain.lower, domain.upper):
-        lo, hi = v - radius, v + radius
-        if not lo < v < hi:
-            raise CoincidentPointsError(f"kernel reach {radius} is below the float spacing at {x}")
-        clipped = clipped or lo < a or hi > b
-        box_lo.append(max(lo, a) - v)
-        box_hi.append(min(hi, b) - v)
-    if not clipped:
-        return None
-    axes = build_panel_grid(box_lo, box_hi, [0.0] * len(box_lo), resolution).axes
-    size, mirrored = math.prod(w.size for _, w in axes), _mirrored(axes)
-    return (_expand(axes, kernel, start, min(start + BLOCK_NODES, size), mirrored)
-            for start in range(0, size, BLOCK_NODES))
+    if len(lo) > 1:
+        return Stencil(kernel, lo, hi, resolution).blocks()
+    return (_line_block(kernel, *build_panel_grid(lo, hi, [0.0], resolution).axes[0]),)

@@ -42,18 +42,11 @@ def emit_csv(obj, path, coord_label: str = "theta") -> Path:
         writer = csv.writer(fh, lineterminator="\n")
         if isinstance(obj, OptimizerTrace):
             writer.writerow(trace_header(obj, coord_label))
-            steps = obj.steps_taken
-            for i in range(len(obj)):
-                alpha = _fmt(steps[i]) if i < steps.shape[0] else ""
-                writer.writerow(
-                    [
-                        str(i),
-                        *(_fmt(v) for v in obj.iterates[i]),
-                        _fmt(obj.objective_values[i]),
-                        _fmt(obj.gradient_norms[i]),
-                        alpha,
-                    ]
-                )
+            # no number needs quoting, so joined lines are the bytes ``writerow`` writes
+            columns = (obj.iterates.tolist(), obj.objective_values.tolist(),
+                       obj.gradient_norms.tolist(), [*map(_fmt, obj.steps_taken.tolist()), ""])
+            fh.writelines(f"{i},{','.join(map(_fmt, x))},{_fmt(u)},{_fmt(g)},{a}\n"
+                          for i, (x, u, g, a) in enumerate(zip(*columns)))
         elif isinstance(obj, SweepReport):
             writer.writerow(["param", "error", "location"])
             for p, e, loc in obj.rows():

@@ -8,6 +8,7 @@ termination, length, end point or step.  Steps
 are stored as ``[value, repeat count]`` runs.
 """
 
+import hashlib
 import json
 import math
 
@@ -192,3 +193,22 @@ def test_sgd_bound_sweep(tmp_path):
     summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
     assert summary["errors"] == [1.3766202037162422e-06, 3.4415505092904773e-07,
                                  8.60387627322652e-08, 2.1509690683064808e-08]
+
+
+PULSE_SHA256 = {
+    "pulse_bump_n1.csv": "e8761645c5fb83aacbea11699103d5bb4d6ae7caa6335c71c7707304b84630df",
+    "pulse_bump_n2.csv": "bacf3e7a91b98d586b5c3a7e0ec55aa4091b93229b4e649c2c5a9ebb7ff9a99e",
+    "pulse_bump_n3.csv": "0b15be5d1b9af88ecbff8931ce8c0eab8cf44e17a60d0b5352ce7284a8ac36c0",
+    "pulse_gaussian_n1.csv": "b433d41ce0b5c91ab4ae73f4c7490a6bd519c10f31e427423e4321fa79790c62",
+    "pulse_gaussian_n2.csv": "8f3f72926a278865bd349bba6a7f950fd8e22ec27a0537643c4a676044164465",
+    "pulse_gaussian_n3.csv": "34f878d95f36994638af53e2f7e6cb99d064b0ce80a6648ff336d47b48c5b288",
+    "pulse_convergence.svg": "a63f178021b620aee50e692eea295959f6b3e01fb97df0d188e7695cbcfc9cf1",
+}
+
+
+def test_pulse_experiment_bytes(tmp_path):
+    """The paper's experiment, ``pulse --seed 1`` with every default: each trace's and the plot's bytes."""
+    assert run_cli(["pulse", "--seed", "1", "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PULSE_SHA256}
+    assert got == PULSE_SHA256

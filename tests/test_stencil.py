@@ -1,6 +1,7 @@
 """Offset stencils, their cache, and the blocked contraction every operator shares."""
 
 import ctypes
+import math
 import platform
 import sys
 import threading
@@ -32,7 +33,7 @@ from nonlocalopt import (
 )
 from nonlocalopt import operators, quadrature
 from nonlocalopt.catalog import bump_field, linear_field, quadratic_field, sin_field
-from nonlocalopt.errors import CoincidentPointsError, NodeBudgetError
+from nonlocalopt.errors import CoincidentPointsError, DimensionMismatchError, NodeBudgetError
 from nonlocalopt.operators import CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED
 from nonlocalopt.quadrature import BLOCK_NODES, Stencil, StencilCache, reach_stencils, rule_1d
 from nonlocalopt.sweeps import diagonal_probes
@@ -254,7 +255,7 @@ def test_underflowing_offsets_carry_no_weight():
     assert np.count_nonzero(underflow) == 32
     assert np.all(np.concatenate([b.wrho for b in blocks])[underflow] == 0)
     assert np.all(np.isfinite(np.concatenate([b.grad for b in blocks])))
-    [own] = quadrature.clipped_blocks(kernel, np.array(x), kernel.reach, domain, 64)
+    [own] = own_blocks(kernel, x, domain, 64)
     assert same_bits(own.wrho, blocks[0].wrho) and same_bits(own.grad, blocks[0].grad)
     g = nonlocal_gradient(linear_field(domain, [1.0]), x, OperatorConfig(kernel, 64))
     # the right half of the kernel's mass, less what lies past its 6-sigma reach
@@ -757,15 +758,30 @@ def test_reach_stencils_cover_every_row_once():
     assert h1[:, 0].min() > -kernel.reach / 2 and h4[:, 1].max() < kernel.reach / 2
 
 
-# -- one point whose reach box the domain clips ----------------------------------------------
+# -- one point: its own rule, the bits of its batch row ---------------------------------------
 
 
+def wide_kernel(dim, family):
+    """A kernel whose reach box is wider than the unit cube on both sides, as a pulse kernel's."""
+    return gaussian_kernel(dim, 1, 0.25) if family == "gaussian" else bump_kernel(dim, 1, 1.5)
+
+
+def own_blocks(kernel, x, domain, resolution):
+    """``quadrature.box_blocks`` over the box ``reach_stencils`` clips for the point ``x``."""
+    x = np.asarray(x, dtype=float)
+    lo = np.maximum(x - kernel.reach, domain.lower_array) - x
+    hi = np.minimum(x + kernel.reach, domain.upper_array) - x
+    return list(quadrature.box_blocks(kernel, lo.tolist(), hi.tolist(), resolution))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("family", ["gaussian", "bump"])
-def test_one_clipped_row_builds_one_grid_and_keeps_its_batch_bits(monkeypatch, family):
-    field, config = sin_field(BoxDomain.unit(1)), batch_config(1, family)
+def test_one_clipped_row_builds_one_grid_and_keeps_its_batch_bits(monkeypatch, dim, family):
+    field, config = sin_field(BoxDomain.unit(dim)), batch_config(dim, family)
     reach = config.kernel.reach
-    # interior rows mixed with rows clipped at either wall
-    x = np.array([[0.02], [0.4], [0.97], [0.5], [0.07], [0.93], [0.6]])
+    # interior rows mixed with rows clipped at either wall on the first axis
+    x = np.full((7, dim), 0.45)
+    x[:, 0] = [0.02, 0.4, 0.97, 0.5, 0.07, 0.93, 0.6]
     clipped = [bool(p[0] - reach < 0.0 or p[0] + reach > 1.0) for p in x]
     assert clipped == [True, False, True, False, True, True, False]
     nonlocal_gradient(field, x[1], config)  # the interior stencil is cached from here on
@@ -777,29 +793,66 @@ def test_one_clipped_row_builds_one_grid_and_keeps_its_batch_bits(monkeypatch, f
     for row, p, own in zip(batch, x, clipped):
         builds.clear()
         assert same_bits(nonlocal_gradient(field, p, config), row)
-        assert len(builds) == own
+        assert len(builds) == own  # an interior point builds no grid
+    # boxes wider than the domain on both sides: centred, so each axis takes the mirror
+    # branch of ``build_panel_grid``, and off centre, as every pulse gradient's box
+    wide = OperatorConfig(wide_kernel(dim, family), RESOLUTION[dim])
+    for p, lo in ((np.full(dim, 0.5), [-0.5] * dim), (np.r_[0.3137, [0.71] * (dim - 1)], None)):
+        builds.clear()
+        one = nonlocal_gradient(field, p, wide)
+        assert len(builds) == 1 and (lo is None or builds[0][:2] == (lo, [0.5] * dim))
+        assert same_bits(one, nonlocal_gradient(field, p[None], wide)[0])
 
 
 def test_one_clipped_row_sums_its_blocks_in_order():
     # 400**2 nodes: the clipped rule of the first row spans three blocks
     field, config = sin_field(BoxDomain.unit(2)), OperatorConfig(gaussian_kernel(2, 4), 400)
     x = np.array([[0.02, 0.5], [0.5, 0.97]])
-    blocks = quadrature.clipped_blocks(config.kernel, x[0], config.kernel.reach, field.domain, 400)
-    assert len(list(blocks)) == 3
+    assert len(own_blocks(config.kernel, x[0], field.domain, 400)) == 3
     batch = nonlocal_gradient(field, x, config)
     assert same_bits(np.stack([nonlocal_gradient(field, p, config) for p in x]), batch)
 
 
-def test_clipped_blocks_are_the_clipped_stencil_blocks():
-    domain = BoxDomain.unit(2)
-    for kernel, x in ((gaussian_kernel(2, 4), [0.02, 0.5]), (bump_kernel(2, 2), [0.6, 0.95])):
-        x = np.array(x)
+def test_box_blocks_are_the_clipped_stencil_blocks():
+    cases = ((gaussian_kernel(2, 4), [0.02, 0.5]), (bump_kernel(2, 2), [0.6, 0.95]),
+             (wide_kernel(2, "gaussian"), [0.5, 0.5]), (gaussian_kernel(1, 4), [0.97]),
+             (wide_kernel(1, "bump"), [0.3137]), (wide_kernel(1, "gaussian"), [0.5]))
+    for kernel, x in cases:
+        x, domain = np.array(x), BoxDomain.unit(len(x))
         [(stencil, _)] = reach_stencils(kernel, x[None], kernel.reach, domain, 32)
-        blocks = quadrature.clipped_blocks(kernel, x, kernel.reach, domain, 32)
-        for b, e in zip(blocks, stencil.blocks(), strict=True):
+        for b, e in zip(own_blocks(kernel, x, domain, 32), stencil.blocks(), strict=True):
             assert all(same_bits(getattr(b, k), getattr(e, k)) for k in ("h", "r2", "wrho", "grad"))
-    kernel = gaussian_kernel(2, 4)
-    assert quadrature.clipped_blocks(kernel, np.array([0.5, 0.5]), kernel.reach, domain, 32) is None
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+ONE_POINT_ERRORS = {  # field, kernel, point, the error
+    "boundary": (lambda: sin_field(BoxDomain.unit(1)), gaussian_kernel(1, 4), [1.0], ValueError),
+    "nan": (lambda: sin_field(BoxDomain.unit(1)), gaussian_kernel(1, 4), [math.nan], ValueError),
+    "nan-2d": (lambda: sin_field(BoxDomain.unit(2)), gaussian_kernel(2, 4), [0.5, math.nan],
+               ValueError),
+    "spacing": (lambda: sin_field(BoxDomain.unit(1)), bump_kernel(1, 1, 1e-300), [0.5],
+                CoincidentPointsError),
+    "spacing-clipped": (lambda: sin_field(BoxDomain.unit(2)), bump_kernel(2, 1, 1e-20),
+                        [1e-21, 0.5], CoincidentPointsError),
+    "node": (lambda: _nan_beyond(0.55), gaussian_kernel(1, 8), [0.5], ValueError),
+    "node-clipped": (lambda: _nan_beyond(0.55), gaussian_kernel(1, 1), [0.5], ValueError),
+    "value": (lambda: _nan_beyond(0.55), gaussian_kernel(1, 1), [0.6], ValueError),
+    "kernel-dim": (lambda: sin_field(BoxDomain.unit(1)), gaussian_kernel(2, 4), [0.5],
+                   DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_POINT_ERRORS))
+def test_one_point_raises_as_its_batch_row(case):
+    make_field, kernel, x, error = ONE_POINT_ERRORS[case]
+    field, config = make_field(), OperatorConfig(kernel, 64)
+    one = _raised(lambda: nonlocal_gradient(field, x, config))
+    assert one[0] is error and one == _raised(lambda: nonlocal_gradient(field, [x], config))
 
 
 # -- non-finite field values ----------------------------------------------------------------
