@@ -28,7 +28,7 @@ from .fields import (
 )
 from .kernels import RadialKernel, require_dim
 from . import quadrature
-from .quadrature import BLOCK_NODES, NODE_BUDGET, Stencil, reach_stencils
+from .quadrature import BLOCK_NODES, NODE_BUDGET, Stencil, _shifted, reach_stencils
 
 # Hessian construction tags.
 NESTED = "nested"               # kernel partial of kernel partials (two scales)
@@ -108,18 +108,6 @@ def _chunks(rows: np.ndarray, n: int):
     return (rows[start:start + per_call] for start in range(0, len(rows), per_call))
 
 
-def _shifted(points: np.ndarray, h: np.ndarray, op=np.add) -> np.ndarray:
-    """``op(x, h)`` for every row ``x`` of ``points`` and offset ``h``, point-major, as ``(N, D)``.
-
-    The batch is filled axis by axis into one ``(D, P, n)`` buffer and returned as its
-    transposed view: its rows are in C order, its coordinate columns are contiguous, so a
-    callback's elementwise work runs in loops of length ``N`` rather than ``D``.
-    """
-    buf = np.empty((points.shape[1], len(points), len(h)))
-    op(points.T[:, :, None], h.T[:, None, :], out=buf)
-    return buf.reshape(len(buf), -1).T
-
-
 def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.ndarray:
     """Adds kernel-weighted difference quotients of ``fn`` over each point's stencil to ``out``.
 
@@ -135,9 +123,10 @@ def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.nda
     """
     for stencil, rows in groups:
         for block in stencil.blocks():
-            n = block.r2.size
+            n = len(block.grad)
             for chunk in _chunks(rows, n):
-                found = np.ascontiguousarray(_field_values(fn, _shifted(points[chunk], block.h)))
+                found = np.ascontiguousarray(_field_values(
+                    fn, _shifted(points[chunk], block.axes, block.start, block.stop)))
                 for i, vals in zip(chunk, found.reshape(len(chunk), n, *found.shape[1:])):
                     out[i] += (values[i] - vals).T @ block.grad
             del block  # a streamed block is freed before the next one is expanded
@@ -165,7 +154,8 @@ def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfi
     value = _value_at(field, point)
     total = np.zeros(point.shape)
     for block in blocks:
-        total += (value - _field_values(field, _shifted(point[None], block.h))) @ block.grad
+        shifted = _shifted(point[None], block.axes, block.start, block.stop)
+        total += (value - _field_values(field, shifted)) @ block.grad
         del block  # as in ``_contract``
     return total
 
@@ -404,14 +394,15 @@ def _central_hessians(
     [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
     H = np.zeros((P, D, D))
     trace = np.zeros(P)
-    for b in stencil.blocks(len(stencil) // 2):
+    for b in stencil.offsets(len(stencil) // 2):
         n = b.r2.size
         weight = 2.0 * prefactor * b.wrho / (b.r2 * b.r2)
         for chunk in _chunks(rows, n):
             x = points[chunk]
-            second = (_field_values(ext, _shifted(x, b.h)).reshape(-1, n)
+            second = (_field_values(ext, _shifted(x, stencil.axes, b.start, b.stop)).reshape(-1, n)
                       - 2.0 * values[chunk, None]
-                      + _field_values(ext, _shifted(x, b.h, np.subtract)).reshape(-1, n))
+                      + _field_values(ext, _shifted(x, stencil.axes, b.start, b.stop, np.subtract))
+                      .reshape(-1, n))
             for p, c in zip(chunk, weight * second):
                 H[p] += (b.h * c[:, None]).T @ b.h
                 trace[p] += np.sum(c * b.r2)
@@ -432,6 +423,6 @@ def directional_second_moments(domain: BoxDomain, x, config: OperatorConfig) -> 
     [(stencil, _)] = reach_stencils(kernel, x[None], kernel.full_radius, domain,
                                     config.resolution)
     c = np.zeros(kernel.dim)
-    for b in stencil.blocks():
+    for b in stencil.offsets():
         c += [np.sum(b.wrho * b.h[:, i] ** 2 / b.r2) for i in range(kernel.dim)]
     return c

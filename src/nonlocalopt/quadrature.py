@@ -5,12 +5,15 @@ Grids are tensor products of 1-D Gauss-Legendre rules, kept as their per-axis
 rules; the flat node list is built only when asked for.
 
 A ``Stencil`` is such a grid of offsets ``h`` around an evaluation point,
-expanded in blocks of ``BLOCK_NODES`` nodes together with its kernel
-weights.  The full-box stencil of a kernel is the same at every point whose
-reach box lies inside the domain, so ``StencilCache`` keeps it, within a byte
-cap.  Where axes 1.. of a stencil are mirror images about 0 (every full box),
-a block computes ``|h|^2`` and its weights on the upper orthant of those axes
-only and mirrors them, bit for bit: ``1/2^(D-1)`` of the density calls.
+expanded in blocks of ``BLOCK_NODES`` nodes.  A block stores only its gradient
+weights, ``D * 8`` bytes a node; the offsets stay in the per-axis rules, from
+which the operators fill their field points, and ``Stencil.offsets`` rebuilds
+``h``, ``|h|^2`` and ``w * rho`` on every call.  The full-box stencil of a
+kernel is the same at every point whose reach box lies inside the domain, so
+``StencilCache`` keeps its gradient weights, within a byte cap.  Where axes 1..
+of a stencil are mirror images about 0 (every full box), a block computes
+``|h|^2`` and its weights on the upper orthant of those axes only and mirrors
+them, bit for bit: ``1/2^(D-1)`` of the density calls.
 
 Allocator policy: the first block whose ``(n, D)`` arrays reach glibc's
 default mmap threshold (128 KiB) fixes the process's mmap threshold at 32 MiB
@@ -30,7 +33,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,8 +46,8 @@ NODE_BUDGET = 10_000_000
 # temporaries of one contraction step.
 BLOCK_NODES = 65_536
 
-# Total bytes of cached stencil blocks.  A 3-D stencil of 2**19 nodes fits;
-# larger ones are streamed block by block.
+# Total bytes of cached gradient weights, D * 8 a node: a 3-D stencil of about
+# 1.4M nodes fits (resolution 64 takes 6 MiB); larger ones are streamed block by block.
 CACHE_BYTES = 32 * 2**20
 
 # glibc's default mmap threshold, 128 KiB, in float64 entries: the first block whose
@@ -155,24 +158,35 @@ def build_panel_grid(lo, hi, split: Optional[np.ndarray], resolution: int) -> Qu
 # -- offset stencils ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StencilBlock:
-    """Consecutive stencil nodes and their kernel weights.
+class StencilBlock(NamedTuple):
+    """Stencil nodes ``start`` to ``stop`` and their gradient weights.
 
-    ``h`` (n, D) are offsets from the evaluation point, ``r2 = |h|^2``,
-    ``wrho = w * rho(|h|)`` and ``grad = D * wrho / r2 * (-h)``.  Where
-    ``|h|^2`` underflows to 0, ``wrho`` and ``grad`` are zero and ``r2`` is 1,
-    so every quotient by ``r2`` stays finite.  ``h`` and ``grad`` are C-ordered:
-    the contractions pass them to BLAS, whose rounding depends on the layout.
+    The nodes are ``start`` onward of the C-order product of the stencil's per-axis
+    ``(nodes, weights)`` rules ``axes``.  ``grad`` (n, D) holds ``D * w * rho(|h|) / |h|^2 *
+    (-h)`` for their offsets ``h``, zero where ``|h|^2`` underflows to 0.  It is C-ordered:
+    the contractions pass it to BLAS, whose rounding depends on the layout.  The offsets are
+    not stored; field calls read them from ``axes``.
     """
 
+    axes: tuple
+    start: int
+    grad: np.ndarray
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.grad)
+
+
+class Offsets(NamedTuple):
+    """Stencil nodes ``start`` to ``stop``: their offsets ``h`` (n, D, C-ordered as
+    ``StencilBlock.grad``), ``r2 = |h|^2`` and ``wrho = w * rho(|h|)``.  Where ``|h|^2``
+    underflows to 0, ``wrho`` is 0 and ``r2`` is 1, so every quotient by ``r2`` stays finite."""
+
+    start: int
+    stop: int
     h: np.ndarray
     r2: np.ndarray
     wrho: np.ndarray
-    grad: np.ndarray
-
-    def head(self, n: int) -> "StencilBlock":
-        return StencilBlock(self.h[:n], self.r2[:n], self.wrho[:n], self.grad[:n])
 
 
 def _keep_heap() -> None:
@@ -203,17 +217,20 @@ def _mirrored(axes) -> bool:
         for x, w in axes[1:])
 
 
-def _weights(kernel, r2: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``wrho = w * rho(|h|)`` and the gradient scale ``D * wrho / r2``.
-
-    Where ``r2`` underflowed to 0, ``wrho`` is set to 0 and ``r2`` (in place) to 1.
-    """
+def _weights(kernel, r2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``wrho = w * rho(|h|)``.  Where ``r2`` underflowed to 0, ``wrho`` is set to 0 and
+    ``r2`` (in place) to 1."""
     wrho = w * kernel.radial_density(np.sqrt(r2))
     if np.count_nonzero(r2) < r2.size:
         excluded = r2 == 0
         wrho[excluded] = 0.0
         r2[excluded] = 1.0
-    return wrho, (wrho if kernel.dim == 1 else kernel.dim * wrho) / r2  # 1 * wrho is wrho
+    return wrho
+
+
+def _scale(kernel, wrho: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """The gradient scale ``D * wrho / r2``."""
+    return (wrho if kernel.dim == 1 else kernel.dim * wrho) / r2  # 1 * wrho is wrho
 
 
 def _unfold(upper: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -233,67 +250,118 @@ def _unfold(upper: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _expand(axes, kernel, start: int, stop: int, mirrored: bool = False) -> StencilBlock:
-    """Nodes ``start`` to ``stop`` of the C-order product of the per-axis rules ``axes``.
+def _slabs(axes, start: int, stop: int, mirrored: bool):
+    """What nodes ``start`` to ``stop`` (D >= 2) need from the leading-axis slabs they touch.
 
-    ``mirrored`` says that ``_mirrored(axes)`` holds.  Then ``r2``, the weights and the
-    gradient scale are computed on the upper orthant of axes 1.. only and mirrored into
-    the rest (``_unfold``): a node and its mirror image share their bits there.
+    Returns the per-axis rules broadcast over those slabs (``np.ix_``), the nodes' place in
+    the flattened slabs, and ``r2`` and the weight products ``w`` over the slabs: over the
+    upper orthant of axes 1.. only when ``mirrored`` (``_mirrored(axes)`` holds).  Sums and
+    products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2).
     """
-    D = len(axes)
-    if (stop - start) * D >= _LARGE_BLOCK:
+    if (stop - start) * len(axes) >= _LARGE_BLOCK:
         _keep_heap()
-    if D == 1:
-        return _line_block(kernel, axes[0][0][start:stop], axes[0][1][start:stop])
-    # broadcast the leading-axis slabs the block touches, then slice it out; sums and
-    # products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2)
-    shape = tuple(x.size for x, _ in axes)
-    slab = math.prod(shape[1:])
+    slab = math.prod(x.size for x, _ in axes[1:])
     first, last = start // slab, -(-stop // slab)
-    part = slice(start - first * slab, stop - first * slab)
-    cut = [m // 2 if mirrored else 0 for m in shape[1:]]
+    cut = [x.size // 2 if mirrored else 0 for x, _ in axes[1:]]
     xs = np.ix_(axes[0][0][first:last], *(x[c:] for (x, _), c in zip(axes[1:], cut)))
     ws = np.ix_(axes[0][1][first:last], *(w[c:] for (_, w), c in zip(axes[1:], cut)))
     r2, w = xs[0] * xs[0], ws[0]
     for x, wx in zip(xs[1:], ws[1:]):
         r2, w = r2 + x * x, w * wx
     whole = np.ix_(axes[0][0][first:last], *(x for x, _ in axes[1:]))
-    h = np.empty((last - first,) + shape[1:] + (D,))
+    return whole, slice(start - first * slab, stop - first * slab), r2, w
+
+
+def _offsets(axes, kernel, start: int, stop: int, mirrored: bool = False):
+    """``h``, ``r2`` and ``wrho`` (``Offsets``) of nodes ``start`` to ``stop`` of the C-order
+    product of the per-axis rules ``axes``.
+
+    ``mirrored`` says that ``_mirrored(axes)`` holds.  Then ``r2`` and the weights are
+    computed on the upper orthant of axes 1.. only and mirrored into the rest
+    (``_unfold``): a node and its mirror image share their bits there.  The arrays are
+    slices of the slabs, not copies.
+    """
+    if len(axes) == 1:  # a slice of the rule
+        x = axes[0][0][start:stop]
+        r2 = x * x
+        return x[:, None], r2, _weights(kernel, r2, axes[0][1][start:stop])
+    whole, part, r2, w = _slabs(axes, start, stop, mirrored)
+    h = np.empty(np.broadcast_shapes(*(x.shape for x in whole)) + (len(axes),))
     for j, x in enumerate(whole):  # column by column, each a loop over the slabs
         h[..., j] = x
-    h = h.reshape(-1, D)[part]
-    partial = stop - start < (last - first) * slab  # a cached block keeps only its own nodes
-    if not mirrored:
+    if mirrored:
+        wrho = _weights(kernel, r2, w)
+        r2, wrho = (_unfold(a, h.shape[:-1]).reshape(-1)[part] for a in (r2, wrho))
+    else:
         r2 = r2.reshape(-1)[part]
-        wrho, scale = _weights(kernel, r2, w.reshape(-1)[part])
-        if partial:
-            h, r2 = h.copy(), r2.copy()
-        return StencilBlock(h, r2, wrho, _scaled(h, scale))
-    wrho, scale = _weights(kernel, r2, w)
-    r2, wrho, scale = (_unfold(a, shape) for a in (r2, wrho, scale))
-    grad = np.empty(scale.shape + (D,))
-    for j, x in enumerate(whole):  # as ``h``: reads the rules, not ``h``
-        np.multiply(scale, -x, out=grad[..., j])
-    r2, wrho, grad = r2.reshape(-1)[part], wrho.reshape(-1)[part], grad.reshape(-1, D)[part]
-    if partial:
-        h, r2, wrho, grad = h.copy(), r2.copy(), wrho.copy(), grad.copy()
-    return StencilBlock(h, r2, wrho, grad)
+        wrho = _weights(kernel, r2, w.reshape(-1)[part])
+    return h.reshape(-1, len(axes))[part], r2, wrho
 
 
-def _line_block(kernel, x: np.ndarray, w: np.ndarray) -> StencilBlock:
-    """The one-axis block of offsets ``x``: the bits of a per-node gather, whose
-    ``1.0 * w`` and one-term sum of squares are exact."""
-    h = x[:, None]
-    r2 = x * x
-    wrho, scale = _weights(kernel, r2, w)
-    return StencilBlock(h, r2, wrho, _scaled(h, scale))
+def _expand(axes, kernel, start: int, stop: int, mirrored: bool = False) -> np.ndarray:
+    """The gradient weights (``StencilBlock.grad``) of nodes ``start`` to ``stop``: ``-h``
+    times the scale, from ``_offsets``.  A mirrored block mirrors the scale instead and
+    fills ``scale * (-h)``, the same bits, column by column from the rules; if it ends
+    inside a slab it is copied out, so a cached block keeps only its own nodes.
+    """
+    if not mirrored:
+        h, r2, wrho = _offsets(axes, kernel, start, stop)
+        grad = -h
+        grad *= _scale(kernel, wrho, r2)[:, None]
+        return grad
+    whole, part, r2, w = _slabs(axes, start, stop, mirrored)
+    full = np.empty(np.broadcast_shapes(*(x.shape for x in whole)) + (len(axes),))
+    scale = _unfold(_scale(kernel, _weights(kernel, r2, w), r2), full.shape[:-1])
+    for j, x in enumerate(whole):
+        np.multiply(scale, -x, out=full[..., j])
+    grad = full.reshape(-1, len(axes))[part]
+    return grad.copy() if grad.size < full.size else grad
 
 
-def _scaled(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The gradient weights ``scale * (-h)``, scaled in place: no second (n, D) temporary."""
-    grad = -h
-    grad *= scale[:, None]
-    return grad
+def _runs(shape: tuple[int, ...], start: int, stop: int, prefix: tuple[int, ...] = ()):
+    """Nodes ``start`` to ``stop`` of the C-order product of axes of sizes ``shape``, in order,
+    as runs ``(prefix, lo, hi)``: the nodes whose leading indices are ``prefix``, whose next
+    index runs from ``lo`` to ``hi``, and whose later indices run over their whole axes."""
+    stride = math.prod(shape[1:])
+    first = start // stride
+    if stop - start < stride and (stop - 1) // stride == first:  # inside one index
+        yield from _runs(shape[1:], start - first * stride, stop - first * stride,
+                         prefix + (first,))
+        return
+    lo, hi = -(-start // stride), stop // stride
+    if start % stride:
+        yield from _runs(shape[1:], start % stride, stride, prefix + (first,))
+    if lo < hi:
+        yield prefix, lo, hi
+    if stop % stride:
+        yield from _runs(shape[1:], 0, stop % stride, prefix + (hi,))
+
+
+def _shifted(points: np.ndarray, axes, start: int, stop: int, op=np.add) -> np.ndarray:
+    """``op(x, h)`` for every row ``x`` of ``points`` and the offset ``h`` of each node
+    ``start`` to ``stop`` of the stencil with per-axis rules ``axes``, point-major, as ``(N, D)``.
+
+    The batch is filled axis by axis into one ``(D, P, n)`` buffer and returned as its
+    transposed view: its rows are in C order, its coordinate columns are contiguous, so a
+    callback's elementwise work runs in loops of length ``N`` rather than ``D``.  Column
+    ``j`` of each run of nodes (``_runs``) is ``op`` of ``x_j`` and the rule of axis ``j``,
+    broadcast: the additions ``x + h`` makes, bit for bit, with no offset array read.
+    """
+    P, D = points.shape
+    buf = np.empty((D, P, stop - start))
+    if D == 1:  # one run: the rule itself
+        op(points.T[:, :, None], axes[0][0][start:stop], out=buf)
+        return buf.reshape(1, -1).T
+    shape, at = tuple(x.size for x, _ in axes), 0
+    for prefix, lo, hi in _runs(shape, start, stop):
+        a, count = len(prefix), (hi - lo) * math.prod(shape[len(prefix) + 1:])
+        for j, (x, _) in enumerate(axes):
+            rule = x[prefix[j]:prefix[j] + 1] if j < a else x[lo:hi] if j == a else x
+            stride = count if j < a else math.prod(shape[j + 1:])
+            op(points[:, j, None, None, None], rule[:, None],
+               out=buf[j, :, at:at + count].reshape(P, -1, rule.size, stride))
+        at += count
+    return buf.reshape(D, -1).T
 
 
 class Stencil:
@@ -301,9 +369,10 @@ class Stencil:
 
     Offsets come from ``build_panel_grid`` split at 0, exactly as operators
     split their grids at the evaluation point.  ``kernel`` supplies ``dim``
-    and ``radial_density``.  ``blocks`` expands the product in C order in runs
-    of at most ``BLOCK_NODES`` nodes, on demand unless ``materialize`` has
-    stored them.
+    and ``radial_density``.  ``blocks`` gives the gradient weights in C order
+    in runs of at most ``BLOCK_NODES`` nodes, built on demand unless
+    ``materialize`` has stored them; ``offsets`` builds the offsets and their
+    weights in the same runs on every call.
     """
 
     def __init__(self, kernel, lo, hi, resolution: int):
@@ -320,22 +389,28 @@ class Stencil:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the expanded blocks: ``h``, ``r2``, ``wrho`` and ``grad``."""
-        return self.size * (2 * len(self.shape) + 2) * 8
+        """Bytes of the expanded blocks: ``grad`` only, ``D * 8`` a node."""
+        return self.size * len(self.shape) * 8
 
     def materialize(self) -> None:
         self._blocks = tuple(self.blocks())
 
-    def blocks(self, stop: Optional[int] = None) -> Iterator[StencilBlock]:
-        """Blocks covering the first ``stop`` nodes (all by default)."""
+    def blocks(self) -> Iterator[StencilBlock]:
+        """The gradient weights of every node, block by block."""
+        if self._blocks is not None:
+            yield from self._blocks
+            return
+        for start in range(0, self.size, BLOCK_NODES):
+            stop = min(start + BLOCK_NODES, self.size)
+            yield StencilBlock(self.axes, start,
+                               _expand(self.axes, self.kernel, start, stop, self._mirrored))
+
+    def offsets(self, stop: Optional[int] = None) -> Iterator[Offsets]:
+        """The offsets and weights of the first ``stop`` nodes (all by default)."""
         stop = self.size if stop is None else stop
         for start in range(0, stop, BLOCK_NODES):
             end = min(start + BLOCK_NODES, stop)
-            if self._blocks is None:
-                yield _expand(self.axes, self.kernel, start, end, self._mirrored)
-                continue
-            block = self._blocks[start // BLOCK_NODES]
-            yield block if block.r2.size == end - start else block.head(end - start)
+            yield Offsets(start, end, *_offsets(self.axes, self.kernel, start, end, self._mirrored))
 
 
 class StencilCache:
@@ -416,4 +491,5 @@ def box_blocks(kernel, lo: list[float], hi: list[float], resolution: int):
     """
     if len(lo) > 1:
         return Stencil(kernel, lo, hi, resolution).blocks()
-    return (_line_block(kernel, *build_panel_grid(lo, hi, [0.0], resolution).axes[0]),)
+    axes = build_panel_grid(lo, hi, [0.0], resolution).axes
+    return (StencilBlock(axes, 0, _expand(axes, kernel, 0, axes[0][0].size)),)

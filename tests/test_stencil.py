@@ -175,11 +175,13 @@ def test_full_box_stencil_is_point_symmetric(dim, resolution):
     kernel = gaussian_kernel(dim, 4)
     reach = np.full(dim, kernel.reach)
     stencil = Stencil(kernel, -reach, reach, resolution)
-    h = np.concatenate([b.h for b in stencil.blocks()])
-    w = np.concatenate([b.wrho for b in stencil.blocks()])
-    assert len(h) == len(stencil) == (2 * (resolution // 2)) ** dim
+    h = np.concatenate([b.h for b in stencil.offsets()])
+    w = np.concatenate([b.wrho for b in stencil.offsets()])
+    grad = np.concatenate([b.grad for b in stencil.blocks()])
+    assert len(h) == len(grad) == len(stencil) == (2 * (resolution // 2)) ** dim
     assert np.array_equal(h[::-1], -h)
     assert np.array_equal(w[::-1], w)
+    assert np.array_equal(grad[::-1], -grad)
 
 
 def reference_blocks(stencil, stop, block_nodes):
@@ -210,23 +212,56 @@ EXPANSIONS = [
 ]
 
 
-@pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS)
-def test_blocks_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths, block_nodes):
+def expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes):
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     kernel = bump_kernel(dim, 2)
     lo = -np.full(dim, widths[0] * kernel.reach)
-    stencil = Stencil(kernel, lo, np.full(dim, widths[1] * kernel.reach), resolution)
+    return Stencil(kernel, lo, np.full(dim, widths[1] * kernel.reach), resolution)
+
+
+@pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS)
+def test_blocks_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths, block_nodes):
+    stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
+    expected = list(reference_blocks(stencil, len(stencil), block_nodes))
+    for materialized in (False, True):
+        if materialized:
+            stencil.materialize()
+        blocks = list(stencil.blocks())
+        assert [(b.start, b.stop) for b in blocks] == [
+            (s, min(s + block_nodes, len(stencil))) for s in range(0, len(stencil), block_nodes)]
+        assert all(b.axes is stencil.axes and same_bits(b.grad, e[3])
+                   for b, e in zip(blocks, expected, strict=True))
+
+
+@pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS)
+def test_offsets_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths, block_nodes):
+    # built on every call, cached stencil or not
+    stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
     slab = len(stencil) // stencil.shape[0]
     stops = [None, len(stencil) // 2, 3 * slab + slab // 2]  # the last ends mid-slab
     for materialized in (False, True):
         if materialized:
             stencil.materialize()
         for stop in stops:
-            blocks = list(stencil.blocks(stop))
-            expected = list(reference_blocks(stencil, stop or len(stencil), block_nodes))
-            assert len(blocks) == len(expected)
-            for b, arrays in zip(blocks, expected):
-                assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho, b.grad), arrays))
+            expected = reference_blocks(stencil, stop or len(stencil), block_nodes)
+            for b, arrays in zip(stencil.offsets(stop), expected, strict=True):
+                assert b.stop - b.start == len(b.h)
+                assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho), arrays))
+
+
+@pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS + [
+    (3, 96, (1.0, 1.0), BLOCK_NODES), (3, 96, (0.4, 1.0), BLOCK_NODES)])
+def test_shifted_points_from_the_rules_are_x_plus_and_minus_h(monkeypatch, dim, resolution,
+                                                              widths, block_nodes):
+    # 3-D resolution 96: 9,216-node slabs, so blocks start and end inside a slab
+    stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
+    x = np.random.default_rng(dim).uniform(0.3, 0.7, size=(3, dim))
+    start = 0
+    for h, *_ in reference_blocks(stencil, len(stencil), block_nodes):
+        for op in (np.add, np.subtract):
+            shifted = quadrature._shifted(x, stencil.axes, start, start + len(h), op)
+            assert same_bits(np.ascontiguousarray(shifted), op(x[:, None], h).reshape(-1, dim))
+        start += len(h)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -240,23 +275,24 @@ def test_full_box_blocks_weigh_one_orthant(monkeypatch, dim):
     reach = np.full(dim, kernel.reach)
     for hi, share in ((reach, 2 ** (dim - 1)), (0.5 * reach, 1)):
         stencil = Stencil(kernel, -reach, hi, 8)
-        seen.clear()
-        [block] = stencil.blocks()
-        assert block.r2.size == len(stencil) == share * sum(seen)
+        for blocks in (stencil.blocks, stencil.offsets):
+            seen.clear()
+            [block] = blocks()
+            assert block.stop == len(stencil) == share * sum(seen)
 
 
 def test_underflowing_offsets_carry_no_weight():
     # |h|^2 of the 32 offsets left of x = 1e-200 underflows to 0
     domain, kernel, x = BoxDomain.unit(1), RadialKernel("gaussian", 1, 1, 1e-150), [1e-200]
     [(stencil, _)] = reach_stencils(kernel, np.array([x]), kernel.reach, domain, 64)
-    blocks = list(stencil.blocks())
-    h = np.concatenate([b.h for b in blocks])
-    underflow = np.sum(h * h, axis=1) == 0
+    [offsets] = stencil.offsets()
+    underflow = np.sum(offsets.h * offsets.h, axis=1) == 0
     assert np.count_nonzero(underflow) == 32
-    assert np.all(np.concatenate([b.wrho for b in blocks])[underflow] == 0)
-    assert np.all(np.isfinite(np.concatenate([b.grad for b in blocks])))
+    assert np.all(offsets.wrho[underflow] == 0) and np.all(offsets.r2[underflow] == 1)
+    [block] = stencil.blocks()
+    assert np.all(block.grad[underflow] == 0) and np.all(np.isfinite(block.grad))
     [own] = own_blocks(kernel, x, domain, 64)
-    assert same_bits(own.wrho, blocks[0].wrho) and same_bits(own.grad, blocks[0].grad)
+    assert same_bits(own.grad, block.grad)
     g = nonlocal_gradient(linear_field(domain, [1.0]), x, OperatorConfig(kernel, 64))
     # the right half of the kernel's mass, less what lies past its 6-sigma reach
     assert np.all(np.isfinite(g)) and g == pytest.approx([0.5], abs=1e-8)
@@ -353,6 +389,93 @@ def test_streamed_path_equals_cached_path(stencil_cache):
     assert len(streamed) == 0 and streamed.nbytes == 0
     assert np.array_equal(g_cached, g_streamed)
     assert np.array_equal(H_cached, H_streamed)
+
+
+def stored_shifted(points, h, op=np.add):
+    """Shifted points built from a stored ``h``: the reference for ``quadrature._shifted``."""
+    buf = np.empty((points.shape[1], len(points), len(h)))
+    op(points.T[:, :, None], h.T[:, None, :], out=buf)
+    return buf.reshape(len(buf), -1).T
+
+
+def stored_offset_operators(field, x, config):
+    """The gradient at each row of ``x``, the central Hessian at its first (interior) row and
+    the second moments at each row, summed over stored ``h``, ``|h|^2``, ``w * rho`` and
+    gradient weights per block (``reference_blocks``), with the operators' formulas."""
+    kernel, D = config.kernel, field.dim
+    grads = []
+    for p in x:
+        [(stencil, _)] = reach_stencils(kernel, p[None], kernel.reach, field.domain,
+                                        config.resolution)
+        total, value = np.zeros(D), field.value(p)
+        for h, _, _, grad in reference_blocks(stencil, len(stencil), BLOCK_NODES):
+            total += (value - field(stored_shifted(p[None], h))) @ grad
+        grads.append(total)
+    interior = x[:1]
+    stencil = Stencil(kernel, -np.full(D, kernel.reach), np.full(D, kernel.reach),
+                      config.resolution)
+    H, trace, u = np.zeros((D, D)), 0.0, field.value(interior[0])
+    for h, r2, wrho, _ in reference_blocks(stencil, len(stencil) // 2, BLOCK_NODES):
+        second = (field(stored_shifted(interior, h)) - 2.0 * u
+                  + field(stored_shifted(interior, h, np.subtract)))
+        c = 2.0 * (D * (D + 2) / 2.0) * wrho / (r2 * r2) * second
+        H += (h * c[:, None]).T @ h
+        trace += np.sum(c * r2)
+    H = H - (np.array([trace]) / (D + 2))[:, None, None] * np.eye(D)
+    moments = []
+    for p in x:
+        [(stencil, _)] = reach_stencils(kernel, p[None], kernel.full_radius, field.domain,
+                                        config.resolution)
+        c = np.zeros(D)
+        for h, r2, wrho, _ in reference_blocks(stencil, len(stencil), BLOCK_NODES):
+            c += [np.sum(wrho * h[:, i] ** 2 / r2) for i in range(D)]
+        moments.append(c)
+    return np.array(grads), H, np.array(moments)
+
+
+def library_operators(field, x, config):
+    """``stored_offset_operators`` from the library: one-point gradients, the central Hessian at
+    the first row and the second moments."""
+    return (np.array([nonlocal_gradient(field, p, config) for p in x]),
+            nonlocal_hessian(field, x[:1], HessianVariant(CENTRAL), config),
+            np.array([directional_second_moments(field.domain, p, config) for p in x]))
+
+
+# 1-D: one block; 2-D: 160,000 nodes in three blocks, the Hessian's half ending inside the
+# second; 3-D: 884,736 nodes in 9,216-node slabs, so blocks start and end inside a slab
+SOURCE_RESOLUTION = {1: 512, 2: 400, 3: 96}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+def test_cached_streamed_and_stored_offsets_give_the_same_bits(stencil_cache, dim, family):
+    field = sin_field(BoxDomain.unit(dim))
+    config = OperatorConfig(family_kernel(dim, family), SOURCE_RESOLUTION[dim])
+    x = np.array([[0.41, 0.37, 0.61][:dim], [0.06, 0.37, 0.61][:dim]])  # interior, clipped
+    cached = stencil_cache(2 * quadrature.CACHE_BYTES)  # room for two 3-D stencils
+    from_cache = library_operators(field, x, config)
+    kernel = config.kernel  # the reach stencil, and the moments' full-radius one
+    assert len(cached) == len({kernel.reach, kernel.full_radius})
+    streamed = stencil_cache(0)
+    from_rules = library_operators(field, x, config)
+    assert len(streamed) == 0
+    for a, b, c in zip(from_cache, from_rules, stored_offset_operators(field, x, config), strict=True):
+        assert same_bits(a, b) and same_bits(a, c)
+
+
+def test_cache_keeps_gradient_weights_only(stencil_cache):
+    # D * 8 bytes a node: 6 MiB for the default kernel's 3-D resolution-64 stencil, 1 MiB for
+    # its 2-D resolution-256 one; the 3-D resolution-128 stencil (48 MiB) is still streamed
+    cache = stencil_cache(quadrature.CACHE_BYTES)
+    for dim, resolution, size in ((3, 64, 6 * 2**20), (2, 256, 2**20)):
+        kernel = gaussian_kernel(dim, 8)
+        before = cache.nbytes
+        stencil = cache.get(kernel, kernel.reach, resolution)
+        assert stencil.nbytes == len(stencil) * dim * 8 == cache.nbytes - before == size
+        assert sum(b.grad.nbytes for b in stencil.blocks()) == size
+    kernel = gaussian_kernel(3, 8)
+    assert cache.get(kernel, kernel.reach, 128).nbytes == 48 * 2**20 > quadrature.CACHE_BYTES
+    assert len(cache) == 2 and cache.nbytes == 7 * 2**20
 
 
 def test_clipped_points_are_not_cached(stencil_cache):
@@ -600,10 +723,11 @@ def row_major_contract(groups, points, values, fn, out):
     """``operators._contract`` with C-order field batches and C-order BLAS operands."""
     D = points.shape[1]
     for stencil, rows in groups:
-        for block in stencil.blocks():
-            n, grad = block.r2.size, np.ascontiguousarray(block.grad)
+        for block, (h, *_) in zip(stencil.blocks(), reference_blocks(stencil, len(stencil),
+                                                                     BLOCK_NODES)):
+            n, grad = len(h), np.ascontiguousarray(block.grad)
             for chunk in operators._chunks(rows, n):
-                batch = (points[chunk][:, None] + block.h).reshape(-1, D)
+                batch = (points[chunk][:, None] + h).reshape(-1, D)
                 found = operators._field_values(fn, batch)
                 for i, vals in zip(chunk, found.reshape(len(chunk), n, *found.shape[1:])):
                     out[i] += (values[i] - vals).T @ grad
@@ -621,9 +745,9 @@ def row_major_central_hessians(field, points, config, constant_mode):
     prefactor = D * (D + 2) / 2.0 if constant_mode == operators.MOMENT_CONSTANT else D * (D + 1) / 2.0
     [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
     H, trace = np.zeros((P, D, D)), np.zeros(P)
-    for b in stencil.blocks(len(stencil) // 2):
-        n, h = b.r2.size, np.ascontiguousarray(b.h)
-        weight = 2.0 * prefactor * b.wrho / (b.r2 * b.r2)
+    for h, r2, wrho, _ in reference_blocks(stencil, len(stencil) // 2, BLOCK_NODES):
+        n = len(h)
+        weight = 2.0 * prefactor * wrho / (r2 * r2)
         for chunk in operators._chunks(rows, n):
             x = points[chunk][:, None]
             second = (operators._field_values(ext, (x + h).reshape(-1, D)).reshape(-1, n)
@@ -631,7 +755,7 @@ def row_major_central_hessians(field, points, config, constant_mode):
                       + operators._field_values(ext, (x - h).reshape(-1, D)).reshape(-1, n))
             for p, c in zip(chunk, weight * second):
                 H[p] += (h * c[:, None]).T @ h
-                trace[p] += np.sum(c * b.r2)
+                trace[p] += np.sum(c * r2)
     return H - (trace / (D + 2))[:, None, None] * np.eye(D)
 
 
@@ -752,8 +876,8 @@ def test_reach_stencils_cover_every_row_once():
     shared, *own = groups
     assert list(shared[1]) == [0, 2, 3, 5] and [list(r) for _, r in own] == [[1], [4]]
     # the clipped stencils stop at the walls the points sit near
-    h1 = np.concatenate([b.h for b in own[0][0].blocks()])
-    h4 = np.concatenate([b.h for b in own[1][0].blocks()])
+    h1 = np.concatenate([b.h for b in own[0][0].offsets()])
+    h4 = np.concatenate([b.h for b in own[1][0].offsets()])
     assert np.all(x[1, 0] + h1[:, 0] > 0.0) and np.all(x[4, 1] + h4[:, 1] < 1.0)
     assert h1[:, 0].min() > -kernel.reach / 2 and h4[:, 1].max() < kernel.reach / 2
 
@@ -821,7 +945,9 @@ def test_box_blocks_are_the_clipped_stencil_blocks():
         x, domain = np.array(x), BoxDomain.unit(len(x))
         [(stencil, _)] = reach_stencils(kernel, x[None], kernel.reach, domain, 32)
         for b, e in zip(own_blocks(kernel, x, domain, 32), stencil.blocks(), strict=True):
-            assert all(same_bits(getattr(b, k), getattr(e, k)) for k in ("h", "r2", "wrho", "grad"))
+            assert (b.start, b.stop) == (e.start, e.stop) and same_bits(b.grad, e.grad)
+            assert all(same_bits(r, s) for rule, ref in zip(b.axes, e.axes, strict=True)
+                       for r, s in zip(rule, ref))
 
 
 def _raised(call):
