@@ -84,10 +84,6 @@ class BoxDomain:
         return len(self.lower)
 
     @property
-    def volume(self) -> float:
-        return float(np.prod(self.upper_array - self.lower_array))
-
-    @property
     def center(self) -> Array:
         return 0.5 * (self.lower_array + self.upper_array)
 

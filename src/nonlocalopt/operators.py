@@ -126,7 +126,7 @@ def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.nda
             n = len(block.grad)
             for chunk in _chunks(rows, n):
                 found = np.ascontiguousarray(_field_values(
-                    fn, _shifted(points[chunk], block.axes, block.start, block.stop)))
+                    fn, _shifted(points[chunk], block.axes)))
                 for i, vals in zip(chunk, found.reshape(len(chunk), n, *found.shape[1:])):
                     out[i] += (values[i] - vals).T @ block.grad
             del block  # a streamed block is freed before the next one is expanded
@@ -154,7 +154,7 @@ def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfi
     value = _value_at(field, point)
     total = np.zeros(point.shape)
     for block in blocks:
-        shifted = _shifted(point[None], block.axes, block.start, block.stop)
+        shifted = _shifted(point[None], block.axes)
         total += (value - _field_values(field, shifted)) @ block.grad
         del block  # as in ``_contract``
     return total
@@ -394,15 +394,14 @@ def _central_hessians(
     [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
     H = np.zeros((P, D, D))
     trace = np.zeros(P)
-    for b in stencil.offsets(len(stencil) // 2):
+    for b in stencil.offsets(half=True):
         n = b.r2.size
         weight = 2.0 * prefactor * b.wrho / (b.r2 * b.r2)
         for chunk in _chunks(rows, n):
             x = points[chunk]
-            second = (_field_values(ext, _shifted(x, stencil.axes, b.start, b.stop)).reshape(-1, n)
+            second = (_field_values(ext, _shifted(x, b.axes)).reshape(-1, n)
                       - 2.0 * values[chunk, None]
-                      + _field_values(ext, _shifted(x, stencil.axes, b.start, b.stop, np.subtract))
-                      .reshape(-1, n))
+                      + _field_values(ext, _shifted(x, b.axes, np.subtract)).reshape(-1, n))
             for p, c in zip(chunk, weight * second):
                 H[p] += (b.h * c[:, None]).T @ b.h
                 trace[p] += np.sum(c * b.r2)

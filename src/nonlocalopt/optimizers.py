@@ -272,13 +272,6 @@ class SgdConfig:
     def gap_bound(self) -> float:
         return self.B * self.M / math.sqrt(self.K) + self.epsilon
 
-    @staticmethod
-    def required_iterations(B: float, M: float, target_gap: float, epsilon: float) -> int:
-        """Iterations sufficient for an expected gap of ``target_gap``."""
-        if target_gap <= epsilon:
-            raise ValueError("target gap must exceed the relaxation epsilon")
-        return math.ceil(B**2 * M**2 / (target_gap - epsilon) ** 2)
-
 
 def _row_dots(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     """``a[i] @ b[i]`` (``b`` defaults to ``a``) for every row, through the routine
@@ -469,7 +462,9 @@ def nonlocal_newton(
     """Newton iteration on the kernel gradient and second-difference Hessian.
 
     The linear solve uses LAPACK partial pivoting and refuses matrices whose
-    condition estimate exceeds ``CONDITION_LIMIT``.  The step size ``beta``
+    condition estimate exceeds ``CONDITION_LIMIT``, and steps ``H^-1 g`` longer
+    than ``CONDITION_LIMIT`` domain diameters: a 1x1 matrix of rounding noise
+    has condition number 1.  The step size ``beta``
     is applied as given, which lets the iterates settle onto the smoothed
     stationary point (the terminal plateau shrinks with the kernel scale);
     only steps that would exit the domain are halved.
@@ -485,6 +480,12 @@ def nonlocal_newton(
                 f"curvature matrix is singular at iteration {k}", iteration=k
             )
         p = np.linalg.solve(H, g)
+        length = float(np.linalg.norm(p))
+        if not length <= CONDITION_LIMIT * field.domain.diameter:
+            raise SingularHessianError(
+                f"curvature matrix is singular at iteration {k}: step length {length:.3g}",
+                iteration=k,
+            )
         b = beta
         x_next = x - b * p
         while b > 1e-8 and not field.domain.contains(x_next):

@@ -5,15 +5,16 @@ Grids are tensor products of 1-D Gauss-Legendre rules, kept as their per-axis
 rules; the flat node list is built only when asked for.
 
 A ``Stencil`` is such a grid of offsets ``h`` around an evaluation point,
-expanded in blocks of ``BLOCK_NODES`` nodes.  A block stores only its gradient
-weights, ``D * 8`` bytes a node; the offsets stay in the per-axis rules, from
-which the operators fill their field points, and ``Stencil.offsets`` rebuilds
-``h``, ``|h|^2`` and ``w * rho`` on every call.  The full-box stencil of a
-kernel is the same at every point whose reach box lies inside the domain, so
-``StencilCache`` keeps its gradient weights, within a byte cap.  Where axes 1..
-of a stencil are mirror images about 0 (every full box), a block computes
-``|h|^2`` and its weights on the upper orthant of those axes only and mirrors
-them, bit for bit: ``1/2^(D-1)`` of the density calls.
+expanded block by block.  A block is a sub-grid of at most ``BLOCK_NODES``
+nodes: one slice of each per-axis rule (``_split``).  It stores only its
+gradient weights, ``D * 8`` bytes a node; the operators fill their field points
+from its rule slices, and ``Stencil.offsets`` rebuilds ``h``, ``|h|^2`` and
+``w * rho`` on every call.  The full-box stencil of a kernel is the same at
+every point whose reach box lies inside the domain, so ``StencilCache`` keeps
+its gradient weights, within a byte cap.  Where axes 1.. of a stencil are
+mirror images about 0 (every full box), a block computes ``|h|^2`` and its
+weights on the upper half of each of those axes that it keeps whole, and
+mirrors them, bit for bit.
 
 Allocator policy: the first block whose ``(n, D)`` arrays reach glibc's
 default mmap threshold (128 KiB) fixes the process's mmap threshold at 32 MiB
@@ -28,6 +29,7 @@ then keep up to 64 MiB of freed heap.  1-D and SGD runs never reach that size.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -159,31 +161,25 @@ def build_panel_grid(lo, hi, split: Optional[np.ndarray], resolution: int) -> Qu
 
 
 class StencilBlock(NamedTuple):
-    """Stencil nodes ``start`` to ``stop`` and their gradient weights.
+    """A block of stencil nodes and their gradient weights.
 
-    The nodes are ``start`` onward of the C-order product of the stencil's per-axis
-    ``(nodes, weights)`` rules ``axes``.  ``grad`` (n, D) holds ``D * w * rho(|h|) / |h|^2 *
-    (-h)`` for their offsets ``h``, zero where ``|h|^2`` underflows to 0.  It is C-ordered:
-    the contractions pass it to BLAS, whose rounding depends on the layout.  The offsets are
-    not stored; field calls read them from ``axes``.
+    The nodes are the C-order product of the block's per-axis ``(nodes, weights)`` rules
+    ``axes``, slices of the stencil's (``_split``).  ``grad`` (n, D) holds ``D * w * rho(|h|)
+    / |h|^2 * (-h)`` for their offsets ``h``, zero where ``|h|^2`` underflows to 0.  It is
+    C-ordered: the contractions pass it to BLAS, whose rounding depends on the layout.  The
+    offsets are not stored; field calls read them from ``axes``.
     """
 
     axes: tuple
-    start: int
     grad: np.ndarray
-
-    @property
-    def stop(self) -> int:
-        return self.start + len(self.grad)
 
 
 class Offsets(NamedTuple):
-    """Stencil nodes ``start`` to ``stop``: their offsets ``h`` (n, D, C-ordered as
-    ``StencilBlock.grad``), ``r2 = |h|^2`` and ``wrho = w * rho(|h|)``.  Where ``|h|^2``
-    underflows to 0, ``wrho`` is 0 and ``r2`` is 1, so every quotient by ``r2`` stays finite."""
+    """The offsets ``h`` (n, D, C-ordered as ``StencilBlock.grad``) of the nodes of the per-axis
+    rules ``axes``, ``r2 = |h|^2`` and ``wrho = w * rho(|h|)``.  Where ``|h|^2`` underflows to 0,
+    ``wrho`` is 0 and ``r2`` is 1, so every quotient by ``r2`` stays finite."""
 
-    start: int
-    stop: int
+    axes: tuple
     h: np.ndarray
     r2: np.ndarray
     wrho: np.ndarray
@@ -212,9 +208,39 @@ def _keep_heap() -> None:
 
 def _mirrored(axes) -> bool:
     """Whether axes 1.. are even-sized rules mirrored at 0: ``x[::-1] == -x``, ``w[::-1] == w``."""
-    return len(axes) > 1 and all(
-        x.size % 2 == 0 and np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
-        for x, w in axes[1:])
+    return all(x.size % 2 == 0 and np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+               for x, w in axes[1:])
+
+
+def _split(axes, mirrored: bool) -> Iterator[tuple[tuple, int]]:
+    """The blocks of the C-order product of the per-axis rules ``axes``, in order, as
+    ``(block axes, mirror)`` pairs.
+
+    ``k`` is the first axis whose later axes hold at most ``BLOCK_NODES`` nodes together.  A
+    block takes one node of each axis before ``k``, a run of axis ``k`` and every later axis
+    whole, at most ``BLOCK_NODES`` nodes.  When ``k`` is 0 and the later axes' node count
+    divides ``BLOCK_NODES``, the blocks are the flat runs of ``BLOCK_NODES`` nodes.  The
+    block's axes after ``k`` are mirrored (``_radial``) when ``mirrored`` says that axes 1..
+    of ``axes`` are (``_mirrored``): ``mirror`` is ``k + 1``, else ``D``.
+    """
+    sizes = [x.size for x, _ in axes]
+    k, stride = 0, math.prod(sizes[1:])
+    while stride > BLOCK_NODES:  # ends at the last axis, whose stride is 1
+        k += 1
+        stride //= sizes[k]
+    step, (x, w) = BLOCK_NODES // stride, axes[k]
+    if min(step, sizes[k]) * stride * len(axes) >= _LARGE_BLOCK:  # the first block is the largest
+        _keep_heap()
+    mirror, tail = k + 1 if mirrored else len(axes), axes[k + 1:]
+    nodes = [[(a[i:i + 1], b[i:i + 1]) for i in range(a.size)] for a, b in axes[:k]]
+    for head in itertools.product(*nodes):
+        for lo in range(0, sizes[k], step):
+            yield head + ((x[lo:lo + step], w[lo:lo + step]),) + tail, mirror
+
+
+def _along(a: np.ndarray, j: int, D: int) -> np.ndarray:
+    """The 1-D ``a`` shaped to lie along axis ``j`` of a ``D``-axis grid."""
+    return a if j == D - 1 else a.reshape((-1,) + (1,) * (D - 1 - j))
 
 
 def _weights(kernel, r2: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -233,134 +259,85 @@ def _scale(kernel, wrho: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return (wrho if kernel.dim == 1 else kernel.dim * wrho) / r2  # 1 * wrho is wrho
 
 
-def _unfold(upper: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Slabs ``(L,) + shape[1:]`` whose upper orthant of axes 1.. is ``upper``.
+def _unfold(upper: np.ndarray, mirror: int) -> np.ndarray:
+    """The array whose upper half on each axis ``mirror``.. is ``upper`` (``upper`` itself
+    when there is no such axis).
 
-    Every other orthant is ``upper`` reversed along the axes on which it lies below 0,
-    copied axis by axis from the last, while the copied region is smallest.
+    Every other orthant of those axes is ``upper`` reversed along the axes on which it lies
+    below 0, copied axis by axis from the last, while the copied region is smallest.
     """
-    out = np.empty((len(upper),) + shape[1:])
-    index = [slice(None)] + [slice(m // 2, None) for m in shape[1:]]
+    if mirror == upper.ndim:
+        return upper
+    half = upper.shape[mirror:]
+    out = np.empty(upper.shape[:mirror] + tuple(2 * m for m in half))
+    index = [slice(None)] * mirror + [slice(m, None) for m in half]
     out[tuple(index)] = upper
-    for k in range(len(shape) - 1, 0, -1):
+    for k in range(out.ndim - 1, mirror - 1, -1):
         lower = index.copy()
-        lower[k] = slice(None, shape[k] // 2)
+        lower[k] = slice(None, upper.shape[k])
         out[tuple(lower)] = np.flip(out[tuple(index)], axis=k)
         index[k] = slice(None)
     return out
 
 
-def _slabs(axes, start: int, stop: int, mirrored: bool):
-    """What nodes ``start`` to ``stop`` (D >= 2) need from the leading-axis slabs they touch.
+def _radial(axes, mirror: int):
+    """``r2 = |h|^2`` and the weight products ``w`` over the sub-grid of the per-axis rules
+    ``axes``, shaped as the sub-grid, but over the upper half only of axes ``mirror``..
 
-    Returns the per-axis rules broadcast over those slabs (``np.ix_``), the nodes' place in
-    the flattened slabs, and ``r2`` and the weight products ``w`` over the slabs: over the
-    upper orthant of axes 1.. only when ``mirrored`` (``_mirrored(axes)`` holds).  Sums and
-    products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2), ((w0*w1)*w2).
+    Sums and products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2),
+    ((w0*w1)*w2).  Axes ``mirror``.. (none when it is ``D``) are whole rules mirrored at 0
+    (``_mirrored``): ``_unfold`` mirrors what is computed from ``r2`` and ``w`` into the
+    rest, as a node and its mirror image share their bits.
     """
-    if (stop - start) * len(axes) >= _LARGE_BLOCK:
-        _keep_heap()
-    slab = math.prod(x.size for x, _ in axes[1:])
-    first, last = start // slab, -(-stop // slab)
-    cut = [x.size // 2 if mirrored else 0 for x, _ in axes[1:]]
-    xs = np.ix_(axes[0][0][first:last], *(x[c:] for (x, _), c in zip(axes[1:], cut)))
-    ws = np.ix_(axes[0][1][first:last], *(w[c:] for (_, w), c in zip(axes[1:], cut)))
-    r2, w = xs[0] * xs[0], ws[0]
-    for x, wx in zip(xs[1:], ws[1:]):
-        r2, w = r2 + x * x, w * wx
-    whole = np.ix_(axes[0][0][first:last], *(x for x, _ in axes[1:]))
-    return whole, slice(start - first * slab, stop - first * slab), r2, w
+    D = len(axes)
+    for j, (x, w) in enumerate(axes):
+        if j >= mirror:
+            x, w = x[x.size // 2:], w[w.size // 2:]
+        x, w = _along(x, j, D), _along(w, j, D)
+        r2, ws = (x * x, w) if j == 0 else (r2 + x * x, ws * w)
+    return r2, ws
 
 
-def _offsets(axes, kernel, start: int, stop: int, mirrored: bool = False):
-    """``h``, ``r2`` and ``wrho`` (``Offsets``) of nodes ``start`` to ``stop`` of the C-order
-    product of the per-axis rules ``axes``.
-
-    ``mirrored`` says that ``_mirrored(axes)`` holds.  Then ``r2`` and the weights are
-    computed on the upper orthant of axes 1.. only and mirrored into the rest
-    (``_unfold``): a node and its mirror image share their bits there.  The arrays are
-    slices of the slabs, not copies.
-    """
-    if len(axes) == 1:  # a slice of the rule
-        x = axes[0][0][start:stop]
-        r2 = x * x
-        return x[:, None], r2, _weights(kernel, r2, axes[0][1][start:stop])
-    whole, part, r2, w = _slabs(axes, start, stop, mirrored)
-    h = np.empty(np.broadcast_shapes(*(x.shape for x in whole)) + (len(axes),))
-    for j, x in enumerate(whole):  # column by column, each a loop over the slabs
-        h[..., j] = x
-    if mirrored:
-        wrho = _weights(kernel, r2, w)
-        r2, wrho = (_unfold(a, h.shape[:-1]).reshape(-1)[part] for a in (r2, wrho))
-    else:
-        r2 = r2.reshape(-1)[part]
-        wrho = _weights(kernel, r2, w.reshape(-1)[part])
-    return h.reshape(-1, len(axes))[part], r2, wrho
+def _offsets(axes, kernel, mirror: int):
+    """``h``, ``r2`` and ``wrho`` (``Offsets``) of the nodes of the sub-grid ``axes``, in C
+    order; ``mirror`` as in ``_radial``."""
+    D = len(axes)
+    r2, w = _radial(axes, mirror)
+    h = np.empty([x.size for x, _ in axes] + [D])  # before the weights: a smaller process peak
+    wrho = _weights(kernel, r2, w)
+    for j, (x, _) in enumerate(axes):
+        h[..., j] = _along(x, j, D)
+    return h.reshape(-1, D), _unfold(r2, mirror).reshape(-1), _unfold(wrho, mirror).reshape(-1)
 
 
-def _expand(axes, kernel, start: int, stop: int, mirrored: bool = False) -> np.ndarray:
-    """The gradient weights (``StencilBlock.grad``) of nodes ``start`` to ``stop``: ``-h``
-    times the scale, from ``_offsets``.  A mirrored block mirrors the scale instead and
-    fills ``scale * (-h)``, the same bits, column by column from the rules; if it ends
-    inside a slab it is copied out, so a cached block keeps only its own nodes.
-    """
-    if not mirrored:
-        h, r2, wrho = _offsets(axes, kernel, start, stop)
-        grad = -h
-        grad *= _scale(kernel, wrho, r2)[:, None]
-        return grad
-    whole, part, r2, w = _slabs(axes, start, stop, mirrored)
-    full = np.empty(np.broadcast_shapes(*(x.shape for x in whole)) + (len(axes),))
-    scale = _unfold(_scale(kernel, _weights(kernel, r2, w), r2), full.shape[:-1])
-    for j, x in enumerate(whole):
-        np.multiply(scale, -x, out=full[..., j])
-    grad = full.reshape(-1, len(axes))[part]
-    return grad.copy() if grad.size < full.size else grad
+def _expand(axes, kernel, mirror: int) -> np.ndarray:
+    """The gradient weights (``StencilBlock.grad``) of the sub-grid ``axes``: ``scale * (-h)``,
+    column by column from the rules; ``mirror`` as in ``_radial``, and the scale is mirrored
+    once."""
+    D = len(axes)
+    r2, w = _radial(axes, mirror)
+    grad = np.empty([x.size for x, _ in axes] + [D])  # as in ``_offsets``
+    scale = _unfold(_scale(kernel, _weights(kernel, r2, w), r2), mirror)
+    for j, (x, _) in enumerate(axes):
+        np.multiply(scale, -_along(x, j, D), out=grad[..., j])
+    return grad.reshape(-1, D)
 
 
-def _runs(shape: tuple[int, ...], start: int, stop: int, prefix: tuple[int, ...] = ()):
-    """Nodes ``start`` to ``stop`` of the C-order product of axes of sizes ``shape``, in order,
-    as runs ``(prefix, lo, hi)``: the nodes whose leading indices are ``prefix``, whose next
-    index runs from ``lo`` to ``hi``, and whose later indices run over their whole axes."""
-    stride = math.prod(shape[1:])
-    first = start // stride
-    if stop - start < stride and (stop - 1) // stride == first:  # inside one index
-        yield from _runs(shape[1:], start - first * stride, stop - first * stride,
-                         prefix + (first,))
-        return
-    lo, hi = -(-start // stride), stop // stride
-    if start % stride:
-        yield from _runs(shape[1:], start % stride, stride, prefix + (first,))
-    if lo < hi:
-        yield prefix, lo, hi
-    if stop % stride:
-        yield from _runs(shape[1:], 0, stop % stride, prefix + (hi,))
-
-
-def _shifted(points: np.ndarray, axes, start: int, stop: int, op=np.add) -> np.ndarray:
-    """``op(x, h)`` for every row ``x`` of ``points`` and the offset ``h`` of each node
-    ``start`` to ``stop`` of the stencil with per-axis rules ``axes``, point-major, as ``(N, D)``.
+def _shifted(points: np.ndarray, axes, op=np.add) -> np.ndarray:
+    """``op(x, h)`` for every row ``x`` of ``points`` and the offset ``h`` of each node of the
+    sub-grid of the per-axis rules ``axes``, point-major, as ``(N, D)``.
 
     The batch is filled axis by axis into one ``(D, P, n)`` buffer and returned as its
     transposed view: its rows are in C order, its coordinate columns are contiguous, so a
-    callback's elementwise work runs in loops of length ``N`` rather than ``D``.  Column
-    ``j`` of each run of nodes (``_runs``) is ``op`` of ``x_j`` and the rule of axis ``j``,
-    broadcast: the additions ``x + h`` makes, bit for bit, with no offset array read.
+    callback's elementwise work runs in loops of length ``N`` rather than ``D``.  Column ``j``
+    is one broadcast ``op`` of ``x_j`` and the rule of axis ``j``: the additions ``x + h``
+    makes, bit for bit, with no offset array read.
     """
     P, D = points.shape
-    buf = np.empty((D, P, stop - start))
-    if D == 1:  # one run: the rule itself
-        op(points.T[:, :, None], axes[0][0][start:stop], out=buf)
-        return buf.reshape(1, -1).T
-    shape, at = tuple(x.size for x, _ in axes), 0
-    for prefix, lo, hi in _runs(shape, start, stop):
-        a, count = len(prefix), (hi - lo) * math.prod(shape[len(prefix) + 1:])
-        for j, (x, _) in enumerate(axes):
-            rule = x[prefix[j]:prefix[j] + 1] if j < a else x[lo:hi] if j == a else x
-            stride = count if j < a else math.prod(shape[j + 1:])
-            op(points[:, j, None, None, None], rule[:, None],
-               out=buf[j, :, at:at + count].reshape(P, -1, rule.size, stride))
-        at += count
+    buf = np.empty((D, P, *[x.size for x, _ in axes]))
+    columns = points.T.reshape(D, P, *[1] * D)
+    for j, (x, _) in enumerate(axes):
+        op(columns[j], _along(x, j, D), out=buf[j])
     return buf.reshape(D, -1).T
 
 
@@ -369,10 +346,10 @@ class Stencil:
 
     Offsets come from ``build_panel_grid`` split at 0, exactly as operators
     split their grids at the evaluation point.  ``kernel`` supplies ``dim``
-    and ``radial_density``.  ``blocks`` gives the gradient weights in C order
-    in runs of at most ``BLOCK_NODES`` nodes, built on demand unless
-    ``materialize`` has stored them; ``offsets`` builds the offsets and their
-    weights in the same runs on every call.
+    and ``radial_density``.  ``blocks`` gives the gradient weights of the
+    ``_split`` blocks in order, built on demand unless ``materialize`` has
+    stored them; ``offsets`` builds the offsets and their weights in the same
+    blocks on every call.
     """
 
     def __init__(self, kernel, lo, hi, resolution: int):
@@ -400,17 +377,18 @@ class Stencil:
         if self._blocks is not None:
             yield from self._blocks
             return
-        for start in range(0, self.size, BLOCK_NODES):
-            stop = min(start + BLOCK_NODES, self.size)
-            yield StencilBlock(self.axes, start,
-                               _expand(self.axes, self.kernel, start, stop, self._mirrored))
+        for axes, mirror in _split(self.axes, self._mirrored):
+            yield StencilBlock(axes, _expand(axes, self.kernel, mirror))
 
-    def offsets(self, stop: Optional[int] = None) -> Iterator[Offsets]:
-        """The offsets and weights of the first ``stop`` nodes (all by default)."""
-        stop = self.size if stop is None else stop
-        for start in range(0, stop, BLOCK_NODES):
-            end = min(start + BLOCK_NODES, stop)
-            yield Offsets(start, end, *_offsets(self.axes, self.kernel, start, end, self._mirrored))
+    def offsets(self, half: bool = False) -> Iterator[Offsets]:
+        """The offsets and weights of every node, block by block; with ``half``, of the
+        stencil whose axis-0 rule is cut to its lower half: the first half of the nodes."""
+        axes = self.axes
+        if half:
+            x, w = axes[0]
+            axes = ((x[:x.size // 2], w[:w.size // 2]),) + axes[1:]
+        for block, mirror in _split(axes, self._mirrored):
+            yield Offsets(block, *_offsets(block, self.kernel, mirror))
 
 
 class StencilCache:
@@ -487,9 +465,12 @@ def box_blocks(kernel, lo: list[float], hi: list[float], resolution: int):
     """The blocks of ``reach_stencils``' rule for a row clipped to the offset box ``[lo, hi]``.
 
     One ``build_panel_grid`` call; one axis has at most ``2 * 3,162`` nodes
-    (``rule_1d``'s budget), so its rule is one block, built with no generator.
+    (``rule_1d``'s budget), so its rule is one block, whose gradient weights are the
+    ``_expand`` formula on the rule itself: the pulse path pays no sub-grid bookkeeping.
     """
     if len(lo) > 1:
         return Stencil(kernel, lo, hi, resolution).blocks()
     axes = build_panel_grid(lo, hi, [0.0], resolution).axes
-    return (StencilBlock(axes, 0, _expand(axes, kernel, 0, axes[0][0].size)),)
+    [(x, w)] = axes
+    r2 = x * x
+    return (StencilBlock(axes, (_scale(kernel, _weights(kernel, r2, w), r2) * -x)[:, None]),)

@@ -291,6 +291,16 @@ def test_singular_curvature_exits_1_with_its_message(tmp_path, capsys):
     assert manifest["outputs"] == ["config.resolved.json", "manifest.json"]
 
 
+def test_newton_on_a_linear_field_exits_1_with_its_error(tmp_path, capsys):
+    # its 1x1 curvature is rounding noise, so the step it gives is refused
+    argv = ["newton", "--field", "linear", "--set", "newton.x0=[0.3]", "--out", str(tmp_path)]
+    assert run_cli(argv) == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["exit_code"] == 1
+    assert manifest["summary"]["error"].startswith("curvature matrix is singular at iteration 0")
+    assert capsys.readouterr().err == f"newton: {manifest['summary']['error']}\n"
+
+
 def test_moment_sweep_reads_the_tolerance(tmp_path):
     argv = ["sweep", "--check", "moment-c", "--set", "check.n_values=[4,8]"]
     assert run_cli(argv + ["--out", str(tmp_path / "loose")]) == 0

@@ -26,9 +26,6 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             BoxDomain((0.0,), (0.0,))
 
-    def test_volume(self):
-        assert BoxDomain((0.0, 1.0), (2.0, 4.0)).volume == pytest.approx(6.0)
-
     @given(
         lo=st.floats(-10, 10),
         width=st.floats(0.1, 5),

@@ -212,3 +212,34 @@ def test_pulse_experiment_bytes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PULSE_SHA256}
     assert got == PULSE_SHA256
+
+
+# The benchmark's ``operators-nd`` checks at seed 1 whose bytes only D >= 2 stencil blocks
+# decide: the block sums, their order and their BLAS operands.  A change that moves these
+# sums on purpose re-records the hashes.
+KERNEL_SETS = ["--set", 'kernel.family="gaussian"', "--set", "kernel.base_scale=0.1",
+               "--set", "kernel.n=8"]
+BOX_2D = ["--set", "domain.dim=2", "--set", "domain.lower=[-0.102364, -0.190093]",
+          "--set", "domain.upper=[1.028832, 1.18973]"]
+BOX_3D = ["--set", "domain.dim=3", "--set", "domain.lower=[-0.062366, -0.084665, -0.165541]",
+          "--set", "domain.upper=[1.08184, 1.109919, 1.005512]"]
+OPERATOR_CHECKS = {
+    "grad-check-quadratic-3d": (
+        ["grad-check", *BOX_3D, "--set", "quadrature.resolution=64", "--set", "check.probes=5"],
+        "grad_check.csv", "21e434cbf97ca57ff089f936c30db4d6c7e62037d796b72687e74e9bfbc72717"),
+    "hess-check-quadratic-2d": (
+        ["hess-check", *BOX_2D, "--set", "quadrature.resolution=256", "--set", "check.probes=20"],
+        "hess_check.csv", "be0a37d2bf6f89060ae9aeab16f1fd72fb978b93d53cf8de691aedd71d77579e"),
+    "grad-check-quadratic-3d-res128": (
+        ["grad-check", *BOX_3D, "--set", "quadrature.resolution=128", "--set", "check.probes=1"],
+        "grad_check.csv", "d28f4a7ad78231f9c0bdf366535995363f74f7634e59d85f01069d85955c3421"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_CHECKS))
+def test_operator_check_bytes(tmp_path, name):
+    argv, csv, sha256 = OPERATOR_CHECKS[name]
+    command, *sets = argv
+    assert run_cli([command, "--field", "quadratic", "--seed", "1", *KERNEL_SETS, *sets,
+                    "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == sha256

@@ -5,16 +5,19 @@ import pytest
 
 from nonlocalopt import (
     BoxDomain,
+    HessianVariant,
     OperatorConfig,
     StepSchedule,
     gaussian_kernel,
     local_counterpart,
     nlgd_fixed,
     nlgd_linesearch,
+    nonlocal_hessian,
     nonlocal_newton,
 )
-from nonlocalopt.catalog import quadratic_field, quartic_field, sin_field
+from nonlocalopt.catalog import linear_field, quadratic_field, quartic_field, sin_field
 from nonlocalopt.errors import SingularHessianError
+from nonlocalopt.operators import CENTRAL
 from nonlocalopt.optimizers import DIVERGED, GRAD_TOL, LEFT_DOMAIN
 
 
@@ -236,6 +239,17 @@ class TestNewton:
             nonlocal_newton(
                 f, [0.4], cfg(gaussian_kernel(1, 8), 128), max_iters=3, grad_tol=0.0
             )
+        assert err.value.iteration == 0
+
+    def test_rounding_noise_hessian_in_1d_is_singular(self, unit_interval):
+        # a linear field's 1x1 curvature is rounding noise (about -1e-20), whose condition
+        # number is 1; the step it implies is about 8e19 long
+        f = linear_field(unit_interval, [1.0])
+        config = cfg(gaussian_kernel(1, 8), 256)
+        H = nonlocal_hessian(f, [0.3], HessianVariant(CENTRAL), config)
+        assert abs(H[0, 0]) < 1e-15 and np.linalg.cond(H) == 1.0
+        with pytest.raises(SingularHessianError, match="step length") as err:
+            nonlocal_newton(f, [0.3], config, max_iters=3, grad_tol=0.0)
         assert err.value.iteration == 0
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])

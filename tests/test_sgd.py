@@ -37,14 +37,6 @@ class TestSgdConfig:
         cfg = SgdConfig(B=1.0, M=2.0, K=100, epsilon=0.02)
         assert cfg.gap_bound == pytest.approx(0.2 + 0.02)
 
-    def test_required_iterations(self):
-        # gap 0.1 with B = M = 1 and relaxation 0.05 needs 1/(0.05)^2 = 400
-        assert SgdConfig.required_iterations(1.0, 1.0, 0.1, 0.05) == 400
-
-    def test_required_iterations_validation(self):
-        with pytest.raises(ValueError):
-            SgdConfig.required_iterations(1.0, 1.0, 0.02, 0.05)
-
     def test_positivity_validation(self):
         with pytest.raises(ValueError):
             SgdConfig(B=0.0, M=1.0, K=10, epsilon=0.01)

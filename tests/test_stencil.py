@@ -184,10 +184,25 @@ def test_full_box_stencil_is_point_symmetric(dim, resolution):
     assert np.array_equal(grad[::-1], -grad)
 
 
-def reference_blocks(stencil, stop, block_nodes):
-    """The per-node expansion: each node's axis indices by ``unravel_index``, then gathers."""
-    for start in range(0, stop, block_nodes):
-        index = np.unravel_index(np.arange(start, min(start + block_nodes, stop)), stencil.shape)
+def reference_split(shape, block_nodes):
+    """The flat node indices of each block of a grid of ``shape``: one index of each axis
+    before the first axis ``k`` whose later axes hold at most ``block_nodes`` nodes, runs of
+    ``block_nodes // stride`` indices of axis ``k``, and every later axis whole."""
+    k = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= block_nodes)
+    step = block_nodes // math.prod(shape[k + 1:])
+    index = np.arange(math.prod(shape)).reshape(shape)
+    for head in np.ndindex(*shape[:k]):
+        for lo in range(0, shape[k], step):
+            yield index[head + (slice(lo, lo + step),)].reshape(-1)
+
+
+def reference_blocks(stencil, block_nodes, half=False):
+    """The per-node expansion of ``reference_split``'s blocks of the stencil, or of its first
+    half (the lower half of axis 0): each node's axis indices by ``unravel_index``, then
+    gathers."""
+    shape = (stencil.shape[0] // 2 if half else stencil.shape[0],) + stencil.shape[1:]
+    for nodes in reference_split(shape, block_nodes):
+        index = np.unravel_index(nodes, shape)
         h = np.stack([x[i] for (x, _), i in zip(stencil.axes, index)], axis=1)
         w = np.ones(1)
         for (_, wx), i in zip(stencil.axes, index):
@@ -199,10 +214,10 @@ def reference_blocks(stencil, stop, block_nodes):
         yield h, r2, wrho, (stencil.kernel.dim * wrho / r2)[:, None] * -h
 
 
-# (dimension, resolution, box half-widths in reaches, nodes per block): leading-axis slabs
-# that divide the block, slabs that do not, slabs larger than a block, and boxes clipped on
-# one side; full boxes (1.0, 1.0) take their weights from one orthant, and the last three
-# end their blocks mid-slab
+# (dimension, resolution, box half-widths in reaches, nodes per block): axis-0 slabs that
+# divide the block, slabs that do not, slabs larger than a block (split along axis 1), and
+# boxes clipped on one side; full boxes (1.0, 1.0) take their weights from one orthant of
+# the axes their blocks keep whole
 EXPANSIONS = [
     (2, 256, (1.0, 1.0), BLOCK_NODES), (3, 50, (1.0, 1.0), BLOCK_NODES),
     (2, 32, (1.0, 1.0), 1024), (2, 30, (0.4, 1.0), 1024), (3, 16, (1.0, 1.0), 1024),
@@ -210,6 +225,24 @@ EXPANSIONS = [
     (3, 40, (1.0, 1.0), 1024), (4, 20, (1.0, 0.5), 1024),
     (2, 30, (1.0, 1.0), 1000), (3, 14, (1.0, 1.0), 1000), (4, 8, (1.0, 1.0), 1000),
 ]
+
+
+def node_indices(axes, block_axes):
+    """The flat indices, in the C-order product of the rules ``axes``, of the nodes of a block
+    whose rules ``block_axes`` are runs of them, read from the same memory."""
+    ranges = []
+    for (x, w), (bx, bw) in zip(axes, block_axes, strict=True):
+        lo = int(np.searchsorted(x, bx[0]))  # every stencil rule increases strictly
+        assert np.shares_memory(x, bx) and np.shares_memory(w, bw)
+        assert same_bits(x[lo:lo + bx.size], bx) and same_bits(w[lo:lo + bw.size], bw)
+        ranges.append(np.arange(lo, lo + bx.size))
+    return np.ravel_multi_index(np.ix_(*ranges), [x.size for x, _ in axes]).reshape(-1)
+
+
+def lower_half(axes):
+    """The rules ``axes`` with the rule of axis 0 cut to its lower half."""
+    (x, w), *rest = axes
+    return ((x[:x.size // 2], w[:w.size // 2]), *rest)
 
 
 def expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes):
@@ -222,30 +255,30 @@ def expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes):
 @pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS)
 def test_blocks_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths, block_nodes):
     stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
-    expected = list(reference_blocks(stencil, len(stencil), block_nodes))
+    expected = list(reference_blocks(stencil, block_nodes))
+    nodes = list(reference_split(stencil.shape, block_nodes))
     for materialized in (False, True):
         if materialized:
             stencil.materialize()
         blocks = list(stencil.blocks())
-        assert [(b.start, b.stop) for b in blocks] == [
-            (s, min(s + block_nodes, len(stencil))) for s in range(0, len(stencil), block_nodes)]
-        assert all(b.axes is stencil.axes and same_bits(b.grad, e[3])
-                   for b, e in zip(blocks, expected, strict=True))
+        for b, e, n in zip(blocks, expected, nodes, strict=True):
+            assert same_bits(node_indices(stencil.axes, b.axes), n) and same_bits(b.grad, e[3])
 
 
 @pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS)
 def test_offsets_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths, block_nodes):
-    # built on every call, cached stencil or not
+    # built on every call, cached stencil or not; ``half`` is the central Hessian's half
     stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
-    slab = len(stencil) // stencil.shape[0]
-    stops = [None, len(stencil) // 2, 3 * slab + slab // 2]  # the last ends mid-slab
     for materialized in (False, True):
         if materialized:
             stencil.materialize()
-        for stop in stops:
-            expected = reference_blocks(stencil, stop or len(stencil), block_nodes)
-            for b, arrays in zip(stencil.offsets(stop), expected, strict=True):
-                assert b.stop - b.start == len(b.h)
+        for half in (False, True):
+            axes = lower_half(stencil.axes) if half else stencil.axes
+            shape = tuple(x.size for x, _ in axes)
+            expected = zip(reference_blocks(stencil, block_nodes, half),
+                           reference_split(shape, block_nodes), strict=True)
+            for b, (arrays, nodes) in zip(stencil.offsets(half), expected, strict=True):
+                assert same_bits(node_indices(axes, b.axes), nodes) and len(nodes) == len(b.h)
                 assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho), arrays))
 
 
@@ -253,15 +286,44 @@ def test_offsets_equal_the_per_node_expansion(monkeypatch, dim, resolution, widt
     (3, 96, (1.0, 1.0), BLOCK_NODES), (3, 96, (0.4, 1.0), BLOCK_NODES)])
 def test_shifted_points_from_the_rules_are_x_plus_and_minus_h(monkeypatch, dim, resolution,
                                                               widths, block_nodes):
-    # 3-D resolution 96: 9,216-node slabs, so blocks start and end inside a slab
+    # 3-D resolution 96: 9,216-node slabs, which do not divide a block
     stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
     x = np.random.default_rng(dim).uniform(0.3, 0.7, size=(3, dim))
-    start = 0
-    for h, *_ in reference_blocks(stencil, len(stencil), block_nodes):
-        for op in (np.add, np.subtract):
-            shifted = quadrature._shifted(x, stencil.axes, start, start + len(h), op)
-            assert same_bits(np.ascontiguousarray(shifted), op(x[:, None], h).reshape(-1, dim))
-        start += len(h)
+    for half in (False, True):
+        for b, (h, *_) in zip(stencil.offsets(half), reference_blocks(stencil, block_nodes, half),
+                              strict=True):
+            for op in (np.add, np.subtract):
+                shifted = quadrature._shifted(x, b.axes, op)
+                assert same_bits(np.ascontiguousarray(shifted), op(x[:, None], h).reshape(-1, dim))
+
+
+# the stencil shapes the benchmark builds: each one's blocks, and those of its central-Hessian
+# half, are the flat runs of BLOCK_NODES nodes, so the block sums keep their order
+BENCHMARK_SHAPES = {(1, 256), (1, 512), (2, 256), (3, 64), (3, 128)}
+
+
+# (dimension, resolution): the benchmark's shapes; an odd resolution; 2-D and 3-D slabs that do
+# not divide a block; 4-D slabs larger than a block, among them the 175,616-node slabs of
+# resolution 56
+@pytest.mark.parametrize("dim,resolution", sorted(BENCHMARK_SHAPES) + [
+    (1, 65), (2, 400), (3, 96), (4, 20), (4, 56)])
+@pytest.mark.parametrize("widths", [(1.0, 1.0), (0.4, 1.0)], ids=["full", "clipped"])
+def test_blocks_partition_the_stencil(dim, resolution, widths):
+    kernel = gaussian_kernel(dim, 8)
+    stencil = Stencil(kernel, -np.full(dim, widths[0] * kernel.reach),
+                      np.full(dim, widths[1] * kernel.reach), resolution)
+    for axes in (stencil.axes, lower_half(stencil.axes)):
+        starts, covered = [], 0
+        for block, _ in quadrature._split(axes, False):
+            # every node once, in C order: each block takes the nodes after the last one's
+            nodes = node_indices(axes, block)
+            assert same_bits(nodes, np.arange(covered, covered + len(nodes)))
+            assert len(nodes) <= BLOCK_NODES
+            starts.append(covered)
+            covered += len(nodes)
+        assert covered == math.prod(x.size for x, _ in axes)
+        if (dim, resolution) in BENCHMARK_SHAPES:
+            assert starts == list(range(0, covered, BLOCK_NODES))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -278,7 +340,7 @@ def test_full_box_blocks_weigh_one_orthant(monkeypatch, dim):
         for blocks in (stencil.blocks, stencil.offsets):
             seen.clear()
             [block] = blocks()
-            assert block.stop == len(stencil) == share * sum(seen)
+            assert math.prod(x.size for x, _ in block.axes) == len(stencil) == share * sum(seen)
 
 
 def test_underflowing_offsets_carry_no_weight():
@@ -370,13 +432,13 @@ def stencil_cache(monkeypatch):
 
 
 def test_streamed_path_equals_cached_path(stencil_cache):
-    # 400**2 nodes span three blocks, and the half the central Hessian sums
-    # ends inside the second one
+    # 400**2 nodes span three blocks of 163 rows, and the 200 rows of the half the
+    # central Hessian sums end inside the second one
     field = sin_field(BoxDomain.unit(2))
     config = OperatorConfig(gaussian_kernel(2, 4), 400)
     x = np.array([0.5, 0.37])
     variant = HessianVariant(CENTRAL)
-    assert 400**2 > 2 * BLOCK_NODES and (400**2 // 2) % BLOCK_NODES
+    assert 400**2 > 2 * BLOCK_NODES and 200 % (BLOCK_NODES // 400)
 
     cached = stencil_cache(quadrature.CACHE_BYTES)
     g_cached = nonlocal_gradient(field, x, config)
@@ -408,14 +470,14 @@ def stored_offset_operators(field, x, config):
         [(stencil, _)] = reach_stencils(kernel, p[None], kernel.reach, field.domain,
                                         config.resolution)
         total, value = np.zeros(D), field.value(p)
-        for h, _, _, grad in reference_blocks(stencil, len(stencil), BLOCK_NODES):
+        for h, _, _, grad in reference_blocks(stencil, BLOCK_NODES):
             total += (value - field(stored_shifted(p[None], h))) @ grad
         grads.append(total)
     interior = x[:1]
     stencil = Stencil(kernel, -np.full(D, kernel.reach), np.full(D, kernel.reach),
                       config.resolution)
     H, trace, u = np.zeros((D, D)), 0.0, field.value(interior[0])
-    for h, r2, wrho, _ in reference_blocks(stencil, len(stencil) // 2, BLOCK_NODES):
+    for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES, half=True):
         second = (field(stored_shifted(interior, h)) - 2.0 * u
                   + field(stored_shifted(interior, h, np.subtract)))
         c = 2.0 * (D * (D + 2) / 2.0) * wrho / (r2 * r2) * second
@@ -427,7 +489,7 @@ def stored_offset_operators(field, x, config):
         [(stencil, _)] = reach_stencils(kernel, p[None], kernel.full_radius, field.domain,
                                         config.resolution)
         c = np.zeros(D)
-        for h, r2, wrho, _ in reference_blocks(stencil, len(stencil), BLOCK_NODES):
+        for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES):
             c += [np.sum(wrho * h[:, i] ** 2 / r2) for i in range(D)]
         moments.append(c)
     return np.array(grads), H, np.array(moments)
@@ -442,7 +504,7 @@ def library_operators(field, x, config):
 
 
 # 1-D: one block; 2-D: 160,000 nodes in three blocks, the Hessian's half ending inside the
-# second; 3-D: 884,736 nodes in 9,216-node slabs, so blocks start and end inside a slab
+# second; 3-D: 884,736 nodes in 9,216-node slabs, seven to a block
 SOURCE_RESOLUTION = {1: 512, 2: 400, 3: 96}
 
 
@@ -723,8 +785,7 @@ def row_major_contract(groups, points, values, fn, out):
     """``operators._contract`` with C-order field batches and C-order BLAS operands."""
     D = points.shape[1]
     for stencil, rows in groups:
-        for block, (h, *_) in zip(stencil.blocks(), reference_blocks(stencil, len(stencil),
-                                                                     BLOCK_NODES)):
+        for block, (h, *_) in zip(stencil.blocks(), reference_blocks(stencil, BLOCK_NODES)):
             n, grad = len(h), np.ascontiguousarray(block.grad)
             for chunk in operators._chunks(rows, n):
                 batch = (points[chunk][:, None] + h).reshape(-1, D)
@@ -745,7 +806,7 @@ def row_major_central_hessians(field, points, config, constant_mode):
     prefactor = D * (D + 2) / 2.0 if constant_mode == operators.MOMENT_CONSTANT else D * (D + 1) / 2.0
     [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
     H, trace = np.zeros((P, D, D)), np.zeros(P)
-    for h, r2, wrho, _ in reference_blocks(stencil, len(stencil) // 2, BLOCK_NODES):
+    for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES, half=True):
         n = len(h)
         weight = 2.0 * prefactor * wrho / (r2 * r2)
         for chunk in operators._chunks(rows, n):
@@ -765,7 +826,7 @@ def row_major_moments(domain, x, config):
     [(stencil, _)] = reach_stencils(kernel, x[None], kernel.full_radius, domain,
                                     config.resolution)
     c = np.zeros(kernel.dim)
-    for h, r2, wrho, _ in reference_blocks(stencil, len(stencil), BLOCK_NODES):
+    for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES):
         c += [np.sum(wrho * h[:, i] ** 2 / r2) for i in range(kernel.dim)]
     return c
 
@@ -945,7 +1006,7 @@ def test_box_blocks_are_the_clipped_stencil_blocks():
         x, domain = np.array(x), BoxDomain.unit(len(x))
         [(stencil, _)] = reach_stencils(kernel, x[None], kernel.reach, domain, 32)
         for b, e in zip(own_blocks(kernel, x, domain, 32), stencil.blocks(), strict=True):
-            assert (b.start, b.stop) == (e.start, e.stop) and same_bits(b.grad, e.grad)
+            assert same_bits(b.grad, e.grad)
             assert all(same_bits(r, s) for rule, ref in zip(b.axes, e.axes, strict=True)
                        for r, s in zip(rule, ref))
 
