@@ -22,6 +22,7 @@ from .operators import (
     directional_second_moments,
     find_vanishing_subset_1d,
     nonlocal_gradient,
+    nonlocal_gradient_and_hessian,
     nonlocal_hessian,
     restricted_nonlocal_gradient,
 )

@@ -7,6 +7,13 @@ second-order constructions are provided, one of which (the symmetric
 second-difference form) is the workhorse for Newton iterations.  The
 directional second moments of the kernel over the domain measure how much
 of its mass a boundary truncates.
+
+Every operator that calls the field on a stencil does so in ``_walk``, the one
+loop over stencil blocks; each keeps only its per-block arithmetic.  The
+exceptions: the one-point gradient (``_point_gradient``) inlines that loop for
+one row, whose bookkeeping would add about a third to a 1-D call, and
+``directional_second_moments`` calls no field.  Newton's iterates take the gradient and the central Hessian
+from one pass of that loop (``nonlocal_gradient_and_hessian``).
 """
 
 from __future__ import annotations
@@ -108,28 +115,40 @@ def _chunks(rows: np.ndarray, n: int):
     return (rows[start:start + per_call] for start in range(0, len(rows), per_call))
 
 
-def _contract(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.ndarray:
-    """Adds kernel-weighted difference quotients of ``fn`` over each point's stencil to ``out``.
+def _walk(groups, points: np.ndarray, fn, add) -> None:
+    """The stencil-block loop of every operator: ``add(block, chunk, values)`` for each block
+    (``StencilBlock`` or ``Offsets``) of each ``(blocks, rows)`` of ``groups``, and each run
+    ``chunk`` of ``rows`` that fits in ``BLOCK_NODES`` nodes (``_chunks``).
 
-    For every row ``x`` of ``points`` this sums ``D * w * rho(|h|) *
-    (values[p] - fn(x + h)) / |h|^2 * (-h)`` over the offsets ``h`` of its
-    stencil into ``out[p]``; ``groups`` pairs each stencil with the rows it
-    serves (see ``reach_stencils``).  A vector-valued ``fn`` gives matrices
-    whose rows index its components.  One ``fn`` call covers a stencil block
-    for as many points as fit in ``BLOCK_NODES`` nodes, and each point adds
-    the same ``(n,) @ (n, D)`` product per block it would add on its own.  Its
-    operands keep C order whatever layout ``fn`` returns, because BLAS rounding
-    depends on the layout.  ``_point_gradient`` makes these sums for one point.
+    ``values(op=np.add)`` is one checked ``fn`` call at ``op(x, h)`` for the rows ``x`` of
+    ``points[chunk]`` and the block's nodes ``h`` (``_shifted``), as ``(len(chunk), n, ...)``
+    in C order whatever layout ``fn`` returns: BLAS rounding depends on the layout.  A
+    streamed block is freed before the next one is expanded.
     """
-    for stencil, rows in groups:
-        for block in stencil.blocks():
-            n = len(block.grad)
+    for blocks, rows in groups:
+        for block in blocks:
+            n = math.prod([x.size for x, _ in block.axes])
             for chunk in _chunks(rows, n):
-                found = np.ascontiguousarray(_field_values(
-                    fn, _shifted(points[chunk], block.axes)))
-                for i, vals in zip(chunk, found.reshape(len(chunk), n, *found.shape[1:])):
-                    out[i] += (values[i] - vals).T @ block.grad
-            del block  # a streamed block is freed before the next one is expanded
+                x = points[chunk]
+
+                def values(op=np.add):
+                    found = np.ascontiguousarray(_field_values(fn, _shifted(x, block.axes, op)))
+                    return found.reshape(len(chunk), n, *found.shape[1:])
+
+                add(block, chunk, values)
+            del block
+
+
+def _quotients(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.ndarray:
+    """Adds ``D * w * rho(|h|) * (values[p] - fn(x + h)) / |h|^2 * (-h)`` over the offsets
+    ``h`` of the stencil of each row ``x`` of ``points`` to ``out[p]``, one ``(n,) @ (n, D)``
+    product a block; ``groups`` pairs each stencil with its rows (``reach_stencils``).  A
+    vector-valued ``fn`` gives matrices whose rows index its components."""
+    def add(block, chunk, found):
+        for i, vals in zip(chunk, found()):
+            out[i] += (values[i] - vals).T @ block.grad
+
+    _walk([(stencil.blocks(), rows) for stencil, rows in groups], points, fn, add)
     return out
 
 
@@ -138,7 +157,8 @@ def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfi
 
     The checks and the reach box run in Python floats.  The point's own rule is
     the cached full-box stencil, or ``box_blocks`` over a clipped box; each
-    block adds the row's ``(n,) @ (n, D)`` product to zeros, as ``_contract``.
+    block adds the row's ``(n,) @ (n, D)`` product to zeros, as ``_quotients``.
+    This is ``_walk`` for one row, without its per-block bookkeeping.
     """
     kernel, domain, reach = config.kernel, field.domain, config.kernel.reach
     lo, hi, clipped = [], [], False
@@ -156,7 +176,7 @@ def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfi
     for block in blocks:
         shifted = _shifted(point[None], block.axes)
         total += (value - _field_values(field, shifted)) @ block.grad
-        del block  # as in ``_contract``
+        del block  # as in ``_walk``
     return total
 
 
@@ -178,7 +198,7 @@ def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarr
         return total
     points, batch = _interior_points(field, x, kernel)
     groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution)
-    total = _contract(groups, points, _values_at(field, points), field, np.zeros(points.shape))
+    total = _quotients(groups, points, _values_at(field, points), field, np.zeros(points.shape))
     return total if batch else total[0]
 
 
@@ -200,7 +220,7 @@ def restricted_nonlocal_gradient(
     total = np.zeros((1, field.dim))
     if stencils:
         groups = [(stencil, np.arange(1)) for stencil in stencils]
-        _contract(groups, x[None], _values_at(field, x[None]), field, total)
+        _quotients(groups, x[None], _values_at(field, x[None]), field, total)
     return total[0]
 
 
@@ -362,7 +382,26 @@ def _smoothed_hessians(field: ScalarField, points: np.ndarray, variant: HessianV
                     f"budget is {NODE_BUDGET}"
                 )
     out = np.zeros((len(points), field.dim, field.dim))
-    return _contract(groups, points, _field_values(grad_at, points), grad_at, out)
+    return _quotients(groups, points, _field_values(grad_at, points), grad_at, out)
+
+
+def _prefactor(D: int, constant_mode: str) -> float:
+    """The central construction's tensor-weight normalization (see ``MOMENT_CONSTANT``)."""
+    return D * (D + 2) / 2.0 if constant_mode == MOMENT_CONSTANT else D * (D + 1) / 2.0
+
+
+def _add_second_differences(H, trace, rows, b, second, prefactor: float) -> None:
+    """Adds the central sums over the half-stencil block ``b`` to ``H[p]`` and ``trace[p]``
+    for each row ``p`` of ``rows``, given its second differences ``u(x + h) - 2 u(x) + u(x -
+    h)`` as the rows of ``second``; each node stands for itself and its mirror image."""
+    for p, c in zip(rows, 2.0 * prefactor * b.wrho / (b.r2 * b.r2) * second):
+        H[p] += (b.h * c[:, None]).T @ b.h
+        trace[p] += np.sum(c * b.r2)
+
+
+def _traceless(H: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    D = H.shape[-1]
+    return H - (trace / (D + 2))[:, None, None] * np.eye(D)
 
 
 def _central_hessians(
@@ -377,8 +416,9 @@ def _central_hessians(
     so the translated stencil is always defined (it is the field itself when
     every reach box lies strictly inside).  The stencil is point
     symmetric (its second half is the negated first half), so only the first
-    half is summed, each node standing for itself and its mirror.  Field
-    calls pack the half blocks of several points, as ``_contract`` does.
+    half is summed, each node standing for itself and its mirror: one field
+    call at ``x + h`` and one at ``x - h`` per half block, for as many points
+    as ``_walk`` packs.
     """
     P, D = points.shape
     kernel = config.kernel
@@ -387,26 +427,67 @@ def _central_hessians(
     inside = np.all(box.contains(points - kernel.reach) & box.contains(points + kernel.reach))
     ext = field if inside else extend_by_zero(field)
     values = _values_at(ext, points)
-    if constant_mode == MOMENT_CONSTANT:
-        prefactor = D * (D + 2) / 2.0
-    else:
-        prefactor = D * (D + 1) / 2.0
+    prefactor = _prefactor(D, constant_mode)
     [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
     H = np.zeros((P, D, D))
     trace = np.zeros(P)
-    for b in stencil.offsets(half=True):
-        n = b.r2.size
-        weight = 2.0 * prefactor * b.wrho / (b.r2 * b.r2)
-        for chunk in _chunks(rows, n):
-            x = points[chunk]
-            second = (_field_values(ext, _shifted(x, b.axes)).reshape(-1, n)
-                      - 2.0 * values[chunk, None]
-                      + _field_values(ext, _shifted(x, b.axes, np.subtract)).reshape(-1, n))
-            for p, c in zip(chunk, weight * second):
-                H[p] += (b.h * c[:, None]).T @ b.h
-                trace[p] += np.sum(c * b.r2)
-        del b  # as in ``_contract``
-    return H - (trace / (D + 2))[:, None, None] * np.eye(D)
+
+    def add(b, chunk, found):
+        second = found() - 2.0 * values[chunk, None] + found(np.subtract)
+        _add_second_differences(H, trace, chunk, b, second, prefactor)
+
+    _walk([(stencil.offsets(half=True), rows)], points, ext, add)
+    return _traceless(H, trace)
+
+
+def nonlocal_gradient_and_hessian(
+    field: ScalarField, x, config: OperatorConfig, constant_mode: str = MOMENT_CONSTANT
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel gradient and the central Hessian at one interior point, from one field pass.
+
+    Returns ``nonlocal_gradient(field, x, config)`` and ``nonlocal_hessian(field, x,
+    HessianVariant(CENTRAL, constant_mode=constant_mode), config)``, bit for bit.  Where the
+    reach box lies strictly inside the domain and the field's support, both read the field
+    itself on the full-box stencil, whose node ``-h`` is the exact mirror image of ``h``, and
+    ``x + (-h) == x - h``.  So the Hessian's pass, ``u(x + h)`` and ``u(x - h)`` over the
+    half stencil, holds the gradient's field values: its blocks over the lower half, and
+    ``u(x - h)`` reversed over their mirror images (``Stencil.halves_pair``).  The gradient
+    takes its per-block products from there, with the operands and in the order of its own
+    pass.  Elsewhere, or where the blocks do not pair, it makes the two calls.
+    """
+    kernel, reach = config.kernel, config.kernel.reach
+    require_dim(kernel, field.dim)
+    point = as_point(x, field.dim)
+    v = point.tolist()
+    lo, hi = [c - reach for c in v], [c + reach for c in v]
+    boxes = [field.domain] if field.support is None else [field.domain, field.support]
+    # the reach box is inside every box, and the reach is above the float spacing at x
+    inside = all(a < low < c < high < b for box in boxes
+                 for a, b, low, c, high in zip(box.lower, box.upper, lo, v, hi))
+    stencil = quadrature.STENCILS.get(kernel, reach, config.resolution) if inside else None
+    if stencil is None or not stencil.halves_pair():
+        return (nonlocal_gradient(field, point, config),
+                nonlocal_hessian(field, point, HessianVariant(CENTRAL, constant_mode=constant_mode),
+                                 config))
+    D, value, blocks = field.dim, _value_at(field, point), stencil.blocks()
+    prefactor = _prefactor(D, constant_mode)
+    g, H, trace, upper = np.zeros(D), np.zeros((1, D, D)), np.zeros(1), []
+
+    def add(b, chunk, found):
+        grad = next(blocks).grad
+        [plus], [minus] = found(), found(np.subtract)
+        if len(grad) > len(plus):  # one block: the half, then its mirror image
+            upper.append((value - np.concatenate([plus, minus[::-1]])) @ grad)
+        else:  # block j and, added after the lower half's, block B-1-j
+            g[:] += (value - plus) @ grad
+            upper.append((value - minus[::-1]) @ np.ascontiguousarray(-grad[::-1]))
+        second = plus - 2.0 * value + minus
+        _add_second_differences(H, trace, chunk, b, second[None], prefactor)
+
+    _walk([(stencil.offsets(half=True), np.arange(1))], point[None], field, add)
+    for product in reversed(upper):
+        g += product
+    return g, _traceless(H, trace)[0]
 
 
 def directional_second_moments(domain: BoxDomain, x, config: OperatorConfig) -> np.ndarray:

@@ -18,13 +18,7 @@ import numpy as np
 from .errors import NodeBudgetError, RejectionOverflowError, SingularHessianError
 from .fields import ScalarField, as_point
 from .kernels import RadialKernel, require_dim
-from .operators import (
-    CENTRAL,
-    HessianVariant,
-    OperatorConfig,
-    nonlocal_gradient,
-    nonlocal_hessian,
-)
+from .operators import OperatorConfig, nonlocal_gradient, nonlocal_gradient_and_hessian
 from .oracles import central_gradient, central_hessian, golden_section
 from .quadrature import NODE_BUDGET
 
@@ -461,6 +455,11 @@ def nonlocal_newton(
 ) -> OptimizerTrace:
     """Newton iteration on the kernel gradient and second-difference Hessian.
 
+    Each iterate before ``max_iters`` takes both from ``nonlocal_gradient_and_hessian``:
+    one field pass where the kernel's reach box lies inside the domain and the field's
+    support, with the bits of the two separate calls.  The Hessian of an iterate that
+    meets ``grad_tol`` goes unused.
+
     The linear solve uses LAPACK partial pivoting and refuses matrices whose
     condition estimate exceeds ``CONDITION_LIMIT``, and steps ``H^-1 g`` longer
     than ``CONDITION_LIMIT`` domain diameters: a 1x1 matrix of rounding noise
@@ -471,10 +470,16 @@ def nonlocal_newton(
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    variant = HessianVariant(CENTRAL)
+    H = None
+
+    def direction(k, x):
+        nonlocal H
+        if k == max_iters:  # no step follows
+            return nonlocal_gradient(field, x, config)
+        g, H = nonlocal_gradient_and_hessian(field, x, config)
+        return g
 
     def step(k, x, g, value):
-        H = nonlocal_hessian(field, x, variant, config)
         if not np.all(np.isfinite(H)) or np.linalg.cond(H) > CONDITION_LIMIT:
             raise SingularHessianError(
                 f"curvature matrix is singular at iteration {k}", iteration=k
@@ -493,8 +498,7 @@ def nonlocal_newton(
             x_next = x - b * p
         return b, x_next
 
-    return _descend(field, x0, _kernel_gradient(field, config), step, _confined(field),
-                    max_iters, grad_tol)
+    return _descend(field, x0, direction, step, _confined(field), max_iters, grad_tol)
 
 
 def local_counterpart(

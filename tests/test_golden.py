@@ -243,3 +243,24 @@ def test_operator_check_bytes(tmp_path, name):
     assert run_cli([command, "--field", "quadratic", "--seed", "1", *KERNEL_SETS, *sets,
                     "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == sha256
+
+
+# The benchmark's two Newton commands at seed 1: every iterate's point, value and gradient
+# norm, and each floor run's end point, as the bytes of the file the command writes.
+UNIT_SETS = ["--set", "domain.dim=1", "--set", "domain.lower=[0.0]", "--set", "domain.upper=[1.0]"]
+NEWTON_COMMANDS = {
+    "newton-quartic": (
+        ["newton", "--field", "quartic", "--set", "newton.x0=[0.3]"], "trace.csv",
+        "56901556e4464471deb51ed366d25e5cfdbcd60b46a5cec596dbc9b803ea23e7"),
+    "sweep-newton-floor": (
+        ["sweep", "--check", "newton-floor", "--set", "check.n_values=[8, 16, 32]"],
+        "sweep_newton-floor.csv",
+        "bda09322d3805899b75d939139af63d6b34c39ac55b8a4c153e1b50ee6a02777"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_COMMANDS))
+def test_newton_command_bytes(tmp_path, name):
+    argv, csv, sha256 = NEWTON_COMMANDS[name]
+    assert run_cli([*argv, "--seed", "1", *UNIT_SETS, *KERNEL_SETS, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == sha256

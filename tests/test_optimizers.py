@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,18 @@ from nonlocalopt.optimizers import DIVERGED, GRAD_TOL, LEFT_DOMAIN
 
 def cfg(kernel, resolution=512):
     return OperatorConfig(kernel, resolution=resolution)
+
+
+def counting(field):
+    """``field`` with a callback that records the size of each batch it is given."""
+    seen = []
+
+    def fn(p):
+        if np.ndim(p) == 2:
+            seen.append(len(p))
+        return field.fn(p)
+
+    return replace(field, fn=fn), seen
 
 
 class TestSchedule:
@@ -251,6 +264,24 @@ class TestNewton:
         with pytest.raises(SingularHessianError, match="step length") as err:
             nonlocal_newton(f, [0.3], config, max_iters=3, grad_tol=0.0)
         assert err.value.iteration == 0
+
+    def test_interior_iterate_evaluates_its_stencil_once(self, unit_interval):
+        # the gradient and the Hessian read one pass over the 256 stencil nodes: the
+        # Hessian's, at x + h and x - h for the 128 nodes of the half stencil; the last
+        # iterate takes no step and evaluates the gradient alone
+        field, seen = counting(quartic_field(unit_interval, center=[0.55]))
+        trace = nonlocal_newton(field, [0.4], cfg(gaussian_kernel(1, 16), 256), max_iters=3,
+                                grad_tol=0.0)
+        assert len(trace) == 4 and seen == [128, 128] * 3 + [256]
+
+    def test_clipped_iterate_makes_both_passes(self, unit_interval):
+        # at 0.99 the reach box (0.0375 wide each way) leaves the domain: the gradient
+        # contracts its clipped rule, then the Hessian reads the zero extension at x, x + h
+        # and x - h, whose callback sees only the points inside the domain
+        field, seen = counting(quadratic_field(unit_interval, center=[1.3]))
+        trace = nonlocal_newton(field, [0.99], cfg(gaussian_kernel(1, 16), 256), max_iters=1,
+                                grad_tol=0.0)
+        assert len(trace) == 2 and seen == [256, 1, 128, 44, 256]
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
     def test_step_factor_must_be_positive_and_finite(self, unit_interval, beta):

@@ -782,10 +782,11 @@ def test_fd_nonlocal_hessian_is_one_gradient_call_equal_to_the_axis_loop(monkeyp
 
 
 def row_major_contract(groups, points, values, fn, out):
-    """``operators._contract`` with C-order field batches and C-order BLAS operands."""
+    """The gradient-type operators' block sums with C-order field batches and C-order BLAS
+    operands."""
     D = points.shape[1]
     for stencil, rows in groups:
-        for block, (h, *_) in zip(stencil.blocks(), reference_blocks(stencil, BLOCK_NODES)):
+        for block, (h, *_) in zip(stencil.blocks(), reference_blocks(stencil, quadrature.BLOCK_NODES)):
             n, grad = len(h), np.ascontiguousarray(block.grad)
             for chunk in operators._chunks(rows, n):
                 batch = (points[chunk][:, None] + h).reshape(-1, D)
@@ -796,7 +797,7 @@ def row_major_contract(groups, points, values, fn, out):
 
 
 def row_major_central_hessians(field, points, config, constant_mode):
-    """``operators._central_hessians`` with C-order field batches."""
+    """The central Hessians with C-order field batches."""
     P, D = points.shape
     kernel = config.kernel
     box = field.domain if field.support is None else field.support
@@ -806,7 +807,7 @@ def row_major_central_hessians(field, points, config, constant_mode):
     prefactor = D * (D + 2) / 2.0 if constant_mode == operators.MOMENT_CONSTANT else D * (D + 1) / 2.0
     [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
     H, trace = np.zeros((P, D, D)), np.zeros(P)
-    for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES, half=True):
+    for h, r2, wrho, _ in reference_blocks(stencil, quadrature.BLOCK_NODES, half=True):
         n = len(h)
         weight = 2.0 * prefactor * wrho / (r2 * r2)
         for chunk in operators._chunks(rows, n):
@@ -826,16 +827,65 @@ def row_major_moments(domain, x, config):
     [(stencil, _)] = reach_stencils(kernel, x[None], kernel.full_radius, domain,
                                     config.resolution)
     c = np.zeros(kernel.dim)
-    for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES):
+    for h, r2, wrho, _ in reference_blocks(stencil, quadrature.BLOCK_NODES):
         c += [np.sum(wrho * h[:, i] ** 2 / r2) for i in range(kernel.dim)]
     return c
+
+
+def row_major_gradient(field, points, config):
+    """``nonlocal_gradient`` at a batch of points, from ``row_major_contract``."""
+    kernel = config.kernel
+    groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution)
+    return row_major_contract(groups, points, operators._values_at(field, points), field,
+                              np.zeros(points.shape))
+
+
+def row_major_restricted(field, x, config, subset):
+    """``restricted_nonlocal_gradient``: one stencil per subset box the reach box meets."""
+    kernel, groups = config.kernel, []
+    for lo, hi in subset.pieces():
+        clipped = field.domain.clip_box(np.maximum(lo, x - kernel.reach),
+                                        np.minimum(hi, x + kernel.reach))
+        if clipped is not None:
+            stencil = Stencil(kernel, clipped[0] - x, clipped[1] - x, config.resolution)
+            groups.append((stencil, np.arange(1)))
+    return row_major_contract(groups, x[None], operators._values_at(field, x[None]), field,
+                              np.zeros((1, field.dim)))[0]
+
+
+def row_major_hessian(field, points, variant, config):
+    """``nonlocal_hessian`` at a batch of points, every block sum from the references."""
+    D = field.dim
+    if variant.kind == CENTRAL:
+        return row_major_central_hessians(field, points, config, variant.constant_mode)
+    if variant.kind == FD_NONLOCAL:
+        h = variant.fd_step
+        step = h * np.eye(D)[:, None]
+        shifted = points + np.stack([step, -step], axis=1)
+        g = row_major_gradient(field, shifted.reshape(-1, D), config).reshape(shifted.shape)
+        return np.moveaxis((g[:, 0] - g[:, 1]) / (2.0 * h), 0, -1)
+    if variant.kind == GRAD_SMOOTHED:
+        outer = config.kernel
+
+        def grad_at(pts):
+            return operators._classical_gradient(field, pts, variant.fd_step)
+    else:
+        outer = config.kernel.with_scale_index(variant.m)
+
+        def grad_at(pts):
+            return row_major_gradient(field, pts, config)
+
+    groups = reach_stencils(outer, points, outer.reach, field.domain, config.resolution)
+    return row_major_contract(groups, points, grad_at(points), grad_at,
+                              np.zeros((len(points), D, D)))
 
 
 # stencil resolution, and the nested Hessian's (it pays the node count twice)
 LAYOUT_RESOLUTION = {1: (64, 16), 2: (32, 8), 3: (12, 6), 4: (6, 4)}
 
 
-def layout_results(field, config, nested_config):
+def layout_results(field, config, nested_config, gradient=nonlocal_gradient,
+                   restricted=restricted_nonlocal_gradient, hessian=nonlocal_hessian):
     """Every operator on ``batch_points``: interior rows alone, and with the two clipped rows.
 
     With the clipped rows the central Hessian calls the zero extension; the grad-smoothed and
@@ -845,34 +895,94 @@ def layout_results(field, config, nested_config):
     interior = x[[0, 2, 3, 5]]
     subset = SubsetIndicator.from_boxes([(np.full(dim, 0.2), np.full(dim, 0.45)),
                                          (np.full(dim, 0.5), np.full(dim, 0.6))], dim)
-    out = {"gradient": nonlocal_gradient(field, x, config),
-           "restricted": restricted_nonlocal_gradient(field, x[0], config, subset),
-           "restricted-clipped": restricted_nonlocal_gradient(field, x[1], config, subset)}
+    out = {"gradient": gradient(field, x, config),
+           "restricted": restricted(field, x[0], config, subset),
+           "restricted-clipped": restricted(field, x[1], config, subset)}
     for kind in (CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED):
         variant = HessianVariant(kind, m=8, fd_step=1e-3)
         kind_config = nested_config if kind == NESTED else config
-        out[kind] = nonlocal_hessian(field, x, variant, kind_config)
-        out[kind + "-interior"] = nonlocal_hessian(field, interior, variant, kind_config)
+        out[kind] = hessian(field, x, variant, kind_config)
+        out[kind + "-interior"] = hessian(field, interior, variant, kind_config)
     return out
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", ["gaussian", "bump"])
 @pytest.mark.parametrize("name", sorted(BATCH_FIELDS))
-def test_operators_keep_the_bits_of_row_major_batches(monkeypatch, dim, family, name):
+def test_operators_keep_the_bits_of_row_major_batches(dim, family, name):
     field = BATCH_FIELDS[name](dim)
     resolution, nested_resolution = LAYOUT_RESOLUTION[dim]
     config = batch_config(dim, family, resolution)
     nested_config = replace(config, resolution=nested_resolution)
     results = layout_results(field, config, nested_config)
-    monkeypatch.setattr(operators, "_contract", row_major_contract)
-    monkeypatch.setattr(operators, "_central_hessians", row_major_central_hessians)
-    reference = layout_results(field, config, nested_config)
+    reference = layout_results(field, config, nested_config, row_major_gradient,
+                               row_major_restricted, row_major_hessian)
+    assert results.keys() == reference.keys()
     for key, value in results.items():
         assert same_bits(value, reference[key]), key
     for p in batch_points(dim):
         assert same_bits(directional_second_moments(field.domain, p, config),
                          row_major_moments(field.domain, p, config))
+
+
+# Newton's points: the reach box inside the bump's support, leaving the domain, and inside
+# the domain but leaving the support
+NEWTON_POINTS = {"interior": [0.47, 0.52, 0.5], "domain": [0.06, 0.52, 0.5],
+                 "support": [0.68, 0.52, 0.5]}
+
+
+def gradient_and_hessian_passes(monkeypatch, field, x, config, mode):
+    """``nonlocal_gradient_and_hessian`` at ``x``, checked against the row-major references;
+    returns how many field passes it made (2 where it called ``nonlocal_hessian``)."""
+    calls = []
+    hessian = operators.nonlocal_hessian
+    monkeypatch.setattr(operators, "nonlocal_hessian",
+                        lambda *args: calls.append(1) or hessian(*args))
+    g, H = operators.nonlocal_gradient_and_hessian(field, x, config, mode)
+    monkeypatch.setattr(operators, "nonlocal_hessian", hessian)
+    assert same_bits(g, row_major_gradient(field, x[None], config)[0])
+    assert same_bits(H, row_major_central_hessians(field, x[None], config, mode)[0])
+    assert same_bits(g, nonlocal_gradient(field, x, config))
+    variant = HessianVariant(CENTRAL, constant_mode=mode)
+    assert same_bits(H, nonlocal_hessian(field, x, variant, config))
+    return 1 + len(calls)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+@pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
+@pytest.mark.parametrize("mode", [operators.MOMENT_CONSTANT, operators.ALTERNATE_CONSTANT])
+@pytest.mark.parametrize("name,where", [("sin", "interior"), ("sin", "domain"),
+                                        ("bump", "interior"), ("bump", "domain"),
+                                        ("bump", "support")])
+def test_gradient_and_hessian_keep_the_bits_of_row_major_sums(
+        monkeypatch, stencil_cache, dim, family, cap, mode, name, where):
+    stencil_cache(cap)
+    field, config = BATCH_FIELDS[name](dim), batch_config(dim, family)
+    x = np.array(NEWTON_POINTS[where][:dim])
+    passes = gradient_and_hessian_passes(monkeypatch, field, x, config, mode)
+    assert passes == (1 if where == "interior" else 2)
+
+
+# (dimension, nodes per block, passes): a 2-D stencil of 32**2 nodes in blocks of 4 axis-0
+# rows, which pair with their mirror images, and of 3 rows, which do not (the half's 16 rows
+# end inside a block); a 3-D stencil of 12**3 nodes in blocks of two axis-0 slabs, in runs
+# of 6 axis-1 rows, which pair, and of 8, which do not
+BLOCK_LAYOUTS = [(2, 128, 1), (2, 96, 2), (3, 288, 1), (3, 72, 1), (3, 100, 2)]
+
+
+@pytest.mark.parametrize("dim,block_nodes,passes", BLOCK_LAYOUTS)
+@pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
+def test_gradient_and_hessian_pair_mirror_blocks(monkeypatch, stencil_cache, dim, block_nodes,
+                                                 passes, cap):
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
+    stencil_cache(cap)
+    field, config = sin_field(BoxDomain.unit(dim)), batch_config(dim, "gaussian")
+    x = np.array(NEWTON_POINTS["interior"][:dim])
+    reach = np.full(dim, config.kernel.reach)
+    assert len(list(Stencil(config.kernel, -reach, reach, config.resolution).blocks())) > 2
+    assert gradient_and_hessian_passes(
+        monkeypatch, field, x, config, operators.MOMENT_CONSTANT) == passes
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
