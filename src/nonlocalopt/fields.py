@@ -142,7 +142,6 @@ class ScalarField:
     lipschitz: Optional[float] = None
     support: Optional[BoxDomain] = None
     name: str = ""
-    zero_extended: bool = False
 
     @property
     def dim(self) -> int:
@@ -174,9 +173,9 @@ def extend_by_zero(field: ScalarField) -> ScalarField:
     The returned field evaluates to the original value strictly inside the
     declared support box, or inside the domain when no support is declared,
     and to exactly zero everywhere else.  It has no derivative callbacks.
-    Idempotent.
+    Idempotent: a field whose callback is such a mask is returned as it is.
     """
-    if field.zero_extended:
+    if getattr(field.fn, "_zero_extension", False):
         return field
     box = field.domain if field.support is None else field.support
     lo, hi = box.lower_array, box.upper_array
@@ -196,7 +195,8 @@ def extend_by_zero(field: ScalarField) -> ScalarField:
             return float(out[0])
         return out.reshape(inside.shape)
 
-    return replace(field, fn=masked, gradient=None, hessian=None, zero_extended=True)
+    masked._zero_extension = True
+    return replace(field, fn=masked, gradient=None, hessian=None)
 
 
 @dataclass(frozen=True)

@@ -440,20 +440,19 @@ def _central_hessians(
     return _traceless(H, trace)
 
 
-def nonlocal_gradient_and_hessian(
-    field: ScalarField, x, config: OperatorConfig, constant_mode: str = MOMENT_CONSTANT
-) -> tuple[np.ndarray, np.ndarray]:
+def nonlocal_gradient_and_hessian(field: ScalarField, x,
+                                  config: OperatorConfig) -> tuple[np.ndarray, np.ndarray]:
     """The kernel gradient and the central Hessian at one interior point, from one field pass.
 
     Returns ``nonlocal_gradient(field, x, config)`` and ``nonlocal_hessian(field, x,
-    HessianVariant(CENTRAL, constant_mode=constant_mode), config)``, bit for bit.  Where the
-    reach box lies strictly inside the domain and the field's support, both read the field
-    itself on the full-box stencil, whose node ``-h`` is the exact mirror image of ``h``, and
-    ``x + (-h) == x - h``.  So the Hessian's pass, ``u(x + h)`` and ``u(x - h)`` over the
-    half stencil, holds the gradient's field values: its blocks over the lower half, and
-    ``u(x - h)`` reversed over their mirror images (``Stencil.halves_pair``).  The gradient
+    HessianVariant(CENTRAL), config)``, bit for bit.  Where the reach box lies strictly inside
+    the domain and the field's support, both read the field itself on the full-box stencil,
+    whose node ``-h`` is the exact mirror image of ``h``, and ``x + (-h) == x - h``.  So the
+    Hessian's pass, ``u(x + h)`` and ``u(x - h)`` over the half stencil, holds the gradient's
+    field values: its blocks over the lower half, and ``u(x - h)`` reversed over their mirror
+    images, which are the full box's remaining blocks (``quadrature._split``).  The gradient
     takes its per-block products from there, with the operands and in the order of its own
-    pass.  Elsewhere, or where the blocks do not pair, it makes the two calls.
+    pass.  Elsewhere it makes the two calls.
     """
     kernel, reach = config.kernel, config.kernel.reach
     require_dim(kernel, field.dim)
@@ -462,15 +461,13 @@ def nonlocal_gradient_and_hessian(
     lo, hi = [c - reach for c in v], [c + reach for c in v]
     boxes = [field.domain] if field.support is None else [field.domain, field.support]
     # the reach box is inside every box, and the reach is above the float spacing at x
-    inside = all(a < low < c < high < b for box in boxes
-                 for a, b, low, c, high in zip(box.lower, box.upper, lo, v, hi))
-    stencil = quadrature.STENCILS.get(kernel, reach, config.resolution) if inside else None
-    if stencil is None or not stencil.halves_pair():
+    if not all(a < low < c < high < b for box in boxes
+               for a, b, low, c, high in zip(box.lower, box.upper, lo, v, hi)):
         return (nonlocal_gradient(field, point, config),
-                nonlocal_hessian(field, point, HessianVariant(CENTRAL, constant_mode=constant_mode),
-                                 config))
+                nonlocal_hessian(field, point, HessianVariant(CENTRAL), config))
+    stencil = quadrature.STENCILS.get(kernel, reach, config.resolution)
     D, value, blocks = field.dim, _value_at(field, point), stencil.blocks()
-    prefactor = _prefactor(D, constant_mode)
+    prefactor = _prefactor(D, MOMENT_CONSTANT)
     g, H, trace, upper = np.zeros(D), np.zeros((1, D, D)), np.zeros(1), []
 
     def add(b, chunk, found):

@@ -11,10 +11,12 @@ gradient weights, ``D * 8`` bytes a node; the operators fill their field points
 from its rule slices, and ``Stencil.offsets`` rebuilds ``h``, ``|h|^2`` and
 ``w * rho`` on every call.  The full-box stencil of a kernel is the same at
 every point whose reach box lies inside the domain, so ``StencilCache`` keeps
-its gradient weights, within a byte cap.  Where axes 1.. of a stencil are
-mirror images about 0 (every full box), a block computes ``|h|^2`` and its
-weights on the upper half of each of those axes that it keeps whole, and
-mirrors them, bit for bit.
+its gradient weights, within a byte cap.  An axis that 0 cuts into two equal
+sides (every axis of a full box) is its own mirror image at 0.  Such an axis is
+cut into blocks half by half, so a full box's blocks are those of its lower half
+on axis 0 and then their mirror images; and a block whose whole axes are all
+such computes ``|h|^2`` and its weights on their upper halves and mirrors them,
+bit for bit.
 
 Allocator policy: the first block whose ``(n, D)`` arrays reach glibc's
 default mmap threshold (128 KiB) fixes the process's mmap threshold at 32 MiB
@@ -206,36 +208,35 @@ def _keep_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
 
 
-def _mirrored(axes) -> bool:
-    """Whether axes 1.. are even-sized rules mirrored at 0: ``x[::-1] == -x``, ``w[::-1] == w``."""
-    return all(x.size % 2 == 0 and np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
-               for x, w in axes[1:])
-
-
-def _split(axes, mirrored: bool) -> Iterator[tuple[tuple, int]]:
+def _split(axes, symmetric) -> Iterator[tuple[tuple, int]]:
     """The blocks of the C-order product of the per-axis rules ``axes``, in order, as
-    ``(block axes, mirror)`` pairs.
+    ``(block axes, mirror)`` pairs; ``symmetric[i]`` says that the rule of axis ``i`` is its
+    own mirror image at 0 (``Stencil``).
 
     ``k`` is the first axis whose later axes hold at most ``BLOCK_NODES`` nodes together.  A
-    block takes one node of each axis before ``k``, a run of axis ``k`` and every later axis
-    whole, at most ``BLOCK_NODES`` nodes.  When ``k`` is 0 and the later axes' node count
-    divides ``BLOCK_NODES``, the blocks are the flat runs of ``BLOCK_NODES`` nodes.  The
-    block's axes after ``k`` are mirrored (``_radial``) when ``mirrored`` says that axes 1..
-    of ``axes`` are (``_mirrored``): ``mirror`` is ``k + 1``, else ``D``.
+    block takes one node of each axis before ``k``, a run of at most ``BLOCK_NODES // stride``
+    nodes of axis ``k`` and every later axis whole.  A symmetric axis ``k`` that needs more
+    than one run is cut into the runs of its lower half, then their mirror images, so the
+    blocks of a box symmetric on every axis are the blocks of its lower half on axis 0 and
+    then their mirror images in reverse order.  The block's axes after ``k`` are mirrored
+    (``_radial``) when all of them are symmetric: ``mirror`` is ``k + 1``, else ``D``.
     """
     sizes = [x.size for x, _ in axes]
     k, stride = 0, math.prod(sizes[1:])
     while stride > BLOCK_NODES:  # ends at the last axis, whose stride is 1
         k += 1
         stride //= sizes[k]
-    step, (x, w) = BLOCK_NODES // stride, axes[k]
-    if min(step, sizes[k]) * stride * len(axes) >= _LARGE_BLOCK:  # the first block is the largest
+    step, (x, w), n = BLOCK_NODES // stride, axes[k], sizes[k]
+    cut = n // 2 if symmetric[k] and n > step else n
+    if min(step, cut) * stride * len(axes) >= _LARGE_BLOCK:  # the first block is the largest
         _keep_heap()
-    mirror, tail = k + 1 if mirrored else len(axes), axes[k + 1:]
+    runs = [(lo, min(lo + step, cut)) for lo in range(0, cut, step)]
+    runs += [(n - hi, n - lo) for lo, hi in reversed(runs)] if cut < n else []
+    mirror, tail = k + 1 if all(symmetric[k + 1:]) else len(axes), axes[k + 1:]
     nodes = [[(a[i:i + 1], b[i:i + 1]) for i in range(a.size)] for a, b in axes[:k]]
     for head in itertools.product(*nodes):
-        for lo in range(0, sizes[k], step):
-            yield head + ((x[lo:lo + step], w[lo:lo + step]),) + tail, mirror
+        for lo, hi in runs:
+            yield head + ((x[lo:hi], w[lo:hi]),) + tail, mirror
 
 
 def _along(a: np.ndarray, j: int, D: int) -> np.ndarray:
@@ -286,7 +287,7 @@ def _radial(axes, mirror: int):
 
     Sums and products run axis by axis as a per-node gather's: ((x0^2 + x1^2) + x2^2),
     ((w0*w1)*w2).  Axes ``mirror``.. (none when it is ``D``) are whole rules mirrored at 0
-    (``_mirrored``): ``_unfold`` mirrors what is computed from ``r2`` and ``w`` into the
+    (``Stencil.symmetric``): ``_unfold`` mirrors what is computed from ``r2`` and ``w`` into the
     rest, as a node and its mirror image share their bits.
     """
     D = len(axes)
@@ -345,20 +346,24 @@ class Stencil:
     """Tensor-product offset rule over the box ``[lo, hi]`` around a point.
 
     Offsets come from ``build_panel_grid`` split at 0, exactly as operators
-    split their grids at the evaluation point.  ``kernel`` supplies ``dim``
-    and ``radial_density``.  ``blocks`` gives the gradient weights of the
+    split their grids at the evaluation point.  It writes an axis as its own
+    mirror image at 0, ``h[::-1] == -h``, exactly where 0 cuts the box into
+    equal sides, ``-lo == hi``: ``symmetric`` holds that per axis, true on
+    every axis of a full box.  ``kernel`` supplies ``dim`` and
+    ``radial_density``.  ``blocks`` gives the gradient weights of the
     ``_split`` blocks in order, built on demand unless ``materialize`` has
     stored them; ``offsets`` builds the offsets and their weights in the same
     blocks on every call.
     """
 
     def __init__(self, kernel, lo, hi, resolution: int):
-        grid = build_panel_grid(lo, hi, np.zeros(np.size(lo)), resolution)
+        lo, hi = (np.asarray(bound, dtype=float).ravel().tolist() for bound in (lo, hi))
+        grid = build_panel_grid(lo, hi, np.zeros(len(lo)), resolution)
         self.axes = grid.axes
         self.shape = grid.shape
         self.size = len(grid)
         self.kernel = kernel
-        self._mirrored = _mirrored(self.axes)
+        self.symmetric = tuple(-a == b > 0 for a, b in zip(lo, hi))
         self._blocks: Optional[tuple[StencilBlock, ...]] = None
 
     def __len__(self) -> int:
@@ -377,29 +382,18 @@ class Stencil:
         if self._blocks is not None:
             yield from self._blocks
             return
-        for axes, mirror in _split(self.axes, self._mirrored):
+        for axes, mirror in _split(self.axes, self.symmetric):
             yield StencilBlock(axes, _expand(axes, self.kernel, mirror))
 
     def offsets(self, half: bool = False) -> Iterator[Offsets]:
         """The offsets and weights of every node, block by block; with ``half``, of the
         stencil whose axis-0 rule is cut to its lower half: the first half of the nodes."""
-        for block, mirror in _split(self._half_axes() if half else self.axes, self._mirrored):
+        axes, symmetric = self.axes, self.symmetric
+        if half:  # a lower half is not its own mirror image
+            (x, w), *rest = axes
+            axes, symmetric = ((x[:x.size // 2], w[:w.size // 2]), *rest), (False, *symmetric[1:])
+        for block, mirror in _split(axes, symmetric):
             yield Offsets(block, *_offsets(block, self.kernel, mirror))
-
-    def _half_axes(self) -> tuple:
-        (x, w), *rest = self.axes
-        return ((x[:x.size // 2], w[:w.size // 2]), *rest)
-
-    def halves_pair(self) -> bool:
-        """Whether ``blocks()`` are one block, or ``offsets(half=True)``'s blocks and then their
-        mirror images in reverse order: block ``j`` and block ``B-1-j`` (a full box has
-        ``h[::-1] == -h`` and ``grad[::-1] == -grad`` bit for bit).  Not where a block straddles
-        the middle, as 2-D at resolution 400, in blocks of 163 of its 400 axis-0 rows."""
-        if self.size <= BLOCK_NODES:
-            return True
-        full, half = ([math.prod([x.size for x, _ in block]) for block, _ in _split(axes, False)]
-                      for axes in (self.axes, self._half_axes()))
-        return full == half + half[::-1]
 
 
 class StencilCache:

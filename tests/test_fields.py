@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nonlocalopt import BoxDomain, extend_by_zero
+from nonlocalopt import BoxDomain, ScalarField, extend_by_zero
 from nonlocalopt.catalog import bump_field, catalog, linear_field, quadratic_field
 from nonlocalopt.errors import DimensionMismatchError
 from nonlocalopt.fields import SubsetIndicator
@@ -91,6 +91,13 @@ class TestExtendByZero:
         assert twice is once
         probes = np.linspace(-0.5, 1.5, 21)[:, None]
         assert np.array_equal(once(probes), twice(probes))
+
+    def test_constructor_cannot_mark_a_field_as_extended(self, unit_interval):
+        # only ``extend_by_zero`` makes a zero extension: a field marked by its caller would
+        # skip the mask, and the central Hessian would call it outside its domain
+        fn = quadratic_field(unit_interval).fn
+        with pytest.raises(TypeError):
+            ScalarField(fn, unit_interval, zero_extended=True)
 
     def test_cuts_off_at_domain_without_support(self, unit_interval):
         base = quadratic_field(unit_interval)

@@ -168,6 +168,9 @@ class TestSampling:
         monkeypatch.setattr(kernels_mod, "_MAX_SAMPLE_ATTEMPTS", 0)
         with pytest.raises(RejectionOverflowError):
             bump_kernel(1, 1).sample(np.random.default_rng(0))
+        # the batched sampler's budget, 100 attempts a row beyond it, is below one chunk
+        with pytest.raises(RejectionOverflowError, match="batched"):
+            bump_kernel(1, 1).sample_batch(np.random.default_rng(0), 1)
 
 
 class TestMoments:

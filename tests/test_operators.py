@@ -227,6 +227,19 @@ class TestVanishingSubset:
         with pytest.raises(NoBracketError):
             find_vanishing_subset_1d(f, [0.5], cfg(bump_kernel(1, 4)))
 
+    def test_rise_that_turns_to_a_fall_no_bracket(self, unit_interval):
+        # the field rises at the precheck's probes on both sides of 0.5, but past half the
+        # kernel's reach it falls on the right, so the right side's mass has the wrong sign
+        kernel = bump_kernel(1, 4)
+        turn = 0.5 + kernel.reach / 2
+
+        def fn(x):
+            x = np.asarray(x)[..., 0]
+            return (x - 0.5) ** 2 - 100.0 * np.maximum(0.0, x - turn) ** 2
+
+        with pytest.raises(NoBracketError, match="wrong sign pattern"):
+            find_vanishing_subset_1d(ScalarField(fn, unit_interval), [0.5], cfg(kernel))
+
 
 class TestTaylor:
     def test_linear_field_exact(self, unit_interval):

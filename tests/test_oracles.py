@@ -171,6 +171,23 @@ class TestConvergenceSweep:
         )
         assert report.monotone
 
+    def test_hessian_localization_sweep_quarters_per_doubling(self, unit_interval):
+        # the default problem: the bump field, probes on the middle fifth of the diagonal
+        report = convergence_sweep("hessian-localization", [4, 8, 16, 32],
+                                   sweep_settings(unit_interval, gaussian_kernel(1, 1, 0.1)))
+        assert report.monotone
+        errors = report.errors
+        assert all(3.5 < a / b < 4.5 for a, b in zip(errors, errors[1:])), errors
+        assert errors[-1] <= 4e-3
+        assert all(0.4 <= loc[0] <= 0.6 for loc in report.locations)
+
+    def test_iterate_tracking_sweep_reaches_the_classical_run(self, unit_interval):
+        # the default problem: gradient descent on the quadratic from 0.05, 20 steps
+        report = convergence_sweep("iterate-tracking", [4, 8, 16, 32],
+                                   sweep_settings(unit_interval, gaussian_kernel(1, 1, 0.1)))
+        assert report.monotone
+        assert report.errors[0] > 1e-3 and report.errors[-1] <= 1e-9
+
     def test_repeated_sweep_gives_same_numbers(self, unit_interval):
         settings = sweep_settings(unit_interval, gaussian_kernel(1, 1, 0.1),
                                   field=sin_field(unit_interval))

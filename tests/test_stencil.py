@@ -184,24 +184,48 @@ def test_full_box_stencil_is_point_symmetric(dim, resolution):
     assert np.array_equal(grad[::-1], -grad)
 
 
-def reference_split(shape, block_nodes):
+def mirrored(axes):
+    """Per axis, whether its rule is its own mirror image at 0, from the arrays:
+    ``x[::-1] == -x`` and ``w[::-1] == w`` on an even node count."""
+    return tuple(x.size % 2 == 0 and np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+                 for x, w in axes)
+
+
+def reference_split(shape, block_nodes, symmetric):
     """The flat node indices of each block of a grid of ``shape``: one index of each axis
     before the first axis ``k`` whose later axes hold at most ``block_nodes`` nodes, runs of
-    ``block_nodes // stride`` indices of axis ``k``, and every later axis whole."""
+    ``block_nodes // stride`` indices of axis ``k``, and every later axis whole.  Where axis
+    ``k`` is ``symmetric`` and needs more than one run, the runs cover its lower half, and
+    then the mirror images of those runs in reverse order."""
     k = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= block_nodes)
-    step = block_nodes // math.prod(shape[k + 1:])
+    step, n = block_nodes // math.prod(shape[k + 1:]), shape[k]
+    cut = n // 2 if symmetric[k] and n > step else n
+    runs = [np.arange(lo, min(lo + step, cut)) for lo in range(0, cut, step)]
+    if cut < n:
+        runs += [n - 1 - run[::-1] for run in reversed(runs)]
     index = np.arange(math.prod(shape)).reshape(shape)
     for head in np.ndindex(*shape[:k]):
-        for lo in range(0, shape[k], step):
-            yield index[head + (slice(lo, lo + step),)].reshape(-1)
+        for run in runs:
+            yield index[head + (run,)].reshape(-1)
+
+
+def half_axes(stencil, half):
+    """The stencil's rules, with the rule of axis 0 cut to its lower half when ``half``, and
+    their symmetry by ``mirrored``."""
+    axes = stencil.axes
+    if half:
+        (x, w), *rest = axes
+        axes = ((x[:x.size // 2], w[:w.size // 2]), *rest)
+    return axes, mirrored(axes)
 
 
 def reference_blocks(stencil, block_nodes, half=False):
     """The per-node expansion of ``reference_split``'s blocks of the stencil, or of its first
     half (the lower half of axis 0): each node's axis indices by ``unravel_index``, then
     gathers."""
-    shape = (stencil.shape[0] // 2 if half else stencil.shape[0],) + stencil.shape[1:]
-    for nodes in reference_split(shape, block_nodes):
+    axes, symmetric = half_axes(stencil, half)
+    shape = tuple(x.size for x, _ in axes)
+    for nodes in reference_split(shape, block_nodes, symmetric):
         index = np.unravel_index(nodes, shape)
         h = np.stack([x[i] for (x, _), i in zip(stencil.axes, index)], axis=1)
         w = np.ones(1)
@@ -239,12 +263,6 @@ def node_indices(axes, block_axes):
     return np.ravel_multi_index(np.ix_(*ranges), [x.size for x, _ in axes]).reshape(-1)
 
 
-def lower_half(axes):
-    """The rules ``axes`` with the rule of axis 0 cut to its lower half."""
-    (x, w), *rest = axes
-    return ((x[:x.size // 2], w[:w.size // 2]), *rest)
-
-
 def expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes):
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     kernel = bump_kernel(dim, 2)
@@ -256,7 +274,7 @@ def expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes):
 def test_blocks_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths, block_nodes):
     stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
     expected = list(reference_blocks(stencil, block_nodes))
-    nodes = list(reference_split(stencil.shape, block_nodes))
+    nodes = list(reference_split(stencil.shape, block_nodes, mirrored(stencil.axes)))
     for materialized in (False, True):
         if materialized:
             stencil.materialize()
@@ -273,10 +291,10 @@ def test_offsets_equal_the_per_node_expansion(monkeypatch, dim, resolution, widt
         if materialized:
             stencil.materialize()
         for half in (False, True):
-            axes = lower_half(stencil.axes) if half else stencil.axes
+            axes, symmetric = half_axes(stencil, half)
             shape = tuple(x.size for x, _ in axes)
             expected = zip(reference_blocks(stencil, block_nodes, half),
-                           reference_split(shape, block_nodes), strict=True)
+                           reference_split(shape, block_nodes, symmetric), strict=True)
             for b, (arrays, nodes) in zip(stencil.offsets(half), expected, strict=True):
                 assert same_bits(node_indices(axes, b.axes), nodes) and len(nodes) == len(b.h)
                 assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho), arrays))
@@ -312,9 +330,9 @@ def test_blocks_partition_the_stencil(dim, resolution, widths):
     kernel = gaussian_kernel(dim, 8)
     stencil = Stencil(kernel, -np.full(dim, widths[0] * kernel.reach),
                       np.full(dim, widths[1] * kernel.reach), resolution)
-    for axes in (stencil.axes, lower_half(stencil.axes)):
+    for axes, symmetric in (half_axes(stencil, half) for half in (False, True)):
         starts, covered = [], 0
-        for block, _ in quadrature._split(axes, False):
+        for block, _ in quadrature._split(axes, symmetric):
             # every node once, in C order: each block takes the nodes after the last one's
             nodes = node_indices(axes, block)
             assert same_bits(nodes, np.arange(covered, covered + len(nodes)))
@@ -324,6 +342,72 @@ def test_blocks_partition_the_stencil(dim, resolution, widths):
         assert covered == math.prod(x.size for x, _ in axes)
         if (dim, resolution) in BENCHMARK_SHAPES:
             assert starts == list(range(0, covered, BLOCK_NODES))
+
+
+# (dimension, resolution, nodes per block): stencils whose symmetric axis needs more than one
+# run: 1-D in runs of 100 nodes; 2-D resolution 400 in axis-0 runs of 163, 37, 37 and 163
+# rows; 3-D resolution 50 (25 and 25 slabs), 64 (four even runs of 16) and 96 (14 runs); 4-D
+# resolution 20 (8, 2, 2 and 8 slabs) and 56 (runs of 20, 8, 8 and 20 along axis 1)
+PAIRED_SHAPES = [(1, 256, 100), (2, 400, BLOCK_NODES), (3, 50, BLOCK_NODES),
+                 (3, 64, BLOCK_NODES), (3, 96, BLOCK_NODES), (4, 20, BLOCK_NODES),
+                 (4, 56, BLOCK_NODES)]
+
+
+@pytest.mark.parametrize("dim,resolution,block_nodes", PAIRED_SHAPES)
+@pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
+def test_full_box_blocks_are_the_half_blocks_then_their_mirror_images(
+        monkeypatch, dim, resolution, block_nodes, cap):
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
+    kernel = gaussian_kernel(dim, 8)
+    stencil = StencilCache(cap).get(kernel, kernel.reach, resolution)
+    assert stencil.symmetric == mirrored(stencil.axes) == (True,) * dim
+    half = [b.axes for b in stencil.offsets(half=True)]
+    lower = []
+    for j, block in enumerate(stencil.blocks()):
+        if j < len(half):  # the half's block, from the same rule slices
+            assert all(np.shares_memory(x, hx) and same_bits(x, hx) and same_bits(w, hw)
+                       for (x, w), (hx, hw) in zip(block.axes, half[j], strict=True))
+            lower.append(block.grad if stencil.nbytes <= cap else None)
+            continue
+        # block B-1-j is the mirror image of block j, node for node
+        image = 2 * len(half) - 1 - j
+        assert all(same_bits(x, -hx[::-1]) and same_bits(w, hw[::-1])
+                   for (x, w), (hx, hw) in zip(block.axes, half[image], strict=True))
+        if lower[image] is not None:
+            assert same_bits(block.grad, -lower[image][::-1])
+    assert j + 1 == 2 * len(half) > 1
+
+
+@pytest.mark.parametrize("dim,resolution", [(1, 256), (2, 256), (2, 400), (3, 50), (3, 96),
+                                            (4, 56)])
+@pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
+def test_box_symmetry_is_the_mirror_image_of_the_rules(stencil_cache, dim, resolution, cap):
+    # reach_stencils' boxes: the full box, from the cache or not, and (p - r) - p and
+    # (p + r) - p, clipped to the domain on some axes, and on the others equal and opposite
+    # or not, as rounding makes them
+    stencil_cache(cap)
+    kernel = gaussian_kernel(dim, 8)
+    points = np.random.default_rng(dim).uniform(0.0, 1.0, size=(40, dim))
+    flags = set()
+    for stencil, _ in reach_stencils(kernel, points, kernel.reach, BoxDomain.unit(dim),
+                                     resolution):
+        assert stencil.symmetric == mirrored(stencil.axes)
+        flags.update(stencil.symmetric)
+    assert flags == {False, True}
+
+
+@pytest.mark.parametrize("dim,resolution,points", [(2, 400, 160_001), (3, 50, 125_001)])
+def test_newton_iterate_reads_the_field_once_where_runs_regrouped(dim, resolution, points):
+    # before axis-0 runs were cut by halves these stencils' blocks did not pair with their
+    # half's, and an interior iterate made two passes: 320,002 and 250,002 points
+    base, seen = sin_field(BoxDomain.unit(dim)), []
+    field = replace(base, fn=lambda p: seen.append(np.size(p) // dim) or base.fn(p))
+    config = OperatorConfig(gaussian_kernel(dim, 8), resolution)
+    x = np.array(NEWTON_POINTS["interior"][:dim])
+    g, H = operators.nonlocal_gradient_and_hessian(field, x, config)
+    assert sum(seen) == points == resolution ** dim + 1
+    assert same_bits(g, nonlocal_gradient(base, x, config))
+    assert same_bits(H, nonlocal_hessian(base, x, HessianVariant(CENTRAL), config))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -432,8 +516,8 @@ def stencil_cache(monkeypatch):
 
 
 def test_streamed_path_equals_cached_path(stencil_cache):
-    # 400**2 nodes span three blocks of 163 rows, and the 200 rows of the half the
-    # central Hessian sums end inside the second one
+    # 400**2 nodes span four blocks, of 163, 37, 37 and 163 rows: runs of 163 rows do not
+    # divide the 200 rows of the half the central Hessian sums
     field = sin_field(BoxDomain.unit(2))
     config = OperatorConfig(gaussian_kernel(2, 4), 400)
     x = np.array([0.5, 0.37])
@@ -503,8 +587,9 @@ def library_operators(field, x, config):
             np.array([directional_second_moments(field.domain, p, config) for p in x]))
 
 
-# 1-D: one block; 2-D: 160,000 nodes in three blocks, the Hessian's half ending inside the
-# second; 3-D: 884,736 nodes in 9,216-node slabs, seven to a block
+# 1-D: one block; 2-D: 160,000 nodes in blocks of 163, 37, 37 and 163 rows, the Hessian's
+# half the first two; 3-D: 884,736 nodes in 9,216-node slabs, seven to a block but six in
+# the two blocks either side of the middle
 SOURCE_RESOLUTION = {1: 512, 2: 400, 3: 96}
 
 
@@ -931,58 +1016,55 @@ NEWTON_POINTS = {"interior": [0.47, 0.52, 0.5], "domain": [0.06, 0.52, 0.5],
                  "support": [0.68, 0.52, 0.5]}
 
 
-def gradient_and_hessian_passes(monkeypatch, field, x, config, mode):
+def gradient_and_hessian_passes(monkeypatch, field, x, config):
     """``nonlocal_gradient_and_hessian`` at ``x``, checked against the row-major references;
     returns how many field passes it made (2 where it called ``nonlocal_hessian``)."""
     calls = []
     hessian = operators.nonlocal_hessian
     monkeypatch.setattr(operators, "nonlocal_hessian",
                         lambda *args: calls.append(1) or hessian(*args))
-    g, H = operators.nonlocal_gradient_and_hessian(field, x, config, mode)
+    g, H = operators.nonlocal_gradient_and_hessian(field, x, config)
     monkeypatch.setattr(operators, "nonlocal_hessian", hessian)
     assert same_bits(g, row_major_gradient(field, x[None], config)[0])
-    assert same_bits(H, row_major_central_hessians(field, x[None], config, mode)[0])
+    assert same_bits(H, row_major_central_hessians(field, x[None], config,
+                                                   operators.MOMENT_CONSTANT)[0])
     assert same_bits(g, nonlocal_gradient(field, x, config))
-    variant = HessianVariant(CENTRAL, constant_mode=mode)
-    assert same_bits(H, nonlocal_hessian(field, x, variant, config))
+    assert same_bits(H, nonlocal_hessian(field, x, HessianVariant(CENTRAL), config))
     return 1 + len(calls)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("family", ["gaussian", "bump"])
 @pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
-@pytest.mark.parametrize("mode", [operators.MOMENT_CONSTANT, operators.ALTERNATE_CONSTANT])
 @pytest.mark.parametrize("name,where", [("sin", "interior"), ("sin", "domain"),
                                         ("bump", "interior"), ("bump", "domain"),
                                         ("bump", "support")])
 def test_gradient_and_hessian_keep_the_bits_of_row_major_sums(
-        monkeypatch, stencil_cache, dim, family, cap, mode, name, where):
+        monkeypatch, stencil_cache, dim, family, cap, name, where):
     stencil_cache(cap)
     field, config = BATCH_FIELDS[name](dim), batch_config(dim, family)
     x = np.array(NEWTON_POINTS[where][:dim])
-    passes = gradient_and_hessian_passes(monkeypatch, field, x, config, mode)
+    passes = gradient_and_hessian_passes(monkeypatch, field, x, config)
     assert passes == (1 if where == "interior" else 2)
 
 
-# (dimension, nodes per block, passes): a 2-D stencil of 32**2 nodes in blocks of 4 axis-0
-# rows, which pair with their mirror images, and of 3 rows, which do not (the half's 16 rows
-# end inside a block); a 3-D stencil of 12**3 nodes in blocks of two axis-0 slabs, in runs
-# of 6 axis-1 rows, which pair, and of 8, which do not
-BLOCK_LAYOUTS = [(2, 128, 1), (2, 96, 2), (3, 288, 1), (3, 72, 1), (3, 100, 2)]
+# (dimension, nodes per block): a 2-D stencil of 32**2 nodes in blocks of 4 axis-0 rows, and
+# of 3 rows, which do not divide the half's 16; a 3-D stencil of 12**3 nodes in blocks of two
+# axis-0 slabs, and in runs of 6 axis-1 rows, and of 8, more than the 6 of half that axis
+BLOCK_LAYOUTS = [(2, 128), (2, 96), (3, 288), (3, 72), (3, 100)]
 
 
-@pytest.mark.parametrize("dim,block_nodes,passes", BLOCK_LAYOUTS)
+@pytest.mark.parametrize("dim,block_nodes", BLOCK_LAYOUTS)
 @pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
 def test_gradient_and_hessian_pair_mirror_blocks(monkeypatch, stencil_cache, dim, block_nodes,
-                                                 passes, cap):
+                                                 cap):
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     stencil_cache(cap)
     field, config = sin_field(BoxDomain.unit(dim)), batch_config(dim, "gaussian")
     x = np.array(NEWTON_POINTS["interior"][:dim])
     reach = np.full(dim, config.kernel.reach)
     assert len(list(Stencil(config.kernel, -reach, reach, config.resolution).blocks())) > 2
-    assert gradient_and_hessian_passes(
-        monkeypatch, field, x, config, operators.MOMENT_CONSTANT) == passes
+    assert gradient_and_hessian_passes(monkeypatch, field, x, config) == 1
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
