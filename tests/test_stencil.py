@@ -1048,6 +1048,24 @@ def test_gradient_and_hessian_keep_the_bits_of_row_major_sums(
     assert passes == (1 if where == "interior" else 2)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+@pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
+@pytest.mark.parametrize("name,where", [("sin", "interior"), ("sin", "domain"),
+                                        ("bump", "interior"), ("bump", "domain"),
+                                        ("bump", "support")])
+def test_alternate_central_hessian_keeps_the_bits_of_row_major_sums(
+        stencil_cache, dim, family, cap, name, where):
+    # Newton shares its pass only in the moment mode; the alternate constant reaches the
+    # central Hessian through nonlocal_hessian alone, at the same points
+    stencil_cache(cap)
+    field, config = BATCH_FIELDS[name](dim), batch_config(dim, family)
+    x = np.array(NEWTON_POINTS[where][:dim])
+    mode = operators.ALTERNATE_CONSTANT
+    H = nonlocal_hessian(field, x, HessianVariant(CENTRAL, constant_mode=mode), config)
+    assert same_bits(H, row_major_central_hessians(field, x[None], config, mode)[0])
+
+
 # (dimension, nodes per block): a 2-D stencil of 32**2 nodes in blocks of 4 axis-0 rows, and
 # of 3 rows, which do not divide the half's 16; a 3-D stencil of 12**3 nodes in blocks of two
 # axis-0 slabs, and in runs of 6 axis-1 rows, and of 8, more than the 6 of half that axis
