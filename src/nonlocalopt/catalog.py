@@ -32,7 +32,7 @@ def constant_field(domain: BoxDomain, value: float = 1.0) -> ScalarField:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (domain.dim, domain.dim))
 
-    return ScalarField(fn, domain, grad, hess, lipschitz=0.0, name="constant")
+    return ScalarField(fn, domain, grad, hess, name="constant")
 
 
 def _bilinear(u, terms):
@@ -78,9 +78,7 @@ def linear_field(domain: BoxDomain, coeffs, offset: float = 0.0) -> ScalarField:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (a.size, a.size))
 
-    return ScalarField(
-        fn, domain, grad, hess, lipschitz=float(np.linalg.norm(a)), name="linear"
-    )
+    return ScalarField(fn, domain, grad, hess, name="linear")
 
 
 def quadratic_field(
@@ -113,12 +111,7 @@ def quadratic_field(
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(S, x.shape[:-1] + (D, D)).copy()
 
-    # Lipschitz constant over the box: max |grad| at a corner.
-    corners = np.stack(
-        np.meshgrid(*zip(domain.lower, domain.upper), indexing="ij"), axis=-1
-    ).reshape(-1, D)
-    M = float(np.max(np.linalg.norm(grad(corners), axis=1)))
-    return ScalarField(fn, domain, grad, hess, lipschitz=M, name=name)
+    return ScalarField(fn, domain, grad, hess, name=name)
 
 
 def sin_field(domain: BoxDomain, freq: float = 1.0) -> ScalarField:
@@ -154,8 +147,7 @@ def sin_field(domain: BoxDomain, freq: float = 1.0) -> ScalarField:
                     H[..., i, j] = w**2 * cs[..., i] * cs[..., j] * rest
         return H
 
-    M = float(w * np.sqrt(D))
-    return ScalarField(fn, domain, grad, hess, lipschitz=M, name="sin")
+    return ScalarField(fn, domain, grad, hess, name="sin")
 
 
 def quartic_field(
@@ -189,11 +181,7 @@ def quartic_field(
         H[..., idx, idx] = diag
         return H
 
-    corners = np.stack(
-        np.meshgrid(*zip(domain.lower, domain.upper), indexing="ij"), axis=-1
-    ).reshape(-1, domain.dim)
-    M = float(np.max(np.linalg.norm(grad(corners), axis=1)))
-    return ScalarField(fn, domain, grad, hess, lipschitz=M, name=name)
+    return ScalarField(fn, domain, grad, hess, name=name)
 
 
 def asymmetric_min_field(domain: BoxDomain, center=None, skew: float = 0.3) -> ScalarField:
@@ -215,9 +203,7 @@ def asymmetric_min_field(domain: BoxDomain, center=None, skew: float = 0.3) -> S
         d = np.asarray(x, dtype=float)[..., 0] - c
         return (2.0 + 6.0 * skew * d)[..., None, None]
 
-    lo, hi = domain.lower[0], domain.upper[0]
-    M = max(abs(2 * (v - c) + 3 * skew * (v - c) ** 2) for v in (lo, hi))
-    return ScalarField(fn, domain, grad, hess, lipschitz=M, name="asymmetric-min")
+    return ScalarField(fn, domain, grad, hess, name="asymmetric-min")
 
 
 def ridge_field(domain: BoxDomain, center=None, slope: float = 1.0) -> ScalarField:
@@ -228,7 +214,7 @@ def ridge_field(domain: BoxDomain, center=None, slope: float = 1.0) -> ScalarFie
         d = np.asarray(x, dtype=float) - c
         return slope * np.sqrt(_fold(np.add, d * d, range(d.shape[-1])))
 
-    return ScalarField(fn, domain, lipschitz=float(slope), name="ridge")
+    return ScalarField(fn, domain, name="ridge")
 
 
 def bump_field(
@@ -289,19 +275,7 @@ def bump_field(
         )
         return H
 
-    # Peak slope of the unit bump profile, scaled by amplitude / radius.
-    vv = np.linspace(0.0, 0.999, 4001)
-    gg = 1.0 - vv * vv
-    M = float(amplitude / r * np.max(np.exp(1.0 - 1.0 / gg) * 2.0 * vv / (gg * gg)))
-    return ScalarField(
-        fn,
-        domain,
-        grad,
-        hess,
-        lipschitz=M,
-        support=support,
-        name="bump",
-    )
+    return ScalarField(fn, domain, grad, hess, support=support, name="bump")
 
 
 def _ascending_linear(domain: BoxDomain) -> ScalarField:

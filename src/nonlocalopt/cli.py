@@ -556,7 +556,7 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument(
             "-v", "--verbose", action="count", default=0,
-            help="echo the resolved configuration and extra run detail",
+            help="echo the resolved configuration",
         )
         cmd.add_argument(
             "--set",

@@ -118,6 +118,9 @@ class BoxDomain:
 class ScalarField:
     """An objective ``u: domain -> R`` with optional derivative callbacks.
 
+    A field holds only what the operators read: building one evaluates
+    none of its callbacks.
+
     Parameters
     ----------
     fn : callable
@@ -128,18 +131,17 @@ class ScalarField:
     gradient, hessian : callable, optional
         Analytic derivatives with the same batching convention
         (``(..., D) -> (..., D)`` and ``(..., D) -> (..., D, D)``).
-    lipschitz : float, optional
-        A known Lipschitz constant for the field.
     support : BoxDomain, optional
         Compact support box, strictly inside ``domain``; the field must be
         exactly zero outside it.
+    name : str, optional
+        The label a missing-derivative error names the field by.
     """
 
     fn: Callable[[Array], Array]
     domain: BoxDomain
     gradient: Optional[Callable[[Array], Array]] = None
     hessian: Optional[Callable[[Array], Array]] = None
-    lipschitz: Optional[float] = None
     support: Optional[BoxDomain] = None
     name: str = ""
 

@@ -266,9 +266,8 @@ def find_vanishing_subset_1d(
             return restricted([fixed, moving])
 
         t_lo, t_hi = 0.0, moving_len
+        # f_lo is the kept mass, f_hi both masses' float sum: opposite signs, or |f_lo| <= VANISHING_TOL
         f_lo, f_hi = total(t_lo), total(t_hi)
-        if f_lo * f_hi > 0 and min(abs(f_lo), abs(f_hi)) > VANISHING_TOL:
-            raise NoBracketError("cancellation mass cannot be bracketed")
         for _ in range(200):
             t_mid = 0.5 * (t_lo + t_hi)
             f_mid = total(t_mid)

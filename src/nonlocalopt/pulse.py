@@ -10,7 +10,7 @@ gradient exists everywhere, so the smoothed descent recovers the shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -31,11 +31,6 @@ DEFAULT_BUMP_BASE = 3.5
 
 # Gauss nodes of the quadrature every pulse gradient uses.
 RESOLUTION = 512
-
-
-def _cells(count, N: int):
-    """``count`` clipped to ``[0, N]``: ``np.clip``'s bits, a +0 for any zero included."""
-    return np.minimum(np.maximum(0.0, count), N)
 
 
 @dataclass(frozen=True)
@@ -79,22 +74,10 @@ class PulseManifold:
         lo_t, hi_t, count_t = self._template
         return hi - lo + count_t - 2.0 * maximum(0.0, minimum(hi, hi_t) - maximum(lo, lo_t))
 
-    def squared_distance(self, theta1, theta2):
-        """Rectangle-rule squared L2 distance between two shifted pulses."""
-        lo1, hi1 = self._edges(np.asarray(theta1, dtype=float))
-        lo2, hi2 = self._edges(np.asarray(theta2, dtype=float))
-        N = self.signal_grid
-        overlap = _cells(np.minimum(hi1, hi2) - np.maximum(lo1, lo2), N)
-        return (_cells(hi1 - lo1, N) + _cells(hi2 - lo2, N) - 2.0 * overlap) / N
-
-    def distance(self, theta1, theta2):
-        return np.sqrt(np.maximum(self.squared_distance(theta1, theta2), 0.0))
-
     def objective(self, theta):
         """L2 distance to the template pulse; zero exactly at the template shift.
 
-        Equal, bit for bit, to ``distance(theta, template_theta)``.  One
-        non-NaN shift (a float or a 0-d array) takes the same integer
+        One non-NaN shift (a float or a 0-d array) takes the same integer
         arithmetic in Python numbers, at a fraction of numpy's overhead.
         """
         if not (isinstance(theta, float) and theta == theta):
@@ -157,7 +140,7 @@ def holder_exponent_fit(
         raise ValueError("offsets must stay below the pulse width")
     if theta_center + float(np.max(offsets)) + manifold.pulse_width > 1.0:
         raise ValueError("offsets would push the pulse into the clipped region")
-    d = manifold.distance(theta_center + offsets, theta_center)
+    d = replace(manifold, template_theta=theta_center).objective(theta_center + offsets)
     if np.any(d <= 0):
         raise ValueError("degenerate offsets: zero distance measured")
     slope = np.polyfit(np.log(offsets), np.log(d / offsets), 1)[0]

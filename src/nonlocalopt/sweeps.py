@@ -57,7 +57,6 @@ class SweepReport:
     errors: tuple[float, ...]
     locations: tuple[Optional[tuple[float, ...]], ...]
     monotone: bool
-    bound: Optional[float] = None
     within_bound: Optional[bool] = None
 
     def rows(self):
@@ -70,7 +69,7 @@ def sweep_report(check: str, params, errors, locations,
     """``errors`` over ``params`` with the monotonicity verdict, judged against ``bound``."""
     errors = tuple(float(e) for e in errors)
     return SweepReport(check, tuple(int(p) for p in params), errors, tuple(locations),
-                       monotone_decreasing(errors), bound,
+                       monotone_decreasing(errors),
                        None if bound is None else all(e <= bound for e in errors))
 
 

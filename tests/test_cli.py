@@ -490,6 +490,17 @@ class TestRunsAndArtifacts:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["summary"]["gap_bound"] > 0
 
+    def test_sgd_runs_in_seventy_dimensions(self, tmp_path):
+        # building the field evaluates nothing, so no step depends on 2^D corners
+        dim = 70
+        domain = json.dumps({"dim": dim, "lower": [0.0] * dim, "upper": [1.0] * dim})
+        code = run_cli(["sgd", "--field", "quadratic", "--out", str(tmp_path),
+                        "--set", f"domain={domain}", "--set", "sgd.B=0.1"])
+        assert code == 0
+        cols = read_trace_csv(tmp_path / "trace.csv")
+        assert list(cols) == ["iter", *(f"x{i}" for i in range(dim)), "objective", "grad_norm",
+                              "alpha"]
+
     def test_newton_run(self, tmp_path):
         code = run_cli(
             [

@@ -1,9 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from nonlocalopt import BoxDomain, ScalarField, extend_by_zero
-from nonlocalopt.catalog import bump_field, catalog, linear_field, quadratic_field
+from nonlocalopt.catalog import (
+    bump_field,
+    catalog,
+    catalog_field,
+    field_names,
+    linear_field,
+    quadratic_field,
+)
 from nonlocalopt.errors import DimensionMismatchError
 from nonlocalopt.fields import SubsetIndicator
 
@@ -122,6 +131,19 @@ class TestSubsetIndicator:
     def test_degenerate_intervals_dropped(self):
         sub = SubsetIndicator.from_intervals([(0.5, 0.5), (0.2, 0.4)])
         assert len(sub.boxes) == 1
+
+
+def test_catalog_fields_build_without_scanning_the_box():
+    # a field holds only what the operators read: no scan of the box's 2^D corners
+    domain = BoxDomain.unit(16)
+    for name in field_names(16):
+        tracemalloc.start()
+        try:
+            catalog_field(name, domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (name, peak)
 
 
 def catalog_with_fractions(dim):

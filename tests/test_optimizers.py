@@ -86,13 +86,14 @@ class TestNlgdFixed:
     def test_boundedness_under_summable_schedule(self, unit_interval):
         # iterate norm never exceeds |x0| + dim * lipschitz when the step
         # sum stays below 1
-        f = quadratic_field(unit_interval)  # lipschitz 1 on [0,1]
+        f = quadratic_field(unit_interval)
+        lipschitz = 1.0  # max |2 (x - 1/2)| on [0, 1]
         schedule = StepSchedule.geometric(0.3, 0.5)
         assert schedule.alpha / (1.0 - schedule.q) < 1
         trace = nlgd_fixed(
             f, [0.2], cfg(gaussian_kernel(1, 8)), schedule, max_iters=30, grad_tol=0.0
         )
-        bound = np.linalg.norm([0.2]) + 1 * f.lipschitz
+        bound = np.linalg.norm([0.2]) + 1 * lipschitz
         assert np.all(np.linalg.norm(trace.iterates, axis=1) <= bound + 1e-12)
 
     def test_boundedness_on_nonsmooth_lipschitz_field(self, unit_interval):
@@ -100,12 +101,13 @@ class TestNlgdFixed:
         # (not smoothness) is available
         from nonlocalopt.catalog import ridge_field
 
-        f = ridge_field(unit_interval, center=[0.6], slope=2.0)
+        slope = 2.0  # the cone's Lipschitz constant
+        f = ridge_field(unit_interval, center=[0.6], slope=slope)
         schedule = StepSchedule.geometric(0.4, 0.5)  # total 0.8 < 1
         trace = nlgd_fixed(
             f, [0.3], cfg(gaussian_kernel(1, 8)), schedule, max_iters=25, grad_tol=0.0
         )
-        bound = np.linalg.norm([0.3]) + 1 * f.lipschitz
+        bound = np.linalg.norm([0.3]) + 1 * slope
         assert np.all(np.linalg.norm(trace.iterates, axis=1) <= bound + 1e-12)
 
     def test_trace_shape_invariants(self, unit_interval):

@@ -95,6 +95,18 @@ class TestHolderFit:
         with pytest.raises(ValueError):
             holder_exponent_fit(manifold, 0.87, [0.005, 0.01])
 
+    def test_centre_outside_the_unit_interval_rejected(self, manifold):
+        for center in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                holder_exponent_fit(manifold, center, [0.005, 0.01])
+
+    @pytest.mark.parametrize("center", [0.0, 0.2, 0.4, 0.6])
+    def test_distances_match_six_roundings(self, manifold, center):
+        offsets = default_holder_offsets(manifold)
+        d = six_rounding_distance(manifold, center + offsets, center)
+        expected = np.polyfit(np.log(offsets), np.log(d / offsets), 1)[0]
+        assert same_bits(holder_exponent_fit(manifold, center, offsets), expected)
+
 
 class TestSmoothedGradient:
     def test_finite_everywhere_all_kernels(self, manifold):
@@ -233,15 +245,6 @@ class TestEmission:
 
 
 class TestManifoldProperties:
-    @given(
-        a=st.floats(0.0, 0.85),
-        b=st.floats(0.0, 0.85),
-    )
-    @settings(max_examples=50)
-    def test_distance_symmetry(self, a, b):
-        man = PulseManifold()
-        assert man.distance(a, b) == man.distance(b, a)
-
     @given(theta=st.floats(0.0, 1.0))
     @settings(max_examples=50)
     def test_objective_nonnegative_and_bounded(self, theta):
@@ -310,19 +313,10 @@ class TestObjectiveBits:
             assert same_bits(man.objective(np.array([theta])),
                              six_rounding_distance(man, np.array([theta]), man.template_theta))
 
-    @pytest.mark.parametrize("man", MANIFOLDS, ids=str)
-    def test_distance_matches_six_roundings(self, man):
-        # distance takes shifts outside [0, 1] too: its counts keep their clips
-        rng = np.random.default_rng(4)
-        a = np.concatenate([edge_shifts(man), rng.uniform(-2.0, 3.0, 5_000)])
-        b = rng.permutation(a)
-        assert same_bits(man.squared_distance(a, b), six_rounding_squared_distance(man, a, b))
-        assert same_bits(man.distance(a, b), six_rounding_distance(man, a, b))
-
     def test_zero_results_are_positive_zero(self):
         for man in MANIFOLDS:
             t = man.template_theta
-            for got in (man.objective(t), man.objective(np.array([t]))[0], man.distance(t, t)):
+            for got in (man.objective(t), man.objective(np.array([t]))[0]):
                 assert got == 0.0 and not np.signbit(got)
 
     def test_nan_shift_gives_nan(self, manifold):
