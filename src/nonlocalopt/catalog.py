@@ -4,9 +4,10 @@ These are the workhorses of the validation suite: every convergence check and
 acceptance criterion runs against fields from this catalog so that errors can
 be measured against closed-form references.
 
-Every callback computes a row from that row alone, with elementwise numpy
-operations in a fixed order and no BLAS dot: a point gets the same bits on
-its own as inside any batch, so operators may pack points into one call.
+Every callback takes the float64 array that ``ScalarField`` passes it and
+computes a row from that row alone, with elementwise numpy operations in a
+fixed order and no BLAS dot: a point gets the same bits on its own as inside
+any batch, so operators may pack points into one call.
 Sums and products over the coordinate axis run column by column from the
 left, so the bits do not depend on the batch's memory layout either: numpy
 sums a contiguous axis of 8 or more entries pairwise, a strided one in order.
@@ -19,17 +20,14 @@ import numpy as np
 from .fields import BoxDomain, ScalarField
 
 
-def constant_field(domain: BoxDomain, value: float = 1.0) -> ScalarField:
+def constant_field(domain: BoxDomain) -> ScalarField:
     def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1], value)
+        return np.full(x.shape[:-1], 1.0)
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
         return np.zeros_like(x)
 
     def hess(x):
-        x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (domain.dim, domain.dim))
 
     return ScalarField(fn, domain, grad, hess, name="constant")
@@ -68,14 +66,12 @@ def linear_field(domain: BoxDomain, coeffs, offset: float = 0.0) -> ScalarField:
     a = np.atleast_1d(np.asarray(coeffs, dtype=float))
 
     def fn(x):
-        return _linear(np.asarray(x, dtype=float), a) + offset
+        return _linear(x, a) + offset
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
         return np.broadcast_to(a, x.shape).copy()
 
     def hess(x):
-        x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (a.size, a.size))
 
     return ScalarField(fn, domain, grad, hess, name="linear")
@@ -96,35 +92,32 @@ def quadratic_field(
     lin = b if np.any(b != 0.0) else None
 
     def fn(x):
-        d = np.asarray(x, dtype=float) - c
+        d = x - c
         value = _bilinear(d, terms)
         return value if lin is None else value + _linear(d, lin)
 
     def grad(x):
-        d = np.asarray(x, dtype=float) - c
+        d = x - c
         out = np.empty(d.shape)
         for i, s in rows:
             out[..., i] = _linear(d, s) + b[i]
         return out
 
     def hess(x):
-        x = np.asarray(x, dtype=float)
         return np.broadcast_to(S, x.shape[:-1] + (D, D)).copy()
 
     return ScalarField(fn, domain, grad, hess, name=name)
 
 
-def sin_field(domain: BoxDomain, freq: float = 1.0) -> ScalarField:
-    """Product of ``sin(2 pi f x_i)`` across axes."""
-    w = 2.0 * np.pi * freq
+def sin_field(domain: BoxDomain) -> ScalarField:
+    """Product of ``sin(2 pi x_i)`` across axes."""
+    w = 2.0 * np.pi
     D = domain.dim
 
     def fn(x):
-        x = np.asarray(x, dtype=float)
         return _fold(np.multiply, np.sin(w * x), range(D))
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
         s = np.sin(w * x)
         out = np.empty_like(x)
         for j in range(D):
@@ -133,7 +126,6 @@ def sin_field(domain: BoxDomain, freq: float = 1.0) -> ScalarField:
         return out
 
     def hess(x):
-        x = np.asarray(x, dtype=float)
         s = np.sin(w * x)
         cs = np.cos(w * x)
         H = np.empty(x.shape[:-1] + (D, D))
@@ -150,15 +142,8 @@ def sin_field(domain: BoxDomain, freq: float = 1.0) -> ScalarField:
     return ScalarField(fn, domain, grad, hess, name="sin")
 
 
-def quartic_field(
-    domain: BoxDomain,
-    center=None,
-    a: float = 1.0,
-    b3: float = 0.5,
-    b4: float = 1.0,
-    name: str = "quartic",
-) -> ScalarField:
-    """Separable quadratic with cubic/quartic perturbations, minimized at ``center``.
+def quartic_field(domain: BoxDomain, center=None) -> ScalarField:
+    """``sum of d_i^2 / 2 + d_i^3 / 2 + d_i^4`` with ``d = x - center``, minimized at ``center``.
 
     The cubic term makes the minimizer asymmetric, which keeps kernel-smoothed
     gradients honestly nonzero at the true minimizer.
@@ -166,42 +151,42 @@ def quartic_field(
     c = domain.center if center is None else np.atleast_1d(np.asarray(center, dtype=float))
 
     def fn(x):
-        d = np.asarray(x, dtype=float) - c
-        return _fold(np.add, 0.5 * a * d**2 + b3 * d**3 + b4 * d**4, range(d.shape[-1]))
+        d = x - c
+        return _fold(np.add, 0.5 * d**2 + 0.5 * d**3 + d**4, range(d.shape[-1]))
 
     def grad(x):
-        d = np.asarray(x, dtype=float) - c
-        return a * d + 3.0 * b3 * d**2 + 4.0 * b4 * d**3
+        d = x - c
+        return d + 1.5 * d**2 + 4.0 * d**3
 
     def hess(x):
-        d = np.asarray(x, dtype=float) - c
-        diag = a + 6.0 * b3 * d + 12.0 * b4 * d**2
+        d = x - c
+        diag = 1.0 + 3.0 * d + 12.0 * d**2
         H = np.zeros(d.shape[:-1] + (d.shape[-1], d.shape[-1]))
         idx = np.arange(d.shape[-1])
         H[..., idx, idx] = diag
         return H
 
-    return ScalarField(fn, domain, grad, hess, name=name)
+    return ScalarField(fn, domain, grad, hess, name="quartic")
 
 
-def asymmetric_min_field(domain: BoxDomain, center=None, skew: float = 0.3) -> ScalarField:
-    """1-D ``(x-c)^2 + skew (x-c)^3``: a strict local minimum with uneven sides."""
+def asymmetric_min_field(domain: BoxDomain) -> ScalarField:
+    """1-D ``d^2 + 0.3 d^3``, ``d = x - c`` about the centre: a strict minimum, uneven sides."""
     if domain.dim != 1:
         raise ValueError("asymmetric-min field is 1-D")
-    c = float(domain.center[0]) if center is None else float(center)
+    c = float(domain.center[0])
 
-    # products, not powers: ``d**3`` rounds differently on a scalar than on an array
+    # products, not powers (``d**3`` rounds differently on a scalar), and ``3.0 * 0.3`` unfolded
     def fn(x):
-        d = np.asarray(x, dtype=float)[..., 0] - c
-        return d * d + skew * (d * d * d)
+        d = x[..., 0] - c
+        return d * d + 0.3 * (d * d * d)
 
     def grad(x):
-        d = np.asarray(x, dtype=float)[..., 0] - c
-        return (2.0 * d + 3.0 * skew * (d * d))[..., None]
+        d = x[..., 0] - c
+        return (2.0 * d + 3.0 * 0.3 * (d * d))[..., None]
 
     def hess(x):
-        d = np.asarray(x, dtype=float)[..., 0] - c
-        return (2.0 + 6.0 * skew * d)[..., None, None]
+        d = x[..., 0] - c
+        return (2.0 + 6.0 * 0.3 * d)[..., None, None]
 
     return ScalarField(fn, domain, grad, hess, name="asymmetric-min")
 
@@ -211,16 +196,14 @@ def ridge_field(domain: BoxDomain, center=None, slope: float = 1.0) -> ScalarFie
     c = domain.center if center is None else np.atleast_1d(np.asarray(center, dtype=float))
 
     def fn(x):
-        d = np.asarray(x, dtype=float) - c
+        d = x - c
         return slope * np.sqrt(_fold(np.add, d * d, range(d.shape[-1])))
 
     return ScalarField(fn, domain, name="ridge")
 
 
-def bump_field(
-    domain: BoxDomain, center=None, radius: float = 0.25, amplitude: float = 1.0
-) -> ScalarField:
-    """Smooth compactly supported hill: ``A exp(1 - 1/(1 - |x-c|^2/r^2))``.
+def bump_field(domain: BoxDomain, center=None, radius: float = 0.25) -> ScalarField:
+    """Smooth compactly supported hill: ``exp(1 - 1/(1 - |x-c|^2/r^2))``.
 
     Infinitely differentiable with support box strictly inside the domain.
     """
@@ -234,21 +217,20 @@ def bump_field(
         raise ValueError("bump support must sit strictly inside the domain")
 
     def fn(x):
-        d = (np.asarray(x, dtype=float) - c) / r
+        d = (x - c) / r
         v2 = _fold(np.add, d * d, range(d.shape[-1]))
         out = np.zeros_like(v2)
         inside = v2 < 1.0
-        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - v2[inside]))
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - v2[inside]))
         return out
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
         d = (x - c) / r
         v2 = _fold(np.add, d * d, range(d.shape[-1]))
         out = np.zeros_like(x)
         inside = v2 < 1.0
         g = 1.0 - v2[inside]
-        factor = amplitude * np.exp(1.0 - 1.0 / g) * (-2.0 / (g * g)) / (r * r)
+        factor = np.exp(1.0 - 1.0 / g) * (-2.0 / (g * g)) / (r * r)
         out[inside] = factor[..., None] * (x[inside] - c)
         return out
 
@@ -256,14 +238,13 @@ def bump_field(
         # with s = |x-c|^2/r^2 and phi(s) = exp(1 - 1/(1-s)):
         #   dphi/ds   = -phi / (1-s)^2
         #   d2phi/ds2 = phi [ (1-s)^-4 - 2 (1-s)^-3 ]
-        x = np.asarray(x, dtype=float)
         D = x.shape[-1]
         d = x - c
         s = _fold(np.add, d * d, range(D)) / (r * r)
         H = np.zeros(x.shape[:-1] + (D, D))
         inside = s < 1.0
         g = 1.0 - s[inside]
-        phi = amplitude * np.exp(1.0 - 1.0 / g)
+        phi = np.exp(1.0 - 1.0 / g)
         phi1 = -phi / (g * g)
         phi2 = phi * (g**-4 - 2.0 * g**-3)
         di = d[inside]

@@ -12,8 +12,8 @@ Every operator that calls the field on a stencil does so in ``_walk``, the one
 loop over stencil blocks; each keeps only its per-block arithmetic.  The
 exceptions: the one-point gradient (``_point_gradient``) inlines that loop for
 one row, whose bookkeeping would add about a third to a 1-D call, and
-``directional_second_moments`` calls no field.  Newton's iterates take the gradient and the central Hessian
-from one pass of that loop (``nonlocal_gradient_and_hessian``).
+``directional_second_moments`` calls no field.  An interior Newton iterate takes the
+gradient and the central Hessian from one pass of that loop (``_newton_pass``).
 """
 
 from __future__ import annotations
@@ -439,33 +439,31 @@ def _central_hessians(
     return _traceless(H, trace)
 
 
-def nonlocal_gradient_and_hessian(field: ScalarField, x,
-                                  config: OperatorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel gradient and the central Hessian at one interior point, from one field pass.
+def _newton_pass(field: ScalarField, x: np.ndarray,
+                 config: OperatorConfig) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The kernel gradient and the central Hessian at one point ``(D,)``, from one field pass,
+    or ``None`` unless the reach box lies strictly inside the domain and the field's support.
 
     Returns ``nonlocal_gradient(field, x, config)`` and ``nonlocal_hessian(field, x,
-    HessianVariant(CENTRAL), config)``, bit for bit.  Where the reach box lies strictly inside
-    the domain and the field's support, both read the field itself on the full-box stencil,
-    whose node ``-h`` is the exact mirror image of ``h``, and ``x + (-h) == x - h``.  So the
-    Hessian's pass, ``u(x + h)`` and ``u(x - h)`` over the half stencil, holds the gradient's
-    field values: its blocks over the lower half, and ``u(x - h)`` reversed over their mirror
-    images, which are the full box's remaining blocks (``quadrature._split``).  The gradient
-    takes its per-block products from there, with the operands and in the order of its own
-    pass.  Elsewhere it makes the two calls.
+    HessianVariant(CENTRAL), config)``, bit for bit.  There both read the field itself on the
+    full-box stencil, whose node ``-h`` is the exact mirror image of ``h``, so that
+    ``x + (-h) == x - h``.  The Hessian's pass, ``u(x + h)`` and ``u(x - h)`` over the half
+    stencil, holds the gradient's field values: its blocks over the lower half, and
+    ``u(x - h)`` reversed over their mirror images, which are the full box's remaining blocks
+    (``quadrature._split``).  The gradient takes its per-block products from there, with the
+    operands and in the order of its own pass.
     """
     kernel, reach = config.kernel, config.kernel.reach
     require_dim(kernel, field.dim)
-    point = as_point(x, field.dim)
-    v = point.tolist()
+    v = x.tolist()
     lo, hi = [c - reach for c in v], [c + reach for c in v]
     boxes = [field.domain] if field.support is None else [field.domain, field.support]
     # the reach box is inside every box, and the reach is above the float spacing at x
     if not all(a < low < c < high < b for box in boxes
                for a, b, low, c, high in zip(box.lower, box.upper, lo, v, hi)):
-        return (nonlocal_gradient(field, point, config),
-                nonlocal_hessian(field, point, HessianVariant(CENTRAL), config))
+        return None
     stencil = quadrature.STENCILS.get(kernel, reach, config.resolution)
-    D, value, blocks = field.dim, _value_at(field, point), stencil.blocks()
+    D, value, blocks = field.dim, _value_at(field, x), stencil.blocks()
     prefactor = _prefactor(D, MOMENT_CONSTANT)
     g, H, trace, upper = np.zeros(D), np.zeros((1, D, D)), np.zeros(1), []
 
@@ -480,7 +478,7 @@ def nonlocal_gradient_and_hessian(field: ScalarField, x,
         second = plus - 2.0 * value + minus
         _add_second_differences(H, trace, chunk, b, second[None], prefactor)
 
-    _walk([(stencil.offsets(half=True), np.arange(1))], point[None], field, add)
+    _walk([(stencil.offsets(half=True), np.arange(1))], x[None], field, add)
     for product in reversed(upper):
         g += product
     return g, _traceless(H, trace)[0]

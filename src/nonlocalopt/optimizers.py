@@ -18,7 +18,8 @@ import numpy as np
 from .errors import NodeBudgetError, RejectionOverflowError, SingularHessianError
 from .fields import ScalarField, as_point
 from .kernels import RadialKernel, require_dim
-from .operators import OperatorConfig, nonlocal_gradient, nonlocal_gradient_and_hessian
+from .operators import (CENTRAL, HessianVariant, OperatorConfig, _newton_pass,
+                        nonlocal_gradient, nonlocal_hessian)
 from .oracles import central_gradient, central_hessian, golden_section
 from .quadrature import NODE_BUDGET
 
@@ -455,10 +456,9 @@ def nonlocal_newton(
 ) -> OptimizerTrace:
     """Newton iteration on the kernel gradient and second-difference Hessian.
 
-    Each iterate before ``max_iters`` takes both from ``nonlocal_gradient_and_hessian``:
-    one field pass where the kernel's reach box lies inside the domain and the field's
-    support, with the bits of the two separate calls.  The Hessian of an iterate that
-    meets ``grad_tol`` goes unused.
+    An iterate before ``max_iters`` whose reach box lies inside the domain and the field's
+    support takes both from one field pass, with the bits of the two separate calls
+    (``operators._newton_pass``).  Any other iterate computes its Hessian only to step.
 
     The linear solve uses LAPACK partial pivoting and refuses matrices whose
     condition estimate exceeds ``CONDITION_LIMIT``, and steps ``H^-1 g`` longer
@@ -474,12 +474,13 @@ def nonlocal_newton(
 
     def direction(k, x):
         nonlocal H
-        if k == max_iters:  # no step follows
-            return nonlocal_gradient(field, x, config)
-        g, H = nonlocal_gradient_and_hessian(field, x, config)
+        both = None if k == max_iters else _newton_pass(field, x, config)  # no step follows
+        g, H = (nonlocal_gradient(field, x, config), None) if both is None else both
         return g
 
     def step(k, x, g, value):
+        nonlocal H
+        H = nonlocal_hessian(field, x, HessianVariant(CENTRAL), config) if H is None else H
         if not np.all(np.isfinite(H)) or np.linalg.cond(H) > CONDITION_LIMIT:
             raise SingularHessianError(
                 f"curvature matrix is singular at iteration {k}", iteration=k

@@ -94,12 +94,6 @@ class PulseManifold:
         apart = self._cells_apart(*self._edges(t, math.ceil, min), min, max)
         return np.float64(math.sqrt(apart / self.signal_grid))
 
-    def signal(self, theta: float) -> np.ndarray:
-        """Midpoint samples of the pulse at one shift (for plots and tests)."""
-        N = self.signal_grid
-        t = (np.arange(N) + 0.5) / N
-        return ((t >= theta) & (t < min(theta + self.pulse_width, 1.0))).astype(float)
-
     def objective_field(self) -> ScalarField:
         domain = BoxDomain.interval(0.0, 1.0)
         manifold = self

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .catalog import bump_field, quadratic_field, quartic_field, sin_field
+from .catalog import catalog_field, quartic_field
 from .errors import UnknownCheckError
 from .fields import BoxDomain, ScalarField
 from .operators import (
@@ -200,17 +200,19 @@ REGISTRY: dict[str, Callable] = {
 
 
 def default_settings(check: str, domain: BoxDomain) -> dict:
-    """The problem each check poses on ``domain``: its field, and its start and target points."""
+    """The problem each check poses on ``domain``: its field, and its start and target points.
+
+    Every field but newton-floor's off-centre quartic is the catalog's of that name."""
     settings: dict = {}
     if check in ("gradient-localization", "taylor-remainder"):
-        settings["field"] = sin_field(domain)
+        settings["field"] = catalog_field("sin", domain)
     elif check == "hessian-localization":
-        settings["field"] = bump_field(domain)
+        settings["field"] = catalog_field("bump", domain)
     elif check == "iterate-tracking":
-        settings["field"] = quadratic_field(domain)
+        settings["field"] = catalog_field("quadratic", domain)
         settings["x0"] = domain.lower_array + 0.05 * (domain.upper_array - domain.lower_array)
     elif check == "sgd-bound":
-        settings["field"] = quadratic_field(domain, center=domain.center)
+        settings["field"] = catalog_field("quadratic", domain)
     elif check == "newton-floor":
         center = domain.center + 0.05 * (domain.upper_array - domain.lower_array)
         settings["field"] = quartic_field(domain, center=center)

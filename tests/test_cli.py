@@ -301,6 +301,16 @@ def test_newton_on_a_linear_field_exits_1_with_its_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"newton: {manifest['summary']['error']}\n"
 
 
+@pytest.mark.parametrize("lower,upper", [([0.0], [0.4]), ([0.0, 0.0], [1.0, 0.3])])
+def test_hessian_localization_sweep_fits_its_bump_in_a_narrow_box(tmp_path, lower, upper):
+    # the catalog's bump has a quarter of the shortest side as its radius
+    domain = json.dumps({"dim": len(lower), "lower": lower, "upper": upper})
+    argv = ["sweep", "--check", "hessian-localization", "--set", f"domain={domain}"]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep_hessian-localization.csv").read_text().splitlines()
+    assert rows[0] == "param,error,location" and len(rows) == 1 + 4
+
+
 def test_moment_sweep_reads_the_tolerance(tmp_path):
     argv = ["sweep", "--check", "moment-c", "--set", "check.n_values=[4,8]"]
     assert run_cli(argv + ["--out", str(tmp_path / "loose")]) == 0

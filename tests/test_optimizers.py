@@ -285,6 +285,19 @@ class TestNewton:
                                 grad_tol=0.0)
         assert len(trace) == 2 and seen == [256, 1, 128, 44, 256]
 
+    def test_boundary_iterate_computes_its_hessian_only_to_step(self, unit_interval):
+        # 0.1's reach box (0.075 each way) lies inside the domain: one pass of 2 x 128 points
+        # and u(x) twice.  At 0.05 it leaves, so each later iterate reads u(x) twice and its
+        # clipped 256-point gradient; the one that steps then reads the zero extension at x,
+        # at the 78 half-stencil points inside the domain and at their 128 mirror images.
+        # The last meets grad_tol and reads no Hessian (one at every iterate: 1,188 points)
+        seen, base = [], quadratic_field(unit_interval, center=[0.05])
+        field = replace(base, fn=lambda p: seen.append(np.size(p)) or base.fn(p))
+        trace = nonlocal_newton(field, [0.1], cfg(gaussian_kernel(1, 8), 256), grad_tol=1e-6)
+        assert trace.termination == GRAD_TOL and len(trace) == 3
+        assert trace.final_point[0] == 0.049999163573421095
+        assert sum(seen) == 981 and seen.count(78) == 1
+
     @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
     def test_step_factor_must_be_positive_and_finite(self, unit_interval, beta):
         # an infinite beta used to halve forever; the large grad_tol stops any

@@ -57,10 +57,6 @@ class TestObjective:
         mask = np.abs(thetas - 0.5) > 1e-3
         assert np.all(vals[mask] > 0)
 
-    def test_signal_samples(self, manifold):
-        sig = manifold.signal(0.5)
-        assert sig.sum() == pytest.approx(0.125 * manifold.signal_grid)
-
     def test_width_validation(self):
         # degenerate constant manifold is rejected outright
         with pytest.raises(ValueError):

@@ -404,7 +404,7 @@ def test_newton_iterate_reads_the_field_once_where_runs_regrouped(dim, resolutio
     field = replace(base, fn=lambda p: seen.append(np.size(p) // dim) or base.fn(p))
     config = OperatorConfig(gaussian_kernel(dim, 8), resolution)
     x = np.array(NEWTON_POINTS["interior"][:dim])
-    g, H = operators.nonlocal_gradient_and_hessian(field, x, config)
+    g, H = operators._newton_pass(field, x, config)
     assert sum(seen) == points == resolution ** dim + 1
     assert same_bits(g, nonlocal_gradient(base, x, config))
     assert same_bits(H, nonlocal_hessian(base, x, HessianVariant(CENTRAL), config))
@@ -1016,21 +1016,19 @@ NEWTON_POINTS = {"interior": [0.47, 0.52, 0.5], "domain": [0.06, 0.52, 0.5],
                  "support": [0.68, 0.52, 0.5]}
 
 
-def gradient_and_hessian_passes(monkeypatch, field, x, config):
-    """``nonlocal_gradient_and_hessian`` at ``x``, checked against the row-major references;
-    returns how many field passes it made (2 where it called ``nonlocal_hessian``)."""
-    calls = []
-    hessian = operators.nonlocal_hessian
-    monkeypatch.setattr(operators, "nonlocal_hessian",
-                        lambda *args: calls.append(1) or hessian(*args))
-    g, H = operators.nonlocal_gradient_and_hessian(field, x, config)
-    monkeypatch.setattr(operators, "nonlocal_hessian", hessian)
+def gradient_and_hessian_passes(field, x, config):
+    """Newton's gradient and Hessian at ``x``, checked against the row-major references: from
+    ``_newton_pass``, or from the two operator calls where it returns ``None``; returns how
+    many field passes they made."""
+    both = operators._newton_pass(field, x, config)
+    g, H = both or (nonlocal_gradient(field, x, config),
+                    nonlocal_hessian(field, x, HessianVariant(CENTRAL), config))
     assert same_bits(g, row_major_gradient(field, x[None], config)[0])
     assert same_bits(H, row_major_central_hessians(field, x[None], config,
                                                    operators.MOMENT_CONSTANT)[0])
     assert same_bits(g, nonlocal_gradient(field, x, config))
     assert same_bits(H, nonlocal_hessian(field, x, HessianVariant(CENTRAL), config))
-    return 1 + len(calls)
+    return 2 if both is None else 1
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1040,11 +1038,11 @@ def gradient_and_hessian_passes(monkeypatch, field, x, config):
                                         ("bump", "interior"), ("bump", "domain"),
                                         ("bump", "support")])
 def test_gradient_and_hessian_keep_the_bits_of_row_major_sums(
-        monkeypatch, stencil_cache, dim, family, cap, name, where):
+        stencil_cache, dim, family, cap, name, where):
     stencil_cache(cap)
     field, config = BATCH_FIELDS[name](dim), batch_config(dim, family)
     x = np.array(NEWTON_POINTS[where][:dim])
-    passes = gradient_and_hessian_passes(monkeypatch, field, x, config)
+    passes = gradient_and_hessian_passes(field, x, config)
     assert passes == (1 if where == "interior" else 2)
 
 
@@ -1082,7 +1080,7 @@ def test_gradient_and_hessian_pair_mirror_blocks(monkeypatch, stencil_cache, dim
     x = np.array(NEWTON_POINTS["interior"][:dim])
     reach = np.full(dim, config.kernel.reach)
     assert len(list(Stencil(config.kernel, -reach, reach, config.resolution).blocks())) > 2
-    assert gradient_and_hessian_passes(monkeypatch, field, x, config) == 1
+    assert gradient_and_hessian_passes(field, x, config) == 1
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
