@@ -150,13 +150,16 @@ def quartic_field(domain: BoxDomain, center=None) -> ScalarField:
     """
     c = domain.center if center is None else np.atleast_1d(np.asarray(center, dtype=float))
 
+    # products, not powers: ``d**3`` and ``d**4`` call libm ``pow`` per element
     def fn(x):
         d = x - c
-        return _fold(np.add, 0.5 * d**2 + 0.5 * d**3 + d**4, range(d.shape[-1]))
+        d2 = d * d
+        return _fold(np.add, 0.5 * d2 + 0.5 * (d2 * d) + d2 * d2, range(d.shape[-1]))
 
     def grad(x):
         d = x - c
-        return d + 1.5 * d**2 + 4.0 * d**3
+        d2 = d * d
+        return d + 1.5 * d2 + 4.0 * (d2 * d)
 
     def hess(x):
         d = x - c

@@ -522,10 +522,11 @@ def _cmd_pulse(run: _Run) -> int:
         slope = None  # nonstandard width/template geometry: fit not probed
     run.summary = {"runs": summaries, "failed": failed, "holder_exponent": slope}
     for s in summaries:
+        width = "-" if s["bracket"] is None else f"{s['bracket'][1] - s['bracket'][0]:.4f}"
         print(
             f"pulse {s['family']} n={s['n']}: theta_hat={s['theta_hat']:.4f} "
-            f"|err|={s['abs_error']:.4f} iters_to_tol={s['iterations_to_tolerance']} "
-            f"monotone={s['objective_monotone']}"
+            f"bracket_width={width} |err|={s['abs_error']:.4f} "
+            f"iters_to_tol={s['iterations_to_tolerance']} monotone={s['objective_monotone']}"
         )
     return 0 if not failed else 1
 

@@ -127,11 +127,13 @@ PULSE_RUNS = {
 
 PULSE_EXPECTED = {
     "pulse-gaussian-n2": {
-        "termination": "max-iters", "length": 201, "final_point": [0.5074560310361839],
-        "steps": [[0.1, 200]], "halvings": 0, "clamped": 0},
+        "termination": "cycle", "length": 47, "final_point": [0.5075649992152105],
+        "steps": [[0.1, 46]], "offending_point": [0.4943284881174417], "halvings": 0,
+        "clamped": 0},
     "pulse-bump-n3": {
-        "termination": "max-iters", "length": 201, "final_point": [0.4875166176727128],
-        "steps": [[0.1, 200]], "halvings": 0, "clamped": 0},
+        "termination": "cycle", "length": 31, "final_point": [0.48763253529934497],
+        "steps": [[0.1, 30]], "offending_point": [0.5157046391453816], "halvings": 0,
+        "clamped": 0},
     "pulse-clamped": {
         "termination": "max-iters", "length": 11, "final_point": [0.999999999],
         "steps": [[1.0, 10]], "halvings": 0, "clamped": 8},
@@ -196,13 +198,13 @@ def test_sgd_bound_sweep(tmp_path):
 
 
 PULSE_SHA256 = {
-    "pulse_bump_n1.csv": "e8761645c5fb83aacbea11699103d5bb4d6ae7caa6335c71c7707304b84630df",
-    "pulse_bump_n2.csv": "bacf3e7a91b98d586b5c3a7e0ec55aa4091b93229b4e649c2c5a9ebb7ff9a99e",
-    "pulse_bump_n3.csv": "0b15be5d1b9af88ecbff8931ce8c0eab8cf44e17a60d0b5352ce7284a8ac36c0",
-    "pulse_gaussian_n1.csv": "b433d41ce0b5c91ab4ae73f4c7490a6bd519c10f31e427423e4321fa79790c62",
-    "pulse_gaussian_n2.csv": "8f3f72926a278865bd349bba6a7f950fd8e22ec27a0537643c4a676044164465",
-    "pulse_gaussian_n3.csv": "34f878d95f36994638af53e2f7e6cb99d064b0ce80a6648ff336d47b48c5b288",
-    "pulse_convergence.svg": "a63f178021b620aee50e692eea295959f6b3e01fb97df0d188e7695cbcfc9cf1",
+    "pulse_bump_n1.csv": "8c9942757ca3560dec7b1da243797a4c3425c177bec46bd55576cc5490d00c94",
+    "pulse_bump_n2.csv": "ed20c4be3a96367fda472fb603341908d487c63b356406823bdf923bcf7c219e",
+    "pulse_bump_n3.csv": "32a203398afb5ef81ce1fd7dd173c3fea3803c3049e0ff2edf05f6319b34459f",
+    "pulse_gaussian_n1.csv": "69198c1238f610f5fbd23504593396e19d05022fe78289e5310a7bf3c7be15c0",
+    "pulse_gaussian_n2.csv": "6bc46f2ac5e221881943d0a83ee5373f7c2f7fae29818ad412ff4d573bfa5776",
+    "pulse_gaussian_n3.csv": "d6f4f433a067b6092294f9d37d009a7711dc999681941282fe6166219f348565",
+    "pulse_convergence.svg": "d97f105c9c70fc94f3efa55790c234827b1e9cf92fa599bc6fff9ed546e2d175",
 }
 
 
@@ -251,7 +253,7 @@ UNIT_SETS = ["--set", "domain.dim=1", "--set", "domain.lower=[0.0]", "--set", "d
 NEWTON_COMMANDS = {
     "newton-quartic": (
         ["newton", "--field", "quartic", "--set", "newton.x0=[0.3]"], "trace.csv",
-        "56901556e4464471deb51ed366d25e5cfdbcd60b46a5cec596dbc9b803ea23e7"),
+        "85e372b3ce969ad87275749cb38579ce0f0dd61afa6780c27ccd7a72022d23b0"),
     "sweep-newton-floor": (
         ["sweep", "--check", "newton-floor", "--set", "check.n_values=[8, 16, 32]"],
         "sweep_newton-floor.csv",

@@ -19,7 +19,7 @@ from nonlocalopt import (
     read_trace_csv,
     run_pulse_experiment,
 )
-from nonlocalopt.pulse import RESOLUTION
+from nonlocalopt.pulse import CYCLE, RESOLUTION
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +167,34 @@ class TestRunExperiment:
             with pytest.raises(ValueError):
                 PulseRunConfig(**bad)
 
+    @pytest.mark.parametrize("family", ["gaussian", "bump"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_default_runs_stop_at_their_cycle(self, family, n):
+        # theta_hat no longer depends on which side of the 2-cycle the cap lands on
+        trace, summary = run_pulse_experiment(PulseRunConfig(family=family, n=n))
+        _, capped = run_pulse_experiment(PulseRunConfig(family=family, n=n, max_iters=199))
+        assert trace.termination == CYCLE
+        assert (capped.theta_hat, capped.bracket) == (summary.theta_hat, summary.bracket)
+        lo, hi = summary.bracket
+        assert sorted([trace.iterates[-1, 0], trace.offending_point[0]]) == [lo, hi]
+        assert summary.theta_hat == 0.5 * (lo + hi)
+        assert summary.abs_error == abs(summary.theta_hat - 0.5)
+        assert summary.abs_error <= min(0.5 * (hi - lo), 0.002)
+        assert summary.converged and summary.iterations == len(trace) - 1
+        # the last three steps alternate and the refused point returns near the one before
+        steps = np.diff([*trace.iterates[-3:, 0], trace.offending_point[0]])
+        assert np.all(steps[1:] * steps[:-1] < 0)
+        assert abs(trace.offending_point[0] - trace.iterates[-2, 0]) <= 4 / 4096
+
+    @pytest.mark.parametrize("max_iters", [10, 20])
+    def test_halving_runs_are_not_cycles(self, max_iters):
+        # a full step overshoots back and forth until the safeguard halves it
+        trace, summary = run_pulse_experiment(
+            PulseRunConfig(family="gaussian", n=3, theta0=0.1, alpha=1.0, max_iters=max_iters))
+        assert trace.termination == "max-iters" and summary.halvings >= 1
+        assert summary.bracket is None and trace.offending_point is None
+        assert summary.theta_hat == trace.iterates[-1, 0]
+
     def test_trace_alpha_column_halvings(self):
         trace, summary = run_pulse_experiment(PulseRunConfig(family="gaussian", n=3))
         steps = trace.steps_taken
@@ -209,6 +237,16 @@ class TestEmission:
         trace, _ = run_pulse_experiment(PulseRunConfig(family="gaussian", n=2, max_iters=40))
         path = emit_csv(trace, tmp_path / "run.csv")
         cols = read_trace_csv(path)
+        assert np.array_equal(cols["theta"], trace.iterates[:, 0])
+        assert np.array_equal(cols["objective"], trace.objective_values)
+        assert np.array_equal(cols["grad_norm"], trace.gradient_norms)
+        assert np.array_equal(cols["alpha"][:-1], trace.steps_taken)
+        assert math.isnan(cols["alpha"][-1])
+
+    def test_roundtrip_of_a_cycle_trace(self, tmp_path):
+        trace, _ = run_pulse_experiment(PulseRunConfig(family="bump", n=3))
+        assert trace.termination == CYCLE
+        cols = read_trace_csv(emit_csv(trace, tmp_path / "cycle.csv"))
         assert np.array_equal(cols["theta"], trace.iterates[:, 0])
         assert np.array_equal(cols["objective"], trace.objective_values)
         assert np.array_equal(cols["grad_norm"], trace.gradient_norms)
