@@ -4,25 +4,34 @@ These are the workhorses of the validation suite: every convergence check and
 acceptance criterion runs against fields from this catalog so that errors can
 be measured against closed-form references.
 
-Every callback takes the float64 array that ``ScalarField`` passes it and
-computes a row from that row alone, with elementwise numpy operations in a
-fixed order and no BLAS dot: a point gets the same bits on its own as inside
-any batch, so operators may pack points into one call.
-Sums and products over the coordinate axis run column by column from the
-left, so the bits do not depend on the batch's memory layout either: numpy
-sums a contiguous axis of 8 or more entries pairwise, a strided one in order.
+Every value callback reads coordinate columns (``fields``): it works on each
+column as far as it can, then sums or multiplies across columns from the
+left, with elementwise numpy operations in a fixed order and no BLAS dot.  So
+a point gets the same bits on its own as inside any batch, whatever its
+columns' shapes and memory layout, and operators may pack points into one
+call.  Derivative callbacks take ``(..., D)`` arrays and work column by
+column in the same way: numpy sums a contiguous axis of 8 or more entries
+pairwise, a strided one in order, so neither is summed as an axis.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import reduce
 
 import numpy as np
 
 from .fields import BoxDomain, ScalarField
 
 
+def _columns(x):
+    """The coordinate columns of an ``(..., D)`` array, as views."""
+    return np.moveaxis(x, -1, 0)
+
+
 def constant_field(domain: BoxDomain) -> ScalarField:
-    def fn(x):
-        return np.full(x.shape[:-1], 1.0)
+    def fn(*x):
+        return 1.0
 
     def grad(x):
         return np.zeros_like(x)
@@ -34,38 +43,37 @@ def constant_field(domain: BoxDomain) -> ScalarField:
 
 
 def _bilinear(u, terms):
-    """``sum of c * u[..., i] * u[..., j]`` over ``(i, j, c)``, summed left to right from 0.
+    """``sum of c * u[i] * u[j]`` over ``(i, j, c)``, summed left to right from 0.
 
-    ``u`` may be a point ``(D,)`` or a batch ``(..., D)``; each product is
-    ``(u_i * c) * u_j``, the order ``einsum`` uses.
+    ``u`` holds columns; each product is ``(u_i * c) * u_j``, the order ``einsum`` uses.  Two
+    steps that change no bit are left out: a factor ``c`` of 1, and adding the first product
+    to 0 when it is a square with ``c > 0``, which is never -0.
     """
     total = 0.0
-    for i, j, c in terms:
-        total = total + u[..., i] * c * u[..., j]
-    return total
-
-
-def _fold(op, u, columns):
-    """``op`` over the given columns of ``u`` (last axis), left to right."""
-    first, *rest = columns
-    total = u[..., first]
-    for i in rest:
-        total = op(total, u[..., i])
+    for k, (i, j, c) in enumerate(terms):
+        product = (u[i] if c == 1.0 else u[i] * c) * u[j]
+        total = product if k == 0 and i == j and c > 0 else total + product
     return total
 
 
 def _linear(u, coeffs):
-    """``u @ coeffs`` summed left to right from 0, one rounded product per term."""
+    """``u @ coeffs`` over the columns ``u``, summed left to right from 0, one rounded product
+    per term."""
     total = 0.0
     for i, c in enumerate(coeffs.tolist()):
-        total = total + u[..., i] * c
+        total = total + u[i] * c
     return total
+
+
+def _centred(x, c):
+    """The columns ``x_j - c_j``, for ``c`` a list."""
+    return list(map(operator.sub, x, c))
 
 
 def linear_field(domain: BoxDomain, coeffs, offset: float = 0.0) -> ScalarField:
     a = np.atleast_1d(np.asarray(coeffs, dtype=float))
 
-    def fn(x):
+    def fn(*x):
         return _linear(x, a) + offset
 
     def grad(x):
@@ -84,6 +92,7 @@ def quadratic_field(
     D = domain.dim
     A = np.eye(D) if matrix is None else np.atleast_2d(np.asarray(matrix, dtype=float))
     c = domain.center if center is None else np.atleast_1d(np.asarray(center, dtype=float))
+    centre = c.tolist()
     b = np.zeros(D) if linear is None else np.atleast_1d(np.asarray(linear, dtype=float))
     S = A + A.T
     # nonzero entries only: a zero term changes no sum but the sign of a zero
@@ -91,14 +100,14 @@ def quadratic_field(
     rows = [(i, S[i]) for i in range(D)]
     lin = b if np.any(b != 0.0) else None
 
-    def fn(x):
-        d = x - c
+    def fn(*x):
+        d = _centred(x, centre)
         value = _bilinear(d, terms)
         return value if lin is None else value + _linear(d, lin)
 
     def grad(x):
-        d = x - c
-        out = np.empty(d.shape)
+        d = _columns(x - c)
+        out = np.empty(x.shape)
         for i, s in rows:
             out[..., i] = _linear(d, s) + b[i]
         return out
@@ -114,29 +123,29 @@ def sin_field(domain: BoxDomain) -> ScalarField:
     w = 2.0 * np.pi
     D = domain.dim
 
-    def fn(x):
-        return _fold(np.multiply, np.sin(w * x), range(D))
+    def fn(*x):
+        return reduce(np.multiply, [np.sin(w * xj) for xj in x])
 
     def grad(x):
-        s = np.sin(w * x)
+        s = _columns(np.sin(w * x))
         out = np.empty_like(x)
         for j in range(D):
-            others = _fold(np.multiply, s, [k for k in range(D) if k != j]) if D > 1 else 1.0
+            others = reduce(np.multiply, [s[k] for k in range(D) if k != j]) if D > 1 else 1.0
             out[..., j] = w * np.cos(w * x[..., j]) * others
         return out
 
     def hess(x):
-        s = np.sin(w * x)
-        cs = np.cos(w * x)
+        s = _columns(np.sin(w * x))
+        cs = _columns(np.cos(w * x))
         H = np.empty(x.shape[:-1] + (D, D))
         for i in range(D):
             for j in range(D):
                 rest_axes = [k for k in range(D) if k not in (i, j)]
-                rest = _fold(np.multiply, s, rest_axes) if rest_axes else 1.0
+                rest = reduce(np.multiply, [s[k] for k in rest_axes]) if rest_axes else 1.0
                 if i == j:
-                    H[..., i, j] = -(w**2) * s[..., i] * rest
+                    H[..., i, j] = -(w**2) * s[i] * rest
                 else:
-                    H[..., i, j] = w**2 * cs[..., i] * cs[..., j] * rest
+                    H[..., i, j] = w**2 * cs[i] * cs[j] * rest
         return H
 
     return ScalarField(fn, domain, grad, hess, name="sin")
@@ -149,12 +158,15 @@ def quartic_field(domain: BoxDomain, center=None) -> ScalarField:
     gradients honestly nonzero at the true minimizer.
     """
     c = domain.center if center is None else np.atleast_1d(np.asarray(center, dtype=float))
+    centre = c.tolist()
 
     # products, not powers: ``d**3`` and ``d**4`` call libm ``pow`` per element
-    def fn(x):
-        d = x - c
-        d2 = d * d
-        return _fold(np.add, 0.5 * d2 + 0.5 * (d2 * d) + d2 * d2, range(d.shape[-1]))
+    def fn(*x):
+        terms = []
+        for d in _centred(x, centre):
+            d2 = d * d
+            terms.append(0.5 * d2 + 0.5 * (d2 * d) + d2 * d2)
+        return reduce(np.add, terms)
 
     def grad(x):
         d = x - c
@@ -180,7 +192,7 @@ def asymmetric_min_field(domain: BoxDomain) -> ScalarField:
 
     # products, not powers (``d**3`` rounds differently on a scalar), and ``3.0 * 0.3`` unfolded
     def fn(x):
-        d = x[..., 0] - c
+        d = x - c
         return d * d + 0.3 * (d * d * d)
 
     def grad(x):
@@ -197,10 +209,11 @@ def asymmetric_min_field(domain: BoxDomain) -> ScalarField:
 def ridge_field(domain: BoxDomain, center=None, slope: float = 1.0) -> ScalarField:
     """Nonsmooth cone ``M |x - c|``: Lipschitz with constant ``slope``."""
     c = domain.center if center is None else np.atleast_1d(np.asarray(center, dtype=float))
+    centre = c.tolist()
 
-    def fn(x):
-        d = x - c
-        return slope * np.sqrt(_fold(np.add, d * d, range(d.shape[-1])))
+    def fn(*x):
+        d = _centred(x, centre)
+        return slope * np.sqrt(reduce(np.add, [dj * dj for dj in d]))
 
     return ScalarField(fn, domain, name="ridge")
 
@@ -211,6 +224,7 @@ def bump_field(domain: BoxDomain, center=None, radius: float = 0.25) -> ScalarFi
     Infinitely differentiable with support box strictly inside the domain.
     """
     c = domain.center if center is None else np.atleast_1d(np.asarray(center, dtype=float))
+    centre = c.tolist()
     r = float(radius)
     support = BoxDomain(tuple(c - r), tuple(c + r))
     if not (
@@ -219,17 +233,17 @@ def bump_field(domain: BoxDomain, center=None, radius: float = 0.25) -> ScalarFi
     ):
         raise ValueError("bump support must sit strictly inside the domain")
 
-    def fn(x):
-        d = (x - c) / r
-        v2 = _fold(np.add, d * d, range(d.shape[-1]))
-        out = np.zeros_like(v2)
+    def fn(*x):
+        d = [dj / r for dj in _centred(x, centre)]
+        v2 = np.asarray(reduce(np.add, [dj * dj for dj in d]))
+        out = np.zeros(v2.shape)
         inside = v2 < 1.0
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - v2[inside]))
         return out
 
     def grad(x):
-        d = (x - c) / r
-        v2 = _fold(np.add, d * d, range(d.shape[-1]))
+        d = _columns((x - c) / r)
+        v2 = reduce(np.add, d * d)
         out = np.zeros_like(x)
         inside = v2 < 1.0
         g = 1.0 - v2[inside]
@@ -243,7 +257,7 @@ def bump_field(domain: BoxDomain, center=None, radius: float = 0.25) -> ScalarFi
         #   d2phi/ds2 = phi [ (1-s)^-4 - 2 (1-s)^-3 ]
         D = x.shape[-1]
         d = x - c
-        s = _fold(np.add, d * d, range(D)) / (r * r)
+        s = reduce(np.add, _columns(d * d)) / (r * r)
         H = np.zeros(x.shape[:-1] + (D, D))
         inside = s < 1.0
         g = 1.0 - s[inside]

@@ -1,13 +1,19 @@
 """Box domains, scalar fields, and finite box-union subsets.
 
 Every operator in this package works on an open axis-aligned box domain and
-on scalar fields given by vectorized evaluation callbacks.  Callbacks must
-accept arrays of shape ``(..., D)`` and return shape ``(...)``; this is what
-quadrature-heavy code needs to stay fast.  Operators pass their stencil
-batches as column-contiguous ``(N, D)`` views (each coordinate column is
-contiguous), so a callback must not assume C order; it gives a point the
-same bits in any batch only if it makes no BLAS call, whose rounding
-depends on the layout.  The operators' own BLAS operands stay C-ordered.
+on scalar fields given by vectorized evaluation callbacks.  A value callback
+reads coordinate columns: ``fn(x_1, ..., x_D)`` receives the D coordinates of
+its points as arrays that broadcast together, and returns their values in
+the broadcast shape.  For an ``(..., D)`` array those are its column views,
+for one point its D scalars, and for a stencil block (``Columns``) the
+per-axis shifted rules, shaped ``(P, 1, ..., n_j, ..., 1)``, so elementwise
+work runs on per-axis vectors until the first sum or product across axes.
+A callback that ignores an axis may return a smaller shape; the field
+broadcasts it.  An array-style callback can rebuild its ``(N, D)`` points
+with ``np.stack(np.broadcast_arrays(*cols), axis=-1)``.  A callback gives a
+point the same bits in any batch when it works elementwise and makes no BLAS
+call, whose rounding depends on the layout.  Derivative callbacks take an
+``(..., D)`` array.
 """
 
 from __future__ import annotations
@@ -114,6 +120,29 @@ class BoxDomain:
         return lo, hi
 
 
+class Columns:
+    """``N`` points of dimension D given by their coordinate columns: D arrays that broadcast
+    together, their points listed in C order of the broadcast, ``shape == (N, D)``.
+
+    ``np.shape`` reads ``shape`` and builds no point array; ``np.asarray`` builds it, C-ordered,
+    for a callback that takes ``(..., D)`` arrays.  Indexing reads one point, as a row of that
+    array, from its columns.
+    """
+
+    __slots__ = ("columns", "shape")
+
+    def __init__(self, columns, shape: tuple[int, int]):
+        self.columns, self.shape = columns, shape
+
+    def __getitem__(self, i) -> Array:
+        grid = np.broadcast_shapes(*[np.shape(c) for c in self.columns])
+        index = np.unravel_index(i, grid)
+        return np.array([np.broadcast_to(c, grid)[index] for c in self.columns])
+
+    def __array__(self, dtype=None, copy=None) -> Array:
+        return np.stack(np.broadcast_arrays(*self.columns), axis=-1).reshape(self.shape)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """An objective ``u: domain -> R`` with optional derivative callbacks.
@@ -124,13 +153,13 @@ class ScalarField:
     Parameters
     ----------
     fn : callable
-        Vectorized evaluation, ``(..., D) -> (...)``.  A batch may arrive as a
-        column-contiguous ``(N, D)`` view; see the module docstring.
+        Vectorized evaluation on coordinate columns, ``fn(x_1, ..., x_D)``;
+        see the module docstring.
     domain : BoxDomain
         The open box the field lives on.
     gradient, hessian : callable, optional
-        Analytic derivatives with the same batching convention
-        (``(..., D) -> (..., D)`` and ``(..., D) -> (..., D, D)``).
+        Analytic derivatives of ``(..., D)`` arrays, ``(..., D) -> (..., D)``
+        and ``(..., D) -> (..., D, D)``.
     support : BoxDomain, optional
         Compact support box, strictly inside ``domain``; the field must be
         exactly zero outside it.
@@ -138,7 +167,7 @@ class ScalarField:
         The label a missing-derivative error names the field by.
     """
 
-    fn: Callable[[Array], Array]
+    fn: Callable[..., Array]
     domain: BoxDomain
     gradient: Optional[Callable[[Array], Array]] = None
     hessian: Optional[Callable[[Array], Array]] = None
@@ -150,11 +179,24 @@ class ScalarField:
         return self.domain.dim
 
     def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+        """Values at the points of ``Columns`` ``(N, D)`` or of an ``(..., D)`` array, shaped
+        ``(N,)`` or ``(...)``."""
+        if isinstance(x, Columns):
+            values = np.asarray(self.fn(*x.columns))
+            if values.size != x.shape[0]:  # the callback ignores an axis
+                grid = np.broadcast_shapes(*[np.shape(c) for c in x.columns])
+                values = np.broadcast_to(values, grid)
+            return values.reshape(x.shape[:1])
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != self.domain.lower_array.shape:  # (D,)
+            raise DimensionMismatchError(
+                f"expected points of dimension {self.dim}, got shape {x.shape}")
+        values = np.asarray(self.fn(*[x[..., j] for j in range(x.shape[-1])]))
+        return values if values.shape == x.shape[:-1] else np.broadcast_to(values, x.shape[:-1])
 
     def value(self, x) -> float:
         """Scalar evaluation at a single point."""
-        return float(self.fn(as_point(x, self.dim)))
+        return float(self.fn(*as_point(x, self.dim).tolist()))
 
     def gradient_at(self, x) -> Array:
         """Analytic gradient at one point ``(D,)``, or at each row of ``(P, D)``."""
@@ -180,22 +222,20 @@ def extend_by_zero(field: ScalarField) -> ScalarField:
     if getattr(field.fn, "_zero_extension", False):
         return field
     box = field.domain if field.support is None else field.support
-    lo, hi = box.lower_array, box.upper_array
+    bounds = list(zip(box.lower, box.upper))
     base_fn = field.fn
-    dim = field.dim
 
-    def masked(x):
+    def masked(*x):
         # evaluate the base callback at inside points only: callbacks are
         # guaranteed total on the domain, not on all of R^D
-        x = np.asarray(x, dtype=float)
-        inside = np.all((x > lo) & (x < hi), axis=-1)
-        mask = inside.reshape(-1)
-        out = np.zeros(mask.shape[0])
-        if mask.any():
-            out[mask] = np.asarray(base_fn(x.reshape(-1, dim)[mask]), dtype=float).reshape(-1)
-        if inside.ndim == 0:
-            return float(out[0])
-        return out.reshape(inside.shape)
+        inside = True
+        for c, (lo, hi) in zip(x, bounds):
+            inside = inside & ((c > lo) & (c < hi))
+        inside = np.asarray(inside)
+        out = np.zeros(inside.shape)
+        if inside.any():
+            out[inside] = base_fn(*[np.broadcast_to(c, inside.shape)[inside] for c in x])
+        return out
 
     masked._zero_extension = True
     return replace(field, fn=masked, gradient=None, hessian=None)

@@ -84,12 +84,13 @@ def _interior_points(field: ScalarField, x, kernel: RadialKernel) -> tuple[np.nd
     return points, batch
 
 
-def _field_values(fn, points: np.ndarray) -> np.ndarray:
-    """``fn`` at the given points: the one finiteness check every operator shares."""
+def _field_values(fn, points) -> np.ndarray:
+    """``fn`` at the given points (an array or ``Columns``): the one finiteness check every
+    operator shares."""
     values = np.asarray(fn(points), dtype=float)
     # a sum is finite when every value is; one that overflows gets the full check
     if not math.isfinite(np.add.reduce(values, axis=None)):
-        finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
+        finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
         if not finite.all():
             raise ValueError(f"field value is not finite at quadrature node "
                              f"{points[np.argmin(finite)]}")
@@ -121,9 +122,11 @@ def _walk(groups, points: np.ndarray, fn, add) -> None:
     ``chunk`` of ``rows`` that fits in ``BLOCK_NODES`` nodes (``_chunks``).
 
     ``values(op=np.add)`` is one checked ``fn`` call at ``op(x, h)`` for the rows ``x`` of
-    ``points[chunk]`` and the block's nodes ``h`` (``_shifted``), as ``(len(chunk), n, ...)``
-    in C order whatever layout ``fn`` returns: BLAS rounding depends on the layout.  A
-    streamed block is freed before the next one is expanded.
+    ``points[chunk]`` and the block's nodes ``h``, given as ``Columns`` (``_shifted``): a field
+    reads them as its columns, a vector-valued ``fn`` (the smoothed Hessians' ``grad_at``) as
+    an ``(N, D)`` array.  The values come as ``(len(chunk), n, ...)`` in C order whatever
+    layout ``fn`` returns: BLAS rounding depends on the layout.  A streamed block is freed
+    before the next one is expanded.
     """
     for blocks, rows in groups:
         for block in blocks:
@@ -354,7 +357,10 @@ def nonlocal_hessian(
 
 def _smoothed_hessians(field: ScalarField, points: np.ndarray, variant: HessianVariant,
                        config: OperatorConfig) -> np.ndarray:
-    """Kernel partials of classical (grad-smoothed) or kernel (nested) partials."""
+    """Kernel partials of classical (grad-smoothed) or kernel (nested) partials.
+
+    ``grad_at`` hands its points to vector-valued callbacks, so it builds the ``(N, D)``
+    array of a block's ``Columns``."""
     if variant.kind == GRAD_SMOOTHED:
         if field.gradient is None and variant.fd_step is None:
             raise MissingDerivativeError(
@@ -362,13 +368,13 @@ def _smoothed_hessians(field: ScalarField, points: np.ndarray, variant: HessianV
             )
         outer_kernel = config.kernel
 
-        def grad_at(pts: np.ndarray) -> np.ndarray:
-            return _classical_gradient(field, pts, variant.fd_step)
+        def grad_at(pts) -> np.ndarray:
+            return _classical_gradient(field, np.asarray(pts), variant.fd_step)
     else:  # NESTED
         outer_kernel = config.kernel.with_scale_index(variant.m)
 
-        def grad_at(pts: np.ndarray) -> np.ndarray:
-            return nonlocal_gradient(field, pts, config)
+        def grad_at(pts) -> np.ndarray:
+            return nonlocal_gradient(field, np.asarray(pts), config)
 
     groups = reach_stencils(outer_kernel, points, outer_kernel.reach, field.domain,
                             config.resolution)

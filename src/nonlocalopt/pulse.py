@@ -99,13 +99,7 @@ class PulseManifold:
         return np.float64(math.sqrt(apart / self.signal_grid))
 
     def objective_field(self) -> ScalarField:
-        domain = BoxDomain.interval(0.0, 1.0)
-        manifold = self
-
-        def fn(x):
-            return manifold.objective(x[0] if x.ndim == 1 else x[..., 0])  # (1,): a float
-
-        return ScalarField(fn, domain, name="pulse-objective")
+        return ScalarField(self.objective, BoxDomain.interval(0.0, 1.0), name="pulse-objective")
 
 
 def default_holder_offsets(manifold: PulseManifold) -> np.ndarray:

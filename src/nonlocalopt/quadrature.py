@@ -7,8 +7,9 @@ rules; the flat node list is built only when asked for.
 A ``Stencil`` is such a grid of offsets ``h`` around an evaluation point,
 expanded block by block.  A block is a sub-grid of at most ``BLOCK_NODES``
 nodes: one slice of each per-axis rule (``_split``).  It stores only its
-gradient weights, ``D * 8`` bytes a node; the operators fill their field points
-from its rule slices, and ``Stencil.offsets`` rebuilds ``h``, ``|h|^2`` and
+gradient weights, ``D * 8`` bytes a node; a field call reads its points as
+per-axis columns shifted from the rule slices (``_shifted``), and
+``Stencil.offsets`` rebuilds ``h``, ``|h|^2`` and
 ``w * rho`` on every call.  The full-box stencil of a kernel is the same at
 every point whose reach box lies inside the domain, so ``StencilCache`` keeps
 its gradient weights, within a byte cap.  An axis that 0 cuts into two equal
@@ -18,14 +19,16 @@ on axis 0 and then their mirror images; and a block whose whole axes are all
 such computes ``|h|^2`` and its weights on their upper halves and mirrors them,
 bit for bit.
 
-Allocator policy: the first block whose ``(n, D)`` arrays reach glibc's
-default mmap threshold (128 KiB) fixes the process's mmap threshold at 32 MiB
-and its trim threshold at 64 MiB, once, through ``mallopt``; without glibc's
-``mallopt`` nothing happens.  Under the dynamic thresholds each freed block
-temporary went back to the kernel and was faulted in again by the next block:
-about 25,400 minor faults per in-process pass of the benchmark's 2-D and 3-D
-operator checks, against under 10 with the thresholds fixed.  A process may
-then keep up to 64 MiB of freed heap.  1-D and SGD runs never reach that size.
+Allocator policy: the first block whose ``(n, D)`` arrays (its gradient weights,
+or the central Hessian's offsets) reach glibc's default mmap threshold (128 KiB)
+fixes the process's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
+once, through ``mallopt``; without glibc's ``mallopt`` nothing happens.  Under
+the dynamic thresholds each freed block temporary (streamed weights, field
+values, the callbacks' products across axes) goes back to the kernel and is
+faulted in again by the next block: about 7,400 minor faults per in-process
+pass of the benchmark's 2-D and 3-D operator checks, against under 10 with the
+thresholds fixed (``ru_minflt``, glibc 2.36, x86-64).  A process may then keep
+up to 64 MiB of freed heap.  1-D and SGD runs never reach that size.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import CoincidentPointsError, NodeBudgetError
-from .fields import BoxDomain
+from .fields import BoxDomain, Columns
 
 NODE_BUDGET = 10_000_000
 
@@ -55,7 +58,8 @@ BLOCK_NODES = 65_536
 CACHE_BYTES = 32 * 2**20
 
 # glibc's default mmap threshold, 128 KiB, in float64 entries: the first block whose
-# (n, D) arrays reach it fixes the process's allocator thresholds (``_keep_heap``)
+# (n, D) gradient weights or offsets reach it fixes the process's allocator thresholds
+# (``_keep_heap``)
 _LARGE_BLOCK = 16_384
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
 _heap_kept = False
@@ -324,22 +328,18 @@ def _expand(axes, kernel, mirror: int) -> np.ndarray:
     return grad.reshape(-1, D)
 
 
-def _shifted(points: np.ndarray, axes, op=np.add) -> np.ndarray:
+def _shifted(points: np.ndarray, axes, op=np.add) -> Columns:
     """``op(x, h)`` for every row ``x`` of ``points`` and the offset ``h`` of each node of the
-    sub-grid of the per-axis rules ``axes``, point-major, as ``(N, D)``.
+    sub-grid of the per-axis rules ``axes``, point-major, as ``Columns`` ``(N, D)``.
 
-    The batch is filled axis by axis into one ``(D, P, n)`` buffer and returned as its
-    transposed view: its rows are in C order, its coordinate columns are contiguous, so a
-    callback's elementwise work runs in loops of length ``N`` rather than ``D``.  Column ``j``
-    is one broadcast ``op`` of ``x_j`` and the rule of axis ``j``: the additions ``x + h``
-    makes, bit for bit, with no offset array read.
+    Column ``j`` is one broadcast ``op`` of ``x_j`` and the rule of axis ``j``, shaped ``(P, 1,
+    ..., n_j, ..., 1)``: the additions ``x + h`` makes, bit for bit, with no offset or point
+    array built.
     """
     P, D = points.shape
-    buf = np.empty((D, P, *[x.size for x, _ in axes]))
     columns = points.T.reshape(D, P, *[1] * D)
-    for j, (x, _) in enumerate(axes):
-        op(columns[j], _along(x, j, D), out=buf[j])
-    return buf.reshape(D, -1).T
+    shifted = [op(columns[j], _along(x, j, D)) for j, (x, _) in enumerate(axes)]
+    return Columns(shifted, (P * math.prod([x.size for x, _ in axes]), D))
 
 
 class Stencil:

@@ -2,9 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from nonlocalopt import BoxDomain, ScalarField, extend_by_zero
+from nonlocalopt import BoxDomain, ScalarField, extend_by_zero, quadrature
 from nonlocalopt.catalog import (
     bump_field,
     catalog,
@@ -15,6 +15,7 @@ from nonlocalopt.catalog import (
 )
 from nonlocalopt.errors import DimensionMismatchError
 from nonlocalopt.fields import SubsetIndicator
+from nonlocalopt.pulse import PulseManifold
 
 
 class TestBoxDomain:
@@ -74,6 +75,13 @@ class TestScalarField:
         batch = f(pts)
         assert batch.shape == (7,)
         assert batch[3] == pytest.approx(f.value(pts[3]))
+
+    def test_points_of_another_dimension_raise(self):
+        # a callback reads one column per axis, so an extra column would go unread
+        f = quadratic_field(BoxDomain.unit(2))
+        for shape in ((4, 3), (4, 1), (3,)):
+            with pytest.raises(DimensionMismatchError):
+                f(np.full(shape, 0.5))
 
 
 class TestExtendByZero:
@@ -167,17 +175,50 @@ class TestCatalogBatchInvariance:
         n = 2000 if dim <= 3 else 400
         x = np.random.default_rng(7).uniform(0.01, 0.99, size=(n, dim))
         for name, field in catalog_with_fractions(dim).items():
-            for fn in (field.fn, field.gradient, field.hessian):
+            for kind, fn in (("value", field), ("gradient", field.gradient),
+                             ("hessian", field.hessian)):
                 if fn is None:
                     continue
                 batch = np.asarray(fn(x), dtype=float)
                 alone = np.array([np.asarray(fn(p), dtype=float) for p in x])
-                assert batch.tobytes() == alone.tobytes(), (name, fn.__name__)
+                assert batch.tobytes() == alone.tobytes(), (name, kind)
                 columns = np.asarray(fn(np.asfortranarray(x)), dtype=float)
-                assert columns.tobytes() == batch.tobytes(), (name, fn.__name__, "F order")
+                assert columns.tobytes() == batch.tobytes(), (name, kind, "F order")
                 for lo, hi in ((0, 1), (3, 27), (n // 20, n // 20 + n // 2), (n - 1, n)):
                     part = np.asarray(fn(x[lo:hi]), dtype=float)
-                    assert part.tobytes() == batch[lo:hi].tobytes(), (name, fn.__name__, lo)
+                    assert part.tobytes() == batch[lo:hi].tobytes(), (name, kind, lo)
+            # one point's D scalars
+            scalars = np.array([field.value(p) for p in x])
+            assert scalars.tobytes() == np.asarray(field(x), dtype=float).tobytes(), name
+
+    # the points the operators pass a field: the per-axis columns op(x_j, h_j) of random
+    # points x and random per-axis rules h (quadrature._shifted)
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
+           op=st.sampled_from([np.add, np.subtract]))
+    def test_column_call_equals_the_dense_call(self, dim, seed, op):
+        rng = np.random.default_rng(seed)
+        axes = [(rng.uniform(-0.25, 0.25, rng.integers(1, 7)), None) for _ in range(dim)]
+        size = int(np.prod([x.size for x, _ in axes]))
+        fields = catalog_with_fractions(dim)
+        fields.update({f"{name}-extended": extend_by_zero(f) for name, f in fields.items()})
+        if dim == 1:  # the objective raises outside [0, 1]; its zero extension does not
+            pulse = PulseManifold().objective_field()
+            fields.update({"pulse": pulse, "pulse-extended": extend_by_zero(pulse)})
+        # every point inside the unit box's interior, or points that may leave it
+        for lo, hi in ((0.3, 0.7), (-0.2, 1.2)):
+            points = rng.uniform(lo, hi, size=(int(rng.integers(1, 4)), dim))
+            batch = quadrature._shifted(points, axes, op)
+            dense = np.asarray(batch)
+            assert np.shape(batch) == dense.shape == (len(points) * size, dim)
+            for name, field in fields.items():
+                if name == "pulse" and lo < 0.0:
+                    continue
+                columns = field(batch)
+                for rows in (dense, np.asfortranarray(dense)):
+                    expected = field(rows)
+                    assert columns.shape == expected.shape == (len(dense),), name
+                    assert columns.tobytes() == expected.tobytes(), name
 
     def test_identity_quadratic_keeps_the_einsum_bits(self):
         x = np.random.default_rng(8).uniform(0.0, 1.0, size=(500, 3))

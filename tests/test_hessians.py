@@ -62,7 +62,7 @@ class TestZeroAndSymmetry:
         from nonlocalopt.errors import MissingDerivativeError
         from nonlocalopt.fields import ScalarField
 
-        plain = ScalarField(lambda p: (np.asarray(p)[..., 0] - 0.5) ** 2, unit_interval)
+        plain = ScalarField(lambda x: (x - 0.5) ** 2, unit_interval)
         with pytest.raises(MissingDerivativeError):
             nonlocal_hessian(
                 plain, [0.4], HessianVariant(GRAD_SMOOTHED, fd_step=None),

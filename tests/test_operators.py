@@ -109,7 +109,7 @@ class TestNonlocalGradient:
         v = quadratic_field(unit_interval)
         a, b = 2.0, -3.0
         combo = ScalarField(
-            lambda p: a * u(p) + b * v(p), unit_interval
+            lambda x: a * u.fn(x) + b * v.fn(x), unit_interval
         )
         config = cfg(gaussian_kernel(1, 4))
         x = [0.45]
@@ -122,7 +122,7 @@ class TestNonlocalGradient:
         # where the defect is macroscopic.
         u = linear_field(unit_interval, [1.0])
         v = sin_field(unit_interval)
-        prod = ScalarField(lambda p: u(p) * v(p), unit_interval)
+        prod = ScalarField(lambda x: u.fn(x) * v.fn(x), unit_interval)
         config = cfg(gaussian_kernel(1, 2))
         x = [0.25]
         lhs = nonlocal_gradient(prod, x, config)
@@ -234,7 +234,6 @@ class TestVanishingSubset:
         turn = 0.5 + kernel.reach / 2
 
         def fn(x):
-            x = np.asarray(x)[..., 0]
             return (x - 0.5) ** 2 - 100.0 * np.maximum(0.0, x - turn) ** 2
 
         with pytest.raises(NoBracketError, match="wrong sign pattern"):

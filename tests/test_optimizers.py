@@ -30,10 +30,10 @@ def counting(field):
     """``field`` with a callback that records the size of each batch it is given."""
     seen = []
 
-    def fn(p):
-        if np.ndim(p) == 2:
-            seen.append(len(p))
-        return field.fn(p)
+    def fn(*x):
+        if np.ndim(x[0]):
+            seen.append(np.broadcast(*x).size)
+        return field.fn(*x)
 
     return replace(field, fn=fn), seen
 
@@ -292,7 +292,7 @@ class TestNewton:
         # at the 78 half-stencil points inside the domain and at their 128 mirror images.
         # The last meets grad_tol and reads no Hessian (one at every iterate: 1,188 points)
         seen, base = [], quadratic_field(unit_interval, center=[0.05])
-        field = replace(base, fn=lambda p: seen.append(np.size(p)) or base.fn(p))
+        field = replace(base, fn=lambda *x: seen.append(np.broadcast(*x).size) or base.fn(*x))
         trace = nonlocal_newton(field, [0.1], cfg(gaussian_kernel(1, 8), 256), grad_tol=1e-6)
         assert trace.termination == GRAD_TOL and len(trace) == 3
         assert trace.final_point[0] == 0.049999163573421095
@@ -334,7 +334,7 @@ class TestLocalCounterpart:
     def test_fd_fallback_without_analytic_gradient(self, unit_interval):
         from nonlocalopt.fields import ScalarField
 
-        plain = ScalarField(lambda p: (np.asarray(p)[..., 0] - 0.5) ** 2, unit_interval)
+        plain = ScalarField(lambda x: (x - 0.5) ** 2, unit_interval)
         trace = local_counterpart(
             plain, [0.2], "gd", StepSchedule.fixed(0.4), max_iters=100, grad_tol=1e-9
         )

@@ -116,7 +116,7 @@ class TestTermination:
 # divergence radius, some cross a side wall and the rest run to the end.  The
 # callback is elementwise, so a point gets the same value in any batch.
 TALL = BoxDomain((-1.0, -6.0), (1.0, 6.0))
-DRIFT = ScalarField(lambda x: 0.2 * x[..., 0] + x[..., 1], TALL)
+DRIFT = ScalarField(lambda x0, x1: 0.2 * x0 + x1, TALL)
 WIDE = gaussian_kernel(1, 1, base_scale=0.6)  # partner points often fall outside (0, 1)
 
 BATCHES = {
@@ -274,7 +274,7 @@ class TestLockstep:
 # Gaussian and bump kernels at several scale indices.  The 1-D step overshoots
 # the minimum (alpha u'' = 2.25 > 2), so 1-D chains also run to the end,
 # diverge or leave the domain; the widest kernels of both batches redraw often.
-OVERSHOOT = ScalarField(lambda x: 3.0 * x[..., 0] ** 2 + 0.3 * x[..., 0],
+OVERSHOOT = ScalarField(lambda x: 3.0 * x ** 2 + 0.3 * x,
                         BoxDomain.interval(-1.0, 1.0))
 MIXED = {
     "1d": (OVERSHOOT, SgdConfig(0.12, 0.08, 16, 0.02),

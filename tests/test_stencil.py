@@ -33,7 +33,9 @@ from nonlocalopt import (
 )
 from nonlocalopt import operators, quadrature
 from nonlocalopt.catalog import bump_field, linear_field, quadratic_field, sin_field
+from nonlocalopt.cli import run_cli
 from nonlocalopt.errors import CoincidentPointsError, DimensionMismatchError, NodeBudgetError
+from nonlocalopt.fields import Columns
 from nonlocalopt.operators import CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED
 from nonlocalopt.quadrature import BLOCK_NODES, Stencil, StencilCache, reach_stencils, rule_1d
 from nonlocalopt.sweeps import diagonal_probes
@@ -401,7 +403,7 @@ def test_newton_iterate_reads_the_field_once_where_runs_regrouped(dim, resolutio
     # before axis-0 runs were cut by halves these stencils' blocks did not pair with their
     # half's, and an interior iterate made two passes: 320,002 and 250,002 points
     base, seen = sin_field(BoxDomain.unit(dim)), []
-    field = replace(base, fn=lambda p: seen.append(np.size(p) // dim) or base.fn(p))
+    field = replace(base, fn=lambda *x: seen.append(np.broadcast(*x).size) or base.fn(*x))
     config = OperatorConfig(gaussian_kernel(dim, 8), resolution)
     x = np.array(NEWTON_POINTS["interior"][:dim])
     g, H = operators._newton_pass(field, x, config)
@@ -448,9 +450,9 @@ def test_central_hessian_evaluates_each_stencil_node_once():
     points = []
     base = sin_field(BoxDomain.unit(2))
 
-    def counting(p):
-        points.append(np.shape(p)[0] if np.ndim(p) > 1 else 1)
-        return base.fn(p)
+    def counting(*x):
+        points.append(np.broadcast(*x).size)
+        return base.fn(*x)
 
     field = replace(base, fn=counting)
     config = OperatorConfig(gaussian_kernel(2, 8), 64)
@@ -461,10 +463,9 @@ def test_central_hessian_evaluates_each_stencil_node_once():
 def _inside_only(field, box):
     """``field`` whose callback fails on any point outside the open ``box``."""
 
-    def fn(p):
-        p = np.asarray(p, dtype=float)
-        assert np.all((p > box.lower_array) & (p < box.upper_array))
-        return field.fn(p)
+    def fn(*x):
+        assert all(np.all((c > lo) & (c < hi)) for c, lo, hi in zip(x, box.lower, box.upper))
+        return field.fn(*x)
 
     return replace(field, fn=fn)
 
@@ -1084,21 +1085,23 @@ def test_gradient_and_hessian_pair_mirror_blocks(monkeypatch, stencil_cache, dim
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_stencil_field_calls_get_column_contiguous_batches(dim):
+def test_stencil_field_calls_get_per_axis_columns(dim):
+    # column j of a block's call is op(x_j, h_j), shaped (P, 1, ..., n_j, ..., 1)
     layouts = []
     base = sin_field(BoxDomain.unit(dim))
 
-    def recording(p):
-        if np.ndim(p) == 2:
-            layouts.append((p.flags.f_contiguous, p.flags.c_contiguous))
-        return base.fn(p)
+    def recording(*x):
+        if np.ndim(x[0]):
+            layouts.append([c.shape[:1] + c.shape[1:j + 1] + c.shape[j + 2:] == (c.shape[0],)
+                            + (1,) * (dim - 1) for j, c in enumerate(x)])
+        return base.fn(*x)
 
     field = replace(base, fn=recording)
     config = OperatorConfig(gaussian_kernel(dim, 4), LAYOUT_RESOLUTION[dim][0])
     x = batch_points(dim)[[0, 2, 3, 5]]  # interior: the central Hessian calls the field itself
     nonlocal_gradient(field, x, config)
     nonlocal_hessian(field, x, HessianVariant(CENTRAL), config)
-    assert len(layouts) >= 3 and all(f and not c for f, c in layouts)
+    assert len(layouts) >= 3 and all(all(axes) for axes in layouts)
 
 
 def test_one_point_keeps_its_shape():
@@ -1125,15 +1128,35 @@ def test_interior_points_share_field_calls(count, calls):
     seen = []
     base = sin_field(BoxDomain.unit(1))
 
-    def counting(p):
-        seen.append(np.shape(p)[0] if np.ndim(p) > 1 else 1)
-        return base.fn(p)
+    def counting(*x):
+        seen.append(np.broadcast(*x).size)
+        return base.fn(*x)
 
     field = replace(base, fn=counting)
     x = np.linspace(0.3, 0.7, count)[:, None]
     nonlocal_gradient(field, x, OperatorConfig(gaussian_kernel(1, 4), 64))
     # u at each point, then whole stencils of as many points as fit in a block
     assert seen == [1] * count + calls
+
+
+def test_field_calls_give_their_point_count_by_shape(monkeypatch, tmp_path):
+    # the traced benchmark counts the points of each ScalarField.__call__ as
+    # np.shape(arg)[:-1]: a block's Columns give (N, D) without building the points
+    shapes, built = [], []
+    call, dense = ScalarField.__call__, Columns.__array__
+    monkeypatch.setattr(ScalarField, "__call__",
+                        lambda self, x: shapes.append(np.shape(x)) or call(self, x))
+    monkeypatch.setattr(Columns, "__array__",
+                        lambda self, *args, **kwargs: built.append(self) or dense(self, *args,
+                                                                                  **kwargs))
+    box = ["--set", "domain.dim=3", "--set", "domain.lower=[0,0,0]", "--set",
+           "domain.upper=[1,1,1]"]
+    assert run_cli(["grad-check", "--field", "quadratic", *box, "--set",
+                    "quadrature.resolution=32", "--set", "check.probes=3",
+                    "--out", str(tmp_path)]) == 0
+    # 3 interior probes share the 32^3-node stencil, two to a call
+    assert shapes == [(2 * 32**3, 3), (32**3, 3)] and built == []
+    assert sum(math.prod(shape[:-1]) for shape in shapes) == 3 * 32**3
 
 
 def test_reach_stencils_cover_every_row_once():
@@ -1254,9 +1277,8 @@ def test_one_point_raises_as_its_batch_row(case):
 
 
 def _nan_beyond(threshold):
-    def fn(p):
-        p = np.asarray(p, dtype=float)
-        return np.where(p[..., 0] > threshold, np.nan, p[..., 0] ** 2)
+    def fn(x):
+        return np.where(x > threshold, np.nan, x * x)
 
     return ScalarField(fn, BoxDomain.unit(1), name="nan-right")
 
