@@ -121,7 +121,8 @@ class RadialKernel:
 
     @property
     def reach(self) -> float:
-        """Radius operators integrate over (support radius, or 6 sigma)."""
+        """Half-width of the box operators integrate over: the support radius (nothing lost), or
+        6 sigma, short of a Gaussian's gradient weight by about ``D * 2 Phi(-6) = D * 1.97e-9``."""
         return self.scale if self.compact else _GAUSS_REACH_SIGMAS * self.scale
 
     @property

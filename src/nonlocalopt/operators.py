@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -142,16 +143,26 @@ def _walk(groups, points: np.ndarray, fn, add) -> None:
             del block
 
 
-def _quotients(groups, points: np.ndarray, values, fn, out: np.ndarray) -> np.ndarray:
-    """Adds ``D * w * rho(|h|) * (values[p] - fn(x + h)) / |h|^2 * (-h)`` over the offsets
-    ``h`` of the stencil of each row ``x`` of ``points`` to ``out[p]``, one ``(n,) @ (n, D)``
-    product a block; ``groups`` pairs each stencil with its rows (``reach_stencils``).  A
-    vector-valued ``fn`` gives matrices whose rows index its components."""
-    def add(block, chunk, found):
-        for i, vals in zip(chunk, found()):
-            out[i] += (values[i] - vals).T @ block.grad
+def _quotients(groups, points: np.ndarray, values_at, fn, out: np.ndarray) -> np.ndarray:
+    """Adds to ``out[p]`` the quotient sums of ``fn`` over the stencil of each row ``x`` of
+    ``points``, one ``(n,) @ (n, D)`` product with a block's gradient weights a block;
+    ``groups`` pairs each stencil with its rows (``reach_stencils``).  Over a paired stencil's
+    half (``Stencil.paired``) the product is with ``fn(x - h) - fn(x + h)``: each node stands
+    for its mirror image too, whose weights are its own negated, so ``u(x)`` cancels.  Over
+    another stencil it is with ``u(x) - fn(x + h)``, ``u`` from one ``values_at(points)`` call
+    for all its rows.  A vector-valued ``fn`` gives matrices whose rows index its components."""
+    own = [rows for stencil, rows in groups if not stencil.paired]
+    values = np.zeros(out.shape[:-1])  # u at the rows of the stencils that are not paired
+    if own:
+        own = np.concatenate(own)
+        values[own] = values_at(points[own])
+    for stencil, rows in groups:
+        def add(block, chunk, found, paired=stencil.paired):
+            plus = found()
+            for i, u, vals in zip(chunk, found(np.subtract) if paired else values[chunk], plus):
+                out[i] += (u - vals).T @ block.grad
 
-    _walk([(stencil.blocks(), rows) for stencil, rows in groups], points, fn, add)
+        _walk([(stencil.blocks(), rows)], points, fn, add)
     return out
 
 
@@ -160,8 +171,8 @@ def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfi
 
     The checks and the reach box run in Python floats.  The point's own rule is
     the cached full-box stencil, or ``box_blocks`` over a clipped box; each
-    block adds the row's ``(n,) @ (n, D)`` product to zeros, as ``_quotients``.
-    This is ``_walk`` for one row, without its per-block bookkeeping.
+    block adds the row's ``(n,) @ (n, D)`` product to zeros, paired or not as
+    ``_quotients``.  This is ``_walk`` for one row, without its per-block bookkeeping.
     """
     kernel, domain, reach = config.kernel, field.domain, config.kernel.reach
     lo, hi, clipped = [], [], False
@@ -172,13 +183,17 @@ def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfi
         clipped = clipped or low < a or high > b
         lo.append(max(low, a) - v)
         hi.append(min(high, b) - v)
-    blocks = (quadrature.box_blocks(kernel, lo, hi, config.resolution) if clipped
-              else quadrature.STENCILS.get(kernel, reach, config.resolution).blocks())
-    value = _value_at(field, point)
+    if clipped:
+        blocks, paired = quadrature.box_blocks(kernel, lo, hi, config.resolution)
+    else:
+        stencil = quadrature.STENCILS.get(kernel, reach, config.resolution)
+        blocks, paired = stencil.blocks(), stencil.paired
+    value = None if paired else _value_at(field, point)
     total = np.zeros(point.shape)
     for block in blocks:
-        shifted = _shifted(point[None], block.axes)
-        total += (value - _field_values(field, shifted)) @ block.grad
+        plus = _field_values(field, _shifted(point[None], block.axes))
+        u = _field_values(field, _shifted(point[None], block.axes, np.subtract)) if paired else value
+        total += (u - plus) @ block.grad
         del block  # as in ``_walk``
     return total
 
@@ -187,8 +202,10 @@ def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarr
     """Kernel-smoothed gradient of the field at an interior point, or at each row of ``(P, D)``.
 
     Integrates ``D * k_u(x, y) * rho(x - y)`` over the domain, restricted to
-    the kernel's reach ball (identical value, large speedup).  Exact on
-    linear fields whenever the reach ball lies inside the domain.  A batch
+    the kernel's reach box (``RadialKernel.reach``), which loses nothing of a
+    compact kernel but about ``D * 2 Phi(-6)`` of a Gaussian's weight: only a
+    compact kernel is exact on linear fields (to quadrature and rounding)
+    where the box lies inside the domain.  A batch
     gives the rows that one-point calls give, bit for bit, when the field
     computes each row on its own (as the catalog fields do).  One point (not
     a ``(1, D)`` batch) sums its own rule directly; if it fails a check, the
@@ -201,7 +218,7 @@ def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarr
         return total
     points, batch = _interior_points(field, x, kernel)
     groups = reach_stencils(kernel, points, kernel.reach, field.domain, config.resolution)
-    total = _quotients(groups, points, _values_at(field, points), field, np.zeros(points.shape))
+    total = _quotients(groups, points, partial(_values_at, field), field, np.zeros(points.shape))
     return total if batch else total[0]
 
 
@@ -213,18 +230,15 @@ def restricted_nonlocal_gradient(
     if subset.dim != field.dim:
         raise DimensionMismatchError(
             f"subset dimension {subset.dim} does not match field dimension {field.dim}")
-    kernel = config.kernel
-    stencils = []
+    kernel, groups = config.kernel, []
     for lo, hi in subset.pieces():
         clipped = field.domain.clip_box(np.maximum(lo, x - kernel.reach),
                                         np.minimum(hi, x + kernel.reach))
         if clipped is not None:
-            stencils.append(Stencil(kernel, clipped[0] - x, clipped[1] - x, config.resolution))
+            stencil = Stencil(kernel, clipped[0] - x, clipped[1] - x, config.resolution)
+            groups.append((stencil, np.arange(1)))
     total = np.zeros((1, field.dim))
-    if stencils:
-        groups = [(stencil, np.arange(1)) for stencil in stencils]
-        _quotients(groups, x[None], _values_at(field, x[None]), field, total)
-    return total[0]
+    return _quotients(groups, x[None], partial(_values_at, field), field, total)[0]
 
 
 def find_vanishing_subset_1d(
@@ -387,7 +401,7 @@ def _smoothed_hessians(field: ScalarField, points: np.ndarray, variant: HessianV
                     f"budget is {NODE_BUDGET}"
                 )
     out = np.zeros((len(points), field.dim, field.dim))
-    return _quotients(groups, points, _field_values(grad_at, points), grad_at, out)
+    return _quotients(groups, points, partial(_field_values, grad_at), grad_at, out)
 
 
 def _prefactor(D: int, constant_mode: str) -> float:
@@ -419,11 +433,10 @@ def _central_hessians(
 
     The field is extended by zero beyond its support (or beyond the domain)
     so the translated stencil is always defined (it is the field itself when
-    every reach box lies strictly inside).  The stencil is point
-    symmetric (its second half is the negated first half), so only the first
-    half is summed, each node standing for itself and its mirror: one field
-    call at ``x + h`` and one at ``x - h`` per half block, for as many points
-    as ``_walk`` packs.
+    every reach box lies strictly inside).  The full-box stencil is paired,
+    so only its lower half is walked, each node standing for itself and its
+    mirror: one field call at ``x + h`` and one at ``x - h`` per block, for
+    as many points as ``_walk`` packs.
     """
     P, D = points.shape
     kernel = config.kernel
@@ -441,7 +454,7 @@ def _central_hessians(
         second = found() - 2.0 * values[chunk, None] + found(np.subtract)
         _add_second_differences(H, trace, chunk, b, second, prefactor)
 
-    _walk([(stencil.offsets(half=True), rows)], points, ext, add)
+    _walk([(stencil.offsets(), rows)], points, ext, add)
     return _traceless(H, trace)
 
 
@@ -451,13 +464,9 @@ def _newton_pass(field: ScalarField, x: np.ndarray,
     or ``None`` unless the reach box lies strictly inside the domain and the field's support.
 
     Returns ``nonlocal_gradient(field, x, config)`` and ``nonlocal_hessian(field, x,
-    HessianVariant(CENTRAL), config)``, bit for bit.  There both read the field itself on the
-    full-box stencil, whose node ``-h`` is the exact mirror image of ``h``, so that
-    ``x + (-h) == x - h``.  The Hessian's pass, ``u(x + h)`` and ``u(x - h)`` over the half
-    stencil, holds the gradient's field values: its blocks over the lower half, and
-    ``u(x - h)`` reversed over their mirror images, which are the full box's remaining blocks
-    (``quadrature._split``).  The gradient takes its per-block products from there, with the
-    operands and in the order of its own pass.
+    HessianVariant(CENTRAL), config)``, bit for bit.  There both read the field itself over the
+    lower half of the cached full-box stencil, the gradient its ``u(x + h)`` and ``u(x - h)``
+    block by block as the Hessian does, so one pass serves both.
     """
     kernel, reach = config.kernel, config.kernel.reach
     require_dim(kernel, field.dim)
@@ -471,22 +480,14 @@ def _newton_pass(field: ScalarField, x: np.ndarray,
     stencil = quadrature.STENCILS.get(kernel, reach, config.resolution)
     D, value, blocks = field.dim, _value_at(field, x), stencil.blocks()
     prefactor = _prefactor(D, MOMENT_CONSTANT)
-    g, H, trace, upper = np.zeros(D), np.zeros((1, D, D)), np.zeros(1), []
+    g, H, trace = np.zeros(D), np.zeros((1, D, D)), np.zeros(1)
 
     def add(b, chunk, found):
-        grad = next(blocks).grad
         [plus], [minus] = found(), found(np.subtract)
-        if len(grad) > len(plus):  # one block: the half, then its mirror image
-            upper.append((value - np.concatenate([plus, minus[::-1]])) @ grad)
-        else:  # block j and, added after the lower half's, block B-1-j
-            g[:] += (value - plus) @ grad
-            upper.append((value - minus[::-1]) @ np.ascontiguousarray(-grad[::-1]))
-        second = plus - 2.0 * value + minus
-        _add_second_differences(H, trace, chunk, b, second[None], prefactor)
+        g[:] += (minus - plus) @ next(blocks).grad
+        _add_second_differences(H, trace, chunk, b, (plus - 2.0 * value + minus)[None], prefactor)
 
-    _walk([(stencil.offsets(half=True), np.arange(1))], x[None], field, add)
-    for product in reversed(upper):
-        g += product
+    _walk([(stencil.offsets(), np.arange(1))], x[None], field, add)
     return g, _traceless(H, trace)[0]
 
 
@@ -505,4 +506,4 @@ def directional_second_moments(domain: BoxDomain, x, config: OperatorConfig) -> 
     c = np.zeros(kernel.dim)
     for b in stencil.offsets():
         c += [np.sum(b.wrho * b.h[:, i] ** 2 / b.r2) for i in range(kernel.dim)]
-    return c
+    return 2.0 * c if stencil.paired else c  # a paired node stands for its mirror image too

@@ -9,15 +9,15 @@ expanded block by block.  A block is a sub-grid of at most ``BLOCK_NODES``
 nodes: one slice of each per-axis rule (``_split``).  It stores only its
 gradient weights, ``D * 8`` bytes a node; a field call reads its points as
 per-axis columns shifted from the rule slices (``_shifted``), and
-``Stencil.offsets`` rebuilds ``h``, ``|h|^2`` and
-``w * rho`` on every call.  The full-box stencil of a kernel is the same at
-every point whose reach box lies inside the domain, so ``StencilCache`` keeps
-its gradient weights, within a byte cap.  An axis that 0 cuts into two equal
-sides (every axis of a full box) is its own mirror image at 0.  Such an axis is
-cut into blocks half by half, so a full box's blocks are those of its lower half
-on axis 0 and then their mirror images; and a block whose whole axes are all
-such computes ``|h|^2`` and its weights on their upper halves and mirrors them,
-bit for bit.
+``Stencil.offsets`` rebuilds ``h``, ``|h|^2`` and ``w * rho`` on every call.
+An axis that 0 cuts into two equal sides is its own mirror image at 0.  A
+stencil whose every axis is such (every full box) is paired: it walks only
+the lower half of axis 0, each node standing for itself and its mirror image
+``-h``, whose gradient weights are its own negated.  The full-box stencil of
+a kernel is the same at every point whose reach box lies inside the domain,
+so ``StencilCache`` keeps its half's gradient weights, within a byte cap.  A
+block whose whole axes are all mirror images computes ``|h|^2`` and its
+weights on their upper halves and mirrors them, bit for bit.
 
 Allocator policy: the first block whose ``(n, D)`` arrays (its gradient weights,
 or the central Hessian's offsets) reach glibc's default mmap threshold (128 KiB)
@@ -25,7 +25,7 @@ fixes the process's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
 once, through ``mallopt``; without glibc's ``mallopt`` nothing happens.  Under
 the dynamic thresholds each freed block temporary (streamed weights, field
 values, the callbacks' products across axes) goes back to the kernel and is
-faulted in again by the next block: about 7,400 minor faults per in-process
+faulted in again by the next block: about 19,700 minor faults per in-process
 pass of the benchmark's 2-D and 3-D operator checks, against under 10 with the
 thresholds fixed (``ru_minflt``, glibc 2.36, x86-64).  A process may then keep
 up to 64 MiB of freed heap.  1-D and SGD runs never reach that size.
@@ -53,9 +53,9 @@ NODE_BUDGET = 10_000_000
 # temporaries of one contraction step.
 BLOCK_NODES = 65_536
 
-# Total bytes of cached gradient weights, D * 8 a node: a 3-D stencil of about
-# 1.4M nodes fits (resolution 64 takes 6 MiB); larger ones are streamed block by block.
-CACHE_BYTES = 32 * 2**20
+# Total bytes of cached gradient weights, D * 8 a node walked (a full box's lower half): a 3-D
+# box of about 1.4M nodes fits (3 MiB at resolution 64); larger ones are streamed block by block.
+CACHE_BYTES = 16 * 2**20
 
 # glibc's default mmap threshold, 128 KiB, in float64 entries: the first block whose
 # (n, D) gradient weights or offsets reach it fixes the process's allocator thresholds
@@ -215,14 +215,11 @@ def _keep_heap() -> None:
 def _split(axes, symmetric) -> Iterator[tuple[tuple, int]]:
     """The blocks of the C-order product of the per-axis rules ``axes``, in order, as
     ``(block axes, mirror)`` pairs; ``symmetric[i]`` says that the rule of axis ``i`` is its
-    own mirror image at 0 (``Stencil``).
+    own mirror image at 0, and is read for the axes after ``k`` only.
 
     ``k`` is the first axis whose later axes hold at most ``BLOCK_NODES`` nodes together.  A
     block takes one node of each axis before ``k``, a run of at most ``BLOCK_NODES // stride``
-    nodes of axis ``k`` and every later axis whole.  A symmetric axis ``k`` that needs more
-    than one run is cut into the runs of its lower half, then their mirror images, so the
-    blocks of a box symmetric on every axis are the blocks of its lower half on axis 0 and
-    then their mirror images in reverse order.  The block's axes after ``k`` are mirrored
+    nodes of axis ``k`` and every later axis whole.  The block's axes after ``k`` are mirrored
     (``_radial``) when all of them are symmetric: ``mirror`` is ``k + 1``, else ``D``.
     """
     sizes = [x.size for x, _ in axes]
@@ -231,16 +228,13 @@ def _split(axes, symmetric) -> Iterator[tuple[tuple, int]]:
         k += 1
         stride //= sizes[k]
     step, (x, w), n = BLOCK_NODES // stride, axes[k], sizes[k]
-    cut = n // 2 if symmetric[k] and n > step else n
-    if min(step, cut) * stride * len(axes) >= _LARGE_BLOCK:  # the first block is the largest
+    if min(step, n) * stride * len(axes) >= _LARGE_BLOCK:  # the first block is the largest
         _keep_heap()
-    runs = [(lo, min(lo + step, cut)) for lo in range(0, cut, step)]
-    runs += [(n - hi, n - lo) for lo, hi in reversed(runs)] if cut < n else []
     mirror, tail = k + 1 if all(symmetric[k + 1:]) else len(axes), axes[k + 1:]
     nodes = [[(a[i:i + 1], b[i:i + 1]) for i in range(a.size)] for a, b in axes[:k]]
     for head in itertools.product(*nodes):
-        for lo, hi in runs:
-            yield head + ((x[lo:hi], w[lo:hi]),) + tail, mirror
+        for lo in range(0, n, step):
+            yield head + ((x[lo:lo + step], w[lo:lo + step]),) + tail, mirror
 
 
 def _along(a: np.ndarray, j: int, D: int) -> np.ndarray:
@@ -345,15 +339,15 @@ def _shifted(points: np.ndarray, axes, op=np.add) -> Columns:
 class Stencil:
     """Tensor-product offset rule over the box ``[lo, hi]`` around a point.
 
-    Offsets come from ``build_panel_grid`` split at 0, exactly as operators
-    split their grids at the evaluation point.  It writes an axis as its own
-    mirror image at 0, ``h[::-1] == -h``, exactly where 0 cuts the box into
-    equal sides, ``-lo == hi``: ``symmetric`` holds that per axis, true on
-    every axis of a full box.  ``kernel`` supplies ``dim`` and
-    ``radial_density``.  ``blocks`` gives the gradient weights of the
-    ``_split`` blocks in order, built on demand unless ``materialize`` has
-    stored them; ``offsets`` builds the offsets and their weights in the same
-    blocks on every call.
+    Offsets come from ``build_panel_grid`` split at 0, exactly as operators split their grids
+    at the evaluation point.  It writes an axis as its own mirror image at 0, ``h[::-1] ==
+    -h``, exactly where 0 cuts the box into equal sides, ``-lo == hi``: ``symmetric`` holds that
+    per axis.  A stencil symmetric on every axis (every full box) is ``paired``: it walks only
+    the lower half of axis 0, each node standing for its mirror image too; ``axes``, ``shape``
+    and ``len`` describe the whole box.  ``kernel`` supplies ``dim`` and ``radial_density``.
+    ``blocks`` gives the gradient weights of the ``_split`` blocks walked, built on demand
+    unless ``materialize`` has stored them; ``offsets`` builds the offsets and their weights in
+    the same blocks on every call.
     """
 
     def __init__(self, kernel, lo, hi, resolution: int):
@@ -361,38 +355,37 @@ class Stencil:
         grid = build_panel_grid(lo, hi, np.zeros(len(lo)), resolution)
         self.axes = grid.axes
         self.shape = grid.shape
-        self.size = len(grid)
         self.kernel = kernel
         self.symmetric = tuple(-a == b > 0 for a, b in zip(lo, hi))
+        self.paired = all(self.symmetric)
+        self._walked = self.axes  # the rules ``_split`` cuts into blocks
+        if self.paired:
+            (x, w), *rest = self.axes
+            self._walked = ((x[:x.size // 2], w[:w.size // 2]), *rest)
         self._blocks: Optional[tuple[StencilBlock, ...]] = None
 
     def __len__(self) -> int:
-        return self.size
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the expanded blocks: ``grad`` only, ``D * 8`` a node."""
-        return self.size * len(self.shape) * 8
+        """Bytes of the expanded blocks: ``grad`` only, ``D * 8`` a node walked."""
+        return math.prod([x.size for x, _ in self._walked]) * len(self.shape) * 8
 
     def materialize(self) -> None:
         self._blocks = tuple(self.blocks())
 
     def blocks(self) -> Iterator[StencilBlock]:
-        """The gradient weights of every node, block by block."""
+        """The gradient weights of every node walked, block by block."""
         if self._blocks is not None:
             yield from self._blocks
             return
-        for axes, mirror in _split(self.axes, self.symmetric):
+        for axes, mirror in _split(self._walked, self.symmetric):
             yield StencilBlock(axes, _expand(axes, self.kernel, mirror))
 
-    def offsets(self, half: bool = False) -> Iterator[Offsets]:
-        """The offsets and weights of every node, block by block; with ``half``, of the
-        stencil whose axis-0 rule is cut to its lower half: the first half of the nodes."""
-        axes, symmetric = self.axes, self.symmetric
-        if half:  # a lower half is not its own mirror image
-            (x, w), *rest = axes
-            axes, symmetric = ((x[:x.size // 2], w[:w.size // 2]), *rest), (False, *symmetric[1:])
-        for block, mirror in _split(axes, symmetric):
+    def offsets(self) -> Iterator[Offsets]:
+        """The offsets and weights of every node walked, block by block."""
+        for block, mirror in _split(self._walked, self.symmetric):
             yield Offsets(block, *_offsets(block, self.kernel, mirror))
 
 
@@ -467,15 +460,20 @@ def reach_stencils(kernel, points: np.ndarray, radius: float, domain: Optional[B
 
 
 def box_blocks(kernel, lo: list[float], hi: list[float], resolution: int):
-    """The blocks of ``reach_stencils``' rule for a row clipped to the offset box ``[lo, hi]``.
+    """The blocks of ``reach_stencils``' rule for a row clipped to the offset box ``[lo, hi]``,
+    and whether that stencil is ``paired`` (``Stencil``).
 
-    One ``build_panel_grid`` call; one axis has at most ``2 * 3,162`` nodes
-    (``rule_1d``'s budget), so its rule is one block, whose gradient weights are the
-    ``_expand`` formula on the rule itself: the pulse path pays no sub-grid bookkeeping.
+    One ``build_panel_grid`` call; one axis has at most ``2 * 3,162`` nodes (``rule_1d``'s
+    budget), so the rule it walks is one block, whose gradient weights are the ``_expand``
+    formula on the rule itself: the pulse path pays no sub-grid bookkeeping.
     """
     if len(lo) > 1:
-        return Stencil(kernel, lo, hi, resolution).blocks()
-    axes = build_panel_grid(lo, hi, [0.0], resolution).axes
-    [(x, w)] = axes
+        stencil = Stencil(kernel, lo, hi, resolution)
+        return stencil.blocks(), stencil.paired
+    [(x, w)] = build_panel_grid(lo, hi, [0.0], resolution).axes
+    paired = -lo[0] == hi[0] > 0
+    if paired:
+        x, w = x[:x.size // 2], w[:w.size // 2]
     r2 = x * x
-    return (StencilBlock(axes, (_scale(kernel, _weights(kernel, r2, w), r2) * -x)[:, None]),)
+    grad = (_scale(kernel, _weights(kernel, r2, w), r2) * -x)[:, None]
+    return (StencilBlock(((x, w),), grad),), paired

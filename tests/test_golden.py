@@ -85,19 +85,19 @@ EXPECTED = {
         "steps": [[0.4, 14]]},
     "nlgd-fixed-left-domain": {
         "termination": "left-domain", "length": 1, "final_point": [0.1], "steps": [],
-        "offending_point": [4.099999992107267]},
+        "offending_point": [4.099999992107268]},
     "nlgd-linesearch-2d": {
         "termination": "max-iters", "length": 9,
-        "final_point": [0.49970710846245975, 0.50043933786691],
-        "steps": [[0.27547169925819376, 1], [0.7300000084706466, 1],
-                  [0.2754717028355586, 1], [0.7299999442459576, 1],
-                  [0.2754717093531174, 1], [0.729999899573945, 1],
-                  [0.27547173696193955, 1], [0.729999576324225, 1]]},
+        "final_point": [0.49970710884747666, 0.500439336646265],
+        "steps": [[0.2754716992581932, 1], [0.7299999954355291, 1],
+                  [0.27547170034607266, 1], [0.7299999994636018, 1],
+                  [0.27547169228992696, 1], [0.7300000782619954, 1],
+                  [0.27547168174429526, 1], [0.7300001334796398, 1]]},
     "nonlocal-newton": {
         "termination": "max-iters", "length": 11, "final_point": [0.5499804712307645],
         "steps": [[1.0, 10]]},
     "nonlocal-newton-halved": {
-        "termination": "max-iters", "length": 5, "final_point": [0.9924092924123049],
+        "termination": "max-iters", "length": 5, "final_point": [0.9924092924080276],
         "steps": [[0.5, 1], [0.125, 2], [1.0, 1]]},
     "local-gd": {
         "termination": "max-iters", "length": 51, "final_point": [0.4999971455046146],
@@ -228,13 +228,13 @@ BOX_3D = ["--set", "domain.dim=3", "--set", "domain.lower=[-0.062366, -0.084665,
 OPERATOR_CHECKS = {
     "grad-check-quadratic-3d": (
         ["grad-check", *BOX_3D, "--set", "quadrature.resolution=64", "--set", "check.probes=5"],
-        "grad_check.csv", "21e434cbf97ca57ff089f936c30db4d6c7e62037d796b72687e74e9bfbc72717"),
+        "grad_check.csv", "14fbecc55d98d2406afdac53571ddfba18ac4ff05f0f578fe980162bbae8d4c3"),
     "hess-check-quadratic-2d": (
         ["hess-check", *BOX_2D, "--set", "quadrature.resolution=256", "--set", "check.probes=20"],
         "hess_check.csv", "be0a37d2bf6f89060ae9aeab16f1fd72fb978b93d53cf8de691aedd71d77579e"),
     "grad-check-quadratic-3d-res128": (
         ["grad-check", *BOX_3D, "--set", "quadrature.resolution=128", "--set", "check.probes=1"],
-        "grad_check.csv", "d28f4a7ad78231f9c0bdf366535995363f74f7634e59d85f01069d85955c3421"),
+        "grad_check.csv", "436ec421e639b83261fb78166f9eaea0ba424bbb0e57dd8abcb84bc4e84950c7"),
 }
 
 
@@ -253,7 +253,7 @@ UNIT_SETS = ["--set", "domain.dim=1", "--set", "domain.lower=[0.0]", "--set", "d
 NEWTON_COMMANDS = {
     "newton-quartic": (
         ["newton", "--field", "quartic", "--set", "newton.x0=[0.3]"], "trace.csv",
-        "85e372b3ce969ad87275749cb38579ce0f0dd61afa6780c27ccd7a72022d23b0"),
+        "f3c603426e60a278b76c25d5432ef3fb692989d2da17eed4f62d8001ca1e80bc"),
     "sweep-newton-floor": (
         ["sweep", "--check", "newton-floor", "--set", "check.n_values=[8, 16, 32]"],
         "sweep_newton-floor.csv",

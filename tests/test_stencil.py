@@ -32,7 +32,7 @@ from nonlocalopt import (
     run_pulse_experiment,
 )
 from nonlocalopt import operators, quadrature
-from nonlocalopt.catalog import bump_field, linear_field, quadratic_field, sin_field
+from nonlocalopt.catalog import bump_field, catalog, linear_field, quadratic_field, sin_field
 from nonlocalopt.cli import run_cli
 from nonlocalopt.errors import CoincidentPointsError, DimensionMismatchError, NodeBudgetError
 from nonlocalopt.fields import Columns
@@ -168,22 +168,91 @@ class TestEquivalence:
                                               rel=1e-12)
 
 
+# -- the paired gradient ------------------------------------------------------------------
+
+
+def one_sided_box_gradient(field, x, stencil):
+    """``sum (u(x) - u(x + h)) D w rho(|h|) / |h|^2 (-h)`` over every node ``h`` of the stencil's
+    whole box, from its rules, in one product."""
+    h, _, _, grad = reference_expansion(stencil.kernel, stencil.axes, np.arange(len(stencil)))
+    return (field.value(x) - field(x + h)) @ grad
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
+def test_paired_gradient_equals_the_one_sided_box_sum(stencil_cache, dim, cap):
+    # u(x) cancels between h and -h; what is left is the same sum, up to rounding
+    cache, domain = stencil_cache(cap), BoxDomain.unit(dim)
+    config = OperatorConfig(gaussian_kernel(dim, 4), RESOLUTION[dim])
+    x = np.array([0.41, 0.37, 0.61][:dim])
+    stencil = Stencil(config.kernel, -np.full(dim, config.kernel.reach),
+                      np.full(dim, config.kernel.reach), config.resolution)
+    fields = catalog(domain)
+    assert len(fields) == 9 - (dim > 1)
+    for name, field in fields.items():
+        g, expected = nonlocal_gradient(field, x, config), one_sided_box_gradient(field, x, stencil)
+        assert np.max(np.abs(g - expected)) <= 1e-13 * max(np.max(np.abs(expected)), 1.0), name
+        assert same_bits(nonlocal_gradient(field, x[None], config)[0], g), name
+    assert len(cache) == (cap > 0)
+
+
+# (dimension, resolution, tolerance): the bump's tensor rule is exact to rounding in 1-D; in
+# 2-D its quadrature error is about 2e-14 at resolution 256
+@pytest.mark.parametrize("dim,resolution,tolerance", [(1, 256, 1e-14), (1, 512, 1e-14),
+                                                      (2, 256, 5e-14)])
+def test_bump_kernel_gradient_of_a_linear_field_is_exact(dim, resolution, tolerance):
+    slope = np.array([1.0, -1.3][:dim])
+    field = linear_field(BoxDomain.unit(dim), slope, offset=0.25)
+    x = np.random.default_rng(dim).uniform(0.3, 0.7, size=(4, dim))
+    g = nonlocal_gradient(field, x, OperatorConfig(bump_kernel(dim, 2), resolution))
+    assert np.max(np.abs(g - slope)) <= tolerance
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interior_gradient_reads_each_box_node_once_and_no_value(monkeypatch, dim):
+    # u(x + h) and u(x - h) over the lower half are the whole box's nodes, each once, and
+    # u(x) is never read: as many field points as the one-sided sum, and no value call
+    field, config = sin_field(BoxDomain.unit(dim)), batch_config(dim, "gaussian")
+    x = batch_points(dim)[[0, 2, 3, 5]]  # every reach box inside the unit cube
+    reach = np.full(dim, config.kernel.reach)
+    box = Stencil(config.kernel, -reach, reach, config.resolution)
+    nodes = np.stack(np.meshgrid(*[r for r, _ in box.axes], indexing="ij"), -1).reshape(-1, dim)
+    called, values = [], []
+    call = ScalarField.__call__
+    monkeypatch.setattr(ScalarField, "__call__",
+                        lambda self, p: called.append(np.asarray(p)) or call(self, p))
+    monkeypatch.setattr(ScalarField, "value", lambda self, p: values.append(p))
+    for points in (x[:1], x[0], x):  # a one-point batch, one point, four points
+        called.clear()
+        nonlocal_gradient(field, points, config)
+        read = np.concatenate(called)
+        expected = (np.atleast_2d(points)[:, None] + nodes).reshape(-1, dim)
+        assert len(read) == len(expected) == len(np.atleast_2d(points)) * len(box)
+        assert same_bits(np.unique(read, axis=0), np.unique(expected, axis=0))
+    assert values == []
+
+
 # -- structure ---------------------------------------------------------------------------
 
 
 # (1, 65): an odd resolution rounds down to an even node count per axis
 @pytest.mark.parametrize("dim,resolution", [(1, 64), (1, 65), (2, 30), (3, 10), (2, 400)])
 def test_full_box_stencil_is_point_symmetric(dim, resolution):
+    # a full box walks the lower half of axis 0; the nodes after it in C order are its mirror
+    # images in reverse order, with the same w * rho and the gradient weights negated
     kernel = gaussian_kernel(dim, 4)
     reach = np.full(dim, kernel.reach)
     stencil = Stencil(kernel, -reach, reach, resolution)
     h = np.concatenate([b.h for b in stencil.offsets()])
     w = np.concatenate([b.wrho for b in stencil.offsets()])
     grad = np.concatenate([b.grad for b in stencil.blocks()])
-    assert len(h) == len(grad) == len(stencil) == (2 * (resolution // 2)) ** dim
-    assert np.array_equal(h[::-1], -h)
-    assert np.array_equal(w[::-1], w)
-    assert np.array_equal(grad[::-1], -grad)
+    assert stencil.paired and len(stencil) == (2 * (resolution // 2)) ** dim
+    assert len(h) == len(grad) == len(stencil) // 2
+    full_h, _, full_w, full_grad = reference_expansion(kernel, stencil.axes,
+                                                       np.arange(len(stencil)))
+    assert same_bits(full_h, np.concatenate([h, -h[::-1]]))
+    assert same_bits(full_w, np.concatenate([w, w[::-1]]))
+    assert same_bits(full_grad, np.concatenate([grad, -grad[::-1]]))
 
 
 def mirrored(axes):
@@ -193,57 +262,61 @@ def mirrored(axes):
                  for x, w in axes)
 
 
-def reference_split(shape, block_nodes, symmetric):
+def reference_split(shape, block_nodes):
     """The flat node indices of each block of a grid of ``shape``: one index of each axis
     before the first axis ``k`` whose later axes hold at most ``block_nodes`` nodes, runs of
-    ``block_nodes // stride`` indices of axis ``k``, and every later axis whole.  Where axis
-    ``k`` is ``symmetric`` and needs more than one run, the runs cover its lower half, and
-    then the mirror images of those runs in reverse order."""
+    ``block_nodes // stride`` indices of axis ``k``, and every later axis whole."""
     k = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= block_nodes)
     step, n = block_nodes // math.prod(shape[k + 1:]), shape[k]
-    cut = n // 2 if symmetric[k] and n > step else n
-    runs = [np.arange(lo, min(lo + step, cut)) for lo in range(0, cut, step)]
-    if cut < n:
-        runs += [n - 1 - run[::-1] for run in reversed(runs)]
     index = np.arange(math.prod(shape)).reshape(shape)
     for head in np.ndindex(*shape[:k]):
-        for run in runs:
-            yield index[head + (run,)].reshape(-1)
+        for lo in range(0, n, step):
+            yield index[head + (np.arange(lo, min(lo + step, n)),)].reshape(-1)
 
 
-def half_axes(stencil, half):
-    """The stencil's rules, with the rule of axis 0 cut to its lower half when ``half``, and
-    their symmetry by ``mirrored``."""
+def paired(stencil):
+    """Whether every rule of the stencil is its own mirror image at 0, by ``mirrored``."""
+    return all(mirrored(stencil.axes))
+
+
+def walked_axes(stencil):
+    """The rules a stencil's blocks walk: its rules, with the rule of axis 0 cut to its lower
+    half when the stencil is ``paired``."""
     axes = stencil.axes
-    if half:
+    if paired(stencil):
         (x, w), *rest = axes
         axes = ((x[:x.size // 2], w[:w.size // 2]), *rest)
-    return axes, mirrored(axes)
+    return axes
 
 
-def reference_blocks(stencil, block_nodes, half=False):
-    """The per-node expansion of ``reference_split``'s blocks of the stencil, or of its first
-    half (the lower half of axis 0): each node's axis indices by ``unravel_index``, then
+def reference_expansion(kernel, axes, nodes):
+    """``h``, ``|h|^2``, ``w * rho`` and the gradient weights of the flat ``nodes`` of the C-order
+    product of the rules ``axes``: each node's axis indices by ``unravel_index``, then
     gathers."""
-    axes, symmetric = half_axes(stencil, half)
-    shape = tuple(x.size for x, _ in axes)
-    for nodes in reference_split(shape, block_nodes, symmetric):
-        index = np.unravel_index(nodes, shape)
-        h = np.stack([x[i] for (x, _), i in zip(stencil.axes, index)], axis=1)
-        w = np.ones(1)
-        for (_, wx), i in zip(stencil.axes, index):
-            w = w * wx[i]
-        r2 = np.sum(h * h, axis=1)
-        wrho = w * stencil.kernel.radial_density(np.sqrt(r2))
-        wrho[r2 == 0] = 0.0
-        r2[r2 == 0] = 1.0
-        yield h, r2, wrho, (stencil.kernel.dim * wrho / r2)[:, None] * -h
+    index = np.unravel_index(nodes, tuple(x.size for x, _ in axes))
+    h = np.stack([x[i] for (x, _), i in zip(axes, index)], axis=1)
+    w = np.ones(1)
+    for (_, wx), i in zip(axes, index):
+        w = w * wx[i]
+    r2 = np.sum(h * h, axis=1)
+    wrho = w * kernel.radial_density(np.sqrt(r2))
+    wrho[r2 == 0] = 0.0
+    r2[r2 == 0] = 1.0
+    return h, r2, wrho, (kernel.dim * wrho / r2)[:, None] * -h
+
+
+def reference_blocks(stencil, block_nodes):
+    """The per-node expansion of ``reference_split``'s blocks of the rules the stencil walks
+    (``walked_axes``)."""
+    axes = walked_axes(stencil)
+    for nodes in reference_split(tuple(x.size for x, _ in axes), block_nodes):
+        yield reference_expansion(stencil.kernel, axes, nodes)
 
 
 # (dimension, resolution, box half-widths in reaches, nodes per block): axis-0 slabs that
 # divide the block, slabs that do not, slabs larger than a block (split along axis 1), and
-# boxes clipped on one side; full boxes (1.0, 1.0) take their weights from one orthant of
-# the axes their blocks keep whole
+# boxes clipped on one side; full boxes (1.0, 1.0) walk the lower half of axis 0 and take
+# their weights from one orthant of the axes their blocks keep whole
 EXPANSIONS = [
     (2, 256, (1.0, 1.0), BLOCK_NODES), (3, 50, (1.0, 1.0), BLOCK_NODES),
     (2, 32, (1.0, 1.0), 1024), (2, 30, (0.4, 1.0), 1024), (3, 16, (1.0, 1.0), 1024),
@@ -275,31 +348,32 @@ def expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes):
 @pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS)
 def test_blocks_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths, block_nodes):
     stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
+    assert stencil.paired == (widths == (1.0, 1.0))
+    axes = walked_axes(stencil)
     expected = list(reference_blocks(stencil, block_nodes))
-    nodes = list(reference_split(stencil.shape, block_nodes, mirrored(stencil.axes)))
+    nodes = list(reference_split(tuple(x.size for x, _ in axes), block_nodes))
     for materialized in (False, True):
         if materialized:
             stencil.materialize()
         blocks = list(stencil.blocks())
         for b, e, n in zip(blocks, expected, nodes, strict=True):
-            assert same_bits(node_indices(stencil.axes, b.axes), n) and same_bits(b.grad, e[3])
+            assert same_bits(node_indices(axes, b.axes), n) and same_bits(b.grad, e[3])
 
 
 @pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS)
 def test_offsets_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths, block_nodes):
-    # built on every call, cached stencil or not; ``half`` is the central Hessian's half
+    # built on every call, cached stencil or not, over the same nodes as the blocks
     stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
+    axes = walked_axes(stencil)
+    shape = tuple(x.size for x, _ in axes)
     for materialized in (False, True):
         if materialized:
             stencil.materialize()
-        for half in (False, True):
-            axes, symmetric = half_axes(stencil, half)
-            shape = tuple(x.size for x, _ in axes)
-            expected = zip(reference_blocks(stencil, block_nodes, half),
-                           reference_split(shape, block_nodes, symmetric), strict=True)
-            for b, (arrays, nodes) in zip(stencil.offsets(half), expected, strict=True):
-                assert same_bits(node_indices(axes, b.axes), nodes) and len(nodes) == len(b.h)
-                assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho), arrays))
+        expected = zip(reference_blocks(stencil, block_nodes),
+                       reference_split(shape, block_nodes), strict=True)
+        for b, (arrays, nodes) in zip(stencil.offsets(), expected, strict=True):
+            assert same_bits(node_indices(axes, b.axes), nodes) and len(nodes) == len(b.h)
+            assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho), arrays))
 
 
 @pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS + [
@@ -309,16 +383,14 @@ def test_shifted_points_from_the_rules_are_x_plus_and_minus_h(monkeypatch, dim, 
     # 3-D resolution 96: 9,216-node slabs, which do not divide a block
     stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
     x = np.random.default_rng(dim).uniform(0.3, 0.7, size=(3, dim))
-    for half in (False, True):
-        for b, (h, *_) in zip(stencil.offsets(half), reference_blocks(stencil, block_nodes, half),
-                              strict=True):
-            for op in (np.add, np.subtract):
-                shifted = quadrature._shifted(x, b.axes, op)
-                assert same_bits(np.ascontiguousarray(shifted), op(x[:, None], h).reshape(-1, dim))
+    for b, (h, *_) in zip(stencil.offsets(), reference_blocks(stencil, block_nodes), strict=True):
+        for op in (np.add, np.subtract):
+            shifted = quadrature._shifted(x, b.axes, op)
+            assert same_bits(np.ascontiguousarray(shifted), op(x[:, None], h).reshape(-1, dim))
 
 
-# the stencil shapes the benchmark builds: each one's blocks, and those of its central-Hessian
-# half, are the flat runs of BLOCK_NODES nodes, so the block sums keep their order
+# the stencil shapes the benchmark builds: the blocks each one walks are the flat runs of
+# BLOCK_NODES nodes, so the block sums keep their order
 BENCHMARK_SHAPES = {(1, 256), (1, 512), (2, 256), (3, 64), (3, 128)}
 
 
@@ -332,52 +404,50 @@ def test_blocks_partition_the_stencil(dim, resolution, widths):
     kernel = gaussian_kernel(dim, 8)
     stencil = Stencil(kernel, -np.full(dim, widths[0] * kernel.reach),
                       np.full(dim, widths[1] * kernel.reach), resolution)
-    for axes, symmetric in (half_axes(stencil, half) for half in (False, True)):
-        starts, covered = [], 0
-        for block, _ in quadrature._split(axes, symmetric):
-            # every node once, in C order: each block takes the nodes after the last one's
-            nodes = node_indices(axes, block)
-            assert same_bits(nodes, np.arange(covered, covered + len(nodes)))
-            assert len(nodes) <= BLOCK_NODES
-            starts.append(covered)
-            covered += len(nodes)
-        assert covered == math.prod(x.size for x, _ in axes)
-        if (dim, resolution) in BENCHMARK_SHAPES:
-            assert starts == list(range(0, covered, BLOCK_NODES))
+    axes = walked_axes(stencil)
+    starts, covered = [], 0
+    for block, _ in quadrature._split(axes, mirrored(axes)):
+        # every node once, in C order: each block takes the nodes after the last one's
+        nodes = node_indices(axes, block)
+        assert same_bits(nodes, np.arange(covered, covered + len(nodes)))
+        assert len(nodes) <= BLOCK_NODES
+        starts.append(covered)
+        covered += len(nodes)
+    assert covered == math.prod(x.size for x, _ in axes)
+    if (dim, resolution) in BENCHMARK_SHAPES:
+        assert starts == list(range(0, covered, BLOCK_NODES))
 
 
-# (dimension, resolution, nodes per block): stencils whose symmetric axis needs more than one
-# run: 1-D in runs of 100 nodes; 2-D resolution 400 in axis-0 runs of 163, 37, 37 and 163
-# rows; 3-D resolution 50 (25 and 25 slabs), 64 (four even runs of 16) and 96 (14 runs); 4-D
-# resolution 20 (8, 2, 2 and 8 slabs) and 56 (runs of 20, 8, 8 and 20 along axis 1)
-PAIRED_SHAPES = [(1, 256, 100), (2, 400, BLOCK_NODES), (3, 50, BLOCK_NODES),
+# (dimension, resolution, nodes per block): full boxes whose lower half spans several blocks:
+# 1-D in runs of 100 nodes; 2-D resolution 400 in axis-0 runs of 163 and 37 rows; 3-D
+# resolution 50 in 10,000-node blocks (runs of 4 slabs), 64 (two runs of 16) and 96 (seven
+# runs); 4-D resolution 20 (8 and 2 slabs) and 56 (runs of 20, 20 and 16 along axis 1)
+PAIRED_SHAPES = [(1, 256, 100), (2, 400, BLOCK_NODES), (3, 50, 10_000),
                  (3, 64, BLOCK_NODES), (3, 96, BLOCK_NODES), (4, 20, BLOCK_NODES),
                  (4, 56, BLOCK_NODES)]
 
 
 @pytest.mark.parametrize("dim,resolution,block_nodes", PAIRED_SHAPES)
 @pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
-def test_full_box_blocks_are_the_half_blocks_then_their_mirror_images(
-        monkeypatch, dim, resolution, block_nodes, cap):
+def test_full_box_blocks_walk_the_lower_half_of_axis_0(monkeypatch, dim, resolution,
+                                                       block_nodes, cap):
+    # the gradient weights and the offsets of a full box come from the same rule slices, the
+    # first half of its nodes in C order, cached or streamed; nothing stores the other half
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     kernel = gaussian_kernel(dim, 8)
-    stencil = StencilCache(cap).get(kernel, kernel.reach, resolution)
-    assert stencil.symmetric == mirrored(stencil.axes) == (True,) * dim
-    half = [b.axes for b in stencil.offsets(half=True)]
-    lower = []
-    for j, block in enumerate(stencil.blocks()):
-        if j < len(half):  # the half's block, from the same rule slices
-            assert all(np.shares_memory(x, hx) and same_bits(x, hx) and same_bits(w, hw)
-                       for (x, w), (hx, hw) in zip(block.axes, half[j], strict=True))
-            lower.append(block.grad if stencil.nbytes <= cap else None)
-            continue
-        # block B-1-j is the mirror image of block j, node for node
-        image = 2 * len(half) - 1 - j
-        assert all(same_bits(x, -hx[::-1]) and same_bits(w, hw[::-1])
-                   for (x, w), (hx, hw) in zip(block.axes, half[image], strict=True))
-        if lower[image] is not None:
-            assert same_bits(block.grad, -lower[image][::-1])
-    assert j + 1 == 2 * len(half) > 1
+    cache = StencilCache(cap)
+    stencil = cache.get(kernel, kernel.reach, resolution)
+    assert stencil.symmetric == mirrored(stencil.axes) == (True,) * dim and stencil.paired
+    assert stencil.nbytes == len(stencil) // 2 * dim * 8
+    assert cache.nbytes == (stencil.nbytes if stencil.nbytes <= cap else 0)
+    covered = 0
+    for block, offsets in zip(stencil.blocks(), stencil.offsets(), strict=True):
+        assert all(np.shares_memory(x, ox) and same_bits(x, ox) and same_bits(w, ow)
+                   for (x, w), (ox, ow) in zip(block.axes, offsets.axes, strict=True))
+        nodes = node_indices(stencil.axes, block.axes)
+        assert same_bits(nodes, np.arange(covered, covered + len(nodes)))
+        covered += len(nodes)
+    assert covered == len(stencil) // 2 and covered > block_nodes
 
 
 @pytest.mark.parametrize("dim,resolution", [(1, 256), (2, 256), (2, 400), (3, 50), (3, 96),
@@ -412,21 +482,43 @@ def test_newton_iterate_reads_the_field_once_where_runs_regrouped(dim, resolutio
     assert same_bits(H, nonlocal_hessian(base, x, HessianVariant(CENTRAL), config))
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_full_box_blocks_weigh_one_orthant(monkeypatch, dim):
-    # axes 1.. of a full box are mirror images, so a block evaluates the density on the
-    # upper orthant of them only; a box clipped across every axis evaluates every node
-    kernel = bump_kernel(dim, 2)
+def counted_density(monkeypatch):
+    """The sizes of the arrays ``RadialKernel.radial_density`` is called on, as a list."""
     seen, density = [], RadialKernel.radial_density
     monkeypatch.setattr(RadialKernel, "radial_density",
                         lambda self, r: seen.append(np.size(r)) or density(self, r))
+    return seen
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_full_box_blocks_weigh_one_orthant(monkeypatch, dim):
+    # a full box walks the lower half of axis 0, and axes 1.. are mirror images, so a block
+    # evaluates the density on the upper orthant of them only: one node in 2^D; a box clipped
+    # across every axis walks and evaluates every node
+    kernel = bump_kernel(dim, 2)
+    seen = counted_density(monkeypatch)
     reach = np.full(dim, kernel.reach)
-    for hi, share in ((reach, 2 ** (dim - 1)), (0.5 * reach, 1)):
+    for hi, halves, share in ((reach, 2, 2 ** dim), (0.5 * reach, 1, 1)):
         stencil = Stencil(kernel, -reach, hi, 8)
         for blocks in (stencil.blocks, stencil.offsets):
             seen.clear()
             [block] = blocks()
-            assert math.prod(x.size for x, _ in block.axes) == len(stencil) == share * sum(seen)
+            walked = math.prod(x.size for x, _ in block.axes)
+            assert halves * walked == len(stencil) == share * sum(seen)
+
+
+# (dimension, resolution): a 4-D stencil whose blocks keep only axes 2 and 3 whole (one node
+# in 4 when the whole box was walked), and the benchmark's streamed 3-D resolution-128 one
+# (524,288 of its 2,097,152 nodes when the whole box was walked)
+@pytest.mark.parametrize("dim,resolution", [(4, 56), (3, 128)])
+def test_full_box_expansion_evaluates_the_density_on_one_node_in_8(monkeypatch, dim,
+                                                                   resolution):
+    kernel = gaussian_kernel(dim, 8)
+    stencil = Stencil(kernel, -np.full(dim, kernel.reach), np.full(dim, kernel.reach),
+                      resolution)
+    seen = counted_density(monkeypatch)
+    assert sum(len(b.grad) for b in stencil.blocks()) == len(stencil) // 2
+    assert sum(seen) == len(stencil) // 8 == {4: 1_229_312, 3: 262_144}[dim]
 
 
 def test_underflowing_offsets_carry_no_weight():
@@ -439,8 +531,8 @@ def test_underflowing_offsets_carry_no_weight():
     assert np.all(offsets.wrho[underflow] == 0) and np.all(offsets.r2[underflow] == 1)
     [block] = stencil.blocks()
     assert np.all(block.grad[underflow] == 0) and np.all(np.isfinite(block.grad))
-    [own] = own_blocks(kernel, x, domain, 64)
-    assert same_bits(own.grad, block.grad)
+    [own], paired = own_blocks(kernel, x, domain, 64)
+    assert same_bits(own.grad, block.grad) and not paired
     g = nonlocal_gradient(linear_field(domain, [1.0]), x, OperatorConfig(kernel, 64))
     # the right half of the kernel's mass, less what lies past its 6-sigma reach
     assert np.all(np.isfinite(g)) and g == pytest.approx([0.5], abs=1e-8)
@@ -517,8 +609,8 @@ def stencil_cache(monkeypatch):
 
 
 def test_streamed_path_equals_cached_path(stencil_cache):
-    # 400**2 nodes span four blocks, of 163, 37, 37 and 163 rows: runs of 163 rows do not
-    # divide the 200 rows of the half the central Hessian sums
+    # the lower half of 400**2 nodes spans two blocks, of 163 and 37 rows: runs of 163 rows
+    # do not divide its 200 rows
     field = sin_field(BoxDomain.unit(2))
     config = OperatorConfig(gaussian_kernel(2, 4), 400)
     x = np.array([0.5, 0.37])
@@ -554,15 +646,17 @@ def stored_offset_operators(field, x, config):
     for p in x:
         [(stencil, _)] = reach_stencils(kernel, p[None], kernel.reach, field.domain,
                                         config.resolution)
-        total, value = np.zeros(D), field.value(p)
+        total = np.zeros(D)
         for h, _, _, grad in reference_blocks(stencil, BLOCK_NODES):
-            total += (value - field(stored_shifted(p[None], h))) @ grad
+            plus = field(stored_shifted(p[None], h))
+            u = field(stored_shifted(p[None], h, np.subtract)) if paired(stencil) else field.value(p)
+            total += (u - plus) @ grad
         grads.append(total)
     interior = x[:1]
     stencil = Stencil(kernel, -np.full(D, kernel.reach), np.full(D, kernel.reach),
                       config.resolution)
     H, trace, u = np.zeros((D, D)), 0.0, field.value(interior[0])
-    for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES, half=True):
+    for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES):
         second = (field(stored_shifted(interior, h)) - 2.0 * u
                   + field(stored_shifted(interior, h, np.subtract)))
         c = 2.0 * (D * (D + 2) / 2.0) * wrho / (r2 * r2) * second
@@ -576,7 +670,7 @@ def stored_offset_operators(field, x, config):
         c = np.zeros(D)
         for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES):
             c += [np.sum(wrho * h[:, i] ** 2 / r2) for i in range(D)]
-        moments.append(c)
+        moments.append(2.0 * c if paired(stencil) else c)
     return np.array(grads), H, np.array(moments)
 
 
@@ -588,9 +682,8 @@ def library_operators(field, x, config):
             np.array([directional_second_moments(field.domain, p, config) for p in x]))
 
 
-# 1-D: one block; 2-D: 160,000 nodes in blocks of 163, 37, 37 and 163 rows, the Hessian's
-# half the first two; 3-D: 884,736 nodes in 9,216-node slabs, seven to a block but six in
-# the two blocks either side of the middle
+# 1-D: one block; 2-D: the 80,000 nodes of the lower half in blocks of 163 and 37 rows; 3-D:
+# the 442,368 of its lower half in 9,216-node slabs, seven to a block and six in the last
 SOURCE_RESOLUTION = {1: 512, 2: 400, 3: 96}
 
 
@@ -612,18 +705,19 @@ def test_cached_streamed_and_stored_offsets_give_the_same_bits(stencil_cache, di
 
 
 def test_cache_keeps_gradient_weights_only(stencil_cache):
-    # D * 8 bytes a node: 6 MiB for the default kernel's 3-D resolution-64 stencil, 1 MiB for
-    # its 2-D resolution-256 one; the 3-D resolution-128 stencil (48 MiB) is still streamed
+    # D * 8 bytes a node of the lower half: 3 MiB for the default kernel's 3-D resolution-64
+    # stencil, 0.5 MiB for its 2-D resolution-256 one; the 3-D resolution-128 stencil
+    # (24 MiB) is still streamed
     cache = stencil_cache(quadrature.CACHE_BYTES)
-    for dim, resolution, size in ((3, 64, 6 * 2**20), (2, 256, 2**20)):
+    for dim, resolution, size in ((3, 64, 3 * 2**20), (2, 256, 2**19)):
         kernel = gaussian_kernel(dim, 8)
         before = cache.nbytes
         stencil = cache.get(kernel, kernel.reach, resolution)
-        assert stencil.nbytes == len(stencil) * dim * 8 == cache.nbytes - before == size
+        assert stencil.nbytes == len(stencil) // 2 * dim * 8 == cache.nbytes - before == size
         assert sum(b.grad.nbytes for b in stencil.blocks()) == size
     kernel = gaussian_kernel(3, 8)
-    assert cache.get(kernel, kernel.reach, 128).nbytes == 48 * 2**20 > quadrature.CACHE_BYTES
-    assert len(cache) == 2 and cache.nbytes == 7 * 2**20
+    assert cache.get(kernel, kernel.reach, 128).nbytes == 24 * 2**20 > quadrature.CACHE_BYTES
+    assert len(cache) == 2 and cache.nbytes == 3.5 * 2**20
 
 
 def test_clipped_points_are_not_cached(stencil_cache):
@@ -869,16 +963,23 @@ def test_fd_nonlocal_hessian_is_one_gradient_call_equal_to_the_axis_loop(monkeyp
 
 def row_major_contract(groups, points, values, fn, out):
     """The gradient-type operators' block sums with C-order field batches and C-order BLAS
-    operands."""
+    operands: ``fn(x - h) - fn(x + h)`` over a paired stencil's half, ``values[p] - fn(x + h)``
+    over another stencil."""
     D = points.shape[1]
     for stencil, rows in groups:
         for block, (h, *_) in zip(stencil.blocks(), reference_blocks(stencil, quadrature.BLOCK_NODES)):
             n, grad = len(h), np.ascontiguousarray(block.grad)
             for chunk in operators._chunks(rows, n):
-                batch = (points[chunk][:, None] + h).reshape(-1, D)
-                found = operators._field_values(fn, batch)
-                for i, vals in zip(chunk, found.reshape(len(chunk), n, *found.shape[1:])):
-                    out[i] += (values[i] - vals).T @ grad
+                x = points[chunk][:, None]
+
+                def found(op):
+                    vals = operators._field_values(fn, op(x, h).reshape(-1, D))
+                    return vals.reshape(len(chunk), n, *vals.shape[1:])
+
+                plus = found(np.add)
+                base = found(np.subtract) if paired(stencil) else values[chunk]
+                for i, u, vals in zip(chunk, base, plus):
+                    out[i] += (u - vals).T @ grad
     return out
 
 
@@ -893,7 +994,7 @@ def row_major_central_hessians(field, points, config, constant_mode):
     prefactor = D * (D + 2) / 2.0 if constant_mode == operators.MOMENT_CONSTANT else D * (D + 1) / 2.0
     [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
     H, trace = np.zeros((P, D, D)), np.zeros(P)
-    for h, r2, wrho, _ in reference_blocks(stencil, quadrature.BLOCK_NODES, half=True):
+    for h, r2, wrho, _ in reference_blocks(stencil, quadrature.BLOCK_NODES):
         n = len(h)
         weight = 2.0 * prefactor * wrho / (r2 * r2)
         for chunk in operators._chunks(rows, n):
@@ -915,7 +1016,7 @@ def row_major_moments(domain, x, config):
     c = np.zeros(kernel.dim)
     for h, r2, wrho, _ in reference_blocks(stencil, quadrature.BLOCK_NODES):
         c += [np.sum(wrho * h[:, i] ** 2 / r2) for i in range(kernel.dim)]
-    return c
+    return 2.0 * c if paired(stencil) else c
 
 
 def row_major_gradient(field, points, config):
@@ -1065,9 +1166,9 @@ def test_alternate_central_hessian_keeps_the_bits_of_row_major_sums(
     assert same_bits(H, row_major_central_hessians(field, x[None], config, mode)[0])
 
 
-# (dimension, nodes per block): a 2-D stencil of 32**2 nodes in blocks of 4 axis-0 rows, and
-# of 3 rows, which do not divide the half's 16; a 3-D stencil of 12**3 nodes in blocks of two
-# axis-0 slabs, and in runs of 6 axis-1 rows, and of 8, more than the 6 of half that axis
+# (dimension, nodes per block): the lower half of a 2-D stencil of 32**2 nodes in blocks of 4
+# axis-0 rows, and of 3 rows, which do not divide its 16; of a 3-D stencil of 12**3 nodes in
+# blocks of two axis-0 slabs, and in runs of 6 axis-1 rows, and of 8, which do not divide 12
 BLOCK_LAYOUTS = [(2, 128), (2, 96), (3, 288), (3, 72), (3, 100)]
 
 
@@ -1123,7 +1224,10 @@ def test_batch_with_an_exterior_point_names_it():
         nonlocal_gradient(field, [1.0], config)
 
 
-@pytest.mark.parametrize("count,calls", [(50, [50 * 64]), (1100, [1024 * 64, 76 * 64])])
+# u(x + h), then u(x - h), over the 32 nodes of the half stencil, for as many points as fit
+# in a block: 2,048
+@pytest.mark.parametrize("count,calls", [(50, [50 * 32] * 2),
+                                         (2100, [2048 * 32] * 2 + [52 * 32] * 2)])
 def test_interior_points_share_field_calls(count, calls):
     seen = []
     base = sin_field(BoxDomain.unit(1))
@@ -1135,8 +1239,8 @@ def test_interior_points_share_field_calls(count, calls):
     field = replace(base, fn=counting)
     x = np.linspace(0.3, 0.7, count)[:, None]
     nonlocal_gradient(field, x, OperatorConfig(gaussian_kernel(1, 4), 64))
-    # u at each point, then whole stencils of as many points as fit in a block
-    assert seen == [1] * count + calls
+    # no u(x): it cancels between the two sides
+    assert seen == calls
 
 
 def test_field_calls_give_their_point_count_by_shape(monkeypatch, tmp_path):
@@ -1154,8 +1258,9 @@ def test_field_calls_give_their_point_count_by_shape(monkeypatch, tmp_path):
     assert run_cli(["grad-check", "--field", "quadratic", *box, "--set",
                     "quadrature.resolution=32", "--set", "check.probes=3",
                     "--out", str(tmp_path)]) == 0
-    # 3 interior probes share the 32^3-node stencil, two to a call
-    assert shapes == [(2 * 32**3, 3), (32**3, 3)] and built == []
+    # 3 interior probes share the 32^3-node stencil, whose 16,384-node half takes one call
+    # at x + h and one at x - h
+    assert shapes == [(3 * 32**3 // 2, 3)] * 2 and built == []
     assert sum(math.prod(shape[:-1]) for shape in shapes) == 3 * 32**3
 
 
@@ -1183,11 +1288,13 @@ def wide_kernel(dim, family):
 
 
 def own_blocks(kernel, x, domain, resolution):
-    """``quadrature.box_blocks`` over the box ``reach_stencils`` clips for the point ``x``."""
+    """``quadrature.box_blocks`` over the box ``reach_stencils`` clips for the point ``x``: its
+    blocks, as a list, and whether they are paired."""
     x = np.asarray(x, dtype=float)
     lo = np.maximum(x - kernel.reach, domain.lower_array) - x
     hi = np.minimum(x + kernel.reach, domain.upper_array) - x
-    return list(quadrature.box_blocks(kernel, lo.tolist(), hi.tolist(), resolution))
+    blocks, pairs = quadrature.box_blocks(kernel, lo.tolist(), hi.tolist(), resolution)
+    return list(blocks), pairs
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1224,7 +1331,7 @@ def test_one_clipped_row_sums_its_blocks_in_order():
     # 400**2 nodes: the clipped rule of the first row spans three blocks
     field, config = sin_field(BoxDomain.unit(2)), OperatorConfig(gaussian_kernel(2, 4), 400)
     x = np.array([[0.02, 0.5], [0.5, 0.97]])
-    assert len(own_blocks(config.kernel, x[0], field.domain, 400)) == 3
+    assert len(own_blocks(config.kernel, x[0], field.domain, 400)[0]) == 3
     batch = nonlocal_gradient(field, x, config)
     assert same_bits(np.stack([nonlocal_gradient(field, p, config) for p in x]), batch)
 
@@ -1236,7 +1343,10 @@ def test_box_blocks_are_the_clipped_stencil_blocks():
     for kernel, x in cases:
         x, domain = np.array(x), BoxDomain.unit(len(x))
         [(stencil, _)] = reach_stencils(kernel, x[None], kernel.reach, domain, 32)
-        for b, e in zip(own_blocks(kernel, x, domain, 32), stencil.blocks(), strict=True):
+        blocks, pairs = own_blocks(kernel, x, domain, 32)
+        # a box the domain cuts into equal sides (a wide kernel at the centre) is paired
+        assert pairs == stencil.paired == (x.tolist() == [0.5] * len(x))
+        for b, e in zip(blocks, stencil.blocks(), strict=True):
             assert same_bits(b.grad, e.grad)
             assert all(same_bits(r, s) for rule, ref in zip(b.axes, e.axes, strict=True)
                        for r, s in zip(rule, ref))
