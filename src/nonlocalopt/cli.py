@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .catalog import catalog_field
-from .errors import CoincidentPointsError, ConfigError, NodeBudgetError, SingularHessianError
+from .errors import (CoincidentPointsError, ConfigError, NodeBudgetError, NonFiniteFieldError,
+                     SingularHessianError)
 from .fields import BoxDomain, as_point
 from .kernels import RadialKernel
 from .operators import (CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, MOMENT_CONSTANT, NESTED,
@@ -602,7 +603,7 @@ def run_cli(argv=None) -> int:
         print(f"{run.command}: {exc}", file=sys.stderr)
         run.summary = {"error": str(exc)}
         return run.finish(1)
-    except (ConfigError, NodeBudgetError, CoincidentPointsError) as exc:
+    except (ConfigError, NodeBudgetError, CoincidentPointsError, NonFiniteFieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,10 @@ class CoincidentPointsError(ValueError):
     """A difference quotient was requested at coincident points."""
 
 
+class NonFiniteFieldError(ValueError):
+    """A field returned a value that is not finite (NaN, or an overflow to infinity)."""
+
+
 class MissingDerivativeError(ValueError):
     """An operation needs derivative access the field does not provide."""
 

@@ -18,6 +18,7 @@ call, whose rounding depends on the layout.  Derivative callbacks take an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
@@ -59,7 +60,8 @@ def as_points(x, dim: int) -> tuple[Array, bool]:
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Nonempty open box ``(lower_1, upper_1) x ... x (lower_D, upper_D)``."""
+    """Nonempty open box ``(lower_1, upper_1) x ... x (lower_D, upper_D)``, each side of finite
+    length."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -71,6 +73,8 @@ class BoxDomain:
             raise DimensionMismatchError("lower/upper bounds must have equal, positive length")
         if not all(a < b for a, b in zip(lo, up)):
             raise ValueError(f"box must be nonempty: lower={lo}, upper={up}")
+        if not all(math.isfinite(b - a) for a, b in zip(lo, up)):
+            raise ValueError(f"box sides must have finite length: lower={lo}, upper={up}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
         # Read-only array forms of the bounds, built once: operators read them on every call.

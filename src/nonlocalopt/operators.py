@@ -10,14 +10,16 @@ of its mass a boundary truncates.
 
 Every operator that calls the field on a stencil does so in ``_walk``, the one
 loop over stencil blocks; each keeps only its per-block arithmetic.  The
-exceptions: the one-point gradient (``_point_gradient``) inlines that loop for
+exceptions: the one-point pass (``_point_gradient``) inlines that loop for
 one row, whose bookkeeping would add about a third to a 1-D call, and
-``directional_second_moments`` calls no field.  An interior Newton iterate takes the
-gradient and the central Hessian from one pass of that loop (``_newton_pass``).
+``directional_second_moments`` calls no field.  An interior Newton iterate asks
+the one-point pass for the central Hessian too, and takes both from its one walk
+of the stencil.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -25,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MissingDerivativeError, NoBracketError, NodeBudgetError
+from .errors import (DimensionMismatchError, MissingDerivativeError, NoBracketError,
+                     NodeBudgetError, NonFiniteFieldError)
 from .fields import (
     BoxDomain,
     ScalarField,
@@ -93,8 +96,8 @@ def _field_values(fn, points) -> np.ndarray:
     if not math.isfinite(np.add.reduce(values, axis=None)):
         finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
         if not finite.all():
-            raise ValueError(f"field value is not finite at quadrature node "
-                             f"{points[np.argmin(finite)]}")
+            raise NonFiniteFieldError(f"field value is not finite at quadrature node "
+                                      f"{points[np.argmin(finite)]}")
     return values
 
 
@@ -102,7 +105,7 @@ def _value_at(field: ScalarField, x: np.ndarray) -> float:
     """``u(x)`` from one ``field.value`` call; it must be finite."""
     value = field.value(x)
     if not math.isfinite(value):
-        raise ValueError(f"field value is not finite at {x}")
+        raise NonFiniteFieldError(f"field value is not finite at {x}")
     return value
 
 
@@ -166,36 +169,54 @@ def _quotients(groups, points: np.ndarray, values_at, fn, out: np.ndarray) -> np
     return out
 
 
-def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfig):
+def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfig,
+                    hessian: bool = False):
     """The gradient at one point ``(D,)``, or ``None`` if it fails a batch row's checks.
 
     The checks and the reach box run in Python floats.  The point's own rule is
     the cached full-box stencil, or ``box_blocks`` over a clipped box; each
     block adds the row's ``(n,) @ (n, D)`` product to zeros, paired or not as
     ``_quotients``.  This is ``_walk`` for one row, without its per-block bookkeeping.
+
+    With ``hessian`` it returns the gradient and the central Hessian (``nonlocal_hessian``
+    with ``HessianVariant(CENTRAL)``), both bit for bit, or ``None`` unless the reach box lies
+    strictly inside the domain and the field's support.  There both read the field itself over
+    the full-box stencil: the gradient and the second differences come from the same ``u(x +
+    h)`` and ``u(x - h)``, block by block with the stencil's offsets, and ``u(x)`` is read once.
     """
     kernel, domain, reach = config.kernel, field.domain, config.kernel.reach
-    lo, hi, clipped = [], [], False
-    for v, a, b in zip(point.tolist(), domain.lower, domain.upper):
-        low, high = v - reach, v + reach
-        if not (a < v < b and low < v < high):
+    v, lo, hi, clipped = point.tolist(), [], [], False
+    for c, a, b in zip(v, domain.lower, domain.upper):
+        low, high = c - reach, c + reach
+        if not (a < c < b and low < c < high):
             return None
         clipped = clipped or low < a or high > b
-        lo.append(max(low, a) - v)
-        hi.append(min(high, b) - v)
+        lo.append(max(low, a) - c)
+        hi.append(min(high, b) - c)
+    if hessian:
+        boxes = [domain] if field.support is None else [domain, field.support]
+        if not all(a < c - reach and c + reach < b
+                   for box in boxes for a, b, c in zip(box.lower, box.upper, v)):
+            return None
     if clipped:
         blocks, paired = quadrature.box_blocks(kernel, lo, hi, config.resolution)
     else:
         stencil = quadrature.STENCILS.get(kernel, reach, config.resolution)
         blocks, paired = stencil.blocks(), stencil.paired
-    value = None if paired else _value_at(field, point)
+    value = _value_at(field, point) if hessian or not paired else None
     total = np.zeros(point.shape)
-    for block in blocks:
+    if hessian:  # a full box is paired, so ``u`` below is ``u(x - h)``
+        D = len(v)
+        H, trace, prefactor = np.zeros((1, D, D)), np.zeros(1), _prefactor(D, MOMENT_CONSTANT)
+    for block, offsets in zip(blocks, stencil.offsets() if hessian else itertools.repeat(None)):
         plus = _field_values(field, _shifted(point[None], block.axes))
         u = _field_values(field, _shifted(point[None], block.axes, np.subtract)) if paired else value
         total += (u - plus) @ block.grad
-        del block  # as in ``_walk``
-    return total
+        if hessian:
+            second = (plus - 2.0 * value + u)[None]
+            _add_second_differences(H, trace, range(1), offsets, second, prefactor)
+        del block, offsets  # as in ``_walk``
+    return (total, _traceless(H, trace)[0]) if hessian else total
 
 
 def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarray:
@@ -283,8 +304,7 @@ def find_vanishing_subset_1d(
             return restricted([fixed, moving])
 
         t_lo, t_hi = 0.0, moving_len
-        # f_lo is the kept mass, f_hi both masses' float sum: opposite signs, or |f_lo| <= VANISHING_TOL
-        f_lo, f_hi = total(t_lo), total(t_hi)
+        f_lo = total(t_lo)
         for _ in range(200):
             t_mid = 0.5 * (t_lo + t_hi)
             f_mid = total(t_mid)
@@ -292,7 +312,7 @@ def find_vanishing_subset_1d(
                 moving = (xs - t_mid, xs) if moving_side < 0 else (xs, xs + t_mid)
                 return SubsetIndicator.from_intervals([fixed, moving])
             if f_lo * f_mid <= 0:
-                t_hi, f_hi = t_mid, f_mid
+                t_hi = t_mid
             else:
                 t_lo, f_lo = t_mid, f_mid
         raise NoBracketError("bisection failed to reach the target residual")
@@ -456,39 +476,6 @@ def _central_hessians(
 
     _walk([(stencil.offsets(), rows)], points, ext, add)
     return _traceless(H, trace)
-
-
-def _newton_pass(field: ScalarField, x: np.ndarray,
-                 config: OperatorConfig) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The kernel gradient and the central Hessian at one point ``(D,)``, from one field pass,
-    or ``None`` unless the reach box lies strictly inside the domain and the field's support.
-
-    Returns ``nonlocal_gradient(field, x, config)`` and ``nonlocal_hessian(field, x,
-    HessianVariant(CENTRAL), config)``, bit for bit.  There both read the field itself over the
-    lower half of the cached full-box stencil, the gradient its ``u(x + h)`` and ``u(x - h)``
-    block by block as the Hessian does, so one pass serves both.
-    """
-    kernel, reach = config.kernel, config.kernel.reach
-    require_dim(kernel, field.dim)
-    v = x.tolist()
-    lo, hi = [c - reach for c in v], [c + reach for c in v]
-    boxes = [field.domain] if field.support is None else [field.domain, field.support]
-    # the reach box is inside every box, and the reach is above the float spacing at x
-    if not all(a < low < c < high < b for box in boxes
-               for a, b, low, c, high in zip(box.lower, box.upper, lo, v, hi)):
-        return None
-    stencil = quadrature.STENCILS.get(kernel, reach, config.resolution)
-    D, value, blocks = field.dim, _value_at(field, x), stencil.blocks()
-    prefactor = _prefactor(D, MOMENT_CONSTANT)
-    g, H, trace = np.zeros(D), np.zeros((1, D, D)), np.zeros(1)
-
-    def add(b, chunk, found):
-        [plus], [minus] = found(), found(np.subtract)
-        g[:] += (minus - plus) @ next(blocks).grad
-        _add_second_differences(H, trace, chunk, b, (plus - 2.0 * value + minus)[None], prefactor)
-
-    _walk([(stencil.offsets(), np.arange(1))], x[None], field, add)
-    return g, _traceless(H, trace)[0]
 
 
 def directional_second_moments(domain: BoxDomain, x, config: OperatorConfig) -> np.ndarray:

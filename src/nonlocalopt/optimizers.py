@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NodeBudgetError, RejectionOverflowError, SingularHessianError
 from .fields import ScalarField, as_point
 from .kernels import RadialKernel, require_dim
-from .operators import (CENTRAL, HessianVariant, OperatorConfig, _newton_pass,
+from .operators import (CENTRAL, HessianVariant, OperatorConfig, _point_gradient,
                         nonlocal_gradient, nonlocal_hessian)
 from .oracles import central_gradient, central_hessian, golden_section
 from .quadrature import NODE_BUDGET
@@ -457,8 +457,9 @@ def nonlocal_newton(
     """Newton iteration on the kernel gradient and second-difference Hessian.
 
     An iterate before ``max_iters`` whose reach box lies inside the domain and the field's
-    support takes both from one field pass, with the bits of the two separate calls
-    (``operators._newton_pass``).  Any other iterate computes its Hessian only to step.
+    support takes both from the one-point gradient's field pass, with the bits of the two
+    separate calls (``operators._point_gradient``).  Any other iterate computes its Hessian
+    only to step.
 
     The linear solve uses LAPACK partial pivoting and refuses matrices whose
     condition estimate exceeds ``CONDITION_LIMIT``, and steps ``H^-1 g`` longer
@@ -470,11 +471,13 @@ def nonlocal_newton(
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
+    require_dim(config.kernel, field.dim)
     H = None
 
     def direction(k, x):
         nonlocal H
-        both = None if k == max_iters else _newton_pass(field, x, config)  # no step follows
+        # no step follows the last iterate
+        both = None if k == max_iters else _point_gradient(field, x, config, hessian=True)
         g, H = (nonlocal_gradient(field, x, config), None) if both is None else both
         return g
 

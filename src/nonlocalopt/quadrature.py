@@ -114,9 +114,6 @@ class QuadratureGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(x.size for x, _ in self.axes)
 
-    def __len__(self) -> int:
-        return math.prod(self.shape)
-
     @cached_property
     def nodes(self) -> np.ndarray:
         mesh = np.meshgrid(*[x for x, _ in self.axes], indexing="ij")

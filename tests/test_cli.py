@@ -212,6 +212,15 @@ MALFORMED = [
     (["pulse", "--set", "pulse.n_values=[1,2,1]"], "'pulse'"),
     (["sgd", "--seed", "-1"], "--seed"),
     (["sweep", "--check", "taylor-remainder", "--seed", "-1"], "--seed"),
+    (["grad-check", "--set", "domain.upper=[Infinity]"], "'domain'"),
+    # finite bounds whose side overflows to inf
+    (["grad-check", "--set", "domain.lower=[-1e308]", "--set", "domain.upper=[1e308]"],
+     "'domain'"),
+    (["grad-check", "--set", "kernel.n"], "'kernel.n' is not of the form key=value"),
+    (["pulse", "--set", "pulse.families=[]"], "'pulse'"),
+    # hess-check's probes lie at least 0.35 from the boundary of the unit interval
+    (["hess-check", "--set", 'hessian.variant="fd-nonlocal"', "--set", "hessian.fd_step=0.5"],
+     "'hessian.fd_step'"),
 ]
 
 
@@ -221,6 +230,40 @@ def test_malformed_config_exits_2(tmp_path, capsys, argv, names):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert names in err
+
+
+# Config files that cannot be used: (file contents, or None for no file; what the error says).
+BAD_CONFIG_FILES = [
+    (None, "cannot read config file"),
+    ("{", "is not valid JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+]
+
+
+@pytest.mark.parametrize("text,names", BAD_CONFIG_FILES, ids=["missing", "json", "list"])
+def test_bad_config_file_exits_2(tmp_path, capsys, text, names):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert run_cli(["grad-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and names in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_field_that_overflows_exits_2(tmp_path, capsys):
+    # the quadratic field overflows to inf on a box this long: a typed error, not a traceback
+    argv = ["hess-check", "--set", "domain.lower=[0]", "--set", "domain.upper=[1e200]"]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "field value is not finite" in err
+
+
+def test_verbose_echoes_the_resolved_configuration(tmp_path, capsys):
+    assert run_cli(["grad-check", "-v", "--set", "kernel.n=4", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    echoed = json.loads(out[:out.index("\n}\n") + 2])
+    assert echoed == load_config(None, ["kernel.n=4"])
 
 
 # Counts whose arrays would not fit in memory; each is rejected before allocating.

@@ -16,6 +16,7 @@ from nonlocalopt import (
     gaussian_kernel,
     nonlocal_gradient,
     nonlocal_hessian,
+    nonlocal_newton,
     restricted_nonlocal_gradient,
 )
 from nonlocalopt.catalog import (
@@ -55,6 +56,7 @@ def test_kernel_of_another_dimension_rejected_by_every_operator(field_dim, kerne
              lambda: restricted_nonlocal_gradient(field, x, config, subset)]
     calls += [lambda v=HessianVariant(kind, m=4): nonlocal_hessian(field, x, v, config)
               for kind in (CENTRAL, GRAD_SMOOTHED, FD_NONLOCAL, NESTED)]
+    calls.append(lambda: nonlocal_newton(field, x, config))
     if field_dim == 1:
         calls.append(lambda: find_vanishing_subset_1d(field, x, config))
     for call in calls:

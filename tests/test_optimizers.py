@@ -16,10 +16,10 @@ from nonlocalopt import (
     nonlocal_hessian,
     nonlocal_newton,
 )
-from nonlocalopt.catalog import linear_field, quadratic_field, quartic_field, sin_field
+from nonlocalopt.catalog import bump_field, linear_field, quadratic_field, quartic_field, sin_field
 from nonlocalopt.errors import SingularHessianError
-from nonlocalopt.operators import CENTRAL
-from nonlocalopt.optimizers import DIVERGED, GRAD_TOL, LEFT_DOMAIN
+from nonlocalopt.operators import CENTRAL, nonlocal_gradient
+from nonlocalopt.optimizers import DIVERGED, GRAD_TOL, LEFT_DOMAIN, _line_search
 
 
 def cfg(kernel, resolution=512):
@@ -214,6 +214,13 @@ class TestLineSearch:
             assert abs(a - b) <= 5e-2
 
 
+def test_line_search_without_room_takes_no_step(unit_interval):
+    # one float spacing above the lower bound, a gradient pointing out of the domain leaves
+    # a largest allowed step that rounds to 0
+    f = quadratic_field(unit_interval)
+    assert _line_search(f, np.array([5e-324]), np.array([4.0]), 1.0) == 0.0
+
+
 class TestNewton:
     def test_quadratic_single_step_matches_local(self, unit_interval):
         f = quadratic_field(unit_interval, matrix=[[1.5]], center=[0.55])
@@ -297,6 +304,22 @@ class TestNewton:
         assert trace.termination == GRAD_TOL and len(trace) == 3
         assert trace.final_point[0] == 0.049999163573421095
         assert sum(seen) == 981 and seen.count(78) == 1
+
+    def test_iterate_leaving_the_support_makes_both_passes(self, unit_interval):
+        # at 0.27 the reach box (0.0375 each way) lies inside the domain but crosses the
+        # bump's support edge at 0.25: the gradient reads the field at x + h and x - h for the
+        # 128 nodes of the half stencil, then the Hessian reads the zero extension at x, at the
+        # 67 points x + h inside the support and at the 128 points x - h; the step is the
+        # one the two operator calls give
+        base = bump_field(unit_interval)
+        field, seen = counting(base)
+        config = cfg(gaussian_kernel(1, 16), 256)
+        trace = nonlocal_newton(field, [0.27], config, max_iters=1, grad_tol=0.0)
+        assert seen == [128, 128, 1, 67, 128] + [128, 128]
+        x = np.array([0.27])
+        H = nonlocal_hessian(base, x, HessianVariant(CENTRAL), config)
+        assert np.array_equal(trace.iterates[1], x - np.linalg.solve(H, nonlocal_gradient(
+            base, x, config)))
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
     def test_step_factor_must_be_positive_and_finite(self, unit_interval, beta):

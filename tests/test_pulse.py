@@ -156,6 +156,12 @@ class TestRunExperiment:
         assert not summary.objective_monotone
         assert np.any(np.diff(trace.objective_values) > 0)
 
+    @pytest.mark.parametrize("family", ["gaussian", "bump"])
+    def test_an_explicit_base_scale_replaces_the_default(self, family):
+        kernel = PulseRunConfig(family=family, n=2, base_scale=0.5).kernel()
+        assert kernel.base_scale == 0.5 and kernel.scale == 0.25
+        assert PulseRunConfig(family=family, n=2).kernel().base_scale != 0.5
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             PulseRunConfig(alpha=1.5)

@@ -28,13 +28,15 @@ from nonlocalopt import (
     gaussian_kernel,
     nonlocal_gradient,
     nonlocal_hessian,
+    nonlocal_newton,
     restricted_nonlocal_gradient,
     run_pulse_experiment,
 )
 from nonlocalopt import operators, quadrature
 from nonlocalopt.catalog import bump_field, catalog, linear_field, quadratic_field, sin_field
 from nonlocalopt.cli import run_cli
-from nonlocalopt.errors import CoincidentPointsError, DimensionMismatchError, NodeBudgetError
+from nonlocalopt.errors import (CoincidentPointsError, DimensionMismatchError, NodeBudgetError,
+                                NonFiniteFieldError)
 from nonlocalopt.fields import Columns
 from nonlocalopt.operators import CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, NESTED
 from nonlocalopt.quadrature import BLOCK_NODES, Stencil, StencilCache, reach_stencils, rule_1d
@@ -476,7 +478,7 @@ def test_newton_iterate_reads_the_field_once_where_runs_regrouped(dim, resolutio
     field = replace(base, fn=lambda *x: seen.append(np.broadcast(*x).size) or base.fn(*x))
     config = OperatorConfig(gaussian_kernel(dim, 8), resolution)
     x = np.array(NEWTON_POINTS["interior"][:dim])
-    g, H = operators._newton_pass(field, x, config)
+    g, H = operators._point_gradient(field, x, config, hessian=True)
     assert sum(seen) == points == resolution ** dim + 1
     assert same_bits(g, nonlocal_gradient(base, x, config))
     assert same_bits(H, nonlocal_hessian(base, x, HessianVariant(CENTRAL), config))
@@ -1120,9 +1122,9 @@ NEWTON_POINTS = {"interior": [0.47, 0.52, 0.5], "domain": [0.06, 0.52, 0.5],
 
 def gradient_and_hessian_passes(field, x, config):
     """Newton's gradient and Hessian at ``x``, checked against the row-major references: from
-    ``_newton_pass``, or from the two operator calls where it returns ``None``; returns how
-    many field passes they made."""
-    both = operators._newton_pass(field, x, config)
+    ``_point_gradient`` with ``hessian``, or from the two operator calls where it returns
+    ``None``; returns how many field passes they made."""
+    both = operators._point_gradient(field, x, config, hessian=True)
     g, H = both or (nonlocal_gradient(field, x, config),
                     nonlocal_hessian(field, x, HessianVariant(CENTRAL), config))
     assert same_bits(g, row_major_gradient(field, x[None], config)[0])
@@ -1367,9 +1369,10 @@ ONE_POINT_ERRORS = {  # field, kernel, point, the error
                 CoincidentPointsError),
     "spacing-clipped": (lambda: sin_field(BoxDomain.unit(2)), bump_kernel(2, 1, 1e-20),
                         [1e-21, 0.5], CoincidentPointsError),
-    "node": (lambda: _nan_beyond(0.55), gaussian_kernel(1, 8), [0.5], ValueError),
-    "node-clipped": (lambda: _nan_beyond(0.55), gaussian_kernel(1, 1), [0.5], ValueError),
-    "value": (lambda: _nan_beyond(0.55), gaussian_kernel(1, 1), [0.6], ValueError),
+    "node": (lambda: _nan_beyond(0.55), gaussian_kernel(1, 8), [0.5], NonFiniteFieldError),
+    "node-clipped": (lambda: _nan_beyond(0.55), gaussian_kernel(1, 1), [0.5],
+                     NonFiniteFieldError),
+    "value": (lambda: _nan_beyond(0.55), gaussian_kernel(1, 1), [0.6], NonFiniteFieldError),
     "kernel-dim": (lambda: sin_field(BoxDomain.unit(1)), gaussian_kernel(2, 4), [0.5],
                    DimensionMismatchError),
 }
@@ -1399,6 +1402,15 @@ def test_hessians_raise_on_non_finite_field(kind):
     config = OperatorConfig(gaussian_kernel(1, 8), 64)
     with pytest.raises(ValueError, match="not finite at quadrature node"):
         nonlocal_hessian(field, [0.5], HessianVariant(kind, m=8), config)
+
+
+def test_newton_one_point_pass_raises_on_non_finite_field():
+    # 0.5's reach box (0.075 each way) lies inside the domain, so the gradient and the Hessian
+    # read the NaN past 0.55 in one pass; the typed error is a ValueError too
+    config = OperatorConfig(gaussian_kernel(1, 8), 64)
+    with pytest.raises(NonFiniteFieldError, match="not finite at quadrature node"):
+        nonlocal_newton(_nan_beyond(0.55), [0.5], config)
+    assert issubclass(NonFiniteFieldError, ValueError)
 
 
 def test_reach_below_float_spacing_raises():
