@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .catalog import catalog_field
 from .errors import (CoincidentPointsError, ConfigError, NodeBudgetError, NonFiniteFieldError,
-                     SingularHessianError)
+                     RejectionOverflowError, SingularHessianError)
 from .fields import BoxDomain, as_point
 from .kernels import RadialKernel
 from .operators import (CENTRAL, FD_NONLOCAL, GRAD_SMOOTHED, MOMENT_CONSTANT, NESTED,
@@ -157,8 +157,6 @@ def _get(config: dict, key: str, build=lambda value: value):
         for part in key.split("."):
             value = value[part]
         return build(value)
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
@@ -256,10 +254,9 @@ def _start(config: dict, key: str, domain: BoxDomain) -> np.ndarray:
     return _get(config, key, build)
 
 
-def _sgd_from(config: dict, seed: int) -> SgdConfig:
+def _sgd_from(config: dict) -> SgdConfig:
     return _get(config, "sgd", lambda s: SgdConfig(
-        B=float(s["B"]), M=float(s["M"]), K=_budgeted(s["K"]), epsilon=float(s["epsilon"]),
-        seed=seed))
+        B=float(s["B"]), M=float(s["M"]), K=_budgeted(s["K"]), epsilon=float(s["epsilon"])))
 
 
 def _pulse_runs(config: dict) -> list[PulseRunConfig]:
@@ -395,7 +392,7 @@ def _cmd_sweep(run: _Run) -> int:
     kernel = _kernel_from(config, domain.dim)
     settings = {"domain": domain, "seed": run.args.seed}
     if name == "sgd-bound":  # the one check that draws, and the one without quadrature
-        settings.update(kernel=kernel, sgd=_sgd_from(config, run.args.seed),
+        settings.update(kernel=kernel, sgd=_sgd_from(config),
                         seeds=_get(config, "check.seeds", _budgeted))
     else:
         settings["config"] = _op_config(config, kernel)
@@ -455,8 +452,8 @@ def _cmd_sgd(run: _Run) -> int:
     domain = _domain_from(config)
     field = _field_from(config, domain)
     kernel = _kernel_from(config, domain.dim)
-    sgd = _sgd_from(config, run.args.seed)
-    x_bar, trace = epsilon_sgd(field, sgd, kernel)
+    sgd = _sgd_from(config)
+    x_bar, trace = epsilon_sgd(field, sgd, kernel, run.args.seed)
     run.add(emit_csv(trace, run.out / "trace.csv", coord_label="x"))
     run.summary = {
         "termination": trace.termination,
@@ -603,7 +600,8 @@ def run_cli(argv=None) -> int:
         print(f"{run.command}: {exc}", file=sys.stderr)
         run.summary = {"error": str(exc)}
         return run.finish(1)
-    except (ConfigError, NodeBudgetError, CoincidentPointsError, NonFiniteFieldError) as exc:
+    except (ConfigError, NodeBudgetError, CoincidentPointsError, NonFiniteFieldError,
+            RejectionOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

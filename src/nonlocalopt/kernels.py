@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -170,60 +170,27 @@ class RadialKernel:
 
     # -- sampling --------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
-        """Draw one offset distributed per this density, or ``size`` of them.
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` offsets distributed per this density, as ``(size, dim)``.
 
-        With ``size`` the result has shape ``(size, dim)`` and its rows equal
-        ``size`` successive single draws from ``rng``, so offsets may be drawn
-        in blocks without changing them.
+        Successive calls continue one stream: ``sample(rng, a)`` then
+        ``sample(rng, b)`` give the rows of one ``sample(rng, a + b)``, so
+        offsets may be drawn in blocks of any size without changing them.
         """
         if self.family == GAUSSIAN:
-            shape = self.dim if size is None else (size, self.dim)
-            return self.scale * rng.standard_normal(shape)
-        if size is None:
-            return self._rejection_draw(rng)
+            return self.scale * rng.standard_normal((size, self.dim))
         out = np.empty((size, self.dim))
         for i in range(size):
-            out[i] = self._rejection_draw(rng)
-        return out
-
-    def _rejection_draw(self, rng: np.random.Generator) -> np.ndarray:
-        s = self.scale
-        for _ in range(_MAX_SAMPLE_ATTEMPTS):
-            p = rng.uniform(-1.0, 1.0, size=self.dim)
-            v = float(np.linalg.norm(p))
-            if v >= 1.0:
-                continue
-            if rng.uniform() * _BUMP_ENVELOPE <= float(bump_profile(np.asarray([v]))[0]):
-                return s * p
-        raise RejectionOverflowError(
-            f"rejection sampler exceeded {_MAX_SAMPLE_ATTEMPTS} attempts"
-        )
-
-    def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vectorized sampling of ``size`` offsets.
-
-        Compact kernels reject in chunks, so unlike ``sample(rng, size)`` the
-        rows are not the draws that successive single samples would give.
-        """
-        if self.family == GAUSSIAN:
-            return self.sample(rng, size)
-        out = np.empty((size, self.dim))
-        filled = 0
-        attempts = 0
-        budget = _MAX_SAMPLE_ATTEMPTS + 100 * size
-        while filled < size:
-            chunk = max(1024, 2 * (size - filled))
-            attempts += chunk
-            if attempts > budget:
-                raise RejectionOverflowError("batched rejection sampler exhausted its budget")
-            p = rng.uniform(-1.0, 1.0, size=(chunk, self.dim))
-            v = np.linalg.norm(p, axis=1)
-            u = rng.uniform(size=chunk)
-            ok = (v < 1.0) & (u * _BUMP_ENVELOPE <= bump_profile(v))
-            take = p[ok][: size - filled]
-            out[filled : filled + take.shape[0]] = take
-            filled += take.shape[0]
+            for _ in range(_MAX_SAMPLE_ATTEMPTS):
+                p = rng.uniform(-1.0, 1.0, size=self.dim)
+                v = float(np.linalg.norm(p))
+                if v < 1.0 and (rng.uniform() * _BUMP_ENVELOPE
+                                <= float(bump_profile(np.asarray([v]))[0])):
+                    out[i] = p
+                    break
+            else:
+                raise RejectionOverflowError(
+                    f"rejection sampler exceeded {_MAX_SAMPLE_ATTEMPTS} attempts")
         return self.scale * out
 
 

@@ -120,10 +120,10 @@ def _chunks(rows: np.ndarray, n: int):
     return (rows[start:start + per_call] for start in range(0, len(rows), per_call))
 
 
-def _walk(groups, points: np.ndarray, fn, add) -> None:
+def _walk(blocks, rows: np.ndarray, points: np.ndarray, fn, add) -> None:
     """The stencil-block loop of every operator: ``add(block, chunk, values)`` for each block
-    (``StencilBlock`` or ``Offsets``) of each ``(blocks, rows)`` of ``groups``, and each run
-    ``chunk`` of ``rows`` that fits in ``BLOCK_NODES`` nodes (``_chunks``).
+    (``StencilBlock`` or ``Offsets``) of ``blocks`` and each run ``chunk`` of ``rows`` that
+    fits in ``BLOCK_NODES`` nodes (``_chunks``).
 
     ``values(op=np.add)`` is one checked ``fn`` call at ``op(x, h)`` for the rows ``x`` of
     ``points[chunk]`` and the block's nodes ``h``, given as ``Columns`` (``_shifted``): a field
@@ -132,18 +132,17 @@ def _walk(groups, points: np.ndarray, fn, add) -> None:
     layout ``fn`` returns: BLAS rounding depends on the layout.  A streamed block is freed
     before the next one is expanded.
     """
-    for blocks, rows in groups:
-        for block in blocks:
-            n = math.prod([x.size for x, _ in block.axes])
-            for chunk in _chunks(rows, n):
-                x = points[chunk]
+    for block in blocks:
+        n = math.prod([x.size for x, _ in block.axes])
+        for chunk in _chunks(rows, n):
+            x = points[chunk]
 
-                def values(op=np.add):
-                    found = np.ascontiguousarray(_field_values(fn, _shifted(x, block.axes, op)))
-                    return found.reshape(len(chunk), n, *found.shape[1:])
+            def values(op=np.add):
+                found = np.ascontiguousarray(_field_values(fn, _shifted(x, block.axes, op)))
+                return found.reshape(len(chunk), n, *found.shape[1:])
 
-                add(block, chunk, values)
-            del block
+            add(block, chunk, values)
+        del block
 
 
 def _quotients(groups, points: np.ndarray, values_at, fn, out: np.ndarray) -> np.ndarray:
@@ -165,7 +164,7 @@ def _quotients(groups, points: np.ndarray, values_at, fn, out: np.ndarray) -> np
             for i, u, vals in zip(chunk, found(np.subtract) if paired else values[chunk], plus):
                 out[i] += (u - vals).T @ block.grad
 
-        _walk([(stencil.blocks(), rows)], points, fn, add)
+        _walk(stencil.blocks(), rows, points, fn, add)
     return out
 
 
@@ -474,7 +473,7 @@ def _central_hessians(
         second = found() - 2.0 * values[chunk, None] + found(np.subtract)
         _add_second_differences(H, trace, chunk, b, second, prefactor)
 
-    _walk([(stencil.offsets(), rows)], points, ext, add)
+    _walk(stencil.offsets(), rows, points, ext, add)
     return _traceless(H, trace)
 
 

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NodeBudgetError, RejectionOverflowError, SingularHessianError
+from .errors import (CoincidentPointsError, NodeBudgetError, RejectionOverflowError,
+                     SingularHessianError)
 from .fields import ScalarField, as_point
 from .kernels import RadialKernel, require_dim
 from .operators import (CENTRAL, HessianVariant, OperatorConfig, _point_gradient,
@@ -247,7 +248,6 @@ class SgdConfig:
     M: float
     K: int
     epsilon: float
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.K > 0 and all(0 < v < math.inf for v in (self.B, self.M, self.epsilon))):
@@ -302,17 +302,18 @@ def epsilon_sgd_batch(
     """Independent runs of :func:`epsilon_sgd`, one per seed, stepped in lockstep.
 
     ``kernel`` is one ``RadialKernel`` for every chain, or a sequence of them
-    aligned with ``seeds``; chains may share a kernel object.
-    ``config.seed`` is not used: chain ``s`` draws only from its own kernel
-    and ``np.random.default_rng(seeds[s])``, in blocks of up to
-    ``_DRAW_BLOCK`` offsets that equal its successive single draws.  Each
-    step takes one offset per chain, redraws for the chains whose partner
-    point falls outside the domain or onto the iterate (at most
-    ``_RESAMPLE_CAP`` draws per chain and step, else
-    ``RejectionOverflowError``), and evaluates the field once at all iterates
-    and once at all partner points.  A chain that diverges or leaves the
-    domain stops there while the others go on.  So chain ``s`` does not
-    depend on the other chains or their kernels, as long as the field
+    aligned with ``seeds``; chains may share a kernel object.  Chain ``s``
+    draws only from its own kernel and ``np.random.default_rng(seeds[s])``, in
+    blocks of up to ``_DRAW_BLOCK`` offsets (``RadialKernel.sample`` continues
+    one stream across blocks).  A kernel whose reach is below the float
+    spacing at the start raises ``CoincidentPointsError`` before any draw:
+    every partner point would round onto the iterate.  Each step takes one
+    offset per chain, redraws for the chains whose partner point falls outside
+    the domain or onto the iterate (at most ``_RESAMPLE_CAP`` draws per chain
+    and step, else ``RejectionOverflowError``), and evaluates the field once
+    at all iterates and once at all partner points.  A chain that diverges or
+    leaves the domain stops there while the others go on.  So chain ``s`` does
+    not depend on the other chains or their kernels, as long as the field
     callback gives a point the same value in any batch (elementwise callbacks
     do; a matrix product such as ``x @ a`` may round differently).  Returns
     the ``(S, D)`` averages and one trace per seed, views into the batch's
@@ -325,10 +326,13 @@ def epsilon_sgd_batch(
     kernels = [kernel] * S if hasattr(kernel, "sample") else list(kernel)
     if len(kernels) != S:
         raise ValueError(f"{len(kernels)} kernels for {S} seeds")
-    for k in kernels:
-        require_dim(k, D)
-    seeds = [int(s) for s in seeds]
     center = field.domain.center
+    for k in {id(k): k for k in kernels}.values():  # a sweep's chains share kernel objects
+        require_dim(k, D)
+        if not np.all((center - k.reach < center) & (center < center + k.reach)):
+            raise CoincidentPointsError(
+                f"kernel reach {k.reach} is below the float spacing at {center}")
+    seeds = [int(s) for s in seeds]
     lo, hi = field.domain.lower_array, field.domain.upper_array
     radius = 10.0 * config.B  # divergence guard around the start
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -431,7 +435,7 @@ def epsilon_sgd_batch(
 
 
 def epsilon_sgd(
-    field: ScalarField, config: SgdConfig, kernel: RadialKernel
+    field: ScalarField, config: SgdConfig, kernel: RadialKernel, seed: int = 0
 ) -> tuple[np.ndarray, OptimizerTrace]:
     """Stochastic descent along sampled difference quotients.
 
@@ -440,9 +444,9 @@ def epsilon_sgd(
     partner point lands inside the domain and off the iterate, and moves
     along ``D`` times the difference quotient.  Returns the average of the
     first ``K`` iterates and the full trace.  This is
-    :func:`epsilon_sgd_batch` over the one seed ``config.seed``.
+    :func:`epsilon_sgd_batch` over the one seed ``seed``.
     """
-    x_bars, traces = epsilon_sgd_batch(field, config, kernel, [config.seed])
+    x_bars, traces = epsilon_sgd_batch(field, config, kernel, [seed])
     return x_bars[0], traces[0]
 
 

@@ -89,7 +89,7 @@ def mc_nonlocal_gradient(
     require_dim(kernel, field.dim)
     x = as_point(x, field.dim)
     rng = np.random.default_rng(seed)
-    h = kernel.sample_batch(rng, samples)
+    h = kernel.sample(rng, samples)
     y = x - h
     inside = field.domain.contains(y)
     r2 = np.sum(h * h, axis=1)

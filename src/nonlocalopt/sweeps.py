@@ -150,18 +150,20 @@ def _check_iterate_tracking(n: int, settings: dict):
 def _check_sgd_bound(n_values: list[int], settings: dict):
     """Mean optimality gap of ``seeds`` chains at each index, all of them in one batch.
 
-    The chains of one index share its kernel object.  The batch is split, at
-    whole indices, only where ``NODE_BUDGET`` requires it.
+    Every index runs chains ``seed * seeds`` to ``seed * seeds + seeds - 1``, and
+    its chains share its kernel object.  The batch is split, at whole indices,
+    only where ``NODE_BUDGET`` requires it.
     """
     field: ScalarField = settings["field"]
     config, seeds = settings["sgd"], settings["seeds"]
+    chains = list(range(settings["seed"] * seeds, (settings["seed"] + 1) * seeds))
     kernels = [settings["kernel"].with_scale_index(n) for n in n_values]
     per_batch = _chain_groups_per_batch(seeds, config.K, field.dim)
     x_bars = []
     for i in range(0, len(kernels), per_batch):
         group = kernels[i:i + per_batch]
         x_bars.append(epsilon_sgd_batch(field, config, [k for k in group for _ in range(seeds)],
-                                        list(range(seeds)) * len(group))[0])
+                                        chains * len(group))[0])
     # the optimality gap against 0, the minimum value of the default field
     gaps = np.asarray(field(np.concatenate(x_bars)), dtype=float)
     return [(float(np.mean(gaps[i:i + seeds])), None) for i in range(0, gaps.size, seeds)]
@@ -226,10 +228,10 @@ def convergence_sweep(check: str, n_values: Sequence[int], settings: dict) -> Sw
 
     ``settings`` holds what the check reads: the ``domain``; the operator
     ``config`` (its kernel is rescaled to each index), or for ``sgd-bound``
-    the ``kernel``, the ``sgd`` config and its ``seeds`` count; the
-    localization ``probes`` count, the taylor-remainder ``seed`` and the
-    moment ``tolerance``.  Each check's problem comes from
-    ``default_settings`` unless ``settings`` names it.
+    the ``kernel``, the ``sgd`` config, its ``seeds`` count and the ``seed``
+    that picks its chains; the localization ``probes`` count, the
+    taylor-remainder ``seed`` and the moment ``tolerance``.  Each check's
+    problem comes from ``default_settings`` unless ``settings`` names it.
     """
     if check not in REGISTRY:
         raise UnknownCheckError(

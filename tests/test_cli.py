@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from nonlocalopt import BoxDomain, catalog
 from nonlocalopt.cli import DEFAULTS, load_config, run_cli
 from nonlocalopt.errors import ConfigError
+from nonlocalopt.quadrature import NODE_BUDGET
 from nonlocalopt.reporting import read_trace_csv
 
 # Runs the CLI under a 1 GiB address-space cap, so that a run that tries a
@@ -221,6 +222,9 @@ MALFORMED = [
     # hess-check's probes lie at least 0.35 from the boundary of the unit interval
     (["hess-check", "--set", 'hessian.variant="fd-nonlocal"', "--set", "hessian.fd_step=0.5"],
      "'hessian.fd_step'"),
+    (["grad-check", "--set", f"check.probes={NODE_BUDGET + 1}"],
+     f"'check.probes': {NODE_BUDGET + 1} exceeds the node budget"),
+    (["newton", "--set", "newton.beta=0"], "'newton.beta': expected a positive finite number"),
 ]
 
 
@@ -257,6 +261,26 @@ def test_field_that_overflows_exits_2(tmp_path, capsys):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "field value is not finite" in err
+
+
+# SGD runs that cannot draw a partner point: (argv, what the error says).
+UNDRAWABLE_SGD = [
+    # at the start 5e16 every partner x - h rounds onto x
+    (["--set", "domain.upper=[1e17]"], "below the float spacing"),
+    # nearly every partner of a kernel this wide falls outside (0, 1)
+    (["--set", "kernel.base_scale=400"], "could not draw a partner point"),
+]
+
+
+@pytest.mark.parametrize("argv,names", UNDRAWABLE_SGD, ids=["long-box", "wide-kernel"])
+def test_sgd_that_cannot_draw_exits_2(tmp_path, capsys, monkeypatch, argv, names):
+    import nonlocalopt.optimizers as opt_mod
+
+    monkeypatch.setattr(opt_mod, "_RESAMPLE_CAP", 2)
+    assert run_cli(["sgd", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err and "Traceback" not in err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_verbose_echoes_the_resolved_configuration(tmp_path, capsys):
@@ -385,6 +409,25 @@ def test_sgd_bound_sweep_reads_the_sgd_settings(tmp_path):
 SHORT_PULSE = ("--set", 'pulse.families=["gaussian"]', "--set", "pulse.n_values=[1]",
                "--set", "pulse.max_iters=20")
 FD_NONLOCAL = ("--set", 'hessian.variant="fd-nonlocal"')
+
+
+def _pulse_summary(out, *argv):
+    code = run_cli(["pulse", *SHORT_PULSE, *argv, "--out", str(out)])
+    return code, json.loads((out / "manifest.json").read_text())["summary"]
+
+
+def test_pulse_run_that_misses_its_tolerance_fails(tmp_path):
+    # 20 iterations leave theta_hat about 0.35 from theta* = 0.5
+    code, summary = _pulse_summary(tmp_path / "loose", "--set", "pulse.tolerance=0.5")
+    assert code == 0 and summary["failed"] == []
+    code, summary = _pulse_summary(tmp_path / "tight", "--set", "pulse.tolerance=0.1")
+    assert code == 1 and summary["failed"] == ["gaussian-n1"]
+
+
+def test_pulse_geometry_the_holder_fit_cannot_probe(tmp_path):
+    # from theta = 0.4, a pulse this wide would pass the end of the signal
+    code, summary = _pulse_summary(tmp_path, "--set", "pulse.pulse_width=0.6")
+    assert code == 0 and summary["holder_exponent"] is None
 # (command, fixed arguments, the key that gets a hostile value)
 FUZZ_CASES = [
     ("grad-check", (), "kernel.base_scale"),

@@ -175,7 +175,7 @@ def test_pulse_run(name):
 
 def test_sgd_run():
     field = quadratic_field(UNIT, center=UNIT.center)
-    x_bar, trace = epsilon_sgd(field, SgdConfig(1.0, 2.0, 100, 0.02, seed=3), gaussian_kernel(1, 8))
+    x_bar, trace = epsilon_sgd(field, SgdConfig(1.0, 2.0, 100, 0.02), gaussian_kernel(1, 8), seed=3)
     assert outcome(trace) == {
         "termination": "max-iters", "length": 101, "final_point": [0.49987469295282905],
         "steps": [[0.05, 100]]}

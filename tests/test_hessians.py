@@ -199,7 +199,7 @@ class TestMonteCarloCrossChecks:
             f, x, HessianVariant(CENTRAL), cfg(kernel, 512)
         )
         rng = np.random.default_rng(1)
-        h = kernel.sample_batch(rng, 400_000)[:, 0]
+        h = kernel.sample(rng, 400_000)[:, 0]
         ext = extend_by_zero(f)
         sec = ext((x[0] + h)[:, None]) - 2 * f.value(x) + ext((x[0] - h)[:, None])
         pref = 1 * 3 / 2  # dim (dim + 2) / 2
@@ -219,7 +219,7 @@ class TestMonteCarloCrossChecks:
         H1 = nonlocal_hessian(f, x, HessianVariant(NESTED, m=8), config)
         outer = gaussian_kernel(1, 8, 0.1)
         rng = np.random.default_rng(0)
-        h = outer.sample_batch(rng, 8_000)[:, 0]
+        h = outer.sample(rng, 8_000)[:, 0]
         y = x[0] - h
         ok = (y > 0) & (y < 1) & (h != 0)
         gx = nonlocal_gradient(f, x, config)[0]

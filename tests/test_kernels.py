@@ -126,20 +126,20 @@ class TestSampling:
     def test_gaussian_mean_clt(self):
         k = gaussian_kernel(1, 1, base_scale=0.1)  # sigma 0.1
         rng = np.random.default_rng(0)
-        samples = k.sample_batch(rng, 100_000)
+        samples = k.sample(rng, 100_000)
         assert abs(samples.mean()) <= 0.005  # 3 sigma / sqrt(N) ~ 9.5e-4
 
     def test_bump_support_constraint(self):
         k = bump_kernel(2, 2, base_scale=0.2)  # radius 0.1
         rng = np.random.default_rng(1)
-        samples = k.sample_batch(rng, 100_000)
+        samples = k.sample(rng, 100_000)
         assert np.all(np.linalg.norm(samples, axis=1) < 0.1)
 
     @pytest.mark.parametrize("family", ["gaussian", "bump"])
     def test_deterministic_given_seed(self, family):
         k = RadialKernel(family, 2, 3, 0.2)
-        a = k.sample(np.random.default_rng(42))
-        b = k.sample(np.random.default_rng(42))
+        a = k.sample(np.random.default_rng(42), 5)
+        b = k.sample(np.random.default_rng(42), 5)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("family,base", [("gaussian", 0.1), ("bump", 0.2)])
@@ -148,7 +148,7 @@ class TestSampling:
         delta = k.scale * (1.0 if family == "gaussian" else 0.5)
         p = k.tail_mass(delta)
         rng = np.random.default_rng(3)
-        samples = k.sample_batch(rng, 100_000)
+        samples = k.sample(rng, 100_000)
         emp = float(np.mean(np.linalg.norm(samples, axis=1) > delta))
         assert abs(emp - p) <= 3.0 * math.sqrt(p * (1 - p) / 100_000)
 
@@ -167,10 +167,7 @@ class TestSampling:
 
         monkeypatch.setattr(kernels_mod, "_MAX_SAMPLE_ATTEMPTS", 0)
         with pytest.raises(RejectionOverflowError):
-            bump_kernel(1, 1).sample(np.random.default_rng(0))
-        # the batched sampler's budget, 100 attempts a row beyond it, is below one chunk
-        with pytest.raises(RejectionOverflowError, match="batched"):
-            bump_kernel(1, 1).sample_batch(np.random.default_rng(0), 1)
+            bump_kernel(1, 1).sample(np.random.default_rng(0), 1)
 
 
 class TestMoments:

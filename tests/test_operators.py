@@ -100,6 +100,13 @@ class TestNonlocalGradient:
         mc = mc_nonlocal_gradient(f, x, kernel, samples=1_000_000, seed=0)
         assert np.all(np.abs(mc.value - g) <= 3.0 * mc.stderr + 1e-12)
 
+    def test_scalar_point_is_the_one_point_call(self, unit_interval):
+        f = sin_field(unit_interval)
+        config = cfg(gaussian_kernel(1, 8), 256)
+        got = nonlocal_gradient(f, 0.5, config)
+        assert got.shape == (1,)
+        assert got.tobytes() == nonlocal_gradient(f, [0.5], config).tobytes()
+
     def test_pulse_style_nonsmooth_field_finite(self, unit_interval):
         f = ridge_field(unit_interval, center=[0.5])
         for n in (1, 2, 3):
@@ -240,6 +247,16 @@ class TestVanishingSubset:
 
         with pytest.raises(NoBracketError, match="wrong sign pattern"):
             find_vanishing_subset_1d(ScalarField(fn, unit_interval), [0.5], cfg(kernel))
+
+
+    def test_bisection_that_never_vanishes_no_bracket(self, unit_interval, monkeypatch):
+        # only an exact zero counts as vanished, and the bisection stalls short of one
+        import nonlocalopt.operators as ops_mod
+
+        monkeypatch.setattr(ops_mod, "VANISHING_TOL", 0.0)
+        f = asymmetric_min_field(unit_interval)
+        with pytest.raises(NoBracketError, match="bisection failed"):
+            find_vanishing_subset_1d(f, [0.5], cfg(bump_kernel(1, 4), 64))
 
 
 class TestTaylor:

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from nonlocalopt import (
     nonlocal_gradient,
 )
 from nonlocalopt.catalog import constant_field, linear_field, quadratic_field, quartic_field
-from nonlocalopt.errors import DimensionMismatchError, NodeBudgetError
+from nonlocalopt.errors import CoincidentPointsError, DimensionMismatchError, NodeBudgetError
 from nonlocalopt.optimizers import DIVERGED, LEFT_DOMAIN, MAX_ITERS
 from nonlocalopt.sweeps import convergence_sweep
 
@@ -50,15 +49,15 @@ class TestSgdConfig:
 class TestEpsilonSgd:
     def test_constant_field_stays_at_center(self, ball_domain):
         f = constant_field(ball_domain)
-        cfg = SgdConfig(B=1.0, M=1.0, K=25, epsilon=0.01, seed=3)
-        x_bar, trace = epsilon_sgd(f, cfg, gaussian_kernel(1, 8))
+        cfg = SgdConfig(B=1.0, M=1.0, K=25, epsilon=0.01)
+        x_bar, trace = epsilon_sgd(f, cfg, gaussian_kernel(1, 8), seed=3)
         assert x_bar[0] == pytest.approx(0.0, abs=1e-15)
         assert np.all(trace.iterates[:, 0] == 0.0)
 
     def test_trace_structure(self, ball_domain):
         f = quadratic_field(ball_domain, center=[0.0])
-        cfg = SgdConfig(B=1.0, M=2.0, K=20, epsilon=0.02, seed=0)
-        x_bar, trace = epsilon_sgd(f, cfg, gaussian_kernel(1, 16))
+        cfg = SgdConfig(B=1.0, M=2.0, K=20, epsilon=0.02)
+        x_bar, trace = epsilon_sgd(f, cfg, gaussian_kernel(1, 16), seed=0)
         assert trace.termination == MAX_ITERS
         assert len(trace) == 21  # K iterates plus the final point
         assert trace.steps_taken.shape == (20,)
@@ -68,9 +67,9 @@ class TestEpsilonSgd:
 
     def test_seed_reproducibility(self, ball_domain):
         f = quadratic_field(ball_domain, center=[0.0])
-        cfg = SgdConfig(B=1.0, M=2.0, K=30, epsilon=0.02, seed=11)
-        a = epsilon_sgd(f, cfg, gaussian_kernel(1, 16))
-        b = epsilon_sgd(f, cfg, gaussian_kernel(1, 16))
+        cfg = SgdConfig(B=1.0, M=2.0, K=30, epsilon=0.02)
+        a = epsilon_sgd(f, cfg, gaussian_kernel(1, 16), seed=11)
+        b = epsilon_sgd(f, cfg, gaussian_kernel(1, 16), seed=11)
         assert np.array_equal(a[1].iterates, b[1].iterates)
         assert np.array_equal(a[0], b[0])
 
@@ -85,20 +84,32 @@ class TestEpsilonSgd:
 
 
 class TestTermination:
+    def test_reach_below_the_float_spacing_raises_before_drawing(self, monkeypatch):
+        from nonlocalopt.kernels import RadialKernel
+
+        def no_draws(*args):
+            raise AssertionError("an offset was drawn")
+
+        monkeypatch.setattr(RadialKernel, "sample", no_draws)
+        # at the start 5e16 every partner x - h would round onto x
+        f = quadratic_field(BoxDomain.interval(0.0, 1e17))
+        with pytest.raises(CoincidentPointsError, match="float spacing"):
+            epsilon_sgd(f, SgdConfig(B=1.0, M=2.0, K=5, epsilon=0.01), gaussian_kernel(1, 8))
+
     def test_divergence_guard(self, ball_domain):
         # minimizer far outside the declared ball: iterates drift until the
         # 10B divergence guard fires
         f = quadratic_field(ball_domain, center=[0.9])
-        cfg = SgdConfig(B=0.01, M=2.0, K=400, epsilon=0.01, seed=0)
-        _, trace = epsilon_sgd(f, cfg, gaussian_kernel(1, 32))
+        cfg = SgdConfig(B=0.01, M=2.0, K=400, epsilon=0.01)
+        _, trace = epsilon_sgd(f, cfg, gaussian_kernel(1, 32), seed=0)
         assert trace.termination == "diverged"
         assert trace.offending_point is not None
 
     def test_left_domain_guard(self, ball_domain):
         # minimizer outside the domain entirely: iterates exit through the wall
         f = quadratic_field(ball_domain, center=[1.5])
-        cfg = SgdConfig(B=0.5, M=2.0, K=100, epsilon=0.01, seed=0)
-        _, trace = epsilon_sgd(f, cfg, gaussian_kernel(1, 32))
+        cfg = SgdConfig(B=0.5, M=2.0, K=100, epsilon=0.01)
+        _, trace = epsilon_sgd(f, cfg, gaussian_kernel(1, 32), seed=0)
         assert trace.termination == "left-domain"
 
     def test_resample_overflow_signalled(self, ball_domain, monkeypatch):
@@ -109,7 +120,7 @@ class TestTermination:
         monkeypatch.setattr(opt_mod, "_RESAMPLE_CAP", 2)
         wide = gaussian_kernel(1, 1, base_scale=50.0)  # nearly always lands outside
         with pytest.raises(RejectionOverflowError):
-            epsilon_sgd(f, SgdConfig(B=1.0, M=2.0, K=5, epsilon=0.01, seed=0), wide)
+            epsilon_sgd(f, SgdConfig(B=1.0, M=2.0, K=5, epsilon=0.01), wide, seed=0)
 
 
 # A drift along +y on a tall box: within 16 steps some chains pass the 10 B
@@ -144,9 +155,9 @@ def assert_same_run(got, want):
         assert t_got.offending_point.tobytes() == t_want.offending_point.tobytes()
 
 
-def reference_run(field, cfg, kernel):
+def reference_run(field, cfg, kernel, seed):
     """A single run point by point: one draw at a time and scalar field values."""
-    rng, center = np.random.default_rng(cfg.seed), field.domain.center
+    rng, center = np.random.default_rng(seed), field.domain.center
     x, points, values, norms = center, [], [], []
     termination, offending = MAX_ITERS, None
     for k in range(cfg.K + 1):
@@ -156,7 +167,7 @@ def reference_run(field, cfg, kernel):
             norms.append(math.nan)
             break
         while True:
-            y = x - kernel.sample(rng)
+            y = x - kernel.sample(rng, 1)[0]
             if field.domain.contains(y) and float(np.dot(x - y, x - y)) > 0.0:
                 break
         d = x - y
@@ -188,14 +199,14 @@ class TestLockstep:
         x_bars, traces = epsilon_sgd_batch(field, cfg, kernel, seeds)
         assert x_bars.shape == (len(seeds), field.dim) and len(traces) == len(seeds)
         for s, x_bar, trace in zip(seeds, x_bars, traces):
-            assert_same_run((x_bar, trace), epsilon_sgd(field, replace(cfg, seed=s), kernel))
+            assert_same_run((x_bar, trace), epsilon_sgd(field, cfg, kernel, seed=s))
 
     @pytest.mark.parametrize("name", sorted(BATCHES))
     def test_one_seed_run_equals_point_by_point_loop(self, name):
         field, cfg, kernel, seeds = BATCHES[name]
         for s in seeds:
-            one = replace(cfg, seed=s)
-            assert_same_run(epsilon_sgd(field, one, kernel), reference_run(field, one, kernel))
+            assert_same_run(epsilon_sgd(field, cfg, kernel, seed=s),
+                            reference_run(field, cfg, kernel, s))
 
     def test_mixed_batch_freezes_each_chain_where_it_stops(self):
         field, cfg, kernel, seeds = BATCHES["mixed-terminations-2d"]
@@ -218,10 +229,10 @@ class TestLockstep:
     def test_sample_size_equals_successive_single_draws(self, kernel):
         block_rng, single_rng = np.random.default_rng(7), np.random.default_rng(7)
         block = kernel.sample(block_rng, 17)
-        singles = np.array([kernel.sample(single_rng) for _ in range(17)])
+        singles = np.concatenate([kernel.sample(single_rng, 1) for _ in range(17)])
         assert block.shape == (17, kernel.dim)
         assert block.tobytes() == singles.tobytes()
-        assert kernel.sample(block_rng).tobytes() == kernel.sample(single_rng).tobytes()
+        assert kernel.sample(block_rng, 1).tobytes() == kernel.sample(single_rng, 1).tobytes()
 
     def test_partner_on_the_iterate_is_redrawn_up_to_the_cap(self, monkeypatch):
         import nonlocalopt.optimizers as opt_mod
@@ -231,9 +242,10 @@ class TestLockstep:
             """Offsets so small that every partner point rounds onto the iterate."""
 
             def __init__(self, kernel):
-                self.kernel, self.dim, self.calls = kernel, kernel.dim, 0
+                # the wrapped kernel's reach: the start point passes the spacing check
+                self.kernel, self.dim, self.reach, self.calls = kernel, kernel.dim, kernel.reach, 0
 
-            def sample(self, rng, size=None):
+            def sample(self, rng, size):
                 self.calls += 1
                 return 1e-30 * self.kernel.sample(rng, size)
 
@@ -335,7 +347,7 @@ class TestPerChainKernels:
 
 SWEEP_FIELD = quadratic_field(BoxDomain.unit(1), center=[0.5])
 SWEEP = {"domain": BoxDomain.unit(1), "kernel": gaussian_kernel(1, 8),
-         "sgd": SgdConfig(1.0, 2.0, 20, 0.02), "seeds": 6}
+         "sgd": SgdConfig(1.0, 2.0, 20, 0.02), "seeds": 6, "seed": 0}
 SWEEP_N = [4, 8, 16, 32]
 ONE_INDEX = 6 * 21 * 1  # coordinates the traces of one index's chains store
 
@@ -346,6 +358,13 @@ class TestSgdBoundSweep:
         for n, error in zip(SWEEP_N, report.errors):
             x_bars, _ = epsilon_sgd_batch(SWEEP_FIELD, SWEEP["sgd"],
                                           SWEEP["kernel"].with_scale_index(n), range(6))
+            assert error == float(np.mean(SWEEP_FIELD(x_bars)))
+
+    def test_seed_picks_the_chains(self):
+        report = convergence_sweep("sgd-bound", SWEEP_N, {**SWEEP, "seed": 2})
+        for n, error in zip(SWEEP_N, report.errors):
+            x_bars, _ = epsilon_sgd_batch(SWEEP_FIELD, SWEEP["sgd"],
+                                          SWEEP["kernel"].with_scale_index(n), range(12, 18))
             assert error == float(np.mean(SWEEP_FIELD(x_bars)))
 
     @pytest.mark.parametrize("budget,batches", [

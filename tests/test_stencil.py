@@ -832,8 +832,8 @@ RUNS = {
         sin_field(BoxDomain.unit(1)), [0.5], OperatorConfig(gaussian_kernel(1, 4), 512)),
     "pulse": lambda: run_pulse_experiment(PulseRunConfig(family="gaussian", n=2, max_iters=40)),
     "sgd": lambda: epsilon_sgd(quadratic_field(BoxDomain.interval(-1.0, 1.0), center=[0.0]),
-                               SgdConfig(B=1.0, M=2.0, K=20, epsilon=0.02, seed=0),
-                               gaussian_kernel(1, 16)),
+                               SgdConfig(B=1.0, M=2.0, K=20, epsilon=0.02),
+                               gaussian_kernel(1, 16), seed=0),
     "gradient-2d-res256": lambda: nonlocal_gradient(
         sin_field(BoxDomain.unit(2)), [0.5, 0.5], OperatorConfig(gaussian_kernel(2, 4), 256)),
 }
