@@ -318,8 +318,3 @@ def catalog_field(name: str, domain: BoxDomain) -> ScalarField:
     if name not in names:
         raise ValueError(f"unknown field {name!r}; known: {sorted(names)}")
     return FIELDS[name][0](domain)
-
-
-def catalog(domain: BoxDomain) -> dict[str, ScalarField]:
-    """All named test fields instantiated on the given domain."""
-    return {name: FIELDS[name][0](domain) for name in field_names(domain.dim)}

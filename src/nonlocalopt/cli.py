@@ -107,7 +107,7 @@ def _merge(config: dict, override: dict, prefix: str = "") -> None:
         if isinstance(config[key], dict) and isinstance(value, dict):
             _merge(config[key], value, prefix=f"{dotted}.")
         else:
-            config[key] = copy.deepcopy(value)
+            config[key] = value  # fresh from a JSON parse, so nothing else holds it
 
 
 def _parse_value(raw: str):
@@ -284,21 +284,20 @@ def _pulse_runs(config: dict) -> list[PulseRunConfig]:
     return _get(config, "pulse", build)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _encode(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class _Run:
-    """Output directory plus manifest bookkeeping for one CLI invocation."""
+    """Output directory plus manifest bookkeeping for one CLI invocation; ``record`` is the
+    text of its ``config.resolved.json``."""
 
-    def __init__(self, command: str, args, config: dict, argv: list[str]):
+    def __init__(self, command: str, args, config: dict, record: str, argv: list[str]):
         self.command = command
         self.out = Path(args.out)
         self.out.mkdir(parents=True, exist_ok=True)
         self.config = config
+        self.record = record
         self.args = args
         self.argv = argv
         self.outputs: list[str] = []
@@ -310,12 +309,11 @@ class _Run:
 
     def finish(self, exit_code: int) -> int:
         """Write the resolved config and the manifest; a rejected run writes neither."""
-        _write_json(self.out / "config.resolved.json", self.config)
+        (self.out / "config.resolved.json").write_text(self.record, newline="\n")
         self.outputs.append("config.resolved.json")
         manifest = {
             "command": self.command,
             "argv": self.argv,
-            "config": self.config,
             "seed": self.args.seed,
             "outputs": sorted(set(self.outputs + ["manifest.json"])),
             "versions": {
@@ -327,7 +325,7 @@ class _Run:
             "exit_code": exit_code,
             "summary": self.summary,
         }
-        _write_json(self.out / "manifest.json", manifest)
+        (self.out / "manifest.json").write_text(_encode(manifest), newline="\n")
         return exit_code
 
 
@@ -592,9 +590,10 @@ def run_cli(argv=None) -> int:
         overrides.append(f'check.name="{args.check}"')
     try:
         config = load_config(args.config, overrides)
+        record = _encode(config)
         if args.verbose:
-            print(json.dumps(config, indent=2, sort_keys=True))
-        run = _Run(args.command, args, config, raw_argv)
+            sys.stdout.write(record)
+        run = _Run(args.command, args, config, record, raw_argv)
         return run.finish(_HANDLERS[args.command](run))
     except SingularHessianError as exc:  # raised only by a run, after its config was built
         print(f"{run.command}: {exc}", file=sys.stderr)

@@ -268,14 +268,6 @@ class SubsetIndicator:
     def from_intervals(cls, intervals: Iterable[tuple[float, float]]) -> "SubsetIndicator":
         return cls.from_boxes([((a,), (b,)) for a, b in intervals], dim=1)
 
-    @classmethod
-    def full(cls, domain: BoxDomain) -> "SubsetIndicator":
-        return cls.from_boxes([(domain.lower, domain.upper)], dim=domain.dim)
-
-    @classmethod
-    def empty(cls, dim: int) -> "SubsetIndicator":
-        return cls((), dim)
-
     def membership(self, x) -> bool | Array:
         p = np.asarray(x, dtype=float)
         if p.shape[-1:] != (self.dim,):

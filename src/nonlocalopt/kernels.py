@@ -144,15 +144,6 @@ class RadialKernel:
             return c * np.exp(-0.5 * (r / s) ** 2)
         return bump_profile(r / s) / (_bump_norm(self.dim) * s**self.dim)
 
-    def density(self, h) -> np.ndarray:
-        """Density at offset vectors of shape ``(..., dim)``."""
-        h = np.asarray(h, dtype=float)
-        if h.shape[-1:] != (self.dim,):
-            raise DimensionMismatchError(
-                f"offset dimension {h.shape[-1:]} does not match kernel dimension {self.dim}"
-            )
-        return self.radial_density(np.linalg.norm(h, axis=-1))
-
     # -- mass diagnostics ------------------------------------------------------
 
     def mass(self) -> float:
@@ -183,9 +174,10 @@ class RadialKernel:
         for i in range(size):
             for _ in range(_MAX_SAMPLE_ATTEMPTS):
                 p = rng.uniform(-1.0, 1.0, size=self.dim)
-                v = float(np.linalg.norm(p))
+                v = math.sqrt(float(p.dot(p)))
+                # np.exp, as in ``bump_profile``: math.exp rounds some values differently
                 if v < 1.0 and (rng.uniform() * _BUMP_ENVELOPE
-                                <= float(bump_profile(np.asarray([v]))[0])):
+                                <= float(np.exp(-1.0 / (1.0 - v * v)))):
                     out[i] = p
                     break
             else:

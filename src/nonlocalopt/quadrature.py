@@ -104,8 +104,7 @@ def _affine(a: float, b: float, rule, x: np.ndarray, w: np.ndarray):
 class QuadratureGrid:
     """Tensor product of 1-D rules, one ``(nodes, weights)`` pair per axis.
 
-    ``nodes`` (N, D) and ``weights`` (N,) list the product in C order and are
-    built on first use.
+    ``nodes`` (N, D) lists the product's nodes in C order and is built on first use.
     """
 
     axes: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -118,13 +117,6 @@ class QuadratureGrid:
     def nodes(self) -> np.ndarray:
         mesh = np.meshgrid(*[x for x, _ in self.axes], indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        weights = np.ones(1)
-        for _, w in self.axes:
-            weights = np.multiply.outer(weights, w).reshape(-1)
-        return weights
 
 
 def build_panel_grid(lo, hi, split: Optional[np.ndarray], resolution: int) -> QuadratureGrid:

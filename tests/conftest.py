@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from nonlocalopt import BoxDomain
-from nonlocalopt.catalog import catalog
+from nonlocalopt.catalog import catalog_field, field_names
+
+
+def catalog(domain):
+    """Every catalog field that exists on ``domain``, by name, in catalog order."""
+    return {name: catalog_field(name, domain) for name in field_names(domain.dim)}
 
 
 @pytest.fixture(scope="session")

@@ -288,6 +288,7 @@ def test_verbose_echoes_the_resolved_configuration(tmp_path, capsys):
     out = capsys.readouterr().out
     echoed = json.loads(out[:out.index("\n}\n") + 2])
     assert echoed == load_config(None, ["kernel.n=4"])
+    assert out.startswith((tmp_path / "config.resolved.json").read_text())
 
 
 # Counts whose arrays would not fit in memory; each is rejected before allocating.
@@ -493,7 +494,8 @@ def test_rejected_run_writes_no_resolved_config(tmp_path):
     assert run_cli(["grad-check", "--field", "quadratic", "--out", str(accepted)]) == 0
     manifest = json.loads((accepted / "manifest.json").read_text())
     assert manifest["outputs"] == ["config.resolved.json", "grad_check.csv", "manifest.json"]
-    assert json.loads((accepted / "config.resolved.json").read_text()) == manifest["config"]
+    resolved = json.loads((accepted / "config.resolved.json").read_text())
+    assert resolved == load_config(None, ["field=quadratic"])
 
 
 def test_parser_is_built_once_and_keeps_no_overrides(tmp_path):
@@ -533,7 +535,7 @@ def test_unknown_field_names_the_fields_of_its_dimension(tmp_path, capsys, dim):
     assert f"unknown field 'nope'; known: {known}" in err
     assert ("asymmetric-min" in known) == (dim == 1)
     # the whole catalog comes from the same table, in its order
-    fields = catalog.catalog(BoxDomain.unit(dim))
+    fields = {n: catalog.catalog_field(n, BoxDomain.unit(dim)) for n in catalog.field_names(dim)}
     assert [f.name for f in fields.values()] == list(fields) == catalog.field_names(dim)
 
 
@@ -690,7 +692,8 @@ class TestRunsAndArtifacts:
         assert len(cols["theta"]) >= 2
         ET.parse(out / "pulse_convergence.svg")
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["pulse"]["families"] == ["bump"]
+        resolved = json.loads((out / "config.resolved.json").read_text())
+        assert resolved["pulse"]["families"] == ["bump"]
         assert "pulse_bump_n3.csv" in manifest["outputs"]
 
     def test_deterministic_outputs(self, tmp_path):
@@ -719,3 +722,18 @@ class TestRunsAndArtifacts:
             json.loads((out1 / "config.resolved.json").read_text())
             == json.loads((out2 / "config.resolved.json").read_text())
         )
+
+    @pytest.mark.parametrize("argv", [["sweep", "--check", "taylor-remainder", "--seed", "3"],
+                                      ["sgd", "--seed", "5"]])
+    def test_record_reproduces_seeded_run(self, tmp_path, argv):
+        # config.resolved.json and the manifest's command and seed are all a re-run needs
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli([*argv, "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert "config" not in manifest
+        assert run_cli([manifest["command"], "--config", str(first / "config.resolved.json"),
+                        "--seed", str(manifest["seed"]), "--out", str(again)]) == 0
+        csvs = sorted(p.name for p in first.glob("*.csv"))
+        assert csvs and csvs == sorted(p.name for p in again.glob("*.csv"))
+        for name in csvs:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from nonlocalopt import BoxDomain, ScalarField, extend_by_zero, quadrature
 from nonlocalopt.catalog import (
     bump_field,
-    catalog,
     catalog_field,
     field_names,
     linear_field,
@@ -133,8 +132,9 @@ class TestSubsetIndicator:
         assert sub.membership([0.7]) is True
 
     def test_empty_and_full(self, unit_interval):
-        assert SubsetIndicator.empty(1).membership([0.5]) is False
-        assert SubsetIndicator.full(unit_interval).membership([0.5]) is True
+        assert SubsetIndicator((), 1).membership([0.5]) is False
+        whole = SubsetIndicator.from_boxes([(unit_interval.lower, unit_interval.upper)], 1)
+        assert whole.membership([0.5]) is True
 
     def test_degenerate_intervals_dropped(self):
         sub = SubsetIndicator.from_intervals([(0.5, 0.5), (0.2, 0.4)])
@@ -158,7 +158,7 @@ def catalog_with_fractions(dim):
     """The catalog plus a linear and a full quadratic field with non-integer coefficients."""
     domain = BoxDomain.unit(dim)
     rng = np.random.default_rng(dim)
-    fields = dict(catalog(domain))
+    fields = {name: catalog_field(name, domain) for name in field_names(dim)}
     fields["linear-fractional"] = linear_field(domain, rng.uniform(-2, 2, dim), 0.3)
     fields["quadratic-full"] = quadratic_field(
         domain, matrix=rng.uniform(-1, 1, (dim, dim)), center=rng.uniform(0.2, 0.8, dim),

@@ -11,7 +11,7 @@ from nonlocalopt import (
     directional_second_moments,
     gaussian_kernel,
 )
-from nonlocalopt.errors import DimensionMismatchError
+from nonlocalopt import kernels
 from nonlocalopt.kernels import bump_profile
 
 
@@ -19,27 +19,28 @@ def normal_cdf(z):
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
+def density(kernel, h):
+    """The kernel's density at the offsets ``h`` (..., D)."""
+    return kernel.radial_density(np.linalg.norm(np.asarray(h, dtype=float), axis=-1))
+
+
 class TestDensity:
     def test_standard_normal_peak(self):
         # sigma_n = 1 at n=1, base 1
         k = gaussian_kernel(1, 1, base_scale=1.0)
-        assert k.density([0.0]) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
+        assert density(k, [0.0]) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
 
     def test_bump_zero_at_support_edge(self):
         k = bump_kernel(2, 1, base_scale=0.2)
         h = np.array([0.2, 0.0])
-        assert k.density(h) == 0.0
+        assert density(k, h) == 0.0
 
     def test_gaussian_scaled_value(self):
         # base 0.2, n=2 -> sigma 0.1; compare against the closed-form density
         k = gaussian_kernel(1, 2, base_scale=0.2)
         sigma = 0.1
         expected = math.exp(-0.5 * (0.1 / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-        assert k.density([0.1]) == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            gaussian_kernel(2, 1).density([0.1])
+        assert density(k, [0.1]) == pytest.approx(expected, rel=1e-12)
 
     @given(angle=st.floats(0, 2 * math.pi), r=st.floats(0.001, 0.3))
     @settings(max_examples=50)
@@ -47,7 +48,7 @@ class TestDensity:
         k = gaussian_kernel(2, 3, base_scale=0.3)
         h1 = np.array([r, 0.0])
         h2 = r * np.array([math.cos(angle), math.sin(angle)])
-        assert k.density(h1) == pytest.approx(k.density(h2), rel=1e-12)
+        assert density(k, h1) == pytest.approx(density(k, h2), rel=1e-12)
 
 
 def gathered_bump(v):
@@ -122,6 +123,21 @@ class TestMass:
                 prev = t
 
 
+def array_bump_draws(kernel, rng, size):
+    """Bump offsets by rejection with ``np.linalg.norm`` and ``bump_profile`` of a one-element
+    array at each attempt: the loop ``RadialKernel.sample`` runs on scalars."""
+    out = np.empty((size, kernel.dim))
+    for i in range(size):
+        while True:
+            p = rng.uniform(-1.0, 1.0, size=kernel.dim)
+            v = float(np.linalg.norm(p))
+            if v < 1.0 and (rng.uniform() * kernels._BUMP_ENVELOPE
+                            <= float(bump_profile(np.asarray([v]))[0])):
+                out[i] = p
+                break
+    return kernel.scale * out
+
+
 class TestSampling:
     def test_gaussian_mean_clt(self):
         k = gaussian_kernel(1, 1, base_scale=0.1)  # sigma 0.1
@@ -160,12 +176,23 @@ class TestSampling:
         with pytest.raises(ValueError, match="base scale|too small"):
             RadialKernel(family, dim, 8, base_scale)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_bump_draws_keep_the_bits_of_the_array_loop(self, dim, seed):
+        # the scalar norm and profile of each attempt pick the same offsets as the array ones,
+        # and draws in two blocks continue one stream
+        k = bump_kernel(dim, 2)
+        expected = array_bump_draws(k, np.random.default_rng(seed), 1500)
+        assert np.array_equal(k.sample(np.random.default_rng(seed), 1500), expected)
+        rng = np.random.default_rng(seed)
+        blocks = np.concatenate([k.sample(rng, 1), k.sample(rng, 0), k.sample(rng, 1499)])
+        assert np.array_equal(blocks, expected)
+
     def test_rejection_overflow_signalled(self, monkeypatch):
         # no attempt budget at all: the bump sampler must give up, not loop
-        import nonlocalopt.kernels as kernels_mod
         from nonlocalopt.errors import RejectionOverflowError
 
-        monkeypatch.setattr(kernels_mod, "_MAX_SAMPLE_ATTEMPTS", 0)
+        monkeypatch.setattr(kernels, "_MAX_SAMPLE_ATTEMPTS", 0)
         with pytest.raises(RejectionOverflowError):
             bump_kernel(1, 1).sample(np.random.default_rng(0), 1)
 

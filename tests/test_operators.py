@@ -50,7 +50,7 @@ def test_kernel_of_another_dimension_rejected_by_every_operator(field_dim, kerne
     field = quadratic_field(domain)
     config = cfg(gaussian_kernel(kernel_dim, 8), 8)
     x = domain.center
-    subset = SubsetIndicator.full(domain)
+    subset = SubsetIndicator.from_boxes([(domain.lower, domain.upper)], domain.dim)
     calls = [lambda: nonlocal_gradient(field, x, config),
              lambda: nonlocal_gradient(field, x[None], config),
              lambda: restricted_nonlocal_gradient(field, x, config, subset)]
@@ -66,7 +66,7 @@ def test_kernel_of_another_dimension_rejected_by_every_operator(field_dim, kerne
 
 def test_subset_of_another_dimension_rejected():
     field = quadratic_field(BoxDomain.unit(1))
-    subset = SubsetIndicator.full(BoxDomain.unit(2))
+    subset = SubsetIndicator.from_boxes([((0.0, 0.0), (1.0, 1.0))], 2)
     with pytest.raises(DimensionMismatchError, match="subset dimension"):
         restricted_nonlocal_gradient(field, [0.5], cfg(gaussian_kernel(1, 8), 8), subset)
 
@@ -179,15 +179,14 @@ class TestRestrictedGradient:
         f = asymmetric_min_field(unit_interval)
         config = cfg(bump_kernel(1, 4))
         full = nonlocal_gradient(f, [0.45], config)
-        sub = restricted_nonlocal_gradient(
-            f, [0.45], config, SubsetIndicator.full(unit_interval)
-        )
+        whole = SubsetIndicator.from_boxes([(unit_interval.lower, unit_interval.upper)], 1)
+        sub = restricted_nonlocal_gradient(f, [0.45], config, whole)
         assert np.linalg.norm(full - sub) <= 1e-12
 
     def test_empty_subset_zero(self, unit_interval):
         f = asymmetric_min_field(unit_interval)
         g = restricted_nonlocal_gradient(
-            f, [0.45], cfg(bump_kernel(1, 4)), SubsetIndicator.empty(1)
+            f, [0.45], cfg(bump_kernel(1, 4)), SubsetIndicator((), 1)
         )
         assert np.all(g == 0.0)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,14 +14,19 @@ def box_grid(lo, hi, m):
     return build_panel_grid(lo, hi, None, m)
 
 
+def weights(grid):
+    """The weights of the C-order product of the grid's per-axis rules, as ``grid.nodes``."""
+    return functools.reduce(np.multiply.outer, [w for _, w in grid.axes]).reshape(-1)
+
+
 def integrate(grid, integrand):
-    return float(np.sum(grid.weights * integrand(grid.nodes)))
+    return float(np.sum(weights(grid) * integrand(grid.nodes)))
 
 
 class TestBoxGrid:
     def test_weight_normalization(self):
         grid = box_grid([0.0], [1.0], 8)
-        assert float(np.sum(grid.weights)) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(weights(grid))) == pytest.approx(1.0, abs=1e-12)
 
     def test_cubic_exactness(self):
         grid = box_grid([0.0], [1.0], 8)

@@ -1,6 +1,7 @@
 """Offset stencils, their cache, and the blocked contraction every operator shares."""
 
 import ctypes
+import functools
 import math
 import platform
 import sys
@@ -33,7 +34,8 @@ from nonlocalopt import (
     run_pulse_experiment,
 )
 from nonlocalopt import operators, quadrature
-from nonlocalopt.catalog import bump_field, catalog, linear_field, quadratic_field, sin_field
+from nonlocalopt.catalog import (bump_field, catalog_field, field_names, linear_field,
+                                 quadratic_field, sin_field)
 from nonlocalopt.cli import run_cli
 from nonlocalopt.errors import (CoincidentPointsError, DimensionMismatchError, NodeBudgetError,
                                 NonFiniteFieldError)
@@ -54,6 +56,16 @@ def family_kernel(dim, family):
 # -- references: the per-call grid sums the stencil contraction replaced ----------
 
 
+def product_weights(grid):
+    """The weights of the C-order product of the grid's per-axis rules, as ``grid.nodes``."""
+    return functools.reduce(np.multiply.outer, [w for _, w in grid.axes]).reshape(-1)
+
+
+def density(kernel, h):
+    """The kernel's density at the offsets ``h`` (..., D)."""
+    return kernel.radial_density(np.linalg.norm(h, axis=-1))
+
+
 def reference_gradient(field, x, boxes, config):
     kernel = config.kernel
     total = np.zeros(field.dim)
@@ -63,7 +75,7 @@ def reference_gradient(field, x, boxes, config):
         r2 = np.sum(d * d, axis=1)
         keep = r2 > 0
         diff = field.value(x) - field(grid.nodes)[keep]
-        coeff = grid.weights[keep] * diff / r2[keep] * kernel.density(d[keep])
+        coeff = product_weights(grid)[keep] * diff / r2[keep] * density(kernel, d[keep])
         total += kernel.dim * np.sum(coeff[:, None] * d[keep], axis=0)
     return total
 
@@ -78,7 +90,8 @@ def reference_central_hessian(field, x, kernel, config):
     h = grid.nodes
     r2 = np.sum(h * h, axis=1)
     second = ext(x + h) - 2.0 * float(ext(x)) + ext(x - h)
-    coeff = D * (D + 2) / 2.0 * grid.weights * second * kernel.radial_density(np.sqrt(r2)) / r2**2
+    rho = kernel.radial_density(np.sqrt(r2))
+    coeff = D * (D + 2) / 2.0 * product_weights(grid) * second * rho / r2**2
     H = np.einsum("k,ki,kj->ij", coeff, h, h)
     return H - np.sum(coeff * r2) / (D + 2) * np.eye(D)
 
@@ -89,7 +102,7 @@ def reference_grad_smoothed(field, x, kernel, config):
     d = x - grid.nodes
     r2 = np.sum(d * d, axis=1)
     diff = field.gradient(x) - field.gradient(grid.nodes)
-    coeff = grid.weights * kernel.density(d) / r2
+    coeff = product_weights(grid) * density(kernel, d) / r2
     return kernel.dim * np.einsum("k,ki,kj->ij", coeff, diff, d)
 
 
@@ -98,7 +111,7 @@ def reference_moment(kernel, domain, x, axis, resolution):
     grid = build_panel_grid(lo, hi, x, resolution)
     d = x - grid.nodes
     r2 = np.sum(d * d, axis=1)
-    return float(np.sum(grid.weights * d[:, axis] ** 2 / r2 * kernel.density(d)))
+    return float(np.sum(product_weights(grid) * d[:, axis] ** 2 / r2 * density(kernel, d)))
 
 
 def assert_close(new, ref):
@@ -189,7 +202,7 @@ def test_paired_gradient_equals_the_one_sided_box_sum(stencil_cache, dim, cap):
     x = np.array([0.41, 0.37, 0.61][:dim])
     stencil = Stencil(config.kernel, -np.full(dim, config.kernel.reach),
                       np.full(dim, config.kernel.reach), config.resolution)
-    fields = catalog(domain)
+    fields = {name: catalog_field(name, domain) for name in field_names(dim)}
     assert len(fields) == 9 - (dim > 1)
     for name, field in fields.items():
         g, expected = nonlocal_gradient(field, x, config), one_sided_box_gradient(field, x, stencil)
