@@ -207,14 +207,16 @@ def asymmetric_min_field(domain: BoxDomain) -> ScalarField:
 
 
 def ridge_field(domain: BoxDomain, center=None, slope: float = 1.0) -> ScalarField:
-    """Nonsmooth cone ``M |x - c|``: Lipschitz with constant ``slope``."""
+    """Nonsmooth cone ``M |x - c|``: Lipschitz with constant ``slope``.  A ``slope`` of 1 is left
+    out, as in ``_bilinear``: ``1.0 * v`` is ``v``."""
     c = domain.center if center is None else np.atleast_1d(np.asarray(center, dtype=float))
     centre = c.tolist()
 
-    def fn(*x):
+    def distance(*x):
         d = _centred(x, centre)
-        return slope * np.sqrt(reduce(np.add, [dj * dj for dj in d]))
+        return np.sqrt(reduce(np.add, [dj * dj for dj in d]))
 
+    fn = distance if slope == 1.0 else lambda *x: slope * distance(*x)
     return ScalarField(fn, domain, name="ridge")
 
 

@@ -14,7 +14,8 @@ exceptions: the one-point pass (``_point_gradient``) inlines that loop for
 one row, whose bookkeeping would add about a third to a 1-D call, and
 ``directional_second_moments`` calls no field.  An interior Newton iterate asks
 the one-point pass for the central Hessian too, and takes both from its one walk
-of the stencil.
+of the stencil.  The central Hessian, that pass and the second moments share one
+per-row sum on each block's tensor grid (``_grid_moments``), with no offset array.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ def _chunks(rows: np.ndarray, n: int):
 
 
 def _walk(blocks, rows: np.ndarray, points: np.ndarray, fn, add) -> None:
-    """The stencil-block loop of every operator: ``add(block, chunk, values)`` for each block
-    (``StencilBlock`` or ``Offsets``) of ``blocks`` and each run ``chunk`` of ``rows`` that
-    fits in ``BLOCK_NODES`` nodes (``_chunks``).
+    """The stencil-block loop of every operator: ``add(axes, weight, chunk, values)`` for each
+    block ``(axes, weight)`` of ``blocks`` (a ``StencilBlock``, or a block of
+    ``Stencil.moment_weights``) and each run ``chunk`` of ``rows`` that fits in ``BLOCK_NODES``
+    nodes (``_chunks``).
 
     ``values(op=np.add)`` is one checked ``fn`` call at ``op(x, h)`` for the rows ``x`` of
     ``points[chunk]`` and the block's nodes ``h``, given as ``Columns`` (``_shifted``): a field
@@ -132,17 +134,17 @@ def _walk(blocks, rows: np.ndarray, points: np.ndarray, fn, add) -> None:
     layout ``fn`` returns: BLAS rounding depends on the layout.  A streamed block is freed
     before the next one is expanded.
     """
-    for block in blocks:
-        n = math.prod([x.size for x, _ in block.axes])
+    for axes, weight in blocks:
+        n = math.prod([x.size for x, _ in axes])
         for chunk in _chunks(rows, n):
             x = points[chunk]
 
             def values(op=np.add):
-                found = np.ascontiguousarray(_field_values(fn, _shifted(x, block.axes, op)))
+                found = np.ascontiguousarray(_field_values(fn, _shifted(x, axes, op)))
                 return found.reshape(len(chunk), n, *found.shape[1:])
 
-            add(block, chunk, values)
-        del block
+            add(axes, weight, chunk, values)
+        del weight
 
 
 def _quotients(groups, points: np.ndarray, values_at, fn, out: np.ndarray) -> np.ndarray:
@@ -159,10 +161,10 @@ def _quotients(groups, points: np.ndarray, values_at, fn, out: np.ndarray) -> np
         own = np.concatenate(own)
         values[own] = values_at(points[own])
     for stencil, rows in groups:
-        def add(block, chunk, found, paired=stencil.paired):
+        def add(axes, grad, chunk, found, paired=stencil.paired):
             plus = found()
             for i, u, vals in zip(chunk, found(np.subtract) if paired else values[chunk], plus):
-                out[i] += (u - vals).T @ block.grad
+                out[i] += (u - vals).T @ grad
 
         _walk(stencil.blocks(), rows, points, fn, add)
     return out
@@ -181,7 +183,9 @@ def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfi
     with ``HessianVariant(CENTRAL)``), both bit for bit, or ``None`` unless the reach box lies
     strictly inside the domain and the field's support.  There both read the field itself over
     the full-box stencil: the gradient and the second differences come from the same ``u(x +
-    h)`` and ``u(x - h)``, block by block with the stencil's offsets, and ``u(x)`` is read once.
+    h)`` and ``u(x - h)``, block by block: each block adds its product and the grid sums
+    (``_grid_moments``) of its weights ``w * rho / |h|^4`` times the second differences, and
+    ``u(x)`` is read once.
     """
     kernel, domain, reach = config.kernel, field.domain, config.kernel.reach
     v, lo, hi, clipped = point.tolist(), [], [], False
@@ -205,17 +209,16 @@ def _point_gradient(field: ScalarField, point: np.ndarray, config: OperatorConfi
     value = _value_at(field, point) if hessian or not paired else None
     total = np.zeros(point.shape)
     if hessian:  # a full box is paired, so ``u`` below is ``u(x - h)``
-        D = len(v)
-        H, trace, prefactor = np.zeros((1, D, D)), np.zeros(1), _prefactor(D, MOMENT_CONSTANT)
-    for block, offsets in zip(blocks, stencil.offsets() if hessian else itertools.repeat(None)):
+        S = np.zeros((1, len(v), len(v)))
+    weights = stencil.moment_weights(2) if hessian else itertools.repeat((None, None))
+    for block, (_, k) in zip(blocks, weights):
         plus = _field_values(field, _shifted(point[None], block.axes))
         u = _field_values(field, _shifted(point[None], block.axes, np.subtract)) if paired else value
         total += (u - plus) @ block.grad
         if hessian:
-            second = (plus - 2.0 * value + u)[None]
-            _add_second_differences(H, trace, range(1), offsets, second, prefactor)
-        del block, offsets  # as in ``_walk``
-    return (total, _traceless(H, trace)[0]) if hessian else total
+            S[0] += _grid_moments(block.axes, k * (plus - 2.0 * value + u))
+        del block, k  # as in ``_walk``
+    return (total, _traceless(S, MOMENT_CONSTANT)[0]) if hessian else total
 
 
 def nonlocal_gradient(field: ScalarField, x, config: OperatorConfig) -> np.ndarray:
@@ -423,23 +426,29 @@ def _smoothed_hessians(field: ScalarField, points: np.ndarray, variant: HessianV
     return _quotients(groups, points, partial(_field_values, grad_at), grad_at, out)
 
 
-def _prefactor(D: int, constant_mode: str) -> float:
-    """The central construction's tensor-weight normalization (see ``MOMENT_CONSTANT``)."""
-    return D * (D + 2) / 2.0 if constant_mode == MOMENT_CONSTANT else D * (D + 1) / 2.0
+def _grid_moments(axes, t: np.ndarray) -> np.ndarray:
+    """``sum t h_i h_j`` (D, D) over the nodes ``h`` of the sub-grid of the per-axis rules
+    ``axes``, ``t`` given per node in C order, with no offset array: for each ``i <= j``, ``t``
+    on the sub-grid summed over its other axes, contracted with the rules of axes ``i`` and
+    ``j`` (``h_i^2`` when they are one axis)."""
+    xs = [x for x, _ in axes]
+    t, D = t.reshape([x.size for x in xs]), len(xs)
+    S = np.empty((D, D))
+    for i, j in itertools.combinations_with_replacement(range(D), 2):
+        other = tuple(a for a in range(D) if a != i and a != j)
+        s = t.sum(axis=other) if other else t
+        S[i, j] = S[j, i] = s @ (xs[i] * xs[i]) if i == j else xs[i] @ s @ xs[j]
+    return S
 
 
-def _add_second_differences(H, trace, rows, b, second, prefactor: float) -> None:
-    """Adds the central sums over the half-stencil block ``b`` to ``H[p]`` and ``trace[p]``
-    for each row ``p`` of ``rows``, given its second differences ``u(x + h) - 2 u(x) + u(x -
-    h)`` as the rows of ``second``; each node stands for itself and its mirror image."""
-    for p, c in zip(rows, 2.0 * prefactor * b.wrho / (b.r2 * b.r2) * second):
-        H[p] += (b.h * c[:, None]).T @ b.h
-        trace[p] += np.sum(c * b.r2)
-
-
-def _traceless(H: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    D = H.shape[-1]
-    return H - (trace / (D + 2))[:, None, None] * np.eye(D)
+def _traceless(S: np.ndarray, constant_mode: str) -> np.ndarray:
+    """The central Hessians ``2 * prefactor * S`` of the sums ``S`` (P, D, D), the prefactor
+    normalized by ``constant_mode`` (see ``MOMENT_CONSTANT``), less a ``1 / (D + 2)`` share of
+    their traces on the diagonal."""
+    D = S.shape[-1]
+    prefactor = D * (D + 2) / 2.0 if constant_mode == MOMENT_CONSTANT else D * (D + 1) / 2.0
+    H = 2.0 * prefactor * S
+    return H - (np.trace(H, axis1=1, axis2=2) / (D + 2))[:, None, None] * np.eye(D)
 
 
 def _central_hessians(
@@ -455,7 +464,8 @@ def _central_hessians(
     every reach box lies strictly inside).  The full-box stencil is paired,
     so only its lower half is walked, each node standing for itself and its
     mirror: one field call at ``x + h`` and one at ``x - h`` per block, for
-    as many points as ``_walk`` packs.
+    as many points as ``_walk`` packs.  Each row sums its second differences
+    times the block's weights ``w * rho / |h|^4`` by ``_grid_moments``.
     """
     P, D = points.shape
     kernel = config.kernel
@@ -464,24 +474,24 @@ def _central_hessians(
     inside = np.all(box.contains(points - kernel.reach) & box.contains(points + kernel.reach))
     ext = field if inside else extend_by_zero(field)
     values = _values_at(ext, points)
-    prefactor = _prefactor(D, constant_mode)
     [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
-    H = np.zeros((P, D, D))
-    trace = np.zeros(P)
+    S = np.zeros((P, D, D))
 
-    def add(b, chunk, found):
+    def add(axes, k, chunk, found):
         second = found() - 2.0 * values[chunk, None] + found(np.subtract)
-        _add_second_differences(H, trace, chunk, b, second, prefactor)
+        for p, s in zip(chunk, second):
+            S[p] += _grid_moments(axes, k * s)
 
-    _walk(stencil.offsets(), rows, points, ext, add)
-    return _traceless(H, trace)
+    _walk(stencil.moment_weights(2), rows, points, ext, add)
+    return _traceless(S, constant_mode)
 
 
 def directional_second_moments(domain: BoxDomain, x, config: OperatorConfig) -> np.ndarray:
     """Domain integrals of ``(x_i - y_i)^2 / |x - y|^2`` against the kernel, one per axis.
 
     Each converges to ``1/D`` at interior points as the kernel concentrates;
-    the deficit of ``D * c_i`` below 1 measures boundary truncation.
+    the deficit of ``D * c_i`` below 1 measures boundary truncation.  Each block
+    adds the diagonal of ``_grid_moments`` of its weights ``w * rho / |h|^2``.
     """
     kernel = config.kernel
     x = as_point(x, kernel.dim)
@@ -490,6 +500,6 @@ def directional_second_moments(domain: BoxDomain, x, config: OperatorConfig) -> 
     [(stencil, _)] = reach_stencils(kernel, x[None], kernel.full_radius, domain,
                                     config.resolution)
     c = np.zeros(kernel.dim)
-    for b in stencil.offsets():
-        c += [np.sum(b.wrho * b.h[:, i] ** 2 / b.r2) for i in range(kernel.dim)]
+    for axes, k in stencil.moment_weights(1):  # k = w * rho / |h|^2
+        c += np.diagonal(_grid_moments(axes, k))
     return 2.0 * c if stencil.paired else c  # a paired node stands for its mirror image too

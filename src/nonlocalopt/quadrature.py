@@ -9,26 +9,27 @@ expanded block by block.  A block is a sub-grid of at most ``BLOCK_NODES``
 nodes: one slice of each per-axis rule (``_split``).  It stores only its
 gradient weights, ``D * 8`` bytes a node; a field call reads its points as
 per-axis columns shifted from the rule slices (``_shifted``), and
-``Stencil.offsets`` rebuilds ``h``, ``|h|^2`` and ``w * rho`` on every call.
-An axis that 0 cuts into two equal sides is its own mirror image at 0.  A
-stencil whose every axis is such (every full box) is paired: it walks only
-the lower half of axis 0, each node standing for itself and its mirror image
-``-h``, whose gradient weights are its own negated.  The full-box stencil of
+``Stencil.moment_weights`` builds the central Hessian's and the second moments'
+weights on the block's grid on every call, with no offset array.  An axis that
+0 cuts into two equal sides is its own mirror image at 0.  A stencil whose every
+axis is such (every full box) is paired: it walks only the lower half of axis 0,
+each node standing for itself and its mirror image ``-h``, whose gradient
+weights are its own negated.  The full-box stencil of
 a kernel is the same at every point whose reach box lies inside the domain,
 so ``StencilCache`` keeps its half's gradient weights, within a byte cap.  A
 block whose whole axes are all mirror images computes ``|h|^2`` and its
 weights on their upper halves and mirrors them, bit for bit.
 
-Allocator policy: the first block whose ``(n, D)`` arrays (its gradient weights,
-or the central Hessian's offsets) reach glibc's default mmap threshold (128 KiB)
-fixes the process's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
-once, through ``mallopt``; without glibc's ``mallopt`` nothing happens.  Under
-the dynamic thresholds each freed block temporary (streamed weights, field
-values, the callbacks' products across axes) goes back to the kernel and is
-faulted in again by the next block: about 19,700 minor faults per in-process
-pass of the benchmark's 2-D and 3-D operator checks, against under 10 with the
-thresholds fixed (``ru_minflt``, glibc 2.36, x86-64).  A process may then keep
-up to 64 MiB of freed heap.  1-D and SGD runs never reach that size.
+Allocator policy: the first block whose ``(n, D)`` gradient weights would reach
+glibc's default mmap threshold (128 KiB) fixes the process's mmap threshold at
+32 MiB and its trim threshold at 64 MiB, once, through ``mallopt``; without
+glibc's ``mallopt`` nothing happens.  Under the dynamic thresholds freed block
+temporaries (streamed weights, field values, the callbacks' products across
+axes) may go back to the kernel and be faulted in again by the next block: a
+fresh run of the benchmark's 3-D Hessian check takes about 8,700 minor faults,
+against 7,600 with the thresholds fixed (``ru_minflt``, glibc 2.36, x86-64).  A
+process may then keep up to 64 MiB of freed heap.  1-D and SGD runs never reach
+that size.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ BLOCK_NODES = 65_536
 CACHE_BYTES = 16 * 2**20
 
 # glibc's default mmap threshold, 128 KiB, in float64 entries: the first block whose
-# (n, D) gradient weights or offsets reach it fixes the process's allocator thresholds
+# (n, D) gradient weights would reach it fixes the process's allocator thresholds
 # (``_keep_heap``)
 _LARGE_BLOCK = 16_384
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, from glibc's malloc.h
@@ -169,17 +170,6 @@ class StencilBlock(NamedTuple):
     grad: np.ndarray
 
 
-class Offsets(NamedTuple):
-    """The offsets ``h`` (n, D, C-ordered as ``StencilBlock.grad``) of the nodes of the per-axis
-    rules ``axes``, ``r2 = |h|^2`` and ``wrho = w * rho(|h|)``.  Where ``|h|^2`` underflows to 0,
-    ``wrho`` is 0 and ``r2`` is 1, so every quotient by ``r2`` stays finite."""
-
-    axes: tuple
-    h: np.ndarray
-    r2: np.ndarray
-    wrho: np.ndarray
-
-
 def _keep_heap() -> None:
     """Fixes glibc's mmap and trim thresholds, once per process; elsewhere does nothing.
 
@@ -286,16 +276,13 @@ def _radial(axes, mirror: int):
     return r2, ws
 
 
-def _offsets(axes, kernel, mirror: int):
-    """``h``, ``r2`` and ``wrho`` (``Offsets``) of the nodes of the sub-grid ``axes``, in C
-    order; ``mirror`` as in ``_radial``."""
-    D = len(axes)
+def _moment_weight(axes, kernel, mirror: int, power: int) -> np.ndarray:
+    """``w * rho(|h|) / |h|^(2 power)`` (``power`` 1 or 2) of the nodes of the sub-grid ``axes``,
+    in C order, 0 where ``|h|^2`` underflows; ``mirror`` as in ``_radial``, and the weight is
+    mirrored once."""
     r2, w = _radial(axes, mirror)
-    h = np.empty([x.size for x, _ in axes] + [D])  # before the weights: a smaller process peak
     wrho = _weights(kernel, r2, w)
-    for j, (x, _) in enumerate(axes):
-        h[..., j] = _along(x, j, D)
-    return h.reshape(-1, D), _unfold(r2, mirror).reshape(-1), _unfold(wrho, mirror).reshape(-1)
+    return _unfold(wrho / (r2 * r2 if power == 2 else r2), mirror).reshape(-1)
 
 
 def _expand(axes, kernel, mirror: int) -> np.ndarray:
@@ -304,7 +291,7 @@ def _expand(axes, kernel, mirror: int) -> np.ndarray:
     once."""
     D = len(axes)
     r2, w = _radial(axes, mirror)
-    grad = np.empty([x.size for x, _ in axes] + [D])  # as in ``_offsets``
+    grad = np.empty([x.size for x, _ in axes] + [D])  # before the weights: a smaller process peak
     scale = _unfold(_scale(kernel, _weights(kernel, r2, w), r2), mirror)
     for j, (x, _) in enumerate(axes):
         np.multiply(scale, -_along(x, j, D), out=grad[..., j])
@@ -335,8 +322,8 @@ class Stencil:
     the lower half of axis 0, each node standing for its mirror image too; ``axes``, ``shape``
     and ``len`` describe the whole box.  ``kernel`` supplies ``dim`` and ``radial_density``.
     ``blocks`` gives the gradient weights of the ``_split`` blocks walked, built on demand
-    unless ``materialize`` has stored them; ``offsets`` builds the offsets and their weights in
-    the same blocks on every call.
+    unless ``materialize`` has stored them; ``moment_weights`` builds a weight per node of the
+    same blocks on every call.
     """
 
     def __init__(self, kernel, lo, hi, resolution: int):
@@ -372,10 +359,10 @@ class Stencil:
         for axes, mirror in _split(self._walked, self.symmetric):
             yield StencilBlock(axes, _expand(axes, self.kernel, mirror))
 
-    def offsets(self) -> Iterator[Offsets]:
-        """The offsets and weights of every node walked, block by block."""
-        for block, mirror in _split(self._walked, self.symmetric):
-            yield Offsets(block, *_offsets(block, self.kernel, mirror))
+    def moment_weights(self, power: int) -> Iterator[tuple[tuple, np.ndarray]]:
+        """``(axes, k)`` for every block walked, ``k`` its nodes' ``_moment_weight``."""
+        for axes, mirror in _split(self._walked, self.symmetric):
+            yield axes, _moment_weight(axes, self.kernel, mirror, power)
 
 
 class StencilCache:

@@ -11,6 +11,7 @@ from nonlocalopt.catalog import (
     field_names,
     linear_field,
     quadratic_field,
+    ridge_field,
 )
 from nonlocalopt.errors import DimensionMismatchError
 from nonlocalopt.fields import SubsetIndicator
@@ -67,6 +68,17 @@ class TestScalarField:
                     )
                     g = f.gradient_at(p)
                     assert np.linalg.norm(g - fd) <= 1e-6 * (1 + np.linalg.norm(g))
+
+    @pytest.mark.parametrize("slope", [1.0, 2.5])
+    def test_ridge_scales_by_its_slope_unless_it_is_1(self, slope):
+        # a slope of 1 makes no multiplication pass, and changes no bit: 1.0 * v is v
+        domain = BoxDomain.unit(2)
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(40, 2))
+        distance = np.sqrt(np.sum((pts - domain.center) ** 2, axis=1))
+        ridge = ridge_field(domain, slope=slope)
+        values = ridge(pts)
+        assert values.tobytes() == (slope * distance).tobytes()
+        assert (ridge.fn.__name__ == "distance") == (slope == 1.0)
 
     def test_vectorized_evaluation(self, fields_1d):
         f = fields_1d["quadratic"]

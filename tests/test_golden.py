@@ -231,7 +231,7 @@ OPERATOR_CHECKS = {
         "grad_check.csv", "14fbecc55d98d2406afdac53571ddfba18ac4ff05f0f578fe980162bbae8d4c3"),
     "hess-check-quadratic-2d": (
         ["hess-check", *BOX_2D, "--set", "quadrature.resolution=256", "--set", "check.probes=20"],
-        "hess_check.csv", "be0a37d2bf6f89060ae9aeab16f1fd72fb978b93d53cf8de691aedd71d77579e"),
+        "hess_check.csv", "29a3d45fa2efa45f315283a21b30d4a034ed0a76b56b777b9a168412b943254b"),
     "grad-check-quadratic-3d-res128": (
         ["grad-check", *BOX_3D, "--set", "quadrature.resolution=128", "--set", "check.probes=1"],
         "grad_check.csv", "436ec421e639b83261fb78166f9eaea0ba424bbb0e57dd8abcb84bc4e84950c7"),

@@ -2,6 +2,7 @@
 
 import ctypes
 import functools
+import itertools
 import math
 import platform
 import sys
@@ -114,8 +115,8 @@ def reference_moment(kernel, domain, x, axis, resolution):
     return float(np.sum(product_weights(grid) * d[:, axis] ** 2 / r2 * density(kernel, d)))
 
 
-def assert_close(new, ref):
-    assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+def assert_close(new, ref, rel=1e-12):
+    assert np.max(np.abs(new - ref)) <= rel * np.max(np.abs(ref))
 
 
 def point(dim, where):
@@ -254,20 +255,19 @@ def test_interior_gradient_reads_each_box_node_once_and_no_value(monkeypatch, di
 @pytest.mark.parametrize("dim,resolution", [(1, 64), (1, 65), (2, 30), (3, 10), (2, 400)])
 def test_full_box_stencil_is_point_symmetric(dim, resolution):
     # a full box walks the lower half of axis 0; the nodes after it in C order are its mirror
-    # images in reverse order, with the same w * rho and the gradient weights negated
+    # images in reverse order, with the same moment weights and the gradient weights negated
     kernel = gaussian_kernel(dim, 4)
     reach = np.full(dim, kernel.reach)
     stencil = Stencil(kernel, -reach, reach, resolution)
-    h = np.concatenate([b.h for b in stencil.offsets()])
-    w = np.concatenate([b.wrho for b in stencil.offsets()])
     grad = np.concatenate([b.grad for b in stencil.blocks()])
     assert stencil.paired and len(stencil) == (2 * (resolution // 2)) ** dim
-    assert len(h) == len(grad) == len(stencil) // 2
-    full_h, _, full_w, full_grad = reference_expansion(kernel, stencil.axes,
-                                                       np.arange(len(stencil)))
-    assert same_bits(full_h, np.concatenate([h, -h[::-1]]))
-    assert same_bits(full_w, np.concatenate([w, w[::-1]]))
+    assert len(grad) == len(stencil) // 2
+    _, full_r2, full_w, full_grad = reference_expansion(kernel, stencil.axes,
+                                                        np.arange(len(stencil)))
     assert same_bits(full_grad, np.concatenate([grad, -grad[::-1]]))
+    for power, full_k in ((1, full_w / full_r2), (2, full_w / (full_r2 * full_r2))):
+        k = np.concatenate([k for _, k in stencil.moment_weights(power)])
+        assert len(k) == len(stencil) // 2 and same_bits(full_k, np.concatenate([k, k[::-1]]))
 
 
 def mirrored(axes):
@@ -376,19 +376,23 @@ def test_blocks_equal_the_per_node_expansion(monkeypatch, dim, resolution, width
 
 
 @pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS)
-def test_offsets_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths, block_nodes):
-    # built on every call, cached stencil or not, over the same nodes as the blocks
+def test_moment_weights_equal_the_per_node_expansion(monkeypatch, dim, resolution, widths,
+                                                     block_nodes):
+    # w * rho / |h|^2 and w * rho / |h|^4, built on every call, cached stencil or not, over the
+    # same nodes as the blocks
     stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
     axes = walked_axes(stencil)
     shape = tuple(x.size for x, _ in axes)
     for materialized in (False, True):
         if materialized:
             stencil.materialize()
-        expected = zip(reference_blocks(stencil, block_nodes),
-                       reference_split(shape, block_nodes), strict=True)
-        for b, (arrays, nodes) in zip(stencil.offsets(), expected, strict=True):
-            assert same_bits(node_indices(axes, b.axes), nodes) and len(nodes) == len(b.h)
-            assert all(same_bits(a, e) for a, e in zip((b.h, b.r2, b.wrho), arrays))
+        for power in (1, 2):
+            expected = zip(reference_blocks(stencil, block_nodes),
+                           reference_split(shape, block_nodes), strict=True)
+            for (block, k), ((_, r2, wrho, _), nodes) in zip(stencil.moment_weights(power),
+                                                             expected, strict=True):
+                assert same_bits(node_indices(axes, block), nodes)
+                assert same_bits(k, wrho / (r2 if power == 1 else r2 * r2))
 
 
 @pytest.mark.parametrize("dim,resolution,widths,block_nodes", EXPANSIONS + [
@@ -398,7 +402,7 @@ def test_shifted_points_from_the_rules_are_x_plus_and_minus_h(monkeypatch, dim, 
     # 3-D resolution 96: 9,216-node slabs, which do not divide a block
     stencil = expansion_stencil(monkeypatch, dim, resolution, widths, block_nodes)
     x = np.random.default_rng(dim).uniform(0.3, 0.7, size=(3, dim))
-    for b, (h, *_) in zip(stencil.offsets(), reference_blocks(stencil, block_nodes), strict=True):
+    for b, (h, *_) in zip(stencil.blocks(), reference_blocks(stencil, block_nodes), strict=True):
         for op in (np.add, np.subtract):
             shifted = quadrature._shifted(x, b.axes, op)
             assert same_bits(np.ascontiguousarray(shifted), op(x[:, None], h).reshape(-1, dim))
@@ -446,8 +450,9 @@ PAIRED_SHAPES = [(1, 256, 100), (2, 400, BLOCK_NODES), (3, 50, 10_000),
 @pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
 def test_full_box_blocks_walk_the_lower_half_of_axis_0(monkeypatch, dim, resolution,
                                                        block_nodes, cap):
-    # the gradient weights and the offsets of a full box come from the same rule slices, the
-    # first half of its nodes in C order, cached or streamed; nothing stores the other half
+    # the gradient weights and the Hessian's weights of a full box come from the same rule
+    # slices, the first half of its nodes in C order, cached or streamed; nothing stores the
+    # other half
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     kernel = gaussian_kernel(dim, 8)
     cache = StencilCache(cap)
@@ -456,9 +461,9 @@ def test_full_box_blocks_walk_the_lower_half_of_axis_0(monkeypatch, dim, resolut
     assert stencil.nbytes == len(stencil) // 2 * dim * 8
     assert cache.nbytes == (stencil.nbytes if stencil.nbytes <= cap else 0)
     covered = 0
-    for block, offsets in zip(stencil.blocks(), stencil.offsets(), strict=True):
+    for block, (axes, _) in zip(stencil.blocks(), stencil.moment_weights(2), strict=True):
         assert all(np.shares_memory(x, ox) and same_bits(x, ox) and same_bits(w, ow)
-                   for (x, w), (ox, ow) in zip(block.axes, offsets.axes, strict=True))
+                   for (x, w), (ox, ow) in zip(block.axes, axes, strict=True))
         nodes = node_indices(stencil.axes, block.axes)
         assert same_bits(nodes, np.arange(covered, covered + len(nodes)))
         covered += len(nodes)
@@ -515,10 +520,10 @@ def test_full_box_blocks_weigh_one_orthant(monkeypatch, dim):
     reach = np.full(dim, kernel.reach)
     for hi, halves, share in ((reach, 2, 2 ** dim), (0.5 * reach, 1, 1)):
         stencil = Stencil(kernel, -reach, hi, 8)
-        for blocks in (stencil.blocks, stencil.offsets):
+        for blocks in (stencil.blocks, lambda: stencil.moment_weights(2)):
             seen.clear()
-            [block] = blocks()
-            walked = math.prod(x.size for x, _ in block.axes)
+            [(axes, _)] = blocks()
+            walked = math.prod(x.size for x, _ in axes)
             assert halves * walked == len(stencil) == share * sum(seen)
 
 
@@ -540,11 +545,12 @@ def test_underflowing_offsets_carry_no_weight():
     # |h|^2 of the 32 offsets left of x = 1e-200 underflows to 0
     domain, kernel, x = BoxDomain.unit(1), RadialKernel("gaussian", 1, 1, 1e-150), [1e-200]
     [(stencil, _)] = reach_stencils(kernel, np.array([x]), kernel.reach, domain, 64)
-    [offsets] = stencil.offsets()
-    underflow = np.sum(offsets.h * offsets.h, axis=1) == 0
-    assert np.count_nonzero(underflow) == 32
-    assert np.all(offsets.wrho[underflow] == 0) and np.all(offsets.r2[underflow] == 1)
     [block] = stencil.blocks()
+    h = block.axes[0][0]
+    underflow = h * h == 0
+    assert np.count_nonzero(underflow) == 32
+    [(_, k)] = stencil.moment_weights(1)
+    assert np.all(k[underflow] == 0) and np.all(np.isfinite(k)) and np.all(k[~underflow] > 0)
     assert np.all(block.grad[underflow] == 0) and np.all(np.isfinite(block.grad))
     [own], paired = own_blocks(kernel, x, domain, 64)
     assert same_bits(own.grad, block.grad) and not paired
@@ -654,8 +660,9 @@ def stored_shifted(points, h, op=np.add):
 
 def stored_offset_operators(field, x, config):
     """The gradient at each row of ``x``, the central Hessian at its first (interior) row and
-    the second moments at each row, summed over stored ``h``, ``|h|^2``, ``w * rho`` and
-    gradient weights per block (``reference_blocks``), with the operators' formulas."""
+    the second moments at each row, from stored ``h``, ``|h|^2``, ``w * rho`` and gradient
+    weights per block (``reference_blocks``), with the operators' formulas: the Hessian and the
+    moments summed on each block's grid (``grid_sums``)."""
     kernel, D = config.kernel, field.dim
     grads = []
     for p in x:
@@ -670,23 +677,13 @@ def stored_offset_operators(field, x, config):
     interior = x[:1]
     stencil = Stencil(kernel, -np.full(D, kernel.reach), np.full(D, kernel.reach),
                       config.resolution)
-    H, trace, u = np.zeros((D, D)), 0.0, field.value(interior[0])
+    S, u = np.zeros((1, D, D)), field.value(interior[0])
     for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES):
         second = (field(stored_shifted(interior, h)) - 2.0 * u
                   + field(stored_shifted(interior, h, np.subtract)))
-        c = 2.0 * (D * (D + 2) / 2.0) * wrho / (r2 * r2) * second
-        H += (h * c[:, None]).T @ h
-        trace += np.sum(c * r2)
-    H = H - (np.array([trace]) / (D + 2))[:, None, None] * np.eye(D)
-    moments = []
-    for p in x:
-        [(stencil, _)] = reach_stencils(kernel, p[None], kernel.full_radius, field.domain,
-                                        config.resolution)
-        c = np.zeros(D)
-        for h, r2, wrho, _ in reference_blocks(stencil, BLOCK_NODES):
-            c += [np.sum(wrho * h[:, i] ** 2 / r2) for i in range(D)]
-        moments.append(2.0 * c if paired(stencil) else c)
-    return np.array(grads), H, np.array(moments)
+        S[0] += grid_sums(h, wrho / (r2 * r2) * second)
+    moments = [row_major_moments(field.domain, p, config) for p in x]
+    return np.array(grads), traceless(S, D * (D + 2) / 2.0), np.array(moments)
 
 
 def library_operators(field, x, config):
@@ -704,7 +701,7 @@ SOURCE_RESOLUTION = {1: 512, 2: 400, 3: 96}
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("family", ["gaussian", "bump"])
-def test_cached_streamed_and_stored_offsets_give_the_same_bits(stencil_cache, dim, family):
+def test_cached_streamed_and_per_node_grid_sums_give_the_same_bits(stencil_cache, dim, family):
     field = sin_field(BoxDomain.unit(dim))
     config = OperatorConfig(family_kernel(dim, family), SOURCE_RESOLUTION[dim])
     x = np.array([[0.41, 0.37, 0.61][:dim], [0.06, 0.37, 0.61][:dim]])  # interior, clipped
@@ -888,6 +885,26 @@ def test_central_hessians_reuse_the_heap(stencil_cache):
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
+def test_central_hessian_builds_no_offset_array(stencil_cache):
+    # five central Hessian probes in 3-D at resolution 64: a block holds 65,536 nodes, and its
+    # weights, field values and second differences are one such array each; the (n, 3) offsets
+    # the Hessian once rebuilt per block took the peak to about 5 MiB
+    import tracemalloc
+
+    stencil_cache(quadrature.CACHE_BYTES)
+    domain = BoxDomain.unit(3)
+    field, probes = quadratic_field(domain), diagonal_probes(domain, 5, 0.35, 0.65)
+    config, variant = OperatorConfig(gaussian_kernel(3, 8), 64), HessianVariant(CENTRAL)
+    nonlocal_hessian(field, probes, variant, config)  # builds and caches the stencil
+    tracemalloc.start()
+    try:
+        nonlocal_hessian(field, probes, variant, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * BLOCK_NODES * 8
+
+
 def test_stencil_checks_node_budget_before_building_rules():
     kernel = gaussian_kernel(3, 4)
     reach = np.full(3, kernel.reach)
@@ -998,8 +1015,38 @@ def row_major_contract(groups, points, values, fn, out):
     return out
 
 
-def row_major_central_hessians(field, points, config, constant_mode):
-    """The central Hessians with C-order field batches."""
+def grid_sums(h, t):
+    """``sum t h_i h_j`` (D, D) over a block's per-node offsets ``h`` (n, D) and ``t`` (n,), in
+    the library's order: the block is the tensor product of the distinct values of each column
+    of ``h``; for each ``i <= j``, ``t`` on that grid is summed over its other axes, then
+    contracted with the nodes of axes ``i`` and ``j``."""
+    xs = [np.unique(column) for column in h.T]
+    t, D = t.reshape([x.size for x in xs]), len(xs)
+    S = np.empty((D, D))
+    for i, j in itertools.combinations_with_replacement(range(D), 2):
+        other = tuple(a for a in range(D) if a not in (i, j))
+        s = t.sum(axis=other) if other else t
+        S[i, j] = S[j, i] = s @ (xs[i] * xs[i]) if i == j else xs[i] @ s @ xs[j]
+    return S
+
+
+def offset_sums(h, t):
+    """``sum t h_i h_j`` as the ``(h t)^T h`` product of the stored offsets: the sums the grid
+    sums replaced, kept as a second reference."""
+    return (h * t[:, None]).T @ h
+
+
+def traceless(S, prefactor):
+    """The central Hessians ``2 * prefactor * S`` of the sums ``S`` (P, D, D), less a
+    ``1 / (D + 2)`` share of their traces on the diagonal."""
+    H = 2.0 * prefactor * S
+    D = H.shape[-1]
+    return H - (np.trace(H, axis1=1, axis2=2) / (D + 2))[:, None, None] * np.eye(D)
+
+
+def row_major_central_hessians(field, points, config, constant_mode, sums=grid_sums):
+    """The central Hessians with C-order field batches, each row's block sums from ``sums``
+    over the per-node expansion."""
     P, D = points.shape
     kernel = config.kernel
     box = field.domain if field.support is None else field.support
@@ -1008,29 +1055,29 @@ def row_major_central_hessians(field, points, config, constant_mode):
     values = operators._values_at(ext, points)
     prefactor = D * (D + 2) / 2.0 if constant_mode == operators.MOMENT_CONSTANT else D * (D + 1) / 2.0
     [(stencil, rows)] = reach_stencils(kernel, points, kernel.reach, None, config.resolution)
-    H, trace = np.zeros((P, D, D)), np.zeros(P)
+    S = np.zeros((P, D, D))
     for h, r2, wrho, _ in reference_blocks(stencil, quadrature.BLOCK_NODES):
         n = len(h)
-        weight = 2.0 * prefactor * wrho / (r2 * r2)
+        k = wrho / (r2 * r2)
         for chunk in operators._chunks(rows, n):
             x = points[chunk][:, None]
             second = (operators._field_values(ext, (x + h).reshape(-1, D)).reshape(-1, n)
                       - 2.0 * values[chunk, None]
                       + operators._field_values(ext, (x - h).reshape(-1, D)).reshape(-1, n))
-            for p, c in zip(chunk, weight * second):
-                H[p] += (h * c[:, None]).T @ h
-                trace[p] += np.sum(c * r2)
-    return H - (trace / (D + 2))[:, None, None] * np.eye(D)
+            for p, row in zip(chunk, second):
+                S[p] += sums(h, k * row)
+    return traceless(S, prefactor)
 
 
-def row_major_moments(domain, x, config):
-    """Second moments summed over the per-node expansion, whose ``h`` is stacked row by row."""
+def row_major_moments(domain, x, config, sums=grid_sums):
+    """Second moments from ``sums`` over the per-node expansion, whose ``h`` is stacked row by
+    row."""
     kernel = config.kernel
     [(stencil, _)] = reach_stencils(kernel, x[None], kernel.full_radius, domain,
                                     config.resolution)
     c = np.zeros(kernel.dim)
     for h, r2, wrho, _ in reference_blocks(stencil, quadrature.BLOCK_NODES):
-        c += [np.sum(wrho * h[:, i] ** 2 / r2) for i in range(kernel.dim)]
+        c += np.diagonal(sums(h, wrho / r2))
     return 2.0 * c if paired(stencil) else c
 
 
@@ -1181,6 +1228,32 @@ def test_alternate_central_hessian_keeps_the_bits_of_row_major_sums(
     assert same_bits(H, row_major_central_hessians(field, x[None], config, mode)[0])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+@pytest.mark.parametrize("cap", [quadrature.CACHE_BYTES, 0], ids=["cached", "streamed"])
+def test_grid_sums_stay_near_the_offset_products(stencil_cache, dim, family, cap):
+    # the (h c)^T h products over stored offsets that the grid sums replaced: every central
+    # Hessian of every catalog field, in both constant modes and from Newton's one-point pass,
+    # and every moment vector, within 1e-13 of its largest entry
+    stencil_cache(cap)
+    domain, x = BoxDomain.unit(dim), batch_points(dim)
+    config = batch_config(dim, family, LAYOUT_RESOLUTION[dim][0])
+    for name in field_names(dim):
+        field = catalog_field(name, domain)
+        for mode in (operators.MOMENT_CONSTANT, operators.ALTERNATE_CONSTANT):
+            H = nonlocal_hessian(field, x, HessianVariant(CENTRAL, constant_mode=mode), config)
+            assert_close(H, row_major_central_hessians(field, x, config, mode, offset_sums), 1e-13)
+        interior = x[[0, 2, 3, 5]]
+        reference = row_major_central_hessians(field, interior, config,
+                                               operators.MOMENT_CONSTANT, offset_sums)
+        for p, expected in zip(interior, reference):
+            if (both := operators._point_gradient(field, p, config, hessian=True)) is not None:
+                assert_close(both[1], expected, 1e-13)
+    for p in x:
+        assert_close(directional_second_moments(domain, p, config),
+                     row_major_moments(domain, p, config, offset_sums), 1e-13)
+
+
 # (dimension, nodes per block): the lower half of a 2-D stencil of 32**2 nodes in blocks of 4
 # axis-0 rows, and of 3 rows, which do not divide its 16; of a 3-D stencil of 12**3 nodes in
 # blocks of two axis-0 slabs, and in runs of 6 axis-1 rows, and of 8, which do not divide 12
@@ -1288,10 +1361,9 @@ def test_reach_stencils_cover_every_row_once():
     shared, *own = groups
     assert list(shared[1]) == [0, 2, 3, 5] and [list(r) for _, r in own] == [[1], [4]]
     # the clipped stencils stop at the walls the points sit near
-    h1 = np.concatenate([b.h for b in own[0][0].offsets()])
-    h4 = np.concatenate([b.h for b in own[1][0].offsets()])
-    assert np.all(x[1, 0] + h1[:, 0] > 0.0) and np.all(x[4, 1] + h4[:, 1] < 1.0)
-    assert h1[:, 0].min() > -kernel.reach / 2 and h4[:, 1].max() < kernel.reach / 2
+    h1, h4 = own[0][0].axes[0][0], own[1][0].axes[1][0]
+    assert np.all(x[1, 0] + h1 > 0.0) and np.all(x[4, 1] + h4 < 1.0)
+    assert h1.min() > -kernel.reach / 2 and h4.max() < kernel.reach / 2
 
 
 # -- one point: its own rule, the bits of its batch row ---------------------------------------
